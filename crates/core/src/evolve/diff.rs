@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use chc_model::{ClassId, Range, Schema, Span, Sym};
 
-use crate::check::check_class;
+use crate::check::Checker;
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic};
 
 /// How an edit relates old readers and writers to the new schema.
@@ -622,8 +622,9 @@ fn translate_diag(old: &Schema, new: &Schema, d: &Diagnostic) -> Option<Diagnost
 
 /// Re-checks `new` in O(cone): classes outside the dirty set carry their
 /// diagnostics over from `old_report` (translated to new ids), classes
-/// inside it are re-checked with [`check_class`]. Classes are processed in
-/// new-schema id order — ancestors first — so the cross-class
+/// inside it are re-checked. Classes are processed in new-schema id order
+/// — ancestors first — and carried-over diagnostics enter the checker's
+/// index of error sites as they are spliced in, so the cross-class
 /// deduplication inside the joint-satisfiability check sees exactly the
 /// report prefix a full check would have built.
 ///
@@ -639,10 +640,10 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
         by_old_class.entry(d.class).or_default().push(d);
     }
 
-    let mut report = CheckReport::default();
+    let mut checker = Checker::new(new);
     for nc in new.class_ids() {
         if dirty.classes.contains(&nc) {
-            check_class(new, nc, &mut report);
+            checker.check_class(nc);
             continue;
         }
         // A clean class always has an old counterpart: unmatched new
@@ -661,13 +662,13 @@ pub fn check_incremental(old: &Schema, old_report: &CheckReport, new: &Schema) -
             }
         }
         if ok {
-            report.diagnostics.extend(translated);
+            checker.carry_over(translated);
         } else {
-            check_class(new, nc, &mut report);
+            checker.check_class(nc);
         }
     }
 
-    IncrementalCheck { diff, dirty, report }
+    IncrementalCheck { diff, dirty, report: checker.finish() }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use chc_model::{AttrSpec, ClassId, ModelError, Range, Schema, SchemaBuilder, Sym};
 
-use crate::check::{check, check_class};
+use crate::check::{check, Checker};
 use crate::diagnostics::CheckReport;
 
 pub mod diff;
@@ -32,11 +32,11 @@ pub fn affected_by_edit(schema: &Schema, class: ClassId) -> Vec<ClassId> {
 /// equals the full [`check`] restricted to those classes (a property the
 /// test suite verifies on random schemas and edits).
 pub fn recheck_incremental(schema: &Schema, class: ClassId) -> CheckReport {
-    let mut report = CheckReport::default();
+    let mut checker = Checker::new(schema);
     for c in affected_by_edit(schema, class) {
-        check_class(schema, c, &mut report);
+        checker.check_class(c);
     }
-    report
+    checker.finish()
 }
 
 /// The result of an evolution step: the new schema plus its full check

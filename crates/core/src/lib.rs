@@ -5,10 +5,11 @@
 //! contradiction is explicitly acknowledged with an
 //! `excuses p on C` clause. This crate implements:
 //!
-//! * [`check()`] / [`check::check_class`] — the revised specialization rule
-//!   (§5.1): a redefined range must specialize every inherited range or
-//!   excuse each contradicted constraint; plus joint-satisfiability
-//!   checking for multiple inheritance and redundant-excuse warnings.
+//! * [`check()`] — the revised specialization rule (§5.1): a redefined
+//!   range must specialize every inherited range or excuse each
+//!   contradicted constraint; plus joint-satisfiability checking for
+//!   multiple inheritance and redundant-excuse warnings. It compares
+//!   ranges through their [`canon`]ical forms.
 //! * [`Semantics`] and [`constraint_holds`] — all four candidate
 //!   semantics of §5.2 (and a strict baseline), with the paper's final
 //!   rule `x.p ∈ R ∨ ∃(E,S). x ∈ E ∧ x.p ∈ S`.
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod canon;
 pub mod check;
 pub mod diagnostics;
 pub mod evolve;

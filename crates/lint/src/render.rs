@@ -24,6 +24,13 @@ use crate::finding::Finding;
 /// used to quote the offending line; without it (or without a span) only
 /// the headline and location are printed.
 pub fn render_finding(finding: &Finding, schema: &Schema, src: Option<&str>) -> String {
+    let lines: Option<Vec<&str>> = src.map(|s| s.lines().collect());
+    render_quoting(finding, schema, lines.as_deref())
+}
+
+/// [`render_finding`] over the source text already split into lines, so
+/// a whole report splits each text once.
+fn render_quoting(finding: &Finding, schema: &Schema, lines: Option<&[&str]>) -> String {
     let level = match finding.level {
         LintLevel::Deny => "error",
         LintLevel::Info => "info",
@@ -36,7 +43,7 @@ pub fn render_finding(finding: &Finding, schema: &Schema, src: Option<&str>) -> 
     if let Some(loc) = finding.location(schema) {
         out.push_str(&format!("\n  --> {loc}"));
     }
-    let quoted = src.and_then(|s| s.lines().nth(span.line as usize - 1));
+    let quoted = lines.and_then(|l| l.get((span.line as usize).checked_sub(1)?));
     if let Some(line) = quoted {
         let gutter = span.line.to_string().len().max(2);
         let caret_pad = " ".repeat(span.col as usize - 1);
@@ -66,12 +73,18 @@ pub fn render_report_sources(
     if report.findings.is_empty() {
         return String::new();
     }
+    let schema_lines: Option<Vec<&str>> = schema_src.map(|s| s.lines().collect());
+    let query_lines: Option<Vec<&str>> = query_src.map(|s| s.lines().collect());
     let mut blocks: Vec<String> = report
         .findings
         .iter()
         .map(|f| {
-            let src = if f.file.is_some() { query_src } else { schema_src };
-            render_finding(f, schema, src)
+            let lines = if f.file.is_some() {
+                &query_lines
+            } else {
+                &schema_lines
+            };
+            render_quoting(f, schema, lines.as_deref())
         })
         .collect();
     let denied = report.denied().count();

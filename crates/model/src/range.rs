@@ -157,24 +157,36 @@ impl Range {
     /// conditional types.
     pub fn subsumes(&self, schema: &Schema, sub: &Range) -> bool {
         // One query per top-level decision; record-field recursion goes
-        // through `subsumes_inner` so nested fields don't inflate E3/E8.
+        // through `subsumes_structurally` so nested fields don't inflate
+        // E3/E8.
         chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
         if chc_obs::enabled() {
             chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
-            // Structural hash of the (sup, sub) pair for the
-            // duplicate-work counter; the tag keeps range pairs disjoint
-            // from `chc_types`' Ty/CondTy pairs under the same name.
-            use std::hash::{Hash as _, Hasher as _};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            0x52u8.hash(&mut h);
-            self.hash(&mut h);
-            sub.hash(&mut h);
-            chc_obs::distinct(chc_obs::names::SUBTYPE_QUERIES_DISTINCT, h.finish());
+            chc_obs::distinct(
+                chc_obs::names::SUBTYPE_QUERIES_DISTINCT,
+                self.subsumption_key(sub),
+            );
         }
-        self.subsumes_inner(schema, sub)
+        self.subsumes_structurally(schema, sub)
     }
 
-    fn subsumes_inner(&self, schema: &Schema, sub: &Range) -> bool {
+    /// The structural key of the `(self, sub)` subsumption question that
+    /// feeds the `subtype.queries.distinct` duplicate-work counter. The
+    /// tag keeps range pairs disjoint from `chc_types`' Ty/CondTy pairs
+    /// under the same counter name.
+    pub fn subsumption_key(&self, sub: &Range) -> u64 {
+        use std::hash::{Hash as _, Hasher as _};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        0x52u8.hash(&mut h);
+        self.hash(&mut h);
+        sub.hash(&mut h);
+        h.finish()
+    }
+
+    /// The decision behind [`Range::subsumes`] without its per-query
+    /// accounting, for callers that count their queries in batches (the
+    /// checker reports them once per class).
+    pub fn subsumes_structurally(&self, schema: &Schema, sub: &Range) -> bool {
         match (self, sub) {
             (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= l2 && h2 <= hi,
             (Range::Str, Range::Str) => true,
@@ -210,7 +222,7 @@ impl Range {
                         sub_fields
                             .iter()
                             .find(|f| f.name == sf.name)
-                            .map(|f| sf.spec.range.subsumes_inner(schema, &f.spec.range))
+                            .map(|f| sf.spec.range.subsumes_structurally(schema, &f.spec.range))
                             .unwrap_or(false)
                     })
             }

@@ -104,6 +104,13 @@ impl Schema {
             .map(|i| ClassId::from_raw(i as u32))
     }
 
+    /// The ancestors of `id`, including `id` itself, as a bitset over
+    /// class indices — for intersecting with other class sets a word at
+    /// a time.
+    pub fn ancestor_bits(&self, id: ClassId) -> &BitSet {
+        &self.ancestors[id.index()]
+    }
+
     /// Strict ancestors of `id` (excluding `id`).
     pub fn strict_ancestors(&self, id: ClassId) -> impl Iterator<Item = ClassId> + '_ {
         self.ancestors_with_self(id).filter(move |&a| a != id)

@@ -19,6 +19,16 @@ cargo fmt --check -p chc-obs
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> stdout byte-compare: chc check / lint on the evolve400 pair"
+grep -v '^#' scripts/stdout.cksum | while read -r crc bytes args; do
+    # `args` is split into words on purpose: subcommand, then fixture.
+    # shellcheck disable=SC2086
+    got="$(./target/release/chc $args | cksum)"
+    if [ "$got" != "$crc $bytes" ]; then
+        echo "FAIL: chc $args stdout is '$got', pinned '$crc $bytes'" >&2; exit 1
+    fi
+done
+
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do
     ./target/release/chc lint "$sdl" --deny warnings
