@@ -7,7 +7,7 @@
 //! of some other class which excuses this constraint" (§5.1).
 
 use chc_model::{ClassId, InstanceView, Oid, Schema, Sym, Value};
-use chc_obs::{names, Event, EventLevel};
+use chc_obs::{names, EventLevel};
 
 use crate::semantics::{constraint_verdict, CheckVerdict, Semantics};
 
@@ -88,6 +88,8 @@ pub fn validate_object(
     closed.sort();
 
     let mut out = Vec::new();
+    // Executed and admitted checks, reported once per object below.
+    let (mut checks, mut admitted) = (0u64, 0u64);
     for &class in &closed {
         for decl in &schema.class(class).attrs {
             let stored = view.attr_value(x, decl.name);
@@ -106,27 +108,26 @@ pub fn validate_object(
                 &decl.spec.range,
                 &value,
             );
-            // One executed check = one counter tick = one ledger record;
-            // the E11 acceptance check asserts these totals agree.
-            chc_obs::counter(names::VALIDATE_CHECKS, 1);
-            if matches!(verdict, CheckVerdict::Excused { .. }) {
-                chc_obs::counter(names::VALIDATE_ADMITTED, 1);
-            }
-            chc_obs::event_with(|| {
-                let mut ev = Event::new(EventLevel::Audit, names::EVENT_VALIDATE_CHECK)
+            // One executed check = one unit of `validate.checks` = one
+            // ledger record; the E11 acceptance check asserts these
+            // totals agree. The record's fields are rendered only while
+            // an audit sink reads them.
+            checks += 1;
+            admitted += u64::from(matches!(verdict, CheckVerdict::Excused { .. }));
+            chc_obs::event_with(EventLevel::Audit, names::EVENT_VALIDATE_CHECK, |ev| {
+                let ev = ev
                     .field("object", x.raw())
                     .field("class", schema.class_name(class))
                     .field("attr", schema.resolve(decl.name))
                     .field("value", value.render(schema));
-                ev = match verdict {
+                match verdict {
                     CheckVerdict::Pass => ev.field("verdict", "pass"),
                     CheckVerdict::Excused { excuser, attr } => ev
                         .field("verdict", "excused")
                         .field("excuser", schema.class_name(excuser))
                         .field("excuse_attr", schema.resolve(attr)),
                     CheckVerdict::Violation => ev.field("verdict", "violation"),
-                };
-                ev
+                }
             });
             if verdict == CheckVerdict::Violation {
                 out.push(Violation {
@@ -136,6 +137,12 @@ pub fn validate_object(
                 });
             }
         }
+    }
+    if checks > 0 {
+        chc_obs::counter(names::VALIDATE_CHECKS, checks);
+    }
+    if admitted > 0 {
+        chc_obs::counter(names::VALIDATE_ADMITTED, admitted);
     }
     out
 }

@@ -13,7 +13,9 @@
 //! spans (the trait method defaults to a no-op, so numeric recorders
 //! ignore the stream), and [`AuditRecorder`] is the batteries-included
 //! sink: a bounded ring that keeps the most recent events and renders
-//! them as JSON lines via [`crate::json`].
+//! them as JSON lines via [`crate::json`]. It is also the one in-tree
+//! sink that reads payloads, so [`crate::event_with`] builds an event's
+//! fields only while an `AuditRecorder` is installed.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -22,10 +24,8 @@
 //! let audit = Arc::new(AuditRecorder::new());
 //! {
 //!     let _scope = obs::scoped(audit.clone());
-//!     obs::event_with(|| {
-//!         Event::new(EventLevel::Audit, "demo.check")
-//!             .field("object", 7u64)
-//!             .field("verdict", "excused")
+//!     obs::event_with(EventLevel::Audit, "demo.check", |ev| {
+//!         ev.field("object", 7u64).field("verdict", "excused")
 //!     });
 //! }
 //! assert_eq!(audit.len(), 1);
@@ -281,6 +281,10 @@ impl Recorder for AuditRecorder {
     fn span_enter(&self, _name: &'static str) {}
     fn span_exit(&self, _name: &'static str, _nanos: u64) {}
 
+    fn reads_event_payloads(&self, level: EventLevel) -> bool {
+        level >= self.min_level
+    }
+
     fn event(&self, event: &Event) {
         if event.level < self.min_level {
             return;
@@ -366,9 +370,9 @@ mod tests {
         let audit = Arc::new(AuditRecorder::new());
         {
             let _g = crate::scoped(audit.clone());
-            crate::event_with(|| Event::new(EventLevel::Audit, "t.scoped").field("x", 1i64));
+            crate::event_with(EventLevel::Audit, "t.scoped", |ev| ev.field("x", 1i64));
         }
-        crate::event_with(|| Event::new(EventLevel::Audit, "t.after"));
+        crate::event_with(EventLevel::Audit, "t.after", |ev| ev);
         assert_eq!(audit.len(), 1);
         assert_eq!(audit.events()[0].get("x"), Some(&FieldValue::Int(1)));
     }

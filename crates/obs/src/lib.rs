@@ -10,7 +10,8 @@
 //! * **hierarchical spans** with monotonic [`std::time::Instant`] timing
 //!   ([`span`]),
 //! * **structured audit events** with leveled key-value payloads
-//!   ([`event`], [`event_with`]) — see [`events`],
+//!   ([`event`], [`event_with`], whose payload is built only for sinks
+//!   that read it) — see [`events`],
 //! * **labeled metrics** and **distinct-work tracking** for cost
 //!   attribution ([`labeled_counter`], [`labeled_histogram`],
 //!   [`distinct`], [`label_scope`]) — see [`profile`],
@@ -104,8 +105,22 @@ pub trait Recorder: Send + Sync {
     /// A structured event was emitted. Defaults to discarding it, so
     /// recorders that aggregate numeric work (stats, traces) ignore the
     /// audit stream; [`AuditRecorder`] overrides this to retain it.
+    ///
+    /// Events emitted through [`event_with`] carry their fields only
+    /// when [`Recorder::reads_event_payloads`] says this sink reads
+    /// them; otherwise `event` sees the name and level alone.
     fn event(&self, event: &events::Event) {
         let _ = event;
+    }
+    /// Whether this sink reads the fields of events at `level`.
+    /// [`event_with`] runs its payload closure only when the active
+    /// recorder answers yes, so a sink that keeps names at most (the
+    /// flight recorder) never pays for rendering values. Defaults to
+    /// `false`; a sink that overrides [`Recorder::event`] to read
+    /// fields must override this too.
+    fn reads_event_payloads(&self, level: EventLevel) -> bool {
+        let _ = level;
+        false
     }
     /// Add `delta` to the named counter *under a label* — a cheap
     /// interned `u64` key such as a class id, a query id, or a
@@ -150,16 +165,20 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
+/// Calls `f` with the active recorder: the innermost scoped one, else
+/// the global one. Both are borrowed for the duration of `f` (the global
+/// one under its read lock), so no call clones an `Arc`.
 fn dispatch(f: impl FnOnce(&dyn Recorder)) {
-    let local = LOCAL.with(|l| l.borrow().last().cloned());
-    if let Some(r) = local {
-        f(&*r);
-        return;
-    }
-    let global = GLOBAL.read().ok().and_then(|g| g.clone());
-    if let Some(r) = global {
-        f(&*r);
-    }
+    LOCAL.with(|l| match l.borrow().last() {
+        Some(r) => f(&**r),
+        None => {
+            if let Ok(global) = GLOBAL.read() {
+                if let Some(r) = global.as_deref() {
+                    f(r);
+                }
+            }
+        }
+    });
 }
 
 /// Installs `recorder` as the process-wide sink, replacing any previous
@@ -306,14 +325,24 @@ pub fn event(event: Event) {
     }
 }
 
-/// Emits a structured event built lazily: `build` runs only when a
-/// recorder is installed, so hot paths never pay for resolving names or
-/// rendering values into the payload on the disabled path.
+/// Emits the event `name` at `level` with a lazily built payload:
+/// `fields` adds the key-value fields to the bare event, and runs only
+/// when the active recorder reads payloads at `level`
+/// ([`Recorder::reads_event_payloads`]). Every other sink receives the
+/// bare event, so hot paths pay for resolving names or rendering values
+/// only while an audit sink is listening.
 #[inline]
-pub fn event_with(build: impl FnOnce() -> Event) {
+pub fn event_with(level: EventLevel, name: &'static str, fields: impl FnOnce(Event) -> Event) {
     if enabled() {
-        let event = build();
-        dispatch(|r| r.event(&event));
+        dispatch(|r| {
+            let event = Event::new(level, name);
+            let event = if r.reads_event_payloads(level) {
+                fields(event)
+            } else {
+                event
+            };
+            r.event(&event);
+        });
     }
 }
 

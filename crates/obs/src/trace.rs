@@ -341,6 +341,8 @@ impl Recorder for TraceRecorder {
 
 /// Forwards every event to each of a set of recorders, so `--trace`
 /// (aggregated) and `--trace-out` (event-level) can observe one run.
+/// An [`crate::event_with`] payload is built once when any sink reads
+/// it, and every sink then receives the full event.
 pub struct FanoutRecorder {
     sinks: Vec<std::sync::Arc<dyn Recorder>>,
 }
@@ -381,6 +383,10 @@ impl Recorder for FanoutRecorder {
         for s in &self.sinks {
             s.event(event);
         }
+    }
+
+    fn reads_event_payloads(&self, level: crate::EventLevel) -> bool {
+        self.sinks.iter().any(|s| s.reads_event_payloads(level))
     }
 
     fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {

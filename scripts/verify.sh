@@ -19,15 +19,23 @@ cargo fmt --check -p chc-obs
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> stdout byte-compare: chc check / lint on the evolve400 pair"
-grep -v '^#' scripts/stdout.cksum | while read -r crc bytes args; do
-    # `args` is split into words on purpose: subcommand, then fixture.
-    # shellcheck disable=SC2086
-    got="$(./target/release/chc $args | cksum)"
+echo "==> output byte-compare: check / lint on evolve400, validate / query / ledger on hospital"
+ledger="$(mktemp "${TMPDIR:-/tmp}/chc-ledger.XXXXXX.jsonl")"
+trap 'rm -f "$ledger"' EXIT
+grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
+    # `args` is shell-quoted in the file (a query string holds spaces).
+    eval "set -- $args"
+    case "$what" in
+        stdout) got="$(./target/release/chc "$@" | cksum)" ;;
+        ledger) ./target/release/chc --audit-out "$ledger" "$@" >/dev/null
+                got="$(cksum < "$ledger")" ;;
+        *) echo "FAIL: unknown output kind '$what' in scripts/stdout.cksum" >&2; exit 1 ;;
+    esac
     if [ "$got" != "$crc $bytes" ]; then
-        echo "FAIL: chc $args stdout is '$got', pinned '$crc $bytes'" >&2; exit 1
+        echo "FAIL: chc $args $what is '$got', pinned '$crc $bytes'" >&2; exit 1
     fi
 done
+rm -f "$ledger"
 
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do

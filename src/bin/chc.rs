@@ -106,6 +106,7 @@
 //! also flushes every `--*-out` sink, so a run that dies mid-command
 //! still leaves its evidence on disk. `chc doctor` renders the report.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1065,7 +1066,6 @@ fn run_load_cmd(args: &[String]) -> Result<ExitCode, String> {
     eprint!("{}", summary.render_text());
     if let Ok(path) = std::env::var("CHC_BENCH_JSON") {
         if !path.is_empty() {
-            use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -2016,10 +2016,13 @@ fn run(args: &[String], flags: &Flags) -> Result<ExitCode, String> {
             };
             let result = execute(&v.schema, &data.store, &plan);
             // Rows on stdout, all accounting on stderr: `chc query … | sort`
-            // sees only result values.
+            // sees only result values. One buffered, locked writer keeps it
+            // to a few large writes; a closed pipe ends in an error exit.
+            let mut rows = std::io::BufWriter::new(std::io::stdout().lock());
             for val in &result.values {
-                println!("{}", val.render(&v.schema));
+                writeln!(rows, "{}", val.render(&v.schema)).map_err(|e| format!("stdout: {e}"))?;
             }
+            rows.flush().map_err(|e| format!("stdout: {e}"))?;
             let warnings = plan.warnings.len() + usize::from(plan.result_may_be_absent);
             eprintln!(
                 "query: {} row(s) scanned, {} emitted, {} check(s)/row, {} compile-time warning(s)",
@@ -2056,14 +2059,11 @@ fn run(args: &[String], flags: &Flags) -> Result<ExitCode, String> {
             for (name, oid) in &data.names {
                 // Ledger join key: which surrogate belongs to which
                 // source-file name.
-                chc_obs::event_with(|| {
-                    chc_obs::Event::new(
-                        chc_obs::EventLevel::Info,
-                        chc_obs::names::EVENT_VALIDATE_OBJECT,
-                    )
-                    .field("name", name.as_str())
-                    .field("object", oid.raw())
-                });
+                chc_obs::event_with(
+                    chc_obs::EventLevel::Info,
+                    chc_obs::names::EVENT_VALIDATE_OBJECT,
+                    |ev| ev.field("name", name.as_str()).field("object", oid.raw()),
+                );
                 let violations = validate_stored(&v.schema, &data.store, opts, *oid);
                 for viol in &violations {
                     println!("{name}: {}", viol.render(&v.schema));

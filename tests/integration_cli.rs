@@ -1,7 +1,7 @@
 //! End-to-end tests of the `chc` command-line front end.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn write_schema(name: &str, body: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("chc-cli-tests");
@@ -304,6 +304,36 @@ fn query_emits_rows_on_stdout_and_accounting_on_stderr() {
     assert!(stderr.contains("3 row(s) scanned"), "{stderr}");
     assert!(stderr.contains("3 emitted"), "{stderr}");
     assert!(stderr.contains("0 compile-time warning(s)"), "{stderr}");
+}
+
+#[test]
+fn query_into_a_closed_pipe_is_an_error_exit_not_a_panic() {
+    // `chc query … | head` closes the pipe early. The rows here run to
+    // far more than a pipe holds, so whenever the read end closes, some
+    // write after it fails.
+    let schema = write_schema("pipe.sdl", "class Patient with name: String;");
+    let name = "x".repeat(100);
+    let data: String = (0..4_000)
+        .map(|i| format!("p{i} : Patient {{ name = \"{name}{i}\" }}\n"))
+        .collect();
+    let data_path = write_schema("pipe.chd", &data);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chc"))
+        .args([
+            "query",
+            schema.to_str().unwrap(),
+            data_path.to_str().unwrap(),
+            "for p in Patient emit p.name",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("chc runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("chc exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
