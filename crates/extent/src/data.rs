@@ -8,15 +8,27 @@
 //! pat1  : Alcoholic { treatedBy = @greg, age = 40 }
 //! ```
 //!
-//! Values: integers, double-quoted strings (with `\"` and `\\` escapes),
-//! `'Token` enumeration literals, `@name` object references (forward
-//! references allowed), and `[f = v, …]` record values.
+//! Values: integers, double-quoted strings (with `\"`, `\\` and `\n`
+//! escapes), `'Token` enumeration literals, `@name` object references
+//! (forward references allowed), and `[f = v, …]` record values, nested at
+//! most [`MAX_RECORD_DEPTH`] deep, each field named once. An attribute
+//! given twice in one entry keeps its last value.
+//!
+//! Errors are reported in a fixed order: the first syntax error in file
+//! order, else the first duplicate-object or unknown-class error, else the
+//! first unknown-attribute or unknown-object error.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
-use chc_model::{Oid, Schema, Value};
+use chc_model::{ClassId, Oid, Schema, Sym, Value};
 
 use crate::store::ExtentStore;
+
+/// How deep record values may nest: `[f = [f = 1]]` is two levels. A
+/// deeper value is a syntax error, so neither the loader nor anything
+/// that later walks the value can run out of stack.
+pub const MAX_RECORD_DEPTH: usize = 1000;
 
 /// A data-loading failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,121 +80,76 @@ impl LoadedData {
     }
 }
 
-/// Parses and loads a data file against `schema`. Two passes: objects and
-/// memberships first (so `@refs` may point forward), then attributes.
+/// Parses and loads a data file against `schema` in one pass over its
+/// entries: each object is created and its values stored as its entry is
+/// read. A value holding an `@ref` to an object defined further down is
+/// lowered again once every object exists.
 pub fn load_data(schema: &Schema, src: &str) -> Result<LoadedData, DataError> {
     let _span = chc_obs::span(chc_obs::names::SPAN_EXTENT_LOAD);
     let _mem = chc_obs::memalloc::span_mem(
         chc_obs::names::MEM_EXTENT_LOAD_BYTES,
         chc_obs::names::MEM_EXTENT_LOAD_PEAK,
     );
-    let mut store = ExtentStore::new(schema);
-    let mut names: Vec<(String, Oid)> = Vec::new();
-    let mut by_name: HashMap<String, Oid> = HashMap::new();
-
-    // Pass 1: create objects with memberships.
-    let entries = parse_entries(src)?;
-    for e in &entries {
-        if by_name.contains_key(&e.name) {
-            return Err(DataError::DuplicateObject(e.name.clone()));
-        }
-        let mut classes = Vec::new();
-        for cname in &e.classes {
-            classes.push(
-                schema
-                    .class_by_name(cname)
-                    .ok_or_else(|| DataError::UnknownClass(cname.clone()))?,
-            );
-        }
-        let oid = store.create(schema, &classes);
-        by_name.insert(e.name.clone(), oid);
-        names.push((e.name.clone(), oid));
+    let (entries, unterminated) = entry_texts(src);
+    let mut loader = Loader {
+        schema,
+        store: ExtentStore::new(schema),
+        names: Vec::with_capacity(entries.len()),
+        by_name: HashMap::with_capacity(entries.len()),
+        classes: Vec::new(),
+        values: Vec::new(),
+        deferred: Vec::new(),
+        class_error: None,
+        attr_error: None,
+        forward: false,
+        all_defined: false,
+    };
+    for (line, text) in &entries {
+        loader.entry(*line, text)?;
     }
-
-    // Pass 2: attributes.
-    for e in &entries {
-        let oid = by_name[&e.name];
-        for (attr_name, raw) in &e.attrs {
-            let attr = schema
-                .sym(attr_name)
-                .ok_or_else(|| DataError::UnknownAttr(attr_name.clone()))?;
-            let value = lower_value(schema, &by_name, raw)?;
-            store.set_attr(oid, attr, value);
-        }
+    if let Some(e) = unterminated {
+        return Err(e);
     }
-
-    Ok(LoadedData { store, names })
+    loader.finish()
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RawValue {
-    Int(i64),
-    Str(String),
-    Tok(String),
-    Ref(String),
-    Record(Vec<(String, RawValue)>),
-}
-
-fn lower_value(
-    schema: &Schema,
-    by_name: &HashMap<String, Oid>,
-    raw: &RawValue,
-) -> Result<Value, DataError> {
-    Ok(match raw {
-        RawValue::Int(i) => Value::Int(*i),
-        RawValue::Str(s) => Value::str(s),
-        RawValue::Tok(t) => Value::Tok(
-            schema.sym(t).ok_or_else(|| DataError::UnknownAttr(t.clone()))?,
-        ),
-        RawValue::Ref(n) => Value::Obj(
-            *by_name.get(n).ok_or_else(|| DataError::UnknownObject(n.clone()))?,
-        ),
-        RawValue::Record(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (fname, fval) in fields {
-                let sym = schema
-                    .sym(fname)
-                    .ok_or_else(|| DataError::UnknownAttr(fname.clone()))?;
-                out.push((sym, lower_value(schema, by_name, fval)?));
-            }
-            Value::record(out)
-        }
-    })
-}
-
-#[derive(Debug)]
-struct Entry {
-    name: String,
-    classes: Vec<String>,
-    attrs: Vec<(String, RawValue)>,
-}
-
-fn parse_entries(src: &str) -> Result<Vec<Entry>, DataError> {
+/// Splits `src` into entries, each with its 1-based first line. An entry
+/// is one line, or, while a bracket is open or a `name : Class` head has
+/// no `{ … }` yet, that line and the following ones joined by spaces;
+/// only a joined entry owns its text. The error is an entry left open
+/// at the end of the file.
+fn entry_texts(src: &str) -> (Vec<(usize, Cow<'_, str>)>, Option<DataError>) {
     let mut out = Vec::new();
-    let mut lines = src.lines().enumerate().peekable();
+    let mut lines = src.lines().enumerate();
     while let Some((lineno, line)) = lines.next() {
-        let mut text = strip_comment(line).trim().to_string();
-        if text.is_empty() {
+        let first = strip_comment(line).trim();
+        if first.is_empty() {
             continue;
         }
-        // An entry may span lines until its closing `}`.
-        while !balanced(&text) {
-            match lines.next() {
-                Some((_, more)) => {
-                    text.push(' ');
-                    text.push_str(strip_comment(more).trim());
-                }
-                None => {
-                    return Err(DataError::Syntax {
-                        line: lineno + 1,
-                        what: "unterminated `{`".to_string(),
-                    })
-                }
-            }
+        let mut scan = Balance::default();
+        scan.feed(first);
+        if scan.closed(first) {
+            out.push((lineno + 1, Cow::Borrowed(first)));
+            continue;
         }
-        out.push(parse_entry(lineno + 1, &text)?);
+        let mut text = first.to_string();
+        while !scan.closed(&text) {
+            let Some((_, more)) = lines.next() else {
+                let e = DataError::Syntax {
+                    line: lineno + 1,
+                    what: "unterminated `{`".to_string(),
+                };
+                return (out, Some(e));
+            };
+            let more = strip_comment(more).trim();
+            text.push(' ');
+            text.push_str(more);
+            scan.feed(" ");
+            scan.feed(more);
+        }
+        out.push((lineno + 1, Cow::Owned(text)));
     }
-    Ok(out)
+    (out, None)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -202,54 +169,158 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn balanced(text: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => in_str = !in_str,
-            b'\\' if in_str => i += 1,
-            b'{' | b'[' if !in_str => depth += 1,
-            b'}' | b']' if !in_str => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    depth == 0 && (text.contains('{') || !text.contains(':') || text.ends_with('}'))
+/// Bracket balance of an entry's text, fed a piece at a time so a
+/// multi-line entry is scanned once.
+#[derive(Default)]
+struct Balance {
+    depth: i32,
+    in_str: bool,
+    escaped: bool,
+    brace: bool,
+    colon: bool,
 }
 
-fn parse_entry(line: usize, text: &str) -> Result<Entry, DataError> {
-    let err = |what: &str| DataError::Syntax { line, what: what.to_string() };
-    let (name, rest) = text
-        .split_once(':')
-        .ok_or_else(|| err("expected `name : Class { … }`"))?;
-    let name = name.trim().to_string();
-    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(err("object names are alphanumeric/underscore"));
-    }
-    let (classes_part, body) = match rest.split_once('{') {
-        Some((c, b)) => {
-            let b = b.trim_end();
-            let b = b
-                .strip_suffix('}')
-                .ok_or_else(|| err("expected closing `}`"))?;
-            (c, Some(b))
+impl Balance {
+    fn feed(&mut self, piece: &str) {
+        for &b in piece.as_bytes() {
+            self.brace |= b == b'{';
+            self.colon |= b == b':';
+            if std::mem::take(&mut self.escaped) {
+                continue;
+            }
+            match b {
+                b'"' => self.in_str = !self.in_str,
+                b'\\' if self.in_str => self.escaped = true,
+                b'{' | b'[' if !self.in_str => self.depth += 1,
+                b'}' | b']' if !self.in_str => self.depth -= 1,
+                _ => {}
+            }
         }
-        None => (rest, None),
-    };
-    let classes: Vec<String> = classes_part
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    if classes.is_empty() {
-        return Err(err("expected at least one class"));
     }
-    let mut attrs = Vec::new();
-    if let Some(body) = body {
-        for field in split_top_level(body) {
+
+    /// Whether the text fed so far, `text`, is a whole entry.
+    fn closed(&self, text: &str) -> bool {
+        self.depth == 0 && (self.brace || !self.colon || text.ends_with('}'))
+    }
+}
+
+/// Splits on `,`/`;` at nesting depth zero, respecting strings.
+fn split_top_level(body: &str) -> impl Iterator<Item = &str> {
+    let bytes = body.as_bytes();
+    let (mut start, mut i, mut depth, mut in_str) = (0, 0, 0i32, false);
+    std::iter::from_fn(move || {
+        if start > bytes.len() {
+            return None;
+        }
+        while i < bytes.len() {
+            match bytes[i] {
+                b'"' => in_str = !in_str,
+                b'\\' if in_str => i += 1,
+                b'[' if !in_str => depth += 1,
+                b']' if !in_str => depth -= 1,
+                b',' | b';' if !in_str && depth == 0 => {
+                    let piece = &body[start..i];
+                    i += 1;
+                    start = i;
+                    return Some(piece);
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        let piece = &body[start..];
+        start = bytes.len() + 1;
+        Some(piece)
+    })
+}
+
+/// A top-level attribute value that refers forward; it is lowered again
+/// once every object exists.
+struct Deferred<'a> {
+    line: usize,
+    oid: Oid,
+    attr: Sym,
+    text: &'a str,
+}
+
+/// The loader's state while it walks the entries. Syntax errors return at
+/// once; the first name-resolution error of each kind is kept, and once
+/// one is kept the loader only checks syntax (and, before a class error,
+/// object names and classes).
+struct Loader<'a, 's> {
+    schema: &'s Schema,
+    store: ExtentStore,
+    names: Vec<(String, Oid)>,
+    by_name: HashMap<&'a str, Oid>,
+    /// The current entry's classes.
+    classes: Vec<ClassId>,
+    /// The current entry's attribute values, one per attribute.
+    values: Vec<(Sym, Value)>,
+    deferred: Vec<Deferred<'a>>,
+    /// The first duplicate-object or unknown-class error.
+    class_error: Option<DataError>,
+    /// The first unknown-attribute or unknown-object error.
+    attr_error: Option<DataError>,
+    /// Set when lowering stops at an `@ref` to a name not defined yet.
+    forward: bool,
+    /// Set once every entry is read: an unknown `@ref` is then an error.
+    all_defined: bool,
+}
+
+impl<'a> Loader<'a, '_> {
+    fn entry(&mut self, line: usize, text: &'a str) -> Result<(), DataError> {
+        let err = |what: &str| DataError::Syntax {
+            line,
+            what: what.to_string(),
+        };
+        let (name, rest) = text
+            .split_once(':')
+            .ok_or_else(|| err("expected `name : Class { … }`"))?;
+        let name = name.trim();
+        if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            return Err(err("object names are alphanumeric/underscore"));
+        }
+        let (classes_part, body) = match rest.split_once('{') {
+            Some((c, b)) => {
+                let b = b
+                    .trim_end()
+                    .strip_suffix('}')
+                    .ok_or_else(|| err("expected closing `}`"))?;
+                (c, Some(b))
+            }
+            None => (rest, None),
+        };
+        if self.class_error.is_none() && self.by_name.contains_key(name) {
+            self.class_error = Some(DataError::DuplicateObject(name.to_string()));
+        }
+        self.classes.clear();
+        let mut any_class = false;
+        for cname in classes_part
+            .split(',')
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+        {
+            any_class = true;
+            if self.class_error.is_none() {
+                match self.schema.class_by_name(cname) {
+                    Some(c) => self.classes.push(c),
+                    None => self.class_error = Some(DataError::UnknownClass(cname.to_string())),
+                }
+            }
+        }
+        if !any_class {
+            return Err(err("expected at least one class"));
+        }
+        let oid = if self.class_error.is_none() {
+            let oid = self.store.create(self.schema, &self.classes);
+            self.by_name.insert(name, oid);
+            self.names.push((name.to_string(), oid));
+            Some(oid)
+        } else {
+            None
+        };
+        let first_deferred = self.deferred.len();
+        for field in body.into_iter().flat_map(split_top_level) {
             let field = field.trim();
             if field.is_empty() {
                 continue;
@@ -257,101 +328,186 @@ fn parse_entry(line: usize, text: &str) -> Result<Entry, DataError> {
             let (attr, value) = field
                 .split_once('=')
                 .ok_or_else(|| err("expected `attr = value`"))?;
-            attrs.push((attr.trim().to_string(), parse_value(line, value.trim())?));
-        }
-    }
-    Ok(Entry { name, classes, attrs })
-}
-
-/// Splits on `,`/`;` at nesting depth zero, respecting strings.
-fn split_top_level(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut chars = body.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            '\\' if in_str => {
-                cur.push(c);
-                if let Some(n) = chars.next() {
-                    cur.push(n);
-                }
-            }
-            '[' if !in_str => {
-                depth += 1;
-                cur.push(c);
-            }
-            ']' if !in_str => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' | ';' if !in_str && depth == 0 => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-fn parse_value(line: usize, text: &str) -> Result<RawValue, DataError> {
-    let err = |what: String| DataError::Syntax { line, what };
-    if let Some(rest) = text.strip_prefix('@') {
-        return Ok(RawValue::Ref(rest.trim().to_string()));
-    }
-    if let Some(rest) = text.strip_prefix('\'') {
-        return Ok(RawValue::Tok(rest.trim().to_string()));
-    }
-    if text.starts_with('"') {
-        let inner = text
-            .strip_prefix('"')
-            .and_then(|t| t.strip_suffix('"'))
-            .ok_or_else(|| err(format!("unterminated string `{text}`")))?;
-        let mut s = String::new();
-        let mut chars = inner.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('n') => s.push('\n'),
-                    other => return Err(err(format!("bad escape `\\{other:?}`"))),
-                }
-            } else {
-                s.push(c);
-            }
-        }
-        return Ok(RawValue::Str(s));
-    }
-    if text.starts_with('[') {
-        let inner = text
-            .strip_prefix('[')
-            .and_then(|t| t.strip_suffix(']'))
-            .ok_or_else(|| err("unterminated `[`".to_string()))?;
-        let mut fields = Vec::new();
-        for part in split_top_level(inner) {
-            let part = part.trim();
-            if part.is_empty() {
+            let value = value.trim();
+            let attr = match oid {
+                Some(_) if self.lowering() => self.symbol(attr.trim()),
+                _ => None,
+            };
+            self.forward = false;
+            let lowered = self.value(line, value, 0, attr.is_some())?;
+            let (Some(oid), Some(attr)) = (oid, attr) else {
                 continue;
+            };
+            // A later value for an attribute that already waits on a
+            // forward reference must land after it: it waits too.
+            let waiting = self.deferred[first_deferred..]
+                .iter()
+                .any(|d| d.attr == attr);
+            match lowered {
+                Some(v) if !waiting => match self.values.iter_mut().find(|(a, _)| *a == attr) {
+                    Some(slot) => slot.1 = v,
+                    None => self.values.push((attr, v)),
+                },
+                None if !self.forward => {}
+                _ => self.deferred.push(Deferred {
+                    line,
+                    oid,
+                    attr,
+                    text: value,
+                }),
             }
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| err("expected `field = value` in record".to_string()))?;
-            fields.push((k.trim().to_string(), parse_value(line, v.trim())?));
         }
-        return Ok(RawValue::Record(fields));
+        if let Some(oid) = oid {
+            self.store.set_attrs(oid, self.values.drain(..).collect());
+        }
+        Ok(())
     }
-    text.parse::<i64>()
-        .map(RawValue::Int)
-        .map_err(|_| err(format!("cannot parse value `{text}`")))
+
+    /// Reports the first kept error, or stores the deferred values.
+    fn finish(mut self) -> Result<LoadedData, DataError> {
+        if let Some(e) = self.class_error {
+            return Err(e);
+        }
+        // Every object exists now, so a reference that still fails to
+        // resolve is an error. Deferred values all precede the first
+        // attribute error, which is reported only if none of them fails.
+        let first_attr_error = self.attr_error.take();
+        self.all_defined = true;
+        for d in std::mem::take(&mut self.deferred) {
+            match self.value(d.line, d.text, 0, true)? {
+                Some(v) => self.store.set_attr(d.oid, d.attr, v),
+                None => {
+                    return Err(self
+                        .attr_error
+                        .take()
+                        .expect("lowering stopped on an error"))
+                }
+            }
+        }
+        match first_attr_error {
+            Some(e) => Err(e),
+            None => Ok(LoadedData {
+                store: self.store,
+                names: self.names,
+            }),
+        }
+    }
+
+    /// Whether values are still lowered: no name-resolution error yet.
+    fn lowering(&self) -> bool {
+        self.class_error.is_none() && self.attr_error.is_none()
+    }
+
+    fn symbol(&mut self, name: &str) -> Option<Sym> {
+        let sym = self.schema.sym(name);
+        if sym.is_none() {
+            self.attr_error = Some(DataError::UnknownAttr(name.to_string()));
+        }
+        sym
+    }
+
+    /// Checks the syntax of one value and, when `lower`, lowers it. `None`
+    /// when not lowering or when lowering stopped: at a name-resolution
+    /// error (kept in `attr_error`) or at a forward reference (`forward`).
+    fn value(
+        &mut self,
+        line: usize,
+        text: &'a str,
+        depth: usize,
+        lower: bool,
+    ) -> Result<Option<Value>, DataError> {
+        let err = |what: String| DataError::Syntax { line, what };
+        if let Some(rest) = text.strip_prefix('@') {
+            if !lower {
+                return Ok(None);
+            }
+            let name = rest.trim();
+            if let Some(&oid) = self.by_name.get(name) {
+                return Ok(Some(Value::Obj(oid)));
+            }
+            if self.all_defined {
+                self.attr_error = Some(DataError::UnknownObject(name.to_string()));
+            } else {
+                self.forward = true;
+            }
+            return Ok(None);
+        }
+        if let Some(rest) = text.strip_prefix('\'') {
+            return Ok(if lower {
+                self.symbol(rest.trim()).map(Value::Tok)
+            } else {
+                None
+            });
+        }
+        if text.starts_with('"') {
+            let inner = text
+                .strip_prefix('"')
+                .and_then(|t| t.strip_suffix('"'))
+                .ok_or_else(|| err(format!("unterminated string `{text}`")))?;
+            let s = unescape(inner).map_err(err)?;
+            return Ok(lower.then(|| Value::Str(s.into())));
+        }
+        if text.starts_with('[') {
+            let inner = text
+                .strip_prefix('[')
+                .and_then(|t| t.strip_suffix(']'))
+                .ok_or_else(|| err("unterminated `[`".to_string()))?;
+            if depth == MAX_RECORD_DEPTH {
+                return Err(err(format!(
+                    "record value nested deeper than {MAX_RECORD_DEPTH} levels"
+                )));
+            }
+            let mut lower = lower;
+            let mut fields = Vec::new();
+            let mut seen = HashSet::new();
+            for part in split_top_level(inner) {
+                let part = part.trim();
+                if part.is_empty() {
+                    continue;
+                }
+                let (k, v) = part
+                    .split_once('=')
+                    .ok_or_else(|| err("expected `field = value` in record".to_string()))?;
+                let k = k.trim();
+                if !seen.insert(k) {
+                    return Err(err(format!("field `{k}` given twice in record")));
+                }
+                let sym = if lower { self.symbol(k) } else { None };
+                match (sym, self.value(line, v.trim(), depth + 1, sym.is_some())?) {
+                    (Some(sym), Some(v)) => fields.push((sym, v)),
+                    _ => lower = false,
+                }
+            }
+            return Ok(lower.then(|| Value::record(fields)));
+        }
+        let i = text
+            .parse::<i64>()
+            .map_err(|_| err(format!("cannot parse value `{text}`")))?;
+        Ok(lower.then_some(Value::Int(i)))
+    }
+}
+
+/// The text of a string literal with its escapes resolved; borrowed
+/// when it has none.
+fn unescape(inner: &str) -> Result<Cow<'_, str>, String> {
+    if !inner.contains('\\') {
+        return Ok(Cow::Borrowed(inner));
+    }
+    let mut s = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c == '\\' {
+            match chars.next() {
+                Some('"') => s.push('"'),
+                Some('\\') => s.push('\\'),
+                Some('n') => s.push('\n'),
+                other => return Err(format!("bad escape `\\{other:?}`")),
+            }
+        } else {
+            s.push(c);
+        }
+    }
+    Ok(Cow::Owned(s))
 }
 
 #[cfg(test)]

@@ -8,13 +8,15 @@
 //! procedures (the error-prone alternative the paper warns about, which
 //! `chc-baselines` implements for comparison).
 
-use std::collections::{BTreeSet, HashMap};
-
-use chc_model::{
-    BitSet, ClassId, InstanceView, Oid, OidAllocator, Schema, Sym, Value,
-};
+use chc_model::{ClassId, InstanceView, Oid, Schema, Sym, Value};
 
 /// An in-memory object store keyed by the schema it was created against.
+///
+/// Surrogates are dense: the n-th object created gets `Oid` n, and every
+/// per-object table is a vector indexed by it. Membership is one flat
+/// array of words, `stride` words per object; extents are ascending
+/// vectors of oids (creation order, so loading only ever appends); an
+/// object's attribute values are a short vector of `(attr, value)` pairs.
 ///
 /// ```
 /// use chc_extent::ExtentStore;
@@ -33,13 +35,16 @@ use chc_model::{
 #[derive(Debug, Clone)]
 pub struct ExtentStore {
     num_classes: usize,
-    alloc: OidAllocator,
-    /// Per-object membership, upward closed.
-    membership: HashMap<Oid, BitSet>,
-    /// Per-class extents, kept in sync with `membership`.
-    extents: Vec<BTreeSet<Oid>>,
-    /// Attribute values.
-    values: HashMap<(Oid, Sym), Value>,
+    /// Membership words per object: `num_classes` rounded up to 64 bits.
+    stride: usize,
+    /// Per-object membership bits, upward closed; all zero once destroyed.
+    membership: Vec<u64>,
+    /// Per-class extents, ascending by oid, kept in sync with `membership`.
+    extents: Vec<Vec<Oid>>,
+    /// One slot per oid ever minted: `None` once destroyed, else the
+    /// object's attribute values, at most one pair per attribute.
+    objects: Vec<Option<Vec<(Sym, Value)>>>,
+    live: usize,
 }
 
 impl ExtentStore {
@@ -47,10 +52,11 @@ impl ExtentStore {
     pub fn new(schema: &Schema) -> Self {
         ExtentStore {
             num_classes: schema.num_classes(),
-            alloc: OidAllocator::new(),
-            membership: HashMap::new(),
-            extents: vec![BTreeSet::new(); schema.num_classes()],
-            values: HashMap::new(),
+            stride: schema.num_classes().div_ceil(64),
+            membership: Vec::new(),
+            extents: vec![Vec::new(); schema.num_classes()],
+            objects: Vec::new(),
+            live: 0,
         }
     }
 
@@ -62,40 +68,96 @@ impl ExtentStore {
         );
     }
 
+    /// The dense index of `oid` if it was ever minted here.
+    fn index(&self, oid: Oid) -> Option<usize> {
+        usize::try_from(oid.raw())
+            .ok()
+            .filter(|&i| i < self.objects.len())
+    }
+
+    /// The dense index of a live object; panics on an unknown one.
+    fn live_index(&self, oid: Oid) -> usize {
+        self.index(oid)
+            .filter(|&i| self.objects[i].is_some())
+            .expect("unknown object")
+    }
+
+    /// The attribute values of a live object.
+    fn values(&self, oid: Oid) -> Option<&Vec<(Sym, Value)>> {
+        self.objects.get(usize::try_from(oid.raw()).ok()?)?.as_ref()
+    }
+
+    fn values_mut(&mut self, oid: Oid) -> Option<&mut Vec<(Sym, Value)>> {
+        self.objects.get_mut(usize::try_from(oid.raw()).ok()?)?.as_mut()
+    }
+
+    /// Sets `class`'s bit for object `i`; if it was clear, files the
+    /// object in that extent and returns `true`.
+    fn join(&mut self, i: usize, class: ClassId) -> bool {
+        let c = class.index();
+        let word = &mut self.membership[i * self.stride + c / 64];
+        if *word & (1 << (c % 64)) != 0 {
+            return false;
+        }
+        *word |= 1 << (c % 64);
+        let oid = Oid::from_raw(i as u64);
+        let extent = &mut self.extents[c];
+        match extent.last() {
+            Some(&last) if last > oid => {
+                let at = extent
+                    .binary_search(&oid)
+                    .expect_err("an extent holds exactly the objects with its bit set");
+                extent.insert(at, oid);
+            }
+            _ => extent.push(oid),
+        }
+        true
+    }
+
+    /// Clears `class`'s bit for object `i`; if it was set, drops the
+    /// object from that extent and returns `true`.
+    fn leave(&mut self, i: usize, class: usize) -> bool {
+        let word = &mut self.membership[i * self.stride + class / 64];
+        if *word & (1 << (class % 64)) == 0 {
+            return false;
+        }
+        *word &= !(1 << (class % 64));
+        let extent = &mut self.extents[class];
+        if let Ok(at) = extent.binary_search(&Oid::from_raw(i as u64)) {
+            extent.remove(at);
+        }
+        true
+    }
+
     /// Creates an object that is an instance of each of `classes` (and,
     /// automatically, of all their superclasses).
     pub fn create(&mut self, schema: &Schema, classes: &[ClassId]) -> Oid {
         self.assert_schema(schema);
-        let oid = self.alloc.alloc();
-        let mut bits = BitSet::new(self.num_classes);
-        self.membership.insert(oid, bits.clone());
+        let i = self.objects.len();
+        self.objects.push(Some(Vec::new()));
+        self.live += 1;
+        self.membership
+            .resize(self.membership.len() + self.stride, 0);
         let mut fanout = 0u64;
         for &c in classes {
             for a in schema.ancestors_with_self(c) {
-                if bits.insert(a.index()) {
-                    self.extents[a.index()].insert(oid);
-                    fanout += 1;
-                }
+                fanout += u64::from(self.join(i, a));
             }
         }
-        self.membership.insert(oid, bits);
         if chc_obs::enabled() {
             chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
             chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
         }
-        oid
+        Oid::from_raw(i as u64)
     }
 
     /// Adds an existing object to a class (and its superclasses).
     pub fn add_to_class(&mut self, schema: &Schema, oid: Oid, class: ClassId) {
         self.assert_schema(schema);
-        let bits = self.membership.get_mut(&oid).expect("unknown object");
+        let i = self.live_index(oid);
         let mut fanout = 0u64;
         for a in schema.ancestors_with_self(class) {
-            if bits.insert(a.index()) {
-                self.extents[a.index()].insert(oid);
-                fanout += 1;
-            }
+            fanout += u64::from(self.join(i, a));
         }
         if chc_obs::enabled() {
             chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
@@ -107,13 +169,10 @@ impl ExtentStore {
     /// must stay upward closed: an ex-Physician may remain a Person).
     pub fn remove_from_class(&mut self, schema: &Schema, oid: Oid, class: ClassId) {
         self.assert_schema(schema);
-        let bits = self.membership.get_mut(&oid).expect("unknown object");
+        let i = self.live_index(oid);
         let mut fanout = 0u64;
         for d in schema.descendants_with_self(class) {
-            if bits.remove(d.index()) {
-                self.extents[d.index()].remove(&oid);
-                fanout += 1;
-            }
+            fanout += u64::from(self.leave(i, d.index()));
         }
         if chc_obs::enabled() {
             chc_obs::counter(chc_obs::names::EXTENT_REMOVE_FANOUT, fanout);
@@ -121,50 +180,86 @@ impl ExtentStore {
         }
     }
 
-    /// Destroys an object entirely.
+    /// Destroys an object entirely, in time proportional to its classes.
     pub fn destroy(&mut self, oid: Oid) {
-        if let Some(bits) = self.membership.remove(&oid) {
-            for c in bits.iter() {
-                self.extents[c].remove(&oid);
-            }
+        if !self.exists(oid) {
+            return;
         }
-        self.values.retain(|(o, _), _| *o != oid);
+        let i = self.live_index(oid);
+        for c in self.classes_of(oid) {
+            self.leave(i, c.index());
+        }
+        self.objects[i] = None;
+        self.live -= 1;
     }
 
     /// Whether the object exists.
     pub fn exists(&self, oid: Oid) -> bool {
-        self.membership.contains_key(&oid)
+        self.values(oid).is_some()
     }
 
     /// Sets an attribute value.
+    ///
+    /// # Panics
+    /// Panics if `oid` is not a live object of this store.
     pub fn set_attr(&mut self, oid: Oid, attr: Sym, value: Value) {
-        debug_assert!(self.membership.contains_key(&oid), "unknown object");
-        self.values.insert((oid, attr), value);
+        let values = self.values_mut(oid).expect("unknown object");
+        match values.iter_mut().find(|(a, _)| *a == attr) {
+            Some(slot) => slot.1 = value,
+            None => values.push((attr, value)),
+        }
+    }
+
+    /// Replaces all of an object's attribute values; `values` names each
+    /// attribute at most once.
+    pub(crate) fn set_attrs(&mut self, oid: Oid, values: Vec<(Sym, Value)>) {
+        *self.values_mut(oid).expect("unknown object") = values;
     }
 
     /// Reads an attribute value.
     pub fn get_attr(&self, oid: Oid, attr: Sym) -> Option<&Value> {
-        self.values.get(&(oid, attr))
+        let values = self.values(oid)?;
+        values.iter().find(|(a, _)| *a == attr).map(|(_, v)| v)
     }
 
     /// Clears an attribute value; returns whether one was set.
     pub fn clear_attr(&mut self, oid: Oid, attr: Sym) -> bool {
-        self.values.remove(&(oid, attr)).is_some()
+        let Some(values) = self.values_mut(oid) else {
+            return false;
+        };
+        match values.iter().position(|(a, _)| *a == attr) {
+            Some(at) => {
+                values.swap_remove(at);
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Membership test (O(1) via the per-object bitset).
+    /// Membership test: one word read.
     pub fn is_member(&self, oid: Oid, class: ClassId) -> bool {
-        self.membership
-            .get(&oid)
-            .is_some_and(|bits| bits.contains(class.index()))
+        let c = class.index();
+        c < self.num_classes
+            && self
+                .index(oid)
+                .is_some_and(|i| self.membership[i * self.stride + c / 64] & (1 << (c % 64)) != 0)
     }
 
-    /// The classes `oid` belongs to.
+    /// The classes `oid` belongs to, ascending.
     pub fn classes_of(&self, oid: Oid) -> Vec<ClassId> {
-        self.membership
-            .get(&oid)
-            .map(|bits| bits.iter().map(|i| ClassId::from_raw(i as u32)).collect())
-            .unwrap_or_default()
+        let Some(i) = self.index(oid) else {
+            return Vec::new();
+        };
+        let words = &self.membership[i * self.stride..(i + 1) * self.stride];
+        let mut out = Vec::new();
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(ClassId::from_raw((w * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// Iterates the extent of a class in surrogate order.
@@ -189,7 +284,7 @@ impl ExtentStore {
 
     /// Total number of live objects.
     pub fn num_objects(&self) -> usize {
-        self.membership.len()
+        self.live
     }
 
     /// Follows one attribute step from an object to another object.

@@ -37,6 +37,27 @@ grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
 done
 rm -f "$ledger"
 
+echo "==> malformed .chd sweep: positioned syntax errors (exit 2), never a crash"
+deep="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.chd")"
+trap 'rm -f "$deep"' EXIT
+# A record value nested 20,000 deep: past the loader's nesting limit, and
+# deep enough to overflow the stack of a recursive parser.
+{
+    printf 'ann : Patient { name = '
+    printf '[city = %.0s' $(seq 20000)
+    printf '1'
+    printf ']%.0s' $(seq 20000)
+    printf ' }\n'
+} >"$deep"
+for chd in tests/fixtures/malformed/*.chd "$deep"; do
+    rc=0
+    err="$(./target/release/chc validate examples/data/hospital.sdl "$chd" 2>&1 >/dev/null)" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '^error: line [0-9][0-9]*: ' <<<"$err"; then
+        echo "FAIL: chc validate on $chd exited $rc with: $err" >&2; exit 1
+    fi
+done
+rm -f "$deep"
+
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do
     ./target/release/chc lint "$sdl" --deny warnings

@@ -163,6 +163,58 @@ fn validate_loads_data_and_judges_it() {
 }
 
 #[test]
+fn malformed_record_values_are_positioned_errors_not_crashes() {
+    use excuses::extent::data::MAX_RECORD_DEPTH;
+    let schema = write_schema(
+        "records.sdl",
+        "class T with home: [zip: 1..99999]; age: 1..120;",
+    );
+    let validate = |name: &str, data: &str| {
+        let path = write_schema(name, data);
+        let out = chc(&["validate", schema.to_str().unwrap(), path.to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stdout, stderr)
+    };
+
+    // A record value naming a field twice is a syntax error, never the
+    // duplicate-field assertion in `Value::record` (exit 101).
+    let (code, _, stderr) = validate("dup-field.chd", "\nt1 : T { home = [zip = 1, zip = 2] }\n");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("line 2: field `zip` given twice in record"),
+        "{stderr}"
+    );
+    // A top-level attribute given twice keeps its last value.
+    let (code, stdout, stderr) = validate("dup-attr.chd", "t1 : T { age = 3, age = 200 }\n");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("`T.age` with value Int(200)"), "{stdout}");
+
+    // Nesting: a value at the limit loads and is judged; one level more
+    // is a positioned error, and so is a value deep enough to overflow
+    // the stack of a parser without the limit (exit 134).
+    let nested = |depth: usize| {
+        format!(
+            "t1 : T {{ home = {}1{} }}\n",
+            "[zip = ".repeat(depth),
+            "]".repeat(depth)
+        )
+    };
+    let (code, stdout, stderr) = validate("deep-limit.chd", &nested(MAX_RECORD_DEPTH));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.ends_with("1 object(s), 1 invalid\n"), "{stderr}");
+    for (name, depth) in [
+        ("deep-over.chd", MAX_RECORD_DEPTH + 1),
+        ("deep-20000.chd", 20_000),
+    ] {
+        let (code, _, stderr) = validate(name, &nested(depth));
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        let want = format!("line 1: record value nested deeper than {MAX_RECORD_DEPTH} levels");
+        assert!(stderr.contains(&want), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn check_with_stats_prints_nonzero_counters() {
     let schema = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/data/hospital.sdl");
     let out = chc(&["check", "--stats", schema.to_str().unwrap()]);

@@ -44,6 +44,33 @@ const PINS: &[(&str, i32, u64, u64, u64)] = &[
     ),
 ];
 
+/// `(query, exit code, FNV-1a of stdout)` for the four query shapes of
+/// the data-validate benchmark on the generated file, taken before the
+/// store moved to dense per-oid tables. The `not in Tubercular_Patient`
+/// query reads memberships the virtual-class refresh wrote.
+const QUERY_PINS: &[(&str, i32, u64)] = &[
+    (
+        "for p in Patient emit p.treatedAt.location.city",
+        0,
+        0xaa66_11dd_65bf_2576,
+    ),
+    (
+        "for p in Patient emit p.treatedAt.location.state",
+        0,
+        0xb2eb_2bd1_c329_5e55,
+    ),
+    (
+        "for p in Patient where p not in Tubercular_Patient emit p.treatedAt.location.state",
+        0,
+        0xb2eb_2bd1_c329_5e55,
+    ),
+    (
+        "for a in Alcoholic emit a.treatedBy.name",
+        0,
+        0xf71d_c01f_724c_0ec8,
+    ),
+];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -194,6 +221,24 @@ fn validate_stdout_ledger_and_summary_match_the_pinned_bytes() {
             .join("\n")
     };
     assert_eq!(render(&got), render(PINS), "validate outputs moved");
+}
+
+#[test]
+fn query_stdout_matches_the_pinned_bytes() {
+    let (sdl, data) = (example("hospital.sdl"), patients_file("query-pins"));
+    let got: Vec<String> = QUERY_PINS
+        .iter()
+        .map(|(query, _, _)| {
+            let out = chc(&["query", &sdl, &data, query]);
+            let code = out.status.code().expect("exit code");
+            format!("({query:?}, {code}, {:#018x})", fnv1a(&out.stdout))
+        })
+        .collect();
+    let want: Vec<String> = QUERY_PINS
+        .iter()
+        .map(|(query, code, digest)| format!("({query:?}, {code}, {digest:#018x})"))
+        .collect();
+    assert_eq!(got.join("\n"), want.join("\n"), "query outputs moved");
 }
 
 #[test]
