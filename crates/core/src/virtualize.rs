@@ -41,6 +41,22 @@ pub struct VirtualClassInfo {
     pub path: Vec<Sym>,
 }
 
+impl VirtualClassInfo {
+    /// The one-line description `chc virtualize` prints:
+    /// `virtual class H1 is-a Hospital — extent = values of treatedAt over
+    /// Tubercular_Patient`.
+    pub fn describe(&self, schema: &Schema) -> String {
+        let path: Vec<&str> = self.path.iter().map(|p| schema.resolve(*p)).collect();
+        format!(
+            "virtual class {} is-a {} — extent = values of {} over {}",
+            schema.class_name(self.class),
+            schema.class_name(self.base),
+            path.join("."),
+            schema.class_name(self.root),
+        )
+    }
+}
+
 /// The output of [`virtualize`].
 #[derive(Debug, Clone)]
 pub struct Virtualized {

@@ -268,3 +268,77 @@ impl LintReport {
         JsonValue::object(fields)
     }
 }
+
+impl DiffReport {
+    /// The `chc-diff/1` envelope: the classified edit list, the dirty set
+    /// (class names, in the new schema), edit counts by kind, and the
+    /// D-family report nested under `"lints"` as its own `chc-lint/1`
+    /// envelope ([`LintReport::to_json`]).
+    pub fn to_json(&self, old_path: &str, new_path: &str, new_schema: &Schema) -> JsonValue {
+        use chc_core::EditKind;
+        let edits = self.diff.edits.iter().map(|e| {
+            let mut fields: Vec<(&str, JsonValue)> = vec![
+                ("kind", JsonValue::string(e.kind.label())),
+                ("class", JsonValue::string(&e.class)),
+                ("edit", JsonValue::string(&e.describe())),
+            ];
+            if let Some(attr) = &e.attr {
+                fields.push(("attr", JsonValue::string(attr)));
+            }
+            // Locate the edit where it is visible: in the new file when the
+            // declaration survives, in the old file when it was retired.
+            if let Some(span) = e.new_span {
+                fields.push(("line", JsonValue::number(span.line as f64)));
+                fields.push(("col", JsonValue::number(span.col as f64)));
+            } else if let Some(span) = e.old_span {
+                fields.push(("old_line", JsonValue::number(span.line as f64)));
+                fields.push(("old_col", JsonValue::number(span.col as f64)));
+            }
+            JsonValue::object(fields)
+        });
+        let names = |ids: &std::collections::BTreeSet<chc_model::ClassId>| {
+            JsonValue::array(ids.iter().map(|&c| JsonValue::string(new_schema.class_name(c))))
+        };
+        let count = |kind| JsonValue::number(self.diff.count(kind) as f64);
+        JsonValue::object([
+            ("schema", JsonValue::string("chc-diff/1")),
+            ("tool", JsonValue::string("chc-diff")),
+            ("old", JsonValue::string(old_path)),
+            ("new", JsonValue::string(new_path)),
+            ("edits", JsonValue::array(edits)),
+            (
+                "dirty",
+                JsonValue::object([
+                    ("classes", names(&self.dirty.classes)),
+                    ("extents", names(&self.dirty.extents)),
+                ]),
+            ),
+            (
+                "counts",
+                JsonValue::object([
+                    ("edits", JsonValue::number(self.diff.edits.len() as f64)),
+                    ("additive", count(EditKind::Additive)),
+                    ("refining", count(EditKind::Refining)),
+                    ("breaking", count(EditKind::Breaking)),
+                ]),
+            ),
+            ("lints", self.report.to_json(new_schema)),
+        ])
+    }
+
+    /// The one-line text summary `chc diff` ends with: edit counts by
+    /// kind and the size of the dirty set.
+    pub fn summary(&self, old_path: &str, new_path: &str) -> String {
+        use chc_core::EditKind;
+        format!(
+            "{old_path} -> {new_path}: {} edit(s) ({} additive, {} refining, {} breaking); \
+             dirty: {} class(es) to re-check, {} extent(s) to re-validate",
+            self.diff.edits.len(),
+            self.diff.count(EditKind::Additive),
+            self.diff.count(EditKind::Refining),
+            self.diff.count(EditKind::Breaking),
+            self.dirty.classes.len(),
+            self.dirty.extents.len(),
+        )
+    }
+}

@@ -267,6 +267,63 @@ impl AuditRecorder {
         }
         out
     }
+
+    /// The `chc validate --audit-summary` table over the retained
+    /// [`names::EVENT_VALIDATE_CHECK`](crate::names::EVENT_VALIDATE_CHECK)
+    /// records: §6 asks for "statistics about exceptional cases", so
+    /// admissions are grouped by the excuse that admitted them.
+    pub fn render_summary(&self) -> String {
+        use std::collections::BTreeMap;
+        use std::fmt::Write as _;
+        let mut checks = 0u64;
+        let mut passed = 0u64;
+        let mut violations = 0u64;
+        let mut admitted: BTreeMap<[String; 4], u64> = BTreeMap::new();
+        for ev in self.events() {
+            if ev.name != crate::names::EVENT_VALIDATE_CHECK {
+                continue;
+            }
+            checks += 1;
+            let get = |k: &str| {
+                ev.get(k)
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("?")
+                    .to_string()
+            };
+            match ev.get("verdict").and_then(|v| v.as_str()) {
+                Some("pass") => passed += 1,
+                Some("excused") => {
+                    let site = [
+                        get("excuser"),
+                        get("excuse_attr"),
+                        get("class"),
+                        get("attr"),
+                    ];
+                    *admitted.entry(site).or_insert(0) += 1;
+                }
+                _ => violations += 1,
+            }
+        }
+        let admitted_total: u64 = admitted.values().sum();
+        let mut out = format!(
+            "audit: {checks} check(s) executed — {passed} passed, \
+             {admitted_total} admitted by excuse, {violations} violation(s)\n"
+        );
+        for ([excuser, excuse_attr, class, attr], n) in &admitted {
+            let _ = writeln!(
+                out,
+                "  `{excuser}.{excuse_attr}` excusing `{class}.{attr}`: {n}"
+            );
+        }
+        let dropped = self.dropped();
+        if dropped > 0 {
+            let _ = writeln!(
+                out,
+                "  (ring full: {dropped} older record(s) evicted; totals reflect retained events only)"
+            );
+        }
+        out
+    }
 }
 
 impl Default for AuditRecorder {

@@ -40,7 +40,8 @@
 //!   the flight sequence number stops advancing while spans are still
 //!   open, and dumps the same report with `"reason":"stall"`.
 //!
-//! `chc doctor` renders the resulting file human-readably.
+//! [`render_crash_report`] renders the resulting file human-readably
+//! (`chc doctor`).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -355,6 +356,19 @@ pub fn set_context(key: &str, value: &str) {
         .insert(key.to_string(), value.to_string());
 }
 
+/// Registers an input file as `{key}_file` (its path) and
+/// `{key}_digest` (FNV-1a of its contents), so a post-mortem names the
+/// exact input that was being processed.
+pub fn set_file_context(key: &str, path: &str, contents: &[u8]) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in contents {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    set_context(&format!("{key}_file"), path);
+    set_context(&format!("{key}_digest"), &format!("{hash:016x}"));
+}
+
 /// The registered crash context, sorted by key.
 pub fn context() -> Vec<(String, String)> {
     let guard = CONTEXT.lock().expect("crash context lock");
@@ -370,7 +384,7 @@ pub fn context() -> Vec<(String, String)> {
 /// state. `reason` is `"panic"` or `"stall"`; `message` is the panic
 /// payload or a stall description.
 pub fn crash_report(reason: &str, message: &str, flight: &FlightRecorder) -> JsonValue {
-    let mem = memalloc::snapshot();
+    let mem = memalloc::snapshot_json();
     let threads = flight.open_spans().into_iter().map(|(idx, stack)| {
         JsonValue::object([
             ("thread", JsonValue::number(idx as f64)),
@@ -408,25 +422,165 @@ pub fn crash_report(reason: &str, message: &str, flight: &FlightRecorder) -> Jso
             "context",
             JsonValue::object(ctx.iter().map(|(k, v)| (k.as_str(), JsonValue::string(v)))),
         ),
-        (
-            "mem",
-            JsonValue::object([
-                (
-                    "installed",
-                    JsonValue::number(f64::from(u8::from(memalloc::installed()))),
-                ),
-                ("allocs", JsonValue::number(mem.allocs as f64)),
-                ("frees", JsonValue::number(mem.frees as f64)),
-                ("bytes_total", JsonValue::number(mem.bytes_total as f64)),
-                ("bytes_live", JsonValue::number(mem.bytes_live as f64)),
-                ("bytes_peak", JsonValue::number(mem.bytes_peak as f64)),
-            ]),
-        ),
+        ("mem", mem),
         ("counters", JsonValue::object(counters)),
         ("threads", JsonValue::array(threads)),
         ("flight", JsonValue::array(tail)),
         ("flight_dropped", JsonValue::number(flight.dropped() as f64)),
     ])
+}
+
+/// Renders a `chc-crash/1` document (as written by [`crash_report`])
+/// human-readably: the `chc doctor` output. Missing fields render as
+/// `?` or zero, so a truncated report still shows what it has.
+pub fn render_crash_report(doc: &JsonValue) -> String {
+    use crate::{format_bytes, format_ns};
+    use std::fmt::Write as _;
+
+    let str_of = |v: Option<&JsonValue>| v.and_then(|v| v.as_str()).unwrap_or("?").to_string();
+    let num_of = |v: Option<&JsonValue>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+    let mut out = String::new();
+
+    let _ = writeln!(out, "chc crash report ({})", str_of(doc.get("reason")));
+    let _ = writeln!(out, "  message: {}", str_of(doc.get("message")));
+    let _ = writeln!(
+        out,
+        "  pid {} after {}",
+        num_of(doc.get("pid")),
+        format_ns(num_of(doc.get("uptime_us")).saturating_mul(1_000)),
+    );
+
+    if let Some(JsonValue::Obj(ctx)) = doc.get("context") {
+        if !ctx.is_empty() {
+            let _ = writeln!(out, "\ncontext:");
+            for (k, v) in ctx {
+                let _ = writeln!(out, "  {:<14} {}", k, v.as_str().unwrap_or("?"));
+            }
+        }
+    }
+
+    if let Some(mem) = doc.get("mem") {
+        if num_of(mem.get("installed")) == 1 {
+            let allocs = num_of(mem.get("allocs"));
+            let _ = writeln!(
+                out,
+                "\nmemory: {} allocated over {allocs} allocs; live {} ({} allocs), peak {}",
+                format_bytes(num_of(mem.get("bytes_total"))),
+                format_bytes(num_of(mem.get("bytes_live"))),
+                allocs.saturating_sub(num_of(mem.get("frees"))),
+                format_bytes(num_of(mem.get("bytes_peak"))),
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "\nmemory: tracking allocator not installed in this binary"
+            );
+        }
+    }
+
+    if let Some(JsonValue::Obj(counters)) = doc.get("counters") {
+        if !counters.is_empty() {
+            let mut rows: Vec<(&str, u64)> = counters
+                .iter()
+                .map(|(k, v)| (k.as_str(), num_of(Some(v))))
+                .collect();
+            rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+            let shown = rows.len().min(20);
+            let _ = writeln!(out, "\ncounters (top {shown} of {}):", rows.len());
+            for (name, value) in rows.iter().take(shown) {
+                let _ = writeln!(out, "  {name:<32} {value:>12}");
+            }
+        }
+    }
+
+    let _ = writeln!(out, "\nopen spans at time of death:");
+    let threads = doc.get("threads").and_then(|v| v.as_array()).unwrap_or(&[]);
+    if threads.is_empty() {
+        let _ = writeln!(out, "  (none)");
+    }
+    for t in threads {
+        let stack: Vec<&str> = t
+            .get("stack")
+            .and_then(|v| v.as_array())
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(|v| v.as_str())
+            .collect();
+        let stack = if stack.is_empty() {
+            "(idle)".to_string()
+        } else {
+            stack.join(" > ")
+        };
+        let _ = writeln!(out, "  thread {}: {stack}", num_of(t.get("thread")));
+    }
+
+    let flight = doc.get("flight").and_then(|v| v.as_array()).unwrap_or(&[]);
+    let dropped = num_of(doc.get("flight_dropped"));
+    let shown = flight.len().min(40);
+    let skipped = flight.len() - shown;
+    let _ = write!(
+        out,
+        "\nflight tail (last {shown} of {} recorded",
+        flight.len()
+    );
+    if dropped > 0 {
+        let _ = write!(out, ", {dropped} older dropped from ring");
+    }
+    let _ = writeln!(out, "):");
+    if skipped > 0 {
+        let _ = writeln!(
+            out,
+            "  … {skipped} earlier entr(ies) elided; read the JSON for all"
+        );
+    }
+    for e in flight.iter().skip(skipped) {
+        let kind = str_of(e.get("kind"));
+        let value = num_of(e.get("value"));
+        let suffix = match kind.as_str() {
+            "exit" => format!(" ({})", format_ns(value)),
+            "counter" => format!(" +{value}"),
+            _ => String::new(),
+        };
+        let _ = writeln!(
+            out,
+            "  [{:>8}] t+{:<10} thread {} {:<7} {}{}",
+            num_of(e.get("seq")),
+            format_ns(num_of(e.get("t_us")).saturating_mul(1_000)),
+            num_of(e.get("thread")),
+            kind,
+            str_of(e.get("name")),
+            suffix,
+        );
+    }
+    out
+}
+
+/// Where a crash report goes: `explicit` (a `--crash-out` path) if
+/// given, else a pid-stamped `chc-crash-<pid>.json` in `$CHC_CRASH_DIR`,
+/// else nowhere.
+pub fn crash_destination(explicit: Option<&str>) -> Option<PathBuf> {
+    explicit.map(PathBuf::from).or_else(|| {
+        let dir = std::env::var("CHC_CRASH_DIR")
+            .ok()
+            .filter(|d| !d.is_empty())?;
+        Some(PathBuf::from(dir).join(format!("chc-crash-{}.json", std::process::id())))
+    })
+}
+
+/// The crash-report message for a panic: its payload (when it is a
+/// string) and where it was raised.
+pub fn panic_message(info: &std::panic::PanicHookInfo<'_>) -> String {
+    let payload = if let Some(s) = info.payload().downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = info.payload().downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    match info.location() {
+        Some(loc) => format!("{payload} (at {loc})"),
+        None => payload,
+    }
 }
 
 /// Writes a crash report at most once per process: shared by the

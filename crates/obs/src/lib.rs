@@ -380,6 +380,32 @@ impl Drop for SpanGuard {
     }
 }
 
+/// `1.2MB`-style byte rendering (binary units), shared by every table
+/// and report that shows memory.
+pub fn format_bytes(bytes: u64) -> String {
+    if bytes < 1_024 {
+        format!("{bytes}B")
+    } else if bytes < 1_024 * 1_024 {
+        format!("{:.1}KB", bytes as f64 / 1_024.0)
+    } else if bytes < 1_024 * 1_024 * 1_024 {
+        format!("{:.1}MB", bytes as f64 / (1_024.0 * 1_024.0))
+    } else {
+        format!("{:.2}GB", bytes as f64 / (1_024.0 * 1_024.0 * 1_024.0))
+    }
+}
+
+/// `1.2us`-style duration rendering; milliseconds are the largest unit
+/// (`1234.56ms`).
+pub fn format_ns(ns: u64) -> String {
+    if ns < 1_000 {
+        format!("{ns}ns")
+    } else if ns < 1_000_000 {
+        format!("{:.1}us", ns as f64 / 1_000.0)
+    } else {
+        format!("{:.2}ms", ns as f64 / 1_000_000.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

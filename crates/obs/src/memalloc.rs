@@ -173,6 +173,41 @@ pub fn snapshot() -> MemSnapshot {
     }
 }
 
+/// Emits [`snapshot`] through the active recorder as the `mem.*`
+/// counters (`mem.allocs`, `mem.frees`, `mem.bytes.total`,
+/// `mem.bytes.live`, `mem.bytes.peak`); a no-op when the tracking
+/// allocator is not installed.
+pub fn record_counters() {
+    use crate::names;
+    if !installed() {
+        return;
+    }
+    let m = snapshot();
+    crate::counter(names::MEM_ALLOCS, m.allocs);
+    crate::counter(names::MEM_FREES, m.frees);
+    crate::counter(names::MEM_BYTES_TOTAL, m.bytes_total);
+    crate::counter(names::MEM_BYTES_LIVE, m.bytes_live);
+    crate::counter(names::MEM_BYTES_PEAK, m.bytes_peak);
+}
+
+/// [`snapshot`] as the `"mem"` object of the `chc-crash/1` and
+/// `chc-profile/1` documents, with `installed` as 0 or 1.
+pub fn snapshot_json() -> crate::json::JsonValue {
+    use crate::json::JsonValue;
+    let m = snapshot();
+    JsonValue::object([
+        (
+            "installed",
+            JsonValue::number(f64::from(u8::from(installed()))),
+        ),
+        ("allocs", JsonValue::number(m.allocs as f64)),
+        ("frees", JsonValue::number(m.frees as f64)),
+        ("bytes_total", JsonValue::number(m.bytes_total as f64)),
+        ("bytes_live", JsonValue::number(m.bytes_live as f64)),
+        ("bytes_peak", JsonValue::number(m.bytes_peak as f64)),
+    ])
+}
+
 /// What a [`ThreadProbe`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {

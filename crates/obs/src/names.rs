@@ -140,8 +140,6 @@ pub const LINT_GUARDS_SYNTHESIZED: &str = "lint.guards_synthesized";
 pub const SPAN_CLI_CHECK: &str = "cli.check";
 /// Span: the `validate` command.
 pub const SPAN_CLI_VALIDATE: &str = "cli.validate";
-/// Span: the `analyze` command.
-pub const SPAN_CLI_ANALYZE: &str = "cli.analyze";
 /// Span: the `lint` command.
 pub const SPAN_CLI_LINT: &str = "cli.lint";
 /// Span: the `query` command (plan + execute over loaded data).

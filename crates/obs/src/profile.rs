@@ -27,6 +27,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::json::JsonValue;
+use crate::names;
+use crate::sampler::SpanSampler;
 
 /// Default per-name label-cardinality cap; see [`ProfileRecorder::with_cap`].
 pub const DEFAULT_LABEL_CAP: usize = 1024;
@@ -361,6 +363,234 @@ impl ProfileRecorder {
             ("counters", counters),
             ("labeled", labeled),
             ("histograms", histograms),
+        ])
+    }
+}
+
+/// The duplicate-work ratio `total / distinct` (1.0 before any
+/// distinct key was seen).
+fn duplicate_ratio(total: u64, distinct: u64) -> f64 {
+    if distinct == 0 {
+        1.0
+    } else {
+        total as f64 / distinct as f64
+    }
+}
+
+/// The reports `chc profile` builds from an attribution run. Labels of
+/// the per-class series are class ids; `class_name` resolves them, since
+/// the ids only mean something against the schema that produced them.
+impl ProfileRecorder {
+    /// `check.class.nanos` per class as `(label, count, sum)`, hottest
+    /// first, and the sum over all of them.
+    fn class_nanos(&self) -> (Vec<(u64, u64, u64)>, u64) {
+        let entries = self
+            .labeled_sums(names::CHECK_CLASS_NANOS)
+            .map(|(entries, _other)| entries)
+            .unwrap_or_default();
+        let total = entries.iter().map(|&(_, _, sum)| sum).sum();
+        (entries, total)
+    }
+
+    /// `(total, distinct)` for the two memoizable hot paths:
+    /// `subtype.queries` and `sat.calls`.
+    fn duplicate_work(&self) -> [(u64, u64); 2] {
+        [
+            (names::SUBTYPE_QUERIES, names::SUBTYPE_QUERIES_DISTINCT),
+            (names::SAT_CALLS, names::SAT_CALLS_DISTINCT),
+        ]
+        .map(|(total, distinct)| (self.counter_value(total), self.counter_value(distinct)))
+    }
+
+    /// The human-readable hot-spot report: the duplicate-work ratios,
+    /// the sampler's yield, and the `top` hottest classes by check time
+    /// with their subtype/sat/contradiction/row counts. With `mem`, two
+    /// memory columns (bytes allocated, peak live) and a line
+    /// reconciling them against the process-wide allocator totals.
+    pub fn render_hot_spots<'a>(
+        &self,
+        sampler: &SpanSampler,
+        top: usize,
+        mem: bool,
+        class_name: impl Fn(u64) -> &'a str,
+    ) -> String {
+        use crate::{format_bytes, format_ns};
+        use std::fmt::Write as _;
+
+        let (nanos_by_class, total_nanos) = self.class_nanos();
+        let labeled_of = |name: &str| -> BTreeMap<u64, u64> {
+            self.labeled(name)
+                .map(|s| s.entries.into_iter().collect())
+                .unwrap_or_default()
+        };
+        let columns = [
+            names::SUBTYPE_QUERIES,
+            names::SAT_CALLS,
+            names::CHECK_CONTRADICTIONS,
+            names::QUERY_ROWS_SCANNED,
+        ]
+        .map(labeled_of);
+        let mem_bytes = labeled_of(names::MEM_CHECK_CLASS_BYTES);
+        let mem_peak: BTreeMap<u64, u64> = self
+            .labeled_max(names::MEM_CHECK_CLASS_PEAK)
+            .map(|v| v.into_iter().collect())
+            .unwrap_or_default();
+        let [(subtype, subtype_distinct), (sat, sat_distinct)] = self.duplicate_work();
+
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "  duplicate work: subtype.queries {subtype} / {subtype_distinct} distinct = {:.1}x, \
+             sat.calls {sat} / {sat_distinct} distinct = {:.1}x",
+            duplicate_ratio(subtype, subtype_distinct),
+            duplicate_ratio(sat, sat_distinct),
+        );
+        let _ = writeln!(
+            out,
+            "  sampler: {} sample(s) at {} intervals, {} distinct stack path(s)",
+            sampler.samples(),
+            format_ns(sampler.interval().as_nanos().min(u64::MAX as u128) as u64),
+            sampler.folded_counts().len(),
+        );
+        let _ = write!(
+            out,
+            "\n  {:<28} {:>10} {:>7} {:>9} {:>7} {:>7} {:>9}",
+            "class", "time", "share", "subtype", "sat", "contra", "rows"
+        );
+        if mem {
+            let _ = write!(out, " {:>10} {:>10}", "alloc", "peak");
+        }
+        out.push('\n');
+        for &(label, _count, sum) in nanos_by_class.iter().take(top) {
+            let share = if total_nanos == 0 {
+                0.0
+            } else {
+                100.0 * sum as f64 / total_nanos as f64
+            };
+            let [st, sa, co, ro] = columns
+                .each_ref()
+                .map(|c| c.get(&label).copied().unwrap_or(0));
+            let _ = write!(
+                out,
+                "  {:<28} {:>10} {share:>6.1}% {st:>9} {sa:>7} {co:>7} {ro:>9}",
+                class_name(label),
+                format_ns(sum),
+            );
+            if mem {
+                let bytes = mem_bytes.get(&label).copied().unwrap_or(0);
+                let peak = mem_peak.get(&label).copied().unwrap_or(0);
+                let _ = write!(
+                    out,
+                    " {:>10} {:>10}",
+                    format_bytes(bytes),
+                    format_bytes(peak)
+                );
+            }
+            out.push('\n');
+        }
+        if nanos_by_class.len() > top {
+            let _ = writeln!(
+                out,
+                "  … {} more class(es); raise --top or read --profile-out",
+                nanos_by_class.len() - top
+            );
+        }
+        if mem {
+            // The per-class series only see what ran inside
+            // `check_class`, so Σbytes ≤ global allocated and every
+            // class peak ≤ global peak; if either fails, the
+            // attribution is broken.
+            let m = crate::memalloc::snapshot();
+            let class_bytes: u64 = mem_bytes.values().sum();
+            let class_peak = mem_peak.values().copied().max().unwrap_or(0);
+            let pct = if m.bytes_total == 0 {
+                0.0
+            } else {
+                100.0 * class_bytes as f64 / m.bytes_total as f64
+            };
+            let _ = writeln!(
+                out,
+                "  mem: global {} allocated, peak live {}; per-class Σ {} ({pct:.1}% of global), \
+                 max class peak {}",
+                format_bytes(m.bytes_total),
+                format_bytes(m.bytes_peak),
+                format_bytes(class_bytes),
+                format_bytes(class_peak),
+            );
+        }
+        out
+    }
+
+    /// The one-line summary `chc profile` prints on stdout: the class
+    /// count, the duplicate-work ratios, and the sampler's yield.
+    pub fn render_summary(&self, workload: &str, classes: usize, sampler: &SpanSampler) -> String {
+        let [(subtype, subtype_distinct), (sat, sat_distinct)] = self.duplicate_work();
+        format!(
+            "profile: {workload} — {classes} classes, subtype {subtype}/{subtype_distinct} ({:.1}x), \
+             sat {sat}/{sat_distinct} ({:.1}x), {} sample(s)",
+            duplicate_ratio(subtype, subtype_distinct),
+            duplicate_ratio(sat, sat_distinct),
+            sampler.samples(),
+        )
+    }
+
+    /// The enriched `chc-profile/1` document: [`ProfileRecorder::to_json`]
+    /// plus the workload name, the allocator totals, the name-resolved
+    /// hot-class table, and the sampled stacks.
+    pub fn to_profile_json<'a>(
+        &self,
+        workload: &str,
+        sampler: &SpanSampler,
+        class_name: impl Fn(u64) -> &'a str,
+    ) -> JsonValue {
+        let base = self.to_json();
+        let part = |key: &str| {
+            base.get(key)
+                .cloned()
+                .unwrap_or_else(|| JsonValue::object([]))
+        };
+        let (nanos_by_class, total_nanos) = self.class_nanos();
+        let hot = JsonValue::array(nanos_by_class.iter().map(|&(label, _count, sum)| {
+            let share = if total_nanos == 0 {
+                0.0
+            } else {
+                sum as f64 / total_nanos as f64
+            };
+            JsonValue::object([
+                ("class", JsonValue::string(class_name(label))),
+                ("label", JsonValue::number(label as f64)),
+                ("nanos", JsonValue::number(sum as f64)),
+                (
+                    "share",
+                    JsonValue::number((share * 1_000.0).round() / 1_000.0),
+                ),
+            ])
+        }));
+        let stacks = JsonValue::array(sampler.folded_counts().into_iter().map(|(path, count)| {
+            JsonValue::object([
+                ("stack", JsonValue::string(&path)),
+                ("count", JsonValue::number(count as f64)),
+            ])
+        }));
+        let sampler_obj = JsonValue::object([
+            (
+                "interval_nanos",
+                JsonValue::number(sampler.interval().as_nanos().min(u64::MAX as u128) as f64),
+            ),
+            ("samples", JsonValue::number(sampler.samples() as f64)),
+            ("idle", JsonValue::number(sampler.idle() as f64)),
+            ("stacks", stacks),
+        ]);
+        JsonValue::object([
+            ("schema", JsonValue::string("chc-profile/1")),
+            ("workload", JsonValue::string(workload)),
+            ("mem", crate::memalloc::snapshot_json()),
+            ("cap", part("cap")),
+            ("counters", part("counters")),
+            ("labeled", part("labeled")),
+            ("histograms", part("histograms")),
+            ("hot_classes", hot),
+            ("sampler", sampler_obj),
         ])
     }
 }

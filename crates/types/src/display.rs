@@ -2,10 +2,11 @@
 //!
 //! `[treatedBy : Physician + Psychologist/Alcoholic]` and friends.
 
-use chc_model::Schema;
+use chc_model::{ClassId, Schema, Sym};
 
-use crate::subtype::{CondTy, Prim, Ty};
+use crate::subtype::{cond_of, CondTy, Prim, Ty};
 use crate::tyset::{Atom, TySet};
+use crate::{EntityFacts, TypeContext};
 
 /// Renders a declarative type.
 pub fn render_ty(schema: &Schema, ty: &Ty) -> String {
@@ -60,6 +61,35 @@ pub fn render_tyset(schema: &Schema, ty: &TySet) -> String {
     }
     let parts: Vec<String> = ty.atoms.iter().map(|a| render_atom(schema, a)).collect();
     parts.join(" ∪ ")
+}
+
+/// The `chc explain` view of `class.attr` under `ctx`: one `Declarer <
+/// [attr : T]` line per conditional type a declarer contributes (the
+/// subtype-theory view of §5.4), then the effective type deduced for
+/// instances of the class, `  Class.attr : T`.
+pub fn render_explain(ctx: &TypeContext<'_>, class: ClassId, attr: Sym) -> String {
+    let schema = ctx.schema;
+    let mut out = String::new();
+    for (declarer, _) in schema.constraints_on(class, attr) {
+        if let Some(cond) = cond_of(schema, declarer, attr) {
+            out.push_str(&format!(
+                "{} < [{} : {}]\n",
+                schema.class_name(declarer),
+                schema.resolve(attr),
+                render_cond(schema, &cond)
+            ));
+        }
+    }
+    let ty = match ctx.attr_type(&EntityFacts::of_class(schema, class), attr) {
+        Some(ty) => render_tyset(schema, &ty),
+        None => "not applicable".to_string(),
+    };
+    out.push_str(&format!(
+        "  {}.{} : {ty}\n",
+        schema.class_name(class),
+        schema.resolve(attr)
+    ));
+    out
 }
 
 fn render_atom(schema: &Schema, atom: &Atom) -> String {

@@ -32,7 +32,7 @@ pub mod subtype;
 pub mod tyset;
 
 pub use ctx::{AttrTypeCache, TypeContext};
-pub use display::{render_cond, render_ty, render_tyset};
+pub use display::{render_cond, render_explain, render_ty, render_tyset};
 pub use facts::EntityFacts;
 pub use narrow::{branch_on_membership, deduce_not_in, Branches};
 pub use safety::{analyze_path, analyze_path_from, Hazard, PathAnalysis};

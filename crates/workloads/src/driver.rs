@@ -535,9 +535,9 @@ impl LoadSummary {
             let _ = writeln!(
                 out,
                 "  mem: {} allocated, peak live {}, live at end {}",
-                fmt_bytes(m.bytes_allocated),
-                fmt_bytes(m.bytes_peak),
-                fmt_bytes(m.bytes_live),
+                chc_obs::format_bytes(m.bytes_allocated),
+                chc_obs::format_bytes(m.bytes_peak),
+                chc_obs::format_bytes(m.bytes_live),
             );
         }
         if !self.windows.is_empty() {
@@ -559,19 +559,6 @@ impl LoadSummary {
             );
         }
         out
-    }
-}
-
-/// `1.2MB`-style byte rendering for tables and tiles.
-pub(crate) fn fmt_bytes(bytes: u64) -> String {
-    if bytes < 1_024 {
-        format!("{bytes}B")
-    } else if bytes < 1_024 * 1_024 {
-        format!("{:.1}KB", bytes as f64 / 1_024.0)
-    } else if bytes < 1_024 * 1_024 * 1_024 {
-        format!("{:.1}MB", bytes as f64 / (1_024.0 * 1_024.0))
-    } else {
-        format!("{:.2}GB", bytes as f64 / (1_024.0 * 1_024.0 * 1_024.0))
     }
 }
 

@@ -156,8 +156,8 @@ pub fn render_html(summary: &LoadSummary) -> String {
         (fmt_ns(summary.overall.mean.round() as u64), "mean latency"),
     ];
     if let Some(mem) = &summary.mem {
-        tiles.push((super::fmt_bytes(mem.bytes_peak), "peak live memory"));
-        tiles.push((super::fmt_bytes(mem.bytes_allocated), "bytes allocated"));
+        tiles.push((chc_obs::format_bytes(mem.bytes_peak), "peak live memory"));
+        tiles.push((chc_obs::format_bytes(mem.bytes_allocated), "bytes allocated"));
     }
     for (value, label) in tiles {
         let _ = writeln!(

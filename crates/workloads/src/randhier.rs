@@ -47,6 +47,38 @@ impl Default for HierarchyParams {
     }
 }
 
+impl HierarchyParams {
+    /// Parses `classes=60,supers=2,attrs=8,tokens=8,redefine=0.4,contradict=0.3,seed=7`
+    /// (the `--hier` option of `chc load` and `chc profile`); omitted
+    /// keys keep the defaults.
+    pub fn parse(spec: &str) -> Result<HierarchyParams, String> {
+        let mut p = HierarchyParams::default();
+        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+            let (key, value) = part
+                .split_once('=')
+                .ok_or_else(|| format!("--hier entry `{part}` is not `key=value`"))?;
+            let value = value.trim();
+            let int = || value.parse::<usize>().map_err(|e| format!("--hier {key}={value}: {e}"));
+            let float = || value.parse::<f64>().map_err(|e| format!("--hier {key}={value}: {e}"));
+            match key.trim() {
+                "classes" => p.classes = int()?,
+                "supers" => p.max_supers = int()?,
+                "attrs" => p.attrs = int()?,
+                "tokens" => p.tokens = int()?,
+                "redefine" => p.redefine_rate = float()?,
+                "contradict" => p.contradiction_rate = float()?,
+                "seed" => p.seed = value.parse().map_err(|e| format!("--hier seed={value}: {e}"))?,
+                other => {
+                    return Err(format!(
+                        "unknown --hier key `{other}` (classes|supers|attrs|tokens|redefine|contradict|seed)"
+                    ))
+                }
+            }
+        }
+        Ok(p)
+    }
+}
+
 /// A generated hierarchy plus its bookkeeping.
 #[derive(Debug, Clone)]
 pub struct GeneratedHierarchy {
@@ -369,6 +401,15 @@ mod tests {
             assert!(report.is_ok(), "seed {seed}: {}", report.render(&gen.schema));
             assert_eq!(gen.schema.num_classes(), 60);
         }
+    }
+
+    #[test]
+    fn hier_spec_overrides_only_the_named_keys() {
+        let p = HierarchyParams::parse("classes=60, seed=7,contradict=0.5").unwrap();
+        assert_eq!((p.classes, p.seed, p.contradiction_rate), (60, 7, 0.5));
+        assert_eq!(p.max_supers, HierarchyParams::default().max_supers);
+        assert!(HierarchyParams::parse("classes").is_err());
+        assert!(HierarchyParams::parse("depth=3").unwrap_err().contains("unknown --hier key"));
     }
 
     #[test]

@@ -13,13 +13,14 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo fmt --check (chc-obs)"
+echo "==> cargo fmt --check (chc-obs), rustfmt --check (src/bin/chc.rs)"
 cargo fmt --check -p chc-obs
+rustfmt --edition 2021 --check src/bin/chc.rs
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> output byte-compare: check / lint on evolve400, validate / query / ledger on hospital"
+echo "==> output byte-compare: every line of scripts/stdout.cksum"
 ledger="$(mktemp "${TMPDIR:-/tmp}/chc-ledger.XXXXXX.jsonl")"
 trap 'rm -f "$ledger"' EXIT
 grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do

@@ -79,7 +79,7 @@ fn explain_prints_the_conditional_type() {
 }
 
 #[test]
-fn analyze_flags_unsafe_and_accepts_guarded() {
+fn lint_query_flags_unsafe_and_accepts_guarded() {
     let hospital = write_schema(
         "analyze.sdl",
         "
@@ -95,8 +95,9 @@ fn analyze_flags_unsafe_and_accepts_guarded() {
         ",
     );
     let out = chc(&[
-        "analyze",
+        "lint",
         hospital.to_str().unwrap(),
+        "--query",
         "for p in Patient emit p.treatedAt.location.state",
     ]);
     assert!(out.status.success());
@@ -104,21 +105,27 @@ fn analyze_flags_unsafe_and_accepts_guarded() {
     assert!(stdout.contains("may be absent"), "{stdout}");
 
     let out = chc(&[
-        "analyze",
+        "lint",
         hospital.to_str().unwrap(),
+        "--query",
         "for p in Patient where p not in Tubercular_Patient emit p.treatedAt.location.state",
     ]);
+    assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("safe"), "{stdout}");
+    assert!(stdout.contains("no type error can occur"), "{stdout}");
+    assert!(!stdout.contains("warning["), "{stdout}");
 }
 
 #[test]
-fn analyze_rejects_ill_typed_queries() {
+fn lint_query_rejects_ill_typed_queries() {
     let path = write_schema("illtyped.sdl", CLEAN);
     let out = chc(&[
-        "analyze",
+        "lint",
         path.to_str().unwrap(),
+        "--query",
         "for p in Physician emit p.treatedBy",
+        "--deny",
+        "warnings",
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("type error"));
@@ -128,6 +135,10 @@ fn analyze_rejects_ill_typed_queries() {
 fn bad_usage_and_bad_files_fail_cleanly() {
     let out = chc(&["frobnicate", "/nonexistent"]);
     assert_eq!(out.status.code(), Some(2));
+    // The command is judged before any file is opened.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command `frobnicate`"), "{stderr}");
+    assert!(!stderr.contains("/nonexistent"), "{stderr}");
     let out = chc(&["check", "/nonexistent.sdl"]);
     assert_eq!(out.status.code(), Some(2));
     let bad = write_schema("syntax.sdl", "class A with x 1..2");
@@ -360,32 +371,52 @@ fn query_emits_rows_on_stdout_and_accounting_on_stderr() {
 
 #[test]
 fn query_into_a_closed_pipe_is_an_error_exit_not_a_panic() {
-    // `chc query … | head` closes the pipe early. The rows here run to
-    // far more than a pipe holds, so whenever the read end closes, some
-    // write after it fails.
+    // `chc … | head` closes the pipe early. Every command writes stdout
+    // through one buffered writer, so each one's failed write (here the
+    // read end is closed before the command starts) ends in `error:
+    // stdout: …` and exit 2: no panic, and no crash report.
+    let crash_dir = std::env::temp_dir().join("chc-cli-tests/closed-pipe-crashes");
+    let _ = std::fs::remove_dir_all(&crash_dir);
+    std::fs::create_dir_all(&crash_dir).unwrap();
     let schema = write_schema("pipe.sdl", "class Patient with name: String;");
     let name = "x".repeat(100);
     let data: String = (0..4_000)
         .map(|i| format!("p{i} : Patient {{ name = \"{name}{i}\" }}\n"))
         .collect();
     let data_path = write_schema("pipe.chd", &data);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_chc"))
-        .args([
-            "query",
-            schema.to_str().unwrap(),
-            data_path.to_str().unwrap(),
-            "for p in Patient emit p.name",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("chc runs");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("chc exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("error: stdout:"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let (s, d) = (schema.to_str().unwrap(), data_path.to_str().unwrap());
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let example = |f: &str| dir.join("examples/data").join(f).to_str().unwrap().to_string();
+    let (hospital, evolved) = (example("hospital.sdl"), example("hospital-evolved.sdl"));
+    let crash = dir.join("tests/fixtures/crash/load-panic.json");
+    let cases: [&[&str]; 9] = [
+        &["query", s, d, "for p in Patient emit p.name"],
+        &["check", &hospital],
+        &["lint", &hospital],
+        &["diff", &hospital, &evolved],
+        &["print", &hospital],
+        &["virtualize", &hospital],
+        &["explain", &hospital, "Tubercular_Patient"],
+        &["validate", s, d],
+        &["doctor", crash.to_str().unwrap()],
+    ];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_chc"))
+            .args(args)
+            .env("CHC_CRASH_DIR", &crash_dir)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("chc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: stdout:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let crashes: Vec<_> = std::fs::read_dir(&crash_dir).unwrap().collect();
+    assert!(crashes.is_empty(), "crash reports written: {crashes:?}");
 }
 
 #[test]
@@ -593,4 +624,131 @@ fn unknown_lint_codes_get_a_did_you_mean() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown lint"), "{stderr}");
     assert!(!stderr.contains("did you mean"), "{stderr}");
+}
+
+#[test]
+fn usage_errors_come_before_any_file_is_read() {
+    // Each extra positional names a file that does not exist: the usage
+    // error must win over the I/O error.
+    let cases: [&[&str]; 4] = [
+        &["validate", "/nonexistent.sdl", "/nonexistent.chd", "extra"],
+        &["query", "/nonexistent.sdl", "/nonexistent.chd", "q", "extra"],
+        &["print", "/nonexistent.sdl", "extra"],
+        &["explain", "/nonexistent.sdl", "C", "a", "extra"],
+    ];
+    for args in cases {
+        let out = chc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let want = format!("unexpected {} argument `extra`", args[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("No such file"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn command_options_are_only_accepted_by_their_commands() {
+    let path = write_schema("scoped.sdl", CLEAN);
+    let p = path.to_str().unwrap();
+    for (args, option) in [
+        (["lint", p, "--explain"], "unknown lint option `--explain`"),
+        (["check", p, "--audit-summary"], "unknown check option `--audit-summary`"),
+    ] {
+        let out = chc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(option), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    // Before the command name, a command's own option still applies.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let (sdl, chd) = (dir.join("quaker.sdl"), dir.join("quaker.chd"));
+    let (sdl, chd) = (sdl.to_str().unwrap(), chd.to_str().unwrap());
+    let before = chc(&["--audit-summary", "validate", sdl, chd]);
+    let after = chc(&["validate", sdl, chd, "--audit-summary"]);
+    assert!(before.status.success());
+    assert_eq!(before.stdout, after.stdout);
+    assert!(String::from_utf8_lossy(&before.stdout).contains("admitted by excuse"));
+}
+
+#[test]
+fn misspelled_options_get_a_did_you_mean() {
+    let path = write_schema("fromat.sdl", CLEAN);
+    let out = chc(&["lint", path.to_str().unwrap(), "--fromat", "json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("did you mean `--format`?"), "{stderr}");
+    let out = chc(&["chek", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("did you mean `check`?"));
+}
+
+/// Load and profile runs print timings, so their stdout is compared
+/// with every word that holds a digit masked.
+fn digits_masked(bytes: &[u8]) -> String {
+    let text = String::from_utf8_lossy(bytes);
+    let mask = |w| if str::contains(w, |c: char| c.is_ascii_digit()) { "#" } else { w };
+    text.split_whitespace().map(mask).collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn every_value_option_reads_the_same_as_v_and_eq_v() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let file = |f: &str| dir.join(f).to_str().unwrap().to_string();
+    let (sdl, chd) = (file("examples/data/hospital.sdl"), file("examples/data/hospital.chd"));
+    let evolved = file("examples/data/hospital-evolved.sdl");
+    let chq = file("examples/data/hospital_queries.chq");
+    let tmp = std::env::temp_dir().join("chc-cli-tests/eq");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let out = |f: &str| tmp.join(f).to_str().unwrap().to_string();
+    let crash = out("c.json");
+    let load: Vec<&str> = vec!["load", &sdl, &chd, "--ops", "50", "--seed", "3"];
+    let profile: Vec<&str> = vec!["profile", "check", &sdl];
+    // (the option, its value, the rest of a command line that takes it)
+    let cases: Vec<(&str, String, Vec<&str>)> = vec![
+        ("--trace-out", out("t.json"), vec!["check", &sdl]),
+        ("--flame-out", out("f.folded"), vec!["check", &sdl]),
+        ("--stats-out", out("s.json"), vec!["check", &sdl]),
+        ("--audit-out", out("a.jsonl"), vec!["validate", &sdl, &chd]),
+        ("--profile-out", out("p.json"), vec!["check", &sdl]),
+        ("--crash-out", out("c.json"), vec!["check", &sdl]),
+        ("--watchdog", "30s".into(), vec!["check", &sdl, "--crash-out", &crash]),
+        ("--since", evolved.clone(), vec!["check", &sdl, "--incremental"]),
+        ("--format", "json".into(), vec!["lint", &sdl]),
+        ("--query", chq, vec!["lint", &sdl]),
+        ("--allow", "L002".into(), vec!["lint", &sdl]),
+        ("--warn", "dead-excuse".into(), vec!["diff", &sdl, &evolved]),
+        ("--deny", "warnings".into(), vec!["diff", &evolved, &sdl]),
+        ("--mix", "validate=1,query=1".into(), load.clone()),
+        ("--threads", "2".into(), load.clone()),
+        ("--duration", "20ms".into(), vec!["load", &sdl]),
+        ("--ops", "20".into(), vec!["load", &sdl]),
+        ("--mode", "open".into(), load.clone()),
+        ("--rate", "100000".into(), load.clone()),
+        ("--think", "1us".into(), load.clone()),
+        ("--seed", "9".into(), vec!["load", &sdl, "--ops", "50"]),
+        ("--epsilon", "0.5".into(), load.clone()),
+        ("--populate", "5".into(), vec!["load", &sdl, "--ops", "50"]),
+        ("--window", "10ms".into(), load.clone()),
+        ("--report", out("r.html"), load.clone()),
+        ("--id", "eq".into(), load.clone()),
+        ("--hier", "classes=20,seed=4".into(), vec!["load", "--ops", "50"]),
+        ("--top", "3".into(), profile.clone()),
+        ("--label-cap", "8".into(), profile.clone()),
+        ("--interval", "100us".into(), profile.clone()),
+    ];
+    for (option, value, rest) in &cases {
+        let spaced: Vec<&str> = rest.iter().copied().chain([*option, value.as_str()]).collect();
+        let joined = format!("{option}={value}");
+        let eq: Vec<&str> = rest.iter().copied().chain([joined.as_str()]).collect();
+        let (a, b) = (chc(&spaced), chc(&eq));
+        let stderr = String::from_utf8_lossy(&a.stderr);
+        assert!(a.status.code().is_some_and(|c| c < 2), "{spaced:?}: {stderr}");
+        assert_eq!(a.status.code(), b.status.code(), "{spaced:?} vs {eq:?}");
+        if matches!(rest[0], "load" | "profile") {
+            assert_eq!(digits_masked(&a.stdout), digits_masked(&b.stdout), "{eq:?}");
+        } else {
+            assert_eq!(a.stdout, b.stdout, "{spaced:?} vs {eq:?}");
+        }
+    }
 }
