@@ -47,7 +47,11 @@ impl fmt::Display for SdlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SdlError::Lex { pos, what } => write!(f, "{pos}: lexical error: {what}"),
-            SdlError::Parse { pos, expected, found } => {
+            SdlError::Parse {
+                pos,
+                expected,
+                found,
+            } => {
                 write!(f, "{pos}: expected {expected}, found {found}")
             }
             SdlError::UnknownClass { pos, name } => {

@@ -8,152 +8,145 @@
 use crate::error::SdlError;
 use crate::token::{Pos, Spanned, Tok};
 
-/// Lexes an entire source text into tokens (ending with [`Tok::Eof`]).
-pub fn lex(src: &str) -> Result<Vec<Spanned>, SdlError> {
-    Lexer { src: src.as_bytes(), at: 0, pos: Pos::START }.run()
-}
-
-struct Lexer<'a> {
-    src: &'a [u8],
+/// A pull lexer: [`Lexer::next_token`] reads one token at a time, and
+/// returns [`Tok::Eof`] for ever once the source is used up.
+pub struct Lexer<'a> {
+    src: &'a str,
     at: usize,
-    pos: Pos,
+    line: u32,
+    /// Where the current line starts; columns count bytes from there.
+    line_start: usize,
 }
 
-impl Lexer<'_> {
-    fn run(mut self) -> Result<Vec<Spanned>, SdlError> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let pos = self.pos;
-            let Some(&c) = self.src.get(self.at) else {
-                out.push(Spanned { tok: Tok::Eof, pos });
-                return Ok(out);
-            };
-            let tok = match c {
-                b':' => self.one(Tok::Colon),
-                b';' => self.one(Tok::Semi),
-                b',' => self.one(Tok::Comma),
-                b'{' => self.one(Tok::LBrace),
-                b'}' => self.one(Tok::RBrace),
-                b'[' => self.one(Tok::LBracket),
-                b']' => self.one(Tok::RBracket),
-                b'.' => {
-                    if self.src.get(self.at + 1) == Some(&b'.') {
-                        self.advance();
-                        self.advance();
-                        Tok::DotDot
-                    } else {
-                        return Err(SdlError::Lex { pos, what: "stray `.` (did you mean `..`?)".into() });
-                    }
-                }
-                b'\'' => {
-                    self.advance();
-                    let word = self.take_word();
-                    if word.is_empty() {
-                        return Err(SdlError::Lex { pos, what: "empty enumeration token after `'`".into() });
-                    }
-                    Tok::Quoted(word)
-                }
-                b'-' if self.src.get(self.at + 1).is_some_and(|d| d.is_ascii_digit()) => {
-                    self.advance();
-                    let n = self.take_int(pos)?;
-                    Tok::Int(-n)
-                }
-                c if c.is_ascii_digit() => Tok::Int(self.take_int(pos)?),
-                c if ident_start(c) => {
-                    let word = self.take_word();
-                    match word.as_str() {
-                        "class" => Tok::KwClass,
-                        "with" => Tok::KwWith,
-                        "excuses" => Tok::KwExcuses,
-                        "on" => Tok::KwOn,
-                        "is-a" | "is_a" | "isa" => Tok::KwIsA,
-                        // "is" followed by "a" is the paper's spaced spelling.
-                        "is" => {
-                            self.skip_trivia();
-                            let save = (self.at, self.pos);
-                            let next = self.take_word();
-                            if next == "a" {
-                                Tok::KwIsA
-                            } else {
-                                (self.at, self.pos) = save;
-                                Tok::Ident("is".into())
-                            }
-                        }
-                        _ => Tok::Ident(word),
-                    }
-                }
-                other => {
-                    return Err(SdlError::Lex {
-                        pos,
-                        what: format!("unexpected character `{}`", other as char),
-                    })
-                }
-            };
-            out.push(Spanned { tok, pos });
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            at: 0,
+            line: 1,
+            line_start: 0,
         }
     }
 
-    fn one(&mut self, tok: Tok) -> Tok {
-        self.advance();
+    /// Reads the next token.
+    pub fn next_token(&mut self) -> Result<Spanned<'a>, SdlError> {
+        self.skip_trivia();
+        let pos = Pos {
+            line: self.line,
+            col: u32::try_from(self.at - self.line_start + 1).unwrap_or(u32::MAX),
+        };
+        let Some(c) = self.byte(0) else {
+            return Ok(Spanned { tok: Tok::Eof, pos });
+        };
+        let tok = match c {
+            b':' => self.one(Tok::Colon),
+            b';' => self.one(Tok::Semi),
+            b',' => self.one(Tok::Comma),
+            b'{' => self.one(Tok::LBrace),
+            b'}' => self.one(Tok::RBrace),
+            b'[' => self.one(Tok::LBracket),
+            b']' => self.one(Tok::RBracket),
+            b'.' if self.byte(1) == Some(b'.') => {
+                self.at += 2;
+                Tok::DotDot
+            }
+            b'.' => return Err(lex_error(pos, "stray `.` (did you mean `..`?)")),
+            b'\'' => {
+                self.at += 1;
+                let word = self.take_word();
+                if word.is_empty() {
+                    return Err(lex_error(pos, "empty enumeration token after `'`"));
+                }
+                Tok::Quoted(word)
+            }
+            b'-' if self.byte(1).is_some_and(|d| d.is_ascii_digit()) => {
+                self.at += 1;
+                Tok::Int(-self.take_int(pos)?)
+            }
+            c if c.is_ascii_digit() => Tok::Int(self.take_int(pos)?),
+            c if ident_start(c) => match self.take_word() {
+                "class" => Tok::KwClass,
+                "with" => Tok::KwWith,
+                "excuses" => Tok::KwExcuses,
+                "on" => Tok::KwOn,
+                "is-a" | "is_a" | "isa" => Tok::KwIsA,
+                // "is" followed by "a" is the paper's spaced spelling.
+                "is" => {
+                    self.skip_trivia();
+                    let save = self.at;
+                    if self.take_word() == "a" {
+                        Tok::KwIsA
+                    } else {
+                        self.at = save;
+                        Tok::Ident("is")
+                    }
+                }
+                word => Tok::Ident(word),
+            },
+            other => {
+                return Err(lex_error(
+                    pos,
+                    format!("unexpected character `{}`", other as char),
+                ))
+            }
+        };
+        Ok(Spanned { tok, pos })
+    }
+
+    /// The byte `ahead` bytes past the cursor.
+    fn byte(&self, ahead: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.at + ahead).copied()
+    }
+
+    fn one(&mut self, tok: Tok<'a>) -> Tok<'a> {
+        self.at += 1;
         tok
     }
 
-    fn advance(&mut self) {
-        if self.src[self.at] == b'\n' {
-            self.pos.line += 1;
-            self.pos.col = 1;
-        } else {
-            self.pos.col += 1;
-        }
-        self.at += 1;
-    }
-
+    /// Skips whitespace and comments, the only input that spans lines.
     fn skip_trivia(&mut self) {
         loop {
-            match self.src.get(self.at) {
-                Some(c) if c.is_ascii_whitespace() => self.advance(),
-                Some(b'-') if self.src.get(self.at + 1) == Some(&b'-') => self.skip_line(),
-                Some(b'/') if self.src.get(self.at + 1) == Some(&b'/') => self.skip_line(),
+            match (self.byte(0), self.byte(1)) {
+                (Some(b'\n'), _) => {
+                    self.at += 1;
+                    self.line += 1;
+                    self.line_start = self.at;
+                }
+                (Some(c), _) if c.is_ascii_whitespace() => self.at += 1,
+                (Some(b'-'), Some(b'-')) | (Some(b'/'), Some(b'/')) => {
+                    // Up to, not past, the newline, which the next turn counts.
+                    self.at = self.src[self.at..]
+                        .find('\n')
+                        .map_or(self.src.len(), |i| self.at + i);
+                }
                 _ => return,
             }
         }
     }
 
-    fn skip_line(&mut self) {
-        while let Some(&c) = self.src.get(self.at) {
-            self.advance();
-            if c == b'\n' {
-                return;
-            }
-        }
-    }
-
-    fn take_word(&mut self) -> String {
+    /// Reads an identifier; it is all ASCII, so slicing the source is safe.
+    fn take_word(&mut self) -> &'a str {
         let start = self.at;
-        while let Some(&c) = self.src.get(self.at) {
+        while let Some(c) = self.byte(0) {
             if ident_continue(c) {
-                self.advance();
-            } else if c == b'-' && self.src.get(self.at + 1).is_some_and(|&d| d.is_ascii_alphabetic())
-            {
-                self.advance();
-                self.advance();
+                self.at += 1;
+            } else if c == b'-' && self.byte(1).is_some_and(|d| d.is_ascii_alphabetic()) {
+                self.at += 2;
             } else {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.at]).into_owned()
+        &self.src[start..self.at]
     }
 
     fn take_int(&mut self, pos: Pos) -> Result<i64, SdlError> {
         let start = self.at;
-        while self.src.get(self.at).is_some_and(|d| d.is_ascii_digit()) {
-            self.advance();
+        while self.byte(0).is_some_and(|d| d.is_ascii_digit()) {
+            self.at += 1;
         }
-        std::str::from_utf8(&self.src[start..self.at])
-            .expect("digits are ascii")
-            .parse()
-            .map_err(|_| SdlError::Lex { pos, what: "integer literal overflows i64".into() })
+        let n = self.src[start..self.at].parse();
+        n.map_err(|_| lex_error(pos, "integer literal overflows i64"))
     }
 }
 
@@ -165,11 +158,28 @@ fn ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c == b'#'
 }
 
+fn lex_error(pos: Pos, what: impl Into<String>) -> SdlError {
+    SdlError::Lex {
+        pos,
+        what: what.into(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    /// Lexes a whole source text, ending with [`Tok::Eof`].
+    fn lex(src: &str) -> Result<Vec<Spanned<'_>>, SdlError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = vec![lexer.next_token()?];
+        while out.last().unwrap().tok != Tok::Eof {
+            out.push(lexer.next_token()?);
+        }
+        Ok(out)
+    }
+
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -179,9 +189,9 @@ mod tests {
             toks("class Employee is-a Person with"),
             vec![
                 Tok::KwClass,
-                Tok::Ident("Employee".into()),
+                Tok::Ident("Employee"),
                 Tok::KwIsA,
-                Tok::Ident("Person".into()),
+                Tok::Ident("Person"),
                 Tok::KwWith,
                 Tok::Eof
             ]
@@ -192,7 +202,12 @@ mod tests {
     fn spaced_is_a() {
         assert_eq!(
             toks("Patient is a Person"),
-            vec![Tok::Ident("Patient".into()), Tok::KwIsA, Tok::Ident("Person".into()), Tok::Eof]
+            vec![
+                Tok::Ident("Patient"),
+                Tok::KwIsA,
+                Tok::Ident("Person"),
+                Tok::Eof
+            ]
         );
     }
 
@@ -200,7 +215,7 @@ mod tests {
     fn is_not_followed_by_a_stays_ident() {
         assert_eq!(
             toks("is b"),
-            vec![Tok::Ident("is".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("is"), Tok::Ident("b"), Tok::Eof]
         );
     }
 
@@ -209,18 +224,18 @@ mod tests {
         assert_eq!(
             toks("age: 16..65; state: {'AL, 'WV}"),
             vec![
-                Tok::Ident("age".into()),
+                Tok::Ident("age"),
                 Tok::Colon,
                 Tok::Int(16),
                 Tok::DotDot,
                 Tok::Int(65),
                 Tok::Semi,
-                Tok::Ident("state".into()),
+                Tok::Ident("state"),
                 Tok::Colon,
                 Tok::LBrace,
-                Tok::Quoted("AL".into()),
+                Tok::Quoted("AL"),
                 Tok::Comma,
-                Tok::Quoted("WV".into()),
+                Tok::Quoted("WV"),
                 Tok::RBrace,
                 Tok::Eof
             ]
@@ -229,7 +244,10 @@ mod tests {
 
     #[test]
     fn negative_ints() {
-        assert_eq!(toks("-40..120"), vec![Tok::Int(-40), Tok::DotDot, Tok::Int(120), Tok::Eof]);
+        assert_eq!(
+            toks("-40..120"),
+            vec![Tok::Int(-40), Tok::DotDot, Tok::Int(120), Tok::Eof]
+        );
     }
 
     #[test]
@@ -238,9 +256,9 @@ mod tests {
             toks("class A -- the A class\nclass B // another\n"),
             vec![
                 Tok::KwClass,
-                Tok::Ident("A".into()),
+                Tok::Ident("A"),
                 Tok::KwClass,
-                Tok::Ident("B".into()),
+                Tok::Ident("B"),
                 Tok::Eof
             ]
         );
@@ -248,7 +266,7 @@ mod tests {
 
     #[test]
     fn hash_in_identifier() {
-        assert_eq!(toks("room#"), vec![Tok::Ident("room#".into()), Tok::Eof]);
+        assert_eq!(toks("room#"), vec![Tok::Ident("room#"), Tok::Eof]);
     }
 
     #[test]

@@ -15,120 +15,161 @@
 //!           | IDENT ("[" attrs "]")?     -- String/Integer/None/AnyEntity special-cased
 //! ```
 
-use crate::ast::{AttrAst, ClassAst, ExcuseAst, RangeAst, SchemaAst, SuperAst};
+use std::collections::HashMap;
+
+use crate::ast::{AttrAst, ClassAst, ExcuseAst, Name, RangeAst, SchemaAst, SuperAst};
 use crate::error::SdlError;
-use crate::lexer::lex;
-use crate::token::{Pos, Spanned, Tok};
+use crate::lexer::Lexer;
+use crate::token::{Spanned, Tok};
+
+/// How deeply records and refinements may nest: one level more is a
+/// syntax error, where a deeper input would overflow the stack of the
+/// passes that walk ranges recursively.
+pub const MAX_RECORD_DEPTH: usize = 1000;
 
 /// Parses SDL source text into an AST.
-pub fn parse(src: &str) -> Result<SchemaAst, SdlError> {
-    let toks = lex(src)?;
-    Parser { toks, at: 0 }.schema()
+pub fn parse(src: &str) -> Result<SchemaAst<'_>, SdlError> {
+    let mut lexer = Lexer::new(src);
+    let cur = lexer.next_token()?;
+    let mut p = Parser {
+        lexer,
+        cur,
+        lex_err: None,
+        index: HashMap::new(),
+        names: Vec::new(),
+        excuses: Vec::new(),
+        depth: 0,
+    };
+    let classes = p.classes();
+    // Read on past a syntax error: the first lexical error in the source
+    // is the one reported, wherever it is.
+    while p.cur.tok != Tok::Eof {
+        p.pull();
+    }
+    if let Some(e) = p.lex_err {
+        return Err(e);
+    }
+    let (classes, names) = (classes?, p.names);
+    Ok(SchemaAst { classes, names })
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
-    at: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token; [`Tok::Eof`] once the lexer has failed.
+    cur: Spanned<'a>,
+    lex_err: Option<SdlError>,
+    index: HashMap<&'a str, Name>,
+    names: Vec<&'a str>,
+    /// Scratch for one declaration's clauses, so each list is allocated once.
+    excuses: Vec<ExcuseAst>,
+    depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+impl<'a> Parser<'a> {
+    fn pull(&mut self) {
+        match self.lexer.next_token() {
+            Ok(next) => self.cur = next,
+            Err(e) => (self.cur.tok, self.lex_err) = (Tok::Eof, Some(e)),
+        }
     }
 
-    fn pos(&self) -> Pos {
-        self.toks[self.at].pos
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
-        if self.at + 1 < self.toks.len() {
-            self.at += 1;
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.cur.tok;
+        if t != Tok::Eof {
+            self.pull();
         }
         t
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
-        if self.peek() == want {
+    fn eat(&mut self, want: Tok<'_>) -> bool {
+        let hit = self.cur.tok == want;
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect(&mut self, want: Tok, ctx: &str) -> Result<(), SdlError> {
-        if self.peek() == &want {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.unexpected(ctx))
-        }
+    fn expect(&mut self, want: Tok<'_>, ctx: &str) -> Result<(), SdlError> {
+        self.eat(want)
+            .then_some(())
+            .ok_or_else(|| self.unexpected(ctx))
     }
 
     fn unexpected(&self, expected: &str) -> SdlError {
         SdlError::Parse {
-            pos: self.pos(),
+            pos: self.cur.pos,
             expected: expected.to_string(),
-            found: self.peek().to_string(),
+            found: self.cur.tok.to_string(),
         }
     }
 
-    fn ident(&mut self, ctx: &str) -> Result<String, SdlError> {
-        match self.peek() {
-            Tok::Ident(_) => {
-                let Tok::Ident(s) = self.bump() else { unreachable!() };
-                Ok(s)
-            }
-            _ => Err(self.unexpected(ctx)),
-        }
+    /// The id of `text`, numbering names in order of first occurrence.
+    fn name(&mut self, text: &'a str) -> Name {
+        let next = Name(u32::try_from(self.names.len()).expect("name id overflow"));
+        *self.index.entry(text).or_insert_with(|| {
+            self.names.push(text);
+            next
+        })
     }
 
-    fn schema(mut self) -> Result<SchemaAst, SdlError> {
+    fn ident(&mut self, ctx: &str) -> Result<Name, SdlError> {
+        let Tok::Ident(s) = self.cur.tok else {
+            return Err(self.unexpected(ctx));
+        };
+        self.bump();
+        Ok(self.name(s))
+    }
+
+    fn classes(&mut self) -> Result<Vec<ClassAst>, SdlError> {
         let mut classes = Vec::new();
-        while !matches!(self.peek(), Tok::Eof) {
+        while self.cur.tok != Tok::Eof {
             classes.push(self.class()?);
         }
-        Ok(SchemaAst { classes })
+        Ok(classes)
     }
 
     fn class(&mut self) -> Result<ClassAst, SdlError> {
-        let pos = self.pos();
+        let pos = self.cur.pos;
         self.expect(Tok::KwClass, "`class`")?;
         let name = self.ident("a class name")?;
         let mut supers = Vec::new();
-        if self.eat(&Tok::KwIsA) {
+        if self.eat(Tok::KwIsA) {
             loop {
-                let pos = self.pos();
+                let pos = self.cur.pos;
                 let name = self.ident("a superclass name")?;
                 supers.push(SuperAst { name, pos });
-                if !self.eat(&Tok::Comma) {
+                if !self.eat(Tok::Comma) {
                     break;
                 }
             }
         }
         let mut attrs = Vec::new();
-        if self.eat(&Tok::KwWith) {
+        if self.eat(Tok::KwWith) {
             attrs = self.attrs(&[Tok::KwClass, Tok::Eof])?;
         }
         // Optional trailing semicolon after a class body.
-        self.eat(&Tok::Semi);
-        Ok(ClassAst { name, supers, attrs, pos })
+        self.eat(Tok::Semi);
+        Ok(ClassAst {
+            name,
+            supers,
+            attrs,
+            pos,
+        })
     }
 
     /// Parses `attr (; attr)* ;?` until one of `stops` (not consumed).
-    fn attrs(&mut self, stops: &[Tok]) -> Result<Vec<AttrAst>, SdlError> {
+    fn attrs(&mut self, stops: &[Tok<'_>]) -> Result<Vec<AttrAst>, SdlError> {
         let mut out = Vec::new();
         loop {
-            if stops.contains(self.peek()) {
+            if stops.contains(&self.cur.tok) {
                 return Ok(out);
             }
             out.push(self.attr()?);
             // Attributes are separated by `;`; a stop token also ends the list.
-            if self.eat(&Tok::Semi) {
+            if self.eat(Tok::Semi) {
                 continue;
             }
-            if stops.contains(self.peek()) {
+            if stops.contains(&self.cur.tok) {
                 return Ok(out);
             }
             return Err(self.unexpected("`;` or the end of the attribute list"));
@@ -136,24 +177,30 @@ impl Parser {
     }
 
     fn attr(&mut self) -> Result<AttrAst, SdlError> {
-        let pos = self.pos();
+        let pos = self.cur.pos;
         let name = self.ident("an attribute name")?;
         self.expect(Tok::Colon, "`:` after attribute name")?;
         let range = self.range()?;
-        let mut excuses = Vec::new();
-        while matches!(self.peek(), Tok::KwExcuses) {
-            let pos = self.pos();
+        self.excuses.clear();
+        while self.cur.tok == Tok::KwExcuses {
+            let pos = self.cur.pos;
             self.bump();
             let attr = self.ident("the excused attribute's name")?;
             self.expect(Tok::KwOn, "`on`")?;
             let on = self.ident("the excused class's name")?;
-            excuses.push(ExcuseAst { attr, on, pos });
+            self.excuses.push(ExcuseAst { attr, on, pos });
         }
-        Ok(AttrAst { name, range, excuses, pos })
+        let excuses = self.excuses.as_slice().into();
+        Ok(AttrAst {
+            name,
+            range,
+            excuses,
+            pos,
+        })
     }
 
     fn range(&mut self) -> Result<RangeAst, SdlError> {
-        match self.peek().clone() {
+        match self.cur.tok {
             Tok::Int(lo) => {
                 self.bump();
                 self.expect(Tok::DotDot, "`..` in integer range")?;
@@ -167,7 +214,7 @@ impl Parser {
                 let mut toks = Vec::new();
                 loop {
                     match self.bump() {
-                        Tok::Quoted(t) => toks.push(t),
+                        Tok::Quoted(t) => toks.push(self.name(t)),
                         _ => return Err(self.unexpected("an enumeration token like `'Dove`")),
                     }
                     match self.bump() {
@@ -178,32 +225,35 @@ impl Parser {
                 }
                 Ok(RangeAst::Enum(toks))
             }
-            Tok::LBracket => {
-                self.bump();
-                let fields = self.attrs(&[Tok::RBracket])?;
-                self.expect(Tok::RBracket, "`]`")?;
-                Ok(RangeAst::Record(fields))
-            }
+            Tok::LBracket => Ok(RangeAst::Record(self.record()?)),
             Tok::Ident(name) => {
                 self.bump();
-                match name.as_str() {
-                    "String" => Ok(RangeAst::Str),
-                    "Integer" => Ok(RangeAst::Integer),
-                    "None" => Ok(RangeAst::None),
-                    "AnyEntity" | "ANYENTITY" => Ok(RangeAst::AnyEntity),
-                    _ => {
-                        if self.eat(&Tok::LBracket) {
-                            let fields = self.attrs(&[Tok::RBracket])?;
-                            self.expect(Tok::RBracket, "`]`")?;
-                            Ok(RangeAst::Refined(name, fields))
-                        } else {
-                            Ok(RangeAst::Named(name))
-                        }
+                Ok(match name {
+                    "String" => RangeAst::Str,
+                    "Integer" => RangeAst::Integer,
+                    "None" => RangeAst::None,
+                    "AnyEntity" | "ANYENTITY" => RangeAst::AnyEntity,
+                    _ if self.cur.tok == Tok::LBracket => {
+                        RangeAst::Refined(self.name(name), self.record()?)
                     }
-                }
+                    _ => RangeAst::Named(self.name(name)),
+                })
             }
             _ => Err(self.unexpected("a range (integer interval, enumeration, class, or record)")),
         }
+    }
+
+    /// Parses `[ attrs ]`, at most [`MAX_RECORD_DEPTH`] deep.
+    fn record(&mut self) -> Result<Vec<AttrAst>, SdlError> {
+        if self.depth == MAX_RECORD_DEPTH {
+            return Err(self.unexpected(&format!("records nested at most {MAX_RECORD_DEPTH} deep")));
+        }
+        self.depth += 1;
+        self.bump();
+        let fields = self.attrs(&[Tok::RBracket])?;
+        self.expect(Tok::RBracket, "`]`")?;
+        self.depth -= 1;
+        Ok(fields)
     }
 }
 
@@ -229,9 +279,12 @@ mod tests {
         ";
         let ast = parse(src).unwrap();
         assert_eq!(ast.classes.len(), 3);
-        assert_eq!(ast.classes[0].name, "Address");
-        let supers: Vec<&str> =
-            ast.classes[2].supers.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(ast.name(ast.classes[0].name), "Address");
+        let supers: Vec<&str> = ast.classes[2]
+            .supers
+            .iter()
+            .map(|s| ast.name(s.name))
+            .collect();
         assert_eq!(supers, vec!["Person"]);
         assert_eq!(ast.classes[2].attrs.len(), 3);
         assert_eq!(ast.classes[2].attrs[0].range, RangeAst::Int(16, 65));
@@ -246,8 +299,8 @@ mod tests {
         let ast = parse(src).unwrap();
         let attr = &ast.classes[0].attrs[0];
         assert_eq!(attr.excuses.len(), 1);
-        assert_eq!(attr.excuses[0].attr, "treatedBy");
-        assert_eq!(attr.excuses[0].on, "Patient");
+        assert_eq!(ast.name(attr.excuses[0].attr), "treatedBy");
+        assert_eq!(ast.name(attr.excuses[0].on), "Patient");
     }
 
     #[test]
@@ -267,21 +320,30 @@ mod tests {
         let RangeAst::Refined(base, fields) = &attr.range else {
             panic!("expected refined class range");
         };
-        assert_eq!(base, "Hospital");
+        assert_eq!(ast.name(*base), "Hospital");
         assert_eq!(fields.len(), 2);
-        assert_eq!(fields[0].excuses[0].on, "Hospital");
+        assert_eq!(ast.name(fields[0].excuses[0].on), "Hospital");
         let RangeAst::Refined(base2, inner) = &fields[1].range else {
             panic!("expected nested refined range");
         };
-        assert_eq!(base2, "Address");
-        assert_eq!(inner[1].range, RangeAst::Enum(vec!["Switzerland".into()]));
+        assert_eq!(ast.name(*base2), "Address");
+        let RangeAst::Enum(toks) = &inner[1].range else {
+            panic!("expected an enumeration");
+        };
+        assert_eq!(
+            toks.iter().map(|&t| ast.name(t)).collect::<Vec<_>>(),
+            ["Switzerland"]
+        );
     }
 
     #[test]
     fn parses_multiple_supers() {
         let ast = parse("class Dick is-a Quaker, Republican").unwrap();
-        let supers: Vec<&str> =
-            ast.classes[0].supers.iter().map(|s| s.name.as_str()).collect();
+        let supers: Vec<&str> = ast.classes[0]
+            .supers
+            .iter()
+            .map(|s| ast.name(s.name))
+            .collect();
         assert_eq!(supers, vec!["Quaker", "Republican"]);
         // Each superclass reference carries its own position.
         assert_eq!(ast.classes[0].supers[0].pos.col, 17);
@@ -323,10 +385,7 @@ mod tests {
 
     #[test]
     fn special_type_names() {
-        let ast = parse(
-            "class T with a: Integer; b: None; c: AnyEntity; d: String",
-        )
-        .unwrap();
+        let ast = parse("class T with a: Integer; b: None; c: AnyEntity; d: String").unwrap();
         let rs: Vec<&RangeAst> = ast.classes[0].attrs.iter().map(|a| &a.range).collect();
         assert_eq!(rs[0], &RangeAst::Integer);
         assert_eq!(rs[1], &RangeAst::None);

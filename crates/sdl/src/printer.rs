@@ -67,8 +67,10 @@ fn print_range(schema: &Schema, range: &Range, depth: usize, out: &mut String) {
         Range::None => out.push_str("None"),
         Range::AnyEntity => out.push_str("AnyEntity"),
         Range::Enum(toks) => {
-            let mut names: Vec<String> =
-                toks.iter().map(|t| format!("'{}", schema.resolve(*t))).collect();
+            let mut names: Vec<String> = toks
+                .iter()
+                .map(|t| format!("'{}", schema.resolve(*t)))
+                .collect();
             names.sort();
             write!(out, "{{{}}}", names.join(", ")).unwrap();
         }
@@ -124,7 +126,10 @@ mod tests {
         let text = print_schema(&schema);
         let schema2 = compile(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
         let text2 = print_schema(&schema2);
-        assert_eq!(text, text2, "printer must be a fixed point of compile∘print");
+        assert_eq!(
+            text, text2,
+            "printer must be a fixed point of compile∘print"
+        );
     }
 
     #[test]

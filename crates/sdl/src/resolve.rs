@@ -11,9 +11,11 @@
 //! Structural errors raised by the builder are wrapped with the nearest
 //! source position.
 
-use chc_model::{AttrSpec, ClassId, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym};
+use chc_model::{
+    AttrSpec, ClassId, Excuse, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym,
+};
 
-use crate::ast::{AttrAst, RangeAst, SchemaAst};
+use crate::ast::{AttrAst, ExcuseAst, Name, RangeAst, SchemaAst};
 use crate::error::SdlError;
 use crate::parser::parse;
 use crate::token::Pos;
@@ -30,88 +32,171 @@ use crate::token::Pos;
 /// assert!(schema.is_strict_subclass(employee, person));
 /// ```
 pub fn compile(src: &str) -> Result<Schema, SdlError> {
-    let _span = chc_obs::span(chc_obs::names::SPAN_SDL_COMPILE);
-    let _mem = chc_obs::memalloc::span_mem(
-        chc_obs::names::MEM_SDL_COMPILE_BYTES,
-        chc_obs::names::MEM_SDL_COMPILE_PEAK,
-    );
-    lower_with_file(&parse(src)?, None)
+    compile_in(src, None)
 }
 
 /// Like [`compile`], but records `file` in the schema's
 /// [`SourceMap`](chc_model::SourceMap), so diagnostics over the resulting
 /// schema render positions as `file:line:col` rather than `line:col`.
 pub fn compile_with_source(src: &str, file: &str) -> Result<Schema, SdlError> {
+    compile_in(src, Some(file))
+}
+
+fn compile_in(src: &str, file: Option<&str>) -> Result<Schema, SdlError> {
     let _span = chc_obs::span(chc_obs::names::SPAN_SDL_COMPILE);
     let _mem = chc_obs::memalloc::span_mem(
         chc_obs::names::MEM_SDL_COMPILE_BYTES,
         chc_obs::names::MEM_SDL_COMPILE_PEAK,
     );
-    lower_with_file(&parse(src)?, Some(file))
+    // Bound here, the AST is dropped inside the span and counted in it.
+    let ast = parse(src)?;
+    lower(&ast, file)
 }
 
-/// Lowers an already-parsed AST.
-pub fn lower(ast: &SchemaAst) -> Result<Schema, SdlError> {
-    lower_with_file(ast, None)
-}
-
-fn lower_with_file(ast: &SchemaAst, file: Option<&str>) -> Result<Schema, SdlError> {
-    let mut b = SchemaBuilder::new();
+/// Lowers an already-parsed AST, recording `file` in the source map as
+/// [`compile_with_source`] does.
+pub fn lower(ast: &SchemaAst<'_>, file: Option<&str>) -> Result<Schema, SdlError> {
+    let mut l = Lower {
+        ast,
+        b: SchemaBuilder::new(),
+        syms: vec![None; ast.names.len()],
+        classes: vec![None; ast.names.len()],
+    };
     if let Some(f) = file {
-        b.source_map_mut().set_file(f);
+        l.b.source_map_mut().set_file(f);
     }
     // Pass 1: declare every class name.
     for class in &ast.classes {
         // On a duplicate, `class.pos` is the second occurrence.
-        model_at(b.declare(&class.name), class.pos)?;
+        let id = model_at(l.b.declare(ast.name(class.name)), class.pos)?;
+        l.classes[class.name.index()] = Some(id);
     }
     // Pass 2: supers and attributes.
     for class in &ast.classes {
-        let id = b.class_id(&class.name).expect("declared in pass 1");
-        b.record_class_span(id, span(class.pos));
+        let id = l.classes[class.name.index()].expect("declared in pass 1");
+        l.b.record_class_span(id, span(class.pos));
         for sup in &class.supers {
-            let sup_id = resolve_class(&b, &sup.name, sup.pos)?;
-            model_at(b.add_super(id, sup_id), sup.pos)?;
-            b.source_map_mut().record_super(id, sup_id, span(sup.pos));
+            let sup_id = l.class(sup.name, sup.pos)?;
+            model_at(l.b.add_super(id, sup_id), sup.pos)?;
+            l.b.source_map_mut().record_super(id, sup_id, span(sup.pos));
         }
         for attr in &class.attrs {
-            let spec = lower_attr_spec(&mut b, attr)?;
-            let attr_sym = b.intern(&attr.name);
-            model_at(b.add_attr(id, &attr.name, spec), attr.pos)?;
-            b.source_map_mut().record_attr(id, attr_sym, span(attr.pos));
-            for exc in &attr.excuses {
-                let on = resolve_class(&b, &exc.on, exc.pos)?;
-                let excused = b.intern(&exc.attr);
-                b.source_map_mut().record_excuse(id, excused, on, span(exc.pos));
+            // A declaration's range and excused names are interned before
+            // its own name: `Sym` order is pinned, as it orders attributes.
+            let spec = l.attr_spec(attr)?;
+            let attr_sym = l.sym(attr.name);
+            let map = l.b.source_map_mut();
+            map.record_attr(id, attr_sym, span(attr.pos));
+            for (exc, at) in spec.excuses.iter().zip(&attr.excuses) {
+                map.record_excuse(id, exc.attr, exc.on, span(at.pos));
             }
+            model_at(l.b.add_attr(id, ast.name(attr.name), spec), attr.pos)?;
         }
     }
-    b.build()
-        .map_err(|err| SdlError::Model { pos: build_error_pos(ast, &err), err })
+    l.b.build().map_err(|err| SdlError::Model {
+        pos: build_error_pos(ast, &err),
+        err,
+    })
+}
+
+/// Lowering state: each parse-local [`Name`] maps to its `Sym` and its
+/// class, each resolved through the builder at most once.
+struct Lower<'s, 'a> {
+    ast: &'s SchemaAst<'a>,
+    b: SchemaBuilder,
+    syms: Vec<Option<Sym>>,
+    classes: Vec<Option<ClassId>>,
+}
+
+impl Lower<'_, '_> {
+    fn sym(&mut self, name: Name) -> Sym {
+        let (b, text) = (&mut self.b, self.ast.name(name));
+        *self.syms[name.index()].get_or_insert_with(|| b.intern(text))
+    }
+
+    fn class(&self, name: Name, pos: Pos) -> Result<ClassId, SdlError> {
+        self.classes[name.index()].ok_or_else(|| SdlError::UnknownClass {
+            pos,
+            name: self.ast.name(name).to_string(),
+        })
+    }
+
+    fn attr_spec(&mut self, attr: &AttrAst) -> Result<AttrSpec, SdlError> {
+        let range = self.range(&attr.range, attr.pos)?;
+        let mut excuses = Vec::with_capacity(attr.excuses.len());
+        for exc in &attr.excuses {
+            let on = self.class(exc.on, exc.pos)?;
+            let attr = self.sym(exc.attr);
+            excuses.push(Excuse { attr, on });
+        }
+        Ok(AttrSpec { range, excuses })
+    }
+
+    fn range(&mut self, range: &RangeAst, pos: Pos) -> Result<Range, SdlError> {
+        Ok(match range {
+            RangeAst::Int(lo, hi) => model_at(Range::int(*lo, *hi), pos)?,
+            RangeAst::Str => Range::Str,
+            RangeAst::Integer => Range::Int {
+                lo: i64::MIN,
+                hi: i64::MAX,
+            },
+            RangeAst::None => Range::None,
+            RangeAst::AnyEntity => Range::AnyEntity,
+            RangeAst::Enum(toks) => {
+                model_at(Range::enumeration(toks.iter().map(|&t| self.sym(t))), pos)?
+            }
+            RangeAst::Named(name) => Range::Class(self.class(*name, pos)?),
+            RangeAst::Refined(name, fields) => {
+                let base = self.class(*name, pos)?;
+                self.record(Some(base), fields, pos)?
+            }
+            RangeAst::Record(fields) => self.record(None, fields, pos)?,
+        })
+    }
+
+    fn record(
+        &mut self,
+        base: Option<ClassId>,
+        fields: &[AttrAst],
+        pos: Pos,
+    ) -> Result<Range, SdlError> {
+        let mut specs = Vec::with_capacity(fields.len());
+        for f in fields {
+            // A field's name is interned before its range.
+            let name = self.sym(f.name);
+            let spec = self.attr_spec(f)?;
+            specs.push(FieldSpec { name, spec });
+        }
+        let resolve = |s: Sym| {
+            fields
+                .iter()
+                .find(|f| self.syms[f.name.index()] == Some(s))
+                .map_or_else(|| format!("{s:?}"), |f| self.ast.name(f.name).to_string())
+        };
+        model_at(Range::record(&resolve, base, specs), pos)
+    }
 }
 
 fn span(p: Pos) -> chc_model::Span {
-    chc_model::Span { line: p.line, col: p.col }
+    let Pos { line, col } = p;
+    chc_model::Span { line, col }
 }
 
 /// Wraps a builder error with the source position of the declaration
 /// being lowered.
 fn model_at<T>(r: Result<T, ModelError>, pos: Pos) -> Result<T, SdlError> {
-    r.map_err(|err| SdlError::Model { pos: Some(pos), err })
+    let pos = Some(pos);
+    r.map_err(|err| SdlError::Model { pos, err })
 }
 
-/// Best-effort position for an error raised at `build()` time, when the
-/// builder no longer knows which declaration was at fault.
-fn build_error_pos(ast: &SchemaAst, err: &ModelError) -> Option<Pos> {
-    let class_pos =
-        |name: &str| ast.classes.iter().find(|c| c.name == name).map(|c| c.pos);
+/// The position for an error `build()` raises, which no longer knows the
+/// declaration at fault: a class on an is-a cycle, or an excuse clause.
+fn build_error_pos(ast: &SchemaAst<'_>, err: &ModelError) -> Option<Pos> {
     match err {
-        ModelError::IsACycle(name)
-        | ModelError::DuplicateClass(name)
-        | ModelError::UnknownClass(name) => class_pos(name),
-        ModelError::DuplicateAttr { class, .. }
-        | ModelError::DuplicateSuper { class, .. }
-        | ModelError::UnknownAttr { class, .. } => class_pos(class),
+        ModelError::IsACycle(name) => {
+            let class = ast.classes.iter().find(|c| ast.name(c.name) == name);
+            class.map(|c| c.pos)
+        }
         ModelError::ExcusedAttrUndeclared { on, attr } => excuse_pos(ast, on, attr),
         _ => None,
     }
@@ -119,81 +204,24 @@ fn build_error_pos(ast: &SchemaAst, err: &ModelError) -> Option<Pos> {
 
 /// Finds the `excuses attr on C` clause naming `on`/`attr`, including
 /// clauses nested inside record ranges.
-fn excuse_pos(ast: &SchemaAst, on: &str, attr: &str) -> Option<Pos> {
-    fn scan(attrs: &[AttrAst], on: &str, attr: &str) -> Option<Pos> {
+fn excuse_pos(ast: &SchemaAst<'_>, on: &str, attr: &str) -> Option<Pos> {
+    fn scan(ast: &SchemaAst<'_>, attrs: &[AttrAst], on: &str, attr: &str) -> Option<Pos> {
         for a in attrs {
-            if let Some(e) = a.excuses.iter().find(|e| e.on == on && e.attr == attr) {
+            let named = |e: &&ExcuseAst| ast.name(e.on) == on && ast.name(e.attr) == attr;
+            if let Some(e) = a.excuses.iter().find(named) {
                 return Some(e.pos);
             }
             if let RangeAst::Refined(_, fields) | RangeAst::Record(fields) = &a.range {
-                if let Some(p) = scan(fields, on, attr) {
+                if let Some(p) = scan(ast, fields, on, attr) {
                     return Some(p);
                 }
             }
         }
         None
     }
-    ast.classes.iter().find_map(|c| scan(&c.attrs, on, attr))
-}
-
-fn resolve_class(b: &SchemaBuilder, name: &str, pos: Pos) -> Result<ClassId, SdlError> {
-    b.class_id(name)
-        .ok_or_else(|| SdlError::UnknownClass { pos, name: name.to_string() })
-}
-
-fn lower_attr_spec(b: &mut SchemaBuilder, attr: &AttrAst) -> Result<AttrSpec, SdlError> {
-    let range = lower_range(b, &attr.range, attr.pos)?;
-    let mut spec = AttrSpec::plain(range);
-    for exc in &attr.excuses {
-        let on = resolve_class(b, &exc.on, exc.pos)?;
-        let attr_sym = b.intern(&exc.attr);
-        spec = spec.excusing(attr_sym, on);
-    }
-    Ok(spec)
-}
-
-fn lower_range(b: &mut SchemaBuilder, range: &RangeAst, pos: Pos) -> Result<Range, SdlError> {
-    Ok(match range {
-        RangeAst::Int(lo, hi) => model_at(Range::int(*lo, *hi), pos)?,
-        RangeAst::Str => Range::Str,
-        RangeAst::Integer => Range::Int { lo: i64::MIN, hi: i64::MAX },
-        RangeAst::None => Range::None,
-        RangeAst::AnyEntity => Range::AnyEntity,
-        RangeAst::Enum(toks) => {
-            let syms: Vec<Sym> = toks.iter().map(|t| b.intern(t)).collect();
-            model_at(Range::enumeration(syms), pos)?
-        }
-        RangeAst::Named(name) => Range::Class(resolve_class(b, name, pos)?),
-        RangeAst::Refined(name, fields) => {
-            let base = resolve_class(b, name, pos)?;
-            lower_record(b, Some(base), fields, pos)?
-        }
-        RangeAst::Record(fields) => lower_record(b, None, fields, pos)?,
-    })
-}
-
-fn lower_record(
-    b: &mut SchemaBuilder,
-    base: Option<ClassId>,
-    fields: &[AttrAst],
-    pos: Pos,
-) -> Result<Range, SdlError> {
-    let mut specs = Vec::with_capacity(fields.len());
-    let mut names: Vec<(Sym, String)> = Vec::with_capacity(fields.len());
-    for f in fields {
-        let name = b.intern(&f.name);
-        names.push((name, f.name.clone()));
-        let spec = lower_attr_spec(b, f)?;
-        specs.push(FieldSpec { name, spec });
-    }
-    let resolve = move |s: Sym| {
-        names
-            .iter()
-            .find(|(sym, _)| *sym == s)
-            .map(|(_, n)| n.clone())
-            .unwrap_or_else(|| format!("{s:?}"))
-    };
-    model_at(Range::record(&resolve, base, specs), pos)
+    ast.classes
+        .iter()
+        .find_map(|c| scan(ast, &c.attrs, on, attr))
 }
 
 #[cfg(test)]
@@ -281,14 +309,21 @@ mod tests {
         let tb = schema.class_by_name("Tubercular_Patient").unwrap();
         let treated_at = schema.sym("treatedAt").unwrap();
         let decl = schema.declared_attr(tb, treated_at).unwrap();
-        let Range::Record { base: Some(base), fields } = &decl.spec.range else {
+        let Range::Record {
+            base: Some(base),
+            fields,
+        } = &decl.spec.range
+        else {
             panic!("expected refined record range");
         };
         assert_eq!(*base, schema.class_by_name("Hospital").unwrap());
         assert_eq!(fields.len(), 2);
         let acc = &fields[0];
         assert_eq!(acc.spec.excuses.len(), 1);
-        assert_eq!(acc.spec.excuses[0].on, schema.class_by_name("Hospital").unwrap());
+        assert_eq!(
+            acc.spec.excuses[0].on,
+            schema.class_by_name("Hospital").unwrap()
+        );
     }
 
     #[test]
@@ -296,7 +331,10 @@ mod tests {
         // The duplicate is the second `class A`, at column 10.
         let err = compile("class A; class A").unwrap_err();
         match err {
-            SdlError::Model { pos: Some(pos), err: ModelError::DuplicateClass(name) } => {
+            SdlError::Model {
+                pos: Some(pos),
+                err: ModelError::DuplicateClass(name),
+            } => {
                 assert_eq!(name, "A");
                 assert_eq!((pos.line, pos.col), (1, 10));
             }
@@ -306,7 +344,10 @@ mod tests {
         // the classes on the cycle.
         let err = compile("class A is-a B; class B is-a A").unwrap_err();
         match err {
-            SdlError::Model { pos, err: ModelError::IsACycle(_) } => assert!(pos.is_some()),
+            SdlError::Model {
+                pos,
+                err: ModelError::IsACycle(_),
+            } => assert!(pos.is_some()),
             other => panic!("unexpected error {other:?}"),
         }
     }
@@ -360,6 +401,12 @@ mod tests {
         let t = schema.class_by_name("T").unwrap();
         let salary = schema.sym("salary").unwrap();
         let decl = schema.declared_attr(t, salary).unwrap();
-        assert_eq!(decl.spec.range, Range::Int { lo: i64::MIN, hi: i64::MAX });
+        assert_eq!(
+            decl.spec.range,
+            Range::Int {
+                lo: i64::MIN,
+                hi: i64::MAX
+            }
+        );
     }
 }

@@ -11,20 +11,15 @@ pub struct Pos {
     pub col: u32,
 }
 
-impl Pos {
-    /// The start of a source text.
-    pub const START: Pos = Pos { line: 1, col: 1 };
-}
-
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)
     }
 }
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// One lexical token; names are slices of the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// `class`
     KwClass,
     /// `with`
@@ -37,9 +32,9 @@ pub enum Tok {
     KwIsA,
     /// An identifier: class or attribute name, or type keyword such as
     /// `String`, `Integer`, `None`, `AnyEntity` (disambiguated by the parser).
-    Ident(String),
+    Ident(&'a str),
     /// An enumeration token, e.g. `'Dove`.
-    Quoted(String),
+    Quoted(&'a str),
     /// An integer literal (possibly negative).
     Int(i64),
     /// `:`
@@ -62,7 +57,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::KwClass => write!(f, "`class`"),
@@ -87,10 +82,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where it starts.
     pub pos: Pos,
 }

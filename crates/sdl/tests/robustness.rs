@@ -45,8 +45,8 @@ fn parser_never_panics_on_arbitrary_input() {
 #[test]
 fn parser_never_panics_on_sdl_like_input() {
     const WORDS: &[&str] = &[
-        "class", "is-a", "with", "excuses", "on", "None", "String", "ident", "Abc", "x9_",
-        "12345", "0", "'Tok", "'a", ".", ";", ":", ",", "{", "}", "[", "]", "..", " ", "\n",
+        "class", "is-a", "with", "excuses", "on", "None", "String", "ident", "Abc", "x9_", "12345",
+        "0", "'Tok", "'a", ".", ";", ":", ",", "{", "}", "[", "]", "..", " ", "\n",
     ];
     let mut rng = Rng(0x5D1A);
     for _ in 0..512 {

@@ -13,8 +13,9 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo fmt --check (chc-obs), rustfmt --check (src/bin/chc.rs)"
+echo "==> cargo fmt --check (chc-obs, chc-sdl), rustfmt --check (src/bin/chc.rs)"
 cargo fmt --check -p chc-obs
+cargo fmt --check -p chc-sdl
 rustfmt --edition 2021 --check src/bin/chc.rs
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -58,6 +59,27 @@ for chd in tests/fixtures/malformed/*.chd "$deep"; do
     fi
 done
 rm -f "$deep"
+
+echo "==> malformed .sdl sweep: positioned errors (exit 2), never a crash"
+deep_sdl="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.sdl")"
+trap 'rm -f "$deep_sdl"' EXIT
+# A record type nested 20,000 deep: past the parser's nesting limit, and
+# deep enough to overflow the stack of a recursive parser.
+{
+    printf 'class A with x : '
+    printf '[x : %.0s' $(seq 20000)
+    printf '1..2'
+    printf ']%.0s' $(seq 20000)
+    printf ';\n'
+} >"$deep_sdl"
+for sdl in tests/fixtures/malformed/*.sdl "$deep_sdl"; do
+    rc=0
+    err="$(./target/release/chc check "$sdl" 2>&1 >/dev/null)" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "^error: $sdl: [0-9][0-9]*:[0-9][0-9]*: " <<<"$err"; then
+        echo "FAIL: chc check on $sdl exited $rc with: $err" >&2; exit 1
+    fi
+done
+rm -f "$deep_sdl"
 
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do

@@ -226,6 +226,71 @@ fn malformed_record_values_are_positioned_errors_not_crashes() {
 }
 
 #[test]
+fn malformed_schemas_are_positioned_errors_not_crashes() {
+    use excuses::sdl::parser::MAX_RECORD_DEPTH;
+    let run = |args: &[&str]| {
+        let out = chc(args);
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+
+    // The malformed fixtures and their exact stderr.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/malformed");
+    for (file, want) in [
+        ("parse-then-lex.sdl", "5:12: lexical error: stray `.` (did you mean `..`?)"),
+        ("stray-character.sdl", "4:9: lexical error: unexpected character `$`"),
+        (
+            "truncated-hospital.sdl",
+            "12:22: expected `;` or the end of the attribute list, found end of input",
+        ),
+    ] {
+        let path = dir.join(file);
+        let path = path.to_str().unwrap();
+        let (code, stderr) = run(&["check", path]);
+        assert_eq!(code, Some(2), "{file}: {stderr}");
+        assert_eq!(stderr, format!("error: {path}: {want}\n"), "{file}");
+    }
+
+    // Records nest at most MAX_RECORD_DEPTH deep in every command; one
+    // level more is a positioned error, and so is a schema deep enough to
+    // overflow the stack of a parser without the limit (exit 134).
+    let nested = |depth: usize| {
+        format!("class A with x : {}1..2{};\n", "[x : ".repeat(depth), "]".repeat(depth))
+    };
+    let commands = |path: &str| -> Vec<Vec<String>> {
+        let p = path.to_string();
+        vec![
+            vec!["check".into(), p.clone()],
+            vec!["lint".into(), p.clone()],
+            vec!["print".into(), p.clone()],
+            vec!["virtualize".into(), p.clone()],
+            vec!["diff".into(), p.clone(), p.clone()],
+            vec!["explain".into(), p, "A".into(), "x".into()],
+        ]
+    };
+    let at_limit = write_schema("deep-limit.sdl", &nested(MAX_RECORD_DEPTH));
+    for args in commands(at_limit.to_str().unwrap()) {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(0), "{}: {stderr}", args[0]);
+    }
+    // `class A with x : ` is 17 bytes and each `[x : ` 5 more.
+    let col = 17 + 5 * MAX_RECORD_DEPTH + 1;
+    for (name, depth) in [("deep-over.sdl", MAX_RECORD_DEPTH + 1), ("deep-20000.sdl", 20_000)] {
+        let path = write_schema(name, &nested(depth));
+        let path = path.to_str().unwrap();
+        let want = format!(
+            "error: {path}: 1:{col}: expected records nested at most {MAX_RECORD_DEPTH} deep, found `[`\n"
+        );
+        for args in commands(path) {
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let (code, stderr) = run(&args);
+            assert_eq!(code, Some(2), "{name} {}: {stderr}", args[0]);
+            assert_eq!(stderr, want, "{name} {}", args[0]);
+        }
+    }
+}
+
+#[test]
 fn check_with_stats_prints_nonzero_counters() {
     let schema = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/data/hospital.sdl");
     let out = chc(&["check", "--stats", schema.to_str().unwrap()]);

@@ -34,6 +34,16 @@ fn printer_round_trips_random_schemas() {
     }
 }
 
+/// The same on one large hierarchy, where every class, token and excused
+/// name is used many times over.
+#[test]
+fn printer_round_trips_a_400_class_hierarchy() {
+    let gen = generate(&HierarchyParams { classes: 400, ..Default::default() });
+    let text = print_schema(&gen.schema);
+    let reparsed = compile(&text).expect("printed schema reparses");
+    assert_eq!(print_schema(&reparsed), text);
+}
+
 /// The Correct semantics accepts everything Strict accepts (excuses
 /// only widen, never narrow, the valid population).
 #[test]
