@@ -333,11 +333,6 @@ impl Default for AuditRecorder {
 }
 
 impl Recorder for AuditRecorder {
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-    fn span_enter(&self, _name: &'static str) {}
-    fn span_exit(&self, _name: &'static str, _nanos: u64) {}
-
     fn reads_event_payloads(&self, level: EventLevel) -> bool {
         level >= self.min_level
     }

@@ -12,10 +12,10 @@
 //! * **Per-thread buffers.** Each thread writes to its own bounded ring
 //!   (drop-oldest, like [`crate::TraceRecorder`]), open-span stack and
 //!   counter list. A thread finds its buffer through a thread-local
-//!   table and registers it with the recorder once, on first use, which
-//!   fixes its dense thread index. A write is one relaxed sequence bump
-//!   plus the lock of the thread's own buffer, which only readers ever
-//!   contend for. Readers ([`FlightRecorder::tail`],
+//!   table and registers it with the recorder once, on first use, under
+//!   its process-wide [`crate::thread_index`]. A write is one relaxed
+//!   sequence bump plus the lock of the thread's own buffer, which only
+//!   readers ever contend for. Readers ([`FlightRecorder::tail`],
 //!   [`FlightRecorder::counters`], …) merge the buffers; the merged tail
 //!   is the last `capacity` transitions by sequence number, exactly what
 //!   one shared ring of that capacity would hold.
@@ -48,11 +48,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::json::{self, JsonValue};
+use crate::threads::{lock, thread_index, SpanStack, Ticker};
 use crate::{events, memalloc, Recorder};
 
 /// Default ring capacity: enough for a few thousand recent transitions
@@ -92,7 +92,7 @@ pub struct FlightEntry {
     pub seq: u64,
     /// Microseconds since the recorder was created.
     pub micros: u64,
-    /// Dense per-recorder thread index (order of first observation).
+    /// The writing thread's process-wide [`crate::thread_index`].
     pub thread: usize,
     /// Transition kind.
     pub kind: FlightKind,
@@ -104,10 +104,11 @@ pub struct FlightEntry {
 
 /// What one thread has recorded into one flight recorder.
 struct ThreadLog {
+    /// The thread's [`thread_index`].
+    thread: usize,
     ring: VecDeque<FlightEntry>,
     dropped: u64,
-    /// Open spans, outermost first.
-    stack: Vec<&'static str>,
+    stack: SpanStack<()>,
     /// Running totals per counter name, in order of first use.
     counters: Vec<(&'static str, u64)>,
 }
@@ -116,11 +117,7 @@ struct ThreadLog {
 /// the readers that merge the buffers. Aligned so that two threads'
 /// buffers never share a cache line.
 #[repr(align(128))]
-struct ThreadBuffer {
-    /// Dense thread index: the buffer's position in the registry.
-    index: usize,
-    log: Mutex<ThreadLog>,
-}
+struct ThreadBuffer(Mutex<ThreadLog>);
 
 /// Source of [`FlightRecorder`] ids. Ids are never reused, so a stale
 /// thread-local entry cannot alias a newer recorder.
@@ -130,16 +127,6 @@ thread_local! {
     /// This thread's buffer in each flight recorder it has written to,
     /// keyed by recorder id.
     static BUFFERS: RefCell<Vec<(u64, Arc<ThreadBuffer>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Locks `mutex` even if a panicking thread poisoned it: the crash
-/// report is read from a panic hook, and a black box that will not open
-/// after a crash defeats its purpose. Every update under these locks
-/// leaves the data consistent at each step (nothing in them panics
-/// short of an aborting allocation failure), so a poisoned guard is
-/// safe to read.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The sequence counter, alone on its cache line: every thread bumps
@@ -181,11 +168,11 @@ impl FlightRecorder {
         self.seq.0.load(Ordering::Relaxed)
     }
 
-    /// Calls `f` with every thread's log, in thread-index order, while
+    /// Calls `f` with every thread's log, in order of first use, while
     /// holding all of their locks.
     fn with_logs<R>(&self, f: impl FnOnce(&[&ThreadLog]) -> R) -> R {
         let threads = lock(&self.threads);
-        let guards: Vec<MutexGuard<'_, ThreadLog>> = threads.iter().map(|b| lock(&b.log)).collect();
+        let guards: Vec<MutexGuard<'_, ThreadLog>> = threads.iter().map(|b| lock(&b.0)).collect();
         let logs: Vec<&ThreadLog> = guards.iter().map(|g| &**g).collect();
         f(&logs)
     }
@@ -219,16 +206,17 @@ impl FlightRecorder {
         self.merged().0
     }
 
-    /// Open-span stacks per dense thread index, outermost first, for
-    /// threads that currently have at least one span open.
+    /// Open-span stacks by thread index, outermost first, for threads
+    /// that currently have at least one span open.
     pub fn open_spans(&self) -> Vec<(usize, Vec<&'static str>)> {
-        self.with_logs(|logs| {
+        let mut open: Vec<_> = self.with_logs(|logs| {
             logs.iter()
-                .enumerate()
-                .filter(|(_, log)| !log.stack.is_empty())
-                .map(|(idx, log)| (idx, log.stack.clone()))
+                .filter(|log| !log.stack.is_empty())
+                .map(|log| (log.thread, log.stack.names().collect()))
                 .collect()
-        })
+        });
+        open.sort_unstable_by_key(|&(thread, _)| thread);
+        open
     }
 
     /// True when any thread has an open span — the watchdog's "work
@@ -250,17 +238,14 @@ impl FlightRecorder {
 
     /// Registers a buffer for the calling thread.
     fn register(&self) -> Arc<ThreadBuffer> {
-        let mut threads = lock(&self.threads);
-        let buffer = Arc::new(ThreadBuffer {
-            index: threads.len(),
-            log: Mutex::new(ThreadLog {
-                ring: VecDeque::with_capacity(self.capacity),
-                dropped: 0,
-                stack: Vec::new(),
-                counters: Vec::new(),
-            }),
-        });
-        threads.push(buffer.clone());
+        let buffer = Arc::new(ThreadBuffer(Mutex::new(ThreadLog {
+            thread: thread_index(),
+            ring: VecDeque::with_capacity(self.capacity),
+            dropped: 0,
+            stack: SpanStack::default(),
+            counters: Vec::new(),
+        })));
+        lock(&self.threads).push(buffer.clone());
         buffer
     }
 
@@ -276,17 +261,11 @@ impl FlightRecorder {
                     buffers.len() - 1
                 }
             };
-            let buffer = &buffers[at].1;
-            let mut log = lock(&buffer.log);
+            let mut guard = lock(&buffers[at].1 .0);
+            let log = &mut *guard;
             match kind {
-                FlightKind::SpanEnter => log.stack.push(name),
-                FlightKind::SpanExit => {
-                    // Tolerate malformed exits the way the sampler does:
-                    // truncate at the innermost match, never tear the stack.
-                    if let Some(pos) = log.stack.iter().rposition(|&n| n == name) {
-                        log.stack.truncate(pos);
-                    }
-                }
+                FlightKind::SpanEnter => log.stack.enter(name, ()),
+                FlightKind::SpanExit => log.stack.exit(name, |_, _, ()| {}),
                 FlightKind::Counter => match log.counters.iter_mut().find(|(n, _)| *n == name) {
                     Some((_, total)) => *total += value,
                     None => log.counters.push((name, value)),
@@ -300,7 +279,7 @@ impl FlightRecorder {
             log.ring.push_back(FlightEntry {
                 seq: self.seq.0.fetch_add(1, Ordering::Relaxed),
                 micros: self.start.elapsed().as_micros() as u64,
-                thread: buffer.index,
+                thread: log.thread,
                 kind,
                 name,
                 value,
@@ -320,11 +299,6 @@ impl Recorder for FlightRecorder {
         self.record(FlightKind::Counter, name, delta);
     }
 
-    fn histogram(&self, _name: &'static str, _value: u64) {
-        // Histogram observations ride hot loops; the black box keeps
-        // counters and span transitions only.
-    }
-
     fn span_enter(&self, name: &'static str) {
         self.record(FlightKind::SpanEnter, name, 0);
     }
@@ -338,8 +312,8 @@ impl Recorder for FlightRecorder {
     }
 
     // reads_event_payloads stays false: the ring keeps event names only.
-    // labeled_counter / labeled_histogram / distinct keep the default
-    // no-op: per-label attribution is the profiler's job.
+    // Histograms (they ride hot loops), labeled metrics and distinct keep
+    // the default no-op: per-label attribution is the profiler's job.
 }
 
 // --- crash-report context -------------------------------------------
@@ -644,75 +618,39 @@ impl CrashWriter {
 /// when the flight sequence number stops advancing for `timeout` while
 /// spans are still open. Stop it with [`Watchdog::stop`]; dropping the
 /// handle stops it too.
-pub struct Watchdog {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
+pub struct Watchdog(Ticker);
 
 impl Watchdog {
     /// Starts the watchdog. `timeout` is clamped to at least 10 ms.
     pub fn start(writer: Arc<CrashWriter>, timeout: Duration) -> Watchdog {
         let timeout = timeout.max(Duration::from_millis(10));
         let tick = (timeout / 4).max(Duration::from_millis(5));
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("chc-watchdog".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop2;
-                let mut last_seq = writer.flight().seq();
-                let mut last_change = Instant::now();
-                let mut stopped = lock.lock().expect("watchdog lock");
-                loop {
-                    // Check before waiting: `stop()` may have set the flag
-                    // (and fired its lost notification) before this thread
-                    // first acquired the lock.
-                    if *stopped {
-                        return;
-                    }
-                    let (guard, wait) = cvar.wait_timeout(stopped, tick).expect("watchdog wait");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    let _ = wait;
-                    let seq = writer.flight().seq();
-                    if seq != last_seq {
-                        last_seq = seq;
-                        last_change = Instant::now();
-                    } else if last_change.elapsed() >= timeout && writer.flight().has_open_spans() {
-                        let message = format!(
-                            "no flight-recorder activity for {:.1}s with spans still open",
-                            last_change.elapsed().as_secs_f64()
-                        );
-                        if let Some(Ok(path)) = writer.dump("stall", &message) {
-                            eprintln!("chc: watchdog stall report written to {}", path.display());
-                        }
-                        return;
-                    }
-                }
-            })
-            .expect("spawn watchdog thread");
-        Watchdog {
-            stop,
-            handle: Some(handle),
-        }
+        let mut last_seq = writer.flight().seq();
+        let mut last_change = Instant::now();
+        Watchdog(Ticker::start("chc-watchdog", tick, move || {
+            let seq = writer.flight().seq();
+            if seq != last_seq {
+                last_seq = seq;
+                last_change = Instant::now();
+                return true;
+            }
+            if last_change.elapsed() < timeout || !writer.flight().has_open_spans() {
+                return true;
+            }
+            let message = format!(
+                "no flight-recorder activity for {:.1}s with spans still open",
+                last_change.elapsed().as_secs_f64()
+            );
+            if let Some(Ok(path)) = writer.dump("stall", &message) {
+                eprintln!("chc: watchdog stall report written to {}", path.display());
+            }
+            false
+        }))
     }
 
     /// Signals the thread to exit and joins it.
     pub fn stop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            let (lock, cvar) = &*self.stop;
-            *lock.lock().expect("watchdog lock") = true;
-            cvar.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop();
+        self.0.stop();
     }
 }
 
@@ -744,14 +682,15 @@ mod tests {
     #[test]
     fn open_span_stacks_follow_enter_and_exit() {
         let flight = FlightRecorder::new();
+        let me = thread_index();
         flight.span_enter("outer");
         flight.span_enter("inner");
-        assert_eq!(flight.open_spans(), vec![(0, vec!["outer", "inner"])]);
+        assert_eq!(flight.open_spans(), vec![(me, vec!["outer", "inner"])]);
         flight.span_exit("inner", 42);
-        assert_eq!(flight.open_spans(), vec![(0, vec!["outer"])]);
+        assert_eq!(flight.open_spans(), vec![(me, vec!["outer"])]);
         // A malformed exit for a span that is not open is ignored.
         flight.span_exit("inner", 7);
-        assert_eq!(flight.open_spans(), vec![(0, vec!["outer"])]);
+        assert_eq!(flight.open_spans(), vec![(me, vec!["outer"])]);
         flight.span_exit("outer", 99);
         assert!(!flight.has_open_spans());
     }

@@ -34,7 +34,9 @@
 //! [`trace`]. [`AuditRecorder`] retains the structured-event ledger and
 //! renders it as JSON lines — see [`events`]. [`FanoutRecorder`] feeds
 //! one run to several recorders at once (the CLI's `--trace
-//! --trace-out` combination).
+//! --trace-out` combination). Recorders that keep per-thread state key
+//! it by one process-wide [`thread_index`], so their views of a
+//! multi-threaded run name the same threads.
 //!
 //! Recorders can be installed two ways:
 //!
@@ -73,6 +75,7 @@ pub mod names;
 pub mod profile;
 pub mod sampler;
 mod stats;
+mod threads;
 pub mod trace;
 
 pub use events::{AuditRecorder, Event, EventLevel, FieldValue};
@@ -81,6 +84,7 @@ pub use memalloc::{MemSnapshot, ProbeStats, ThreadProbe, TrackingAllocator};
 pub use profile::{LabeledSnapshot, ProfileRecorder};
 pub use sampler::SpanSampler;
 pub use stats::{Histogram, HistogramSummary, SpanNode, StatsRecorder};
+pub use threads::thread_index;
 pub use trace::{FanoutRecorder, TraceEvent, TraceEventKind, TraceRecorder};
 
 use std::cell::RefCell;
@@ -88,62 +92,55 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// A sink for instrumentation events.
+/// A sink for instrumentation events. Every method defaults to
+/// discarding its observation, so a sink implements only what it keeps.
 ///
 /// Implementations must be cheap to call re-entrantly; the instrumented
 /// crates call these from hot loops whenever a recorder is installed.
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the named counter.
-    fn counter(&self, name: &'static str, delta: u64);
+    fn counter(&self, _name: &'static str, _delta: u64) {}
     /// Record one observation of `value` in the named histogram.
-    fn histogram(&self, name: &'static str, value: u64);
-    /// A span with this name just opened.
-    fn span_enter(&self, name: &'static str);
-    /// The innermost open span with this name just closed, having run
-    /// for `nanos` nanoseconds.
-    fn span_exit(&self, name: &'static str, nanos: u64);
-    /// A structured event was emitted. Defaults to discarding it, so
-    /// recorders that aggregate numeric work (stats, traces) ignore the
-    /// audit stream; [`AuditRecorder`] overrides this to retain it.
+    fn histogram(&self, _name: &'static str, _value: u64) {}
+    /// A span with this name just opened on the calling thread.
+    fn span_enter(&self, _name: &'static str) {}
+    /// The innermost open span with this name on the calling thread
+    /// just closed, having run for `nanos` nanoseconds. A recorder that
+    /// keeps open spans closes that span and every span opened after it
+    /// on the thread, and ignores an exit with no such span open.
+    fn span_exit(&self, _name: &'static str, _nanos: u64) {}
+    /// A structured event was emitted. Recorders that aggregate numeric
+    /// work (stats, traces) ignore the audit stream; [`AuditRecorder`]
+    /// retains it.
     ///
     /// Events emitted through [`event_with`] carry their fields only
     /// when [`Recorder::reads_event_payloads`] says this sink reads
     /// them; otherwise `event` sees the name and level alone.
-    fn event(&self, event: &events::Event) {
-        let _ = event;
-    }
+    fn event(&self, _event: &events::Event) {}
     /// Whether this sink reads the fields of events at `level`.
     /// [`event_with`] runs its payload closure only when the active
     /// recorder answers yes, so a sink that keeps names at most (the
     /// flight recorder) never pays for rendering values. Defaults to
     /// `false`; a sink that overrides [`Recorder::event`] to read
     /// fields must override this too.
-    fn reads_event_payloads(&self, level: EventLevel) -> bool {
-        let _ = level;
+    fn reads_event_payloads(&self, _level: EventLevel) -> bool {
         false
     }
     /// Add `delta` to the named counter *under a label* — a cheap
     /// interned `u64` key such as a class id, a query id, or a
-    /// structural pair hash. Defaults to discarding the observation;
-    /// [`ProfileRecorder`] overrides this to build per-label
-    /// attributions with bounded cardinality.
-    fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
-        let _ = (name, label, delta);
-    }
+    /// structural pair hash. [`ProfileRecorder`] builds per-label
+    /// attributions from these with bounded cardinality.
+    fn labeled_counter(&self, _name: &'static str, _label: u64, _delta: u64) {}
     /// Record one observation of `value` in the named histogram under a
-    /// label. Defaults to discarding it; see [`Recorder::labeled_counter`].
-    fn labeled_histogram(&self, name: &'static str, label: u64, value: u64) {
-        let _ = (name, label, value);
-    }
+    /// label; see [`Recorder::labeled_counter`].
+    fn labeled_histogram(&self, _name: &'static str, _label: u64, _value: u64) {}
     /// A distinct-work observation: the instrumented site performed a
     /// unit of work identified by `key` (typically a structural hash of
     /// its inputs). Recorders that track duplicate work keep a compact
     /// seen-set per name and add 1 to the counter `name` only the first
     /// time each key is seen, so `foo.distinct` can sit next to the
-    /// plain total `foo`. Defaults to discarding the observation.
-    fn distinct(&self, name: &'static str, key: u64) {
-        let _ = (name, key);
-    }
+    /// plain total `foo`.
+    fn distinct(&self, _name: &'static str, _key: u64) {}
 }
 
 /// Number of live recorder installations (global plus scoped). While

@@ -109,28 +109,6 @@ impl SeenSet {
         }
     }
 
-    /// Whether `key` has been seen.
-    pub fn contains(&self, key: u64) -> bool {
-        if key == 0 {
-            return self.has_zero;
-        }
-        if self.slots.is_empty() {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = (mix(key) as usize) & mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot == key {
-                return true;
-            }
-            if slot == 0 {
-                return false;
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
     fn grow(&mut self) {
         let doubled = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![0; doubled]);
@@ -219,11 +197,6 @@ impl ProfileRecorder {
         }
     }
 
-    /// The configured per-name cardinality cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Current value of a plain (or distinct) counter; 0 if never bumped.
     pub fn counter_value(&self, name: &str) -> u64 {
         let inner = self.inner.lock().expect("profile lock");
@@ -279,18 +252,6 @@ impl ProfileRecorder {
                 .map(|(&l, &(_count, _sum, max))| (l, max))
                 .collect(),
         )
-    }
-
-    /// Names of all labeled counter series seen so far.
-    pub fn labeled_names(&self) -> Vec<&'static str> {
-        let inner = self.inner.lock().expect("profile lock");
-        inner.labeled.keys().copied().collect()
-    }
-
-    /// Forgets everything recorded so far; the cap is kept.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("profile lock");
-        *inner = ProfInner::default();
     }
 
     /// The whole profile as one `chc-profile/1` JSON document:
@@ -601,12 +562,6 @@ impl crate::Recorder for ProfileRecorder {
         *inner.counters.entry(name).or_insert(0) += delta;
     }
 
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-
-    fn span_enter(&self, _name: &'static str) {}
-
-    fn span_exit(&self, _name: &'static str, _nanos: u64) {}
-
     fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
         let cap = self.cap;
         let mut inner = self.inner.lock().expect("profile lock");
@@ -665,9 +620,10 @@ mod tests {
             s.insert(k * 7919);
         }
         assert_eq!(s.len(), 1002);
-        assert!(s.contains(42));
-        assert!(s.contains(7919));
-        assert!(!s.contains(3));
+        // Seen keys stay seen across growth; an unseen one is novel.
+        assert!(!s.insert(42));
+        assert!(!s.insert(7919));
+        assert!(s.insert(3));
     }
 
     #[test]

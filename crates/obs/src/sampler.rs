@@ -3,12 +3,13 @@
 //! [`TraceRecorder`](crate::TraceRecorder) records *every* span
 //! transition into a bounded ring — exact, but the ring caps history and
 //! each event pays a slot. [`SpanSampler`] inverts the trade-off: it is
-//! a [`Recorder`](crate::Recorder) that only maintains each registered
-//! thread's *currently open* span path (the same per-thread tid
-//! machinery the tracer uses), while a background thread wakes on a
-//! fixed interval and snapshots every path into folded-stack counts.
-//! Long runs get statistical flamegraphs at O(threads × depth) memory,
-//! no ring, and no per-event cost beyond the open-path bookkeeping.
+//! a [`Recorder`](crate::Recorder) that only maintains each thread's
+//! *currently open* span stack (keyed by [`crate::thread_index`], like
+//! every recorder's per-thread state), while a background thread wakes
+//! on a fixed interval and snapshots every stack into folded-stack
+//! counts. Long runs get statistical flamegraphs at O(threads × depth)
+//! memory, no ring, and no per-event cost beyond the open-stack
+//! bookkeeping.
 //!
 //! Sampling and span transitions serialize on one mutex, so a sample can
 //! never observe a torn stack: a thread is seen either before or after a
@@ -16,45 +17,33 @@
 //! and joins it; every tick taken before the join is in the totals
 //! (`samples() ==` sum of folded counts `+ idle()`).
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle, ThreadId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::threads::{lock, render_folded, PerThread, SpanStack, Ticker};
 
 #[derive(Default)]
 struct SamplerInner {
-    /// Dense per-thread ids, assigned on a thread's first span event.
-    tids: HashMap<ThreadId, usize>,
-    /// Open-span path per registered thread, innermost last.
-    stacks: Vec<Vec<&'static str>>,
+    /// Each thread's open spans, from its first span event on.
+    stacks: PerThread<SpanStack<()>>,
     /// Folded stack → number of samples that observed it.
     folded: BTreeMap<String, u64>,
     /// Per-thread samples taken while the thread's stack was non-empty.
     busy: u64,
     /// Per-thread samples taken while the thread's stack was empty.
     idle: u64,
-    /// Sampler wake-ups (one per interval, regardless of thread count).
-    ticks: u64,
 }
 
 impl SamplerInner {
-    fn stack_mut(&mut self, tid: ThreadId) -> &mut Vec<&'static str> {
-        let next = self.tids.len();
-        let idx = *self.tids.entry(tid).or_insert(next);
-        if idx == self.stacks.len() {
-            self.stacks.push(Vec::new());
-        }
-        &mut self.stacks[idx]
-    }
-
     fn tick(&mut self) {
-        self.ticks += 1;
-        for stack in &self.stacks {
+        for stack in self.stacks.iter() {
             if stack.is_empty() {
                 self.idle += 1;
             } else {
                 self.busy += 1;
-                *self.folded.entry(stack.join(";")).or_insert(0) += 1;
+                let path = stack.names().collect::<Vec<_>>().join(";");
+                *self.folded.entry(path).or_insert(0) += 1;
             }
         }
     }
@@ -69,8 +58,7 @@ impl SamplerInner {
 /// running sampler also stops it.
 pub struct SpanSampler {
     inner: Arc<Mutex<SamplerInner>>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    ticker: Ticker,
     interval: Duration,
 }
 
@@ -80,45 +68,14 @@ impl SpanSampler {
     pub fn start(interval: Duration) -> SpanSampler {
         let interval = interval.max(Duration::from_micros(10));
         let inner = Arc::new(Mutex::new(SamplerInner::default()));
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let handle = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("chc-obs-sampler".into())
-                .spawn(move || {
-                    // A condvar wait rather than a sleep, so `stop()`
-                    // wakes the thread immediately — shutdown latency is
-                    // bounded by the tick in flight, not the interval.
-                    let (lock, cvar) = &*stop;
-                    let mut stopped = lock.lock().expect("sampler stop lock");
-                    loop {
-                        // Check before waiting: `stop()` may have set the
-                        // flag (and fired its never-heard notification)
-                        // before this thread first acquired the lock — a
-                        // long-interval wait would then sleep it out in
-                        // full instead of returning.
-                        if *stopped {
-                            return;
-                        }
-                        let (guard, timeout) = cvar
-                            .wait_timeout(stopped, interval)
-                            .expect("sampler stop lock");
-                        stopped = guard;
-                        if *stopped {
-                            return;
-                        }
-                        if timeout.timed_out() {
-                            inner.lock().expect("sampler lock").tick();
-                        }
-                    }
-                })
-                .expect("spawn sampler thread")
-        };
+        let sampled = Arc::clone(&inner);
+        let ticker = Ticker::start("chc-obs-sampler", interval, move || {
+            lock(&sampled).tick();
+            true
+        });
         SpanSampler {
             inner,
-            stop,
-            handle: Mutex::new(Some(handle)),
+            ticker,
             interval,
         }
     }
@@ -132,31 +89,19 @@ impl SpanSampler {
     /// the interval is long. Idempotent; after it returns, the folded
     /// counts are final and include every tick taken before the join.
     pub fn stop(&self) {
-        {
-            let (lock, cvar) = &*self.stop;
-            *lock.lock().expect("sampler stop lock") = true;
-            cvar.notify_all();
-        }
-        if let Some(handle) = self.handle.lock().expect("sampler handle lock").take() {
-            handle.join().expect("sampler thread panicked");
-        }
-    }
-
-    /// Sampler wake-ups so far (one per interval elapsed).
-    pub fn ticks(&self) -> u64 {
-        self.inner.lock().expect("sampler lock").ticks
+        self.ticker.stop();
     }
 
     /// Total per-thread samples taken (busy + idle): each tick samples
-    /// every registered thread once.
+    /// every thread that has entered a span once.
     pub fn samples(&self) -> u64 {
-        let inner = self.inner.lock().expect("sampler lock");
+        let inner = lock(&self.inner);
         inner.busy + inner.idle
     }
 
     /// Per-thread samples that found an empty span stack.
     pub fn idle(&self) -> u64 {
-        self.inner.lock().expect("sampler lock").idle
+        lock(&self.inner).idle
     }
 
     /// The sampled profile in folded-stack format — one
@@ -164,51 +109,25 @@ impl SpanSampler {
     /// path — ready for `inferno`/`flamegraph.pl`. Values are sample
     /// counts; multiply by [`SpanSampler::interval`] for wall time.
     pub fn to_folded_stacks(&self) -> String {
-        let inner = self.inner.lock().expect("sampler lock");
-        let mut out = String::new();
-        for (path, count) in &inner.folded {
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&count.to_string());
-            out.push('\n');
-        }
-        out
+        render_folded(&lock(&self.inner).folded)
     }
 
     /// The distinct sampled paths and their counts, hottest first.
     pub fn folded_counts(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().expect("sampler lock");
+        let inner = lock(&self.inner);
         let mut v: Vec<(String, u64)> = inner.folded.iter().map(|(p, &c)| (p.clone(), c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 }
 
-impl Drop for SpanSampler {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 impl crate::Recorder for SpanSampler {
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-
     fn span_enter(&self, name: &'static str) {
-        let mut inner = self.inner.lock().expect("sampler lock");
-        inner.stack_mut(thread::current().id()).push(name);
+        lock(&self.inner).stacks.mine().1.enter(name, ());
     }
 
     fn span_exit(&self, name: &'static str, _nanos: u64) {
-        let mut inner = self.inner.lock().expect("sampler lock");
-        let stack = inner.stack_mut(thread::current().id());
-        // Close the innermost open span with this name; anything opened
-        // after it is abandoned (same policy as the tracer's rposition
-        // drain), so a malformed exit can never leave the stack torn.
-        if let Some(idx) = stack.iter().rposition(|&s| s == name) {
-            stack.truncate(idx);
-        }
+        lock(&self.inner).stacks.mine().1.exit(name, |_, _, ()| {});
     }
 }
 
@@ -216,13 +135,15 @@ impl crate::Recorder for SpanSampler {
 mod tests {
     use super::*;
     use crate::Recorder as _;
+    use std::thread;
 
     #[test]
     fn clean_shutdown_joins_without_losing_samples() {
         let sampler = SpanSampler::start(Duration::from_micros(50));
         sampler.span_enter("t.outer");
         sampler.span_enter("t.inner");
-        while sampler.ticks() < 20 {
+        // One thread has entered a span, so each tick takes one sample.
+        while sampler.samples() < 20 {
             thread::sleep(Duration::from_micros(100));
         }
         sampler.span_exit("t.inner", 1);
@@ -236,9 +157,9 @@ mod tests {
             "every sample is either in a folded stack or idle"
         );
         assert!(folded >= 20, "open spans must have been observed");
-        let after = sampler.ticks();
+        let after = sampler.samples();
         thread::sleep(Duration::from_millis(2));
-        assert_eq!(sampler.ticks(), after, "no ticks after join");
+        assert_eq!(sampler.samples(), after, "no ticks after join");
         assert!(sampler
             .folded_counts()
             .iter()

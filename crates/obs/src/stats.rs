@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::json::JsonValue;
+use crate::threads::{lock, PerThread, SpanStack};
 use crate::Recorder;
 
 /// One completed (or still-open) span in the recorded tree.
@@ -28,16 +29,6 @@ impl SpanNode {
             counters: BTreeMap::new(),
             children: Vec::new(),
         }
-    }
-
-    /// Sum of the named counter over this span and its whole subtree.
-    pub fn subtree_counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-            + self
-                .children
-                .iter()
-                .map(|c| c.subtree_counter(name))
-                .sum::<u64>()
     }
 }
 
@@ -229,14 +220,6 @@ pub struct HistogramSummary {
     pub p999: u64,
 }
 
-impl HistogramSummary {
-    /// The 99.9th percentile — an accessor mirroring the field, for
-    /// callers generic over "which percentile" by method name.
-    pub fn p999(&self) -> u64 {
-        self.p999
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
@@ -244,19 +227,40 @@ struct Inner {
     /// Per-name seen-sets backing [`Recorder::distinct`]; the resulting
     /// first-sighting counts live in `counters` like any other counter.
     seen: BTreeMap<&'static str, crate::profile::SeenSet>,
-    /// Completed root spans.
+    /// Each thread's span tree.
+    threads: PerThread<SpanTree>,
+}
+
+/// One thread's span tree: its completed root spans and its open spans.
+#[derive(Debug, Default)]
+struct SpanTree {
     roots: Vec<SpanNode>,
-    /// Stack of open spans, innermost last.
-    open: Vec<SpanNode>,
+    open: SpanStack<SpanNode>,
+}
+
+impl Inner {
+    /// Adds `delta` to the counter and to the calling thread's innermost
+    /// open span.
+    fn add(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
+        if let Some(open) = self.threads.mine().1.open.innermost() {
+            *open.counters.entry(name).or_insert(0) += delta;
+        }
+    }
+
+    /// Completed root spans, grouped by thread index.
+    fn roots(&self) -> impl Iterator<Item = &SpanNode> {
+        self.threads.iter().flat_map(|tree| &tree.roots)
+    }
 }
 
 /// An aggregating [`Recorder`].
 ///
 /// Counters sum globally *and* are attributed to the innermost open
-/// span, so the rendered tree shows where the work happened. Interior
-/// mutability is a plain `Mutex`: the recorder is only consulted when
-/// observability is explicitly enabled, and the instrumented system is
-/// effectively single-threaded today.
+/// span on the calling thread, so the rendered tree shows where the work
+/// happened. Each thread grows its own tree; roots are grouped by
+/// [`crate::thread_index`]. Interior mutability is a plain `Mutex`: the
+/// recorder is only consulted when observability is explicitly enabled.
 #[derive(Debug, Default)]
 pub struct StatsRecorder {
     inner: Mutex<Inner>,
@@ -270,57 +274,51 @@ impl StatsRecorder {
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         inner.counters.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// Summary of a histogram, if any samples were recorded.
     pub fn histogram_summary(&self, name: &str) -> Option<HistogramSummary> {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         inner.histograms.get(name).map(|h| h.summary())
     }
 
-    /// Completed root spans (open spans are not included).
+    /// Completed root spans, grouped by thread index (open spans are not
+    /// included).
     pub fn span_roots(&self) -> Vec<SpanNode> {
-        let inner = self.inner.lock().expect("obs stats lock");
-        inner.roots.clone()
+        lock(&self.inner).roots().cloned().collect()
     }
 
-    /// Clears all recorded data, e.g. between report sections.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
-        *inner = Inner::default();
-    }
-
-    /// Human-readable span tree with per-span timings and counters.
+    /// Human-readable span tree with per-span timings and counters, one
+    /// thread's tree after another by thread index.
     ///
     /// ```text
     /// cli.check                         1.204ms
     ///   check.schema                    1.102ms  check.classes=12
     /// ```
     pub fn render_tree(&self) -> String {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         let mut out = String::new();
-        for root in &inner.roots {
-            render_span(&mut out, root, 0);
-        }
-        // Open spans still render (without timing) so a crash mid-span
-        // does not hide where the tree was.
-        for open in &inner.open {
-            render_span(&mut out, open, 0);
+        for tree in inner.threads.iter() {
+            // Open spans still render (without timing) so a crash
+            // mid-span does not hide where the tree was.
+            for node in tree.roots.iter().chain(tree.open.values()) {
+                render_span(&mut out, node, 0);
+            }
         }
         out
     }
 
     /// Counter table, one `name value` row per line, sorted by name.
     pub fn render_counters(&self) -> String {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         let width = inner
             .counters
             .keys()
@@ -346,7 +344,7 @@ impl StatsRecorder {
     /// per line. Spans carry a `path` ("a/b/c") locating them in the
     /// tree. Parse it back with [`crate::json::parse_lines`].
     pub fn to_json_lines(&self) -> String {
-        let inner = self.inner.lock().expect("obs stats lock");
+        let inner = lock(&self.inner);
         let mut out = String::new();
         for (name, value) in &inner.counters {
             let obj = JsonValue::object([
@@ -374,7 +372,7 @@ impl StatsRecorder {
             out.push_str(&obj.render());
             out.push('\n');
         }
-        for root in &inner.roots {
+        for root in inner.roots() {
             json_spans(&mut out, root, "");
         }
         out
@@ -426,56 +424,39 @@ fn json_spans(out: &mut String, node: &SpanNode, prefix: &str) {
 
 impl Recorder for StatsRecorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
-        *inner.counters.entry(name).or_insert(0) += delta;
-        if let Some(open) = inner.open.last_mut() {
-            *open.counters.entry(name).or_insert(0) += delta;
-        }
+        lock(&self.inner).add(name, delta);
     }
 
     fn histogram(&self, name: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
+        let mut inner = lock(&self.inner);
         inner.histograms.entry(name).or_default().record(value);
     }
 
     fn span_enter(&self, name: &'static str) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
-        inner.open.push(SpanNode::new(name));
+        let mut inner = lock(&self.inner);
+        inner.threads.mine().1.open.enter(name, SpanNode::new(name));
     }
 
     fn span_exit(&self, name: &'static str, nanos: u64) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
-        // Close the innermost open span with this name; mismatches (a
-        // guard dropped out of order) close the innermost span instead
-        // of panicking — observability must never take the system down.
-        let idx = inner
-            .open
-            .iter()
-            .rposition(|s| s.name == name)
-            .unwrap_or(inner.open.len().saturating_sub(1));
-        if idx >= inner.open.len() {
-            return; // exit with no open span: dropped
-        }
-        // Any spans opened after it become its children.
-        let mut node = inner.open.remove(idx);
-        while inner.open.len() > idx {
-            let orphan = inner.open.remove(idx);
-            node.children.push(orphan);
-        }
-        node.nanos = nanos;
-        match inner.open.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => inner.roots.push(node),
-        }
+        let mut inner = lock(&self.inner);
+        let tree = inner.threads.mine().1;
+        // Spans closed early with it (their guards not dropped yet) have
+        // no duration of their own and keep 0.
+        tree.open.exit(name, |open, closed, mut node| {
+            if closed == name {
+                node.nanos = nanos;
+            }
+            match open.innermost() {
+                Some(parent) => parent.children.push(node),
+                None => tree.roots.push(node),
+            }
+        });
     }
 
     fn distinct(&self, name: &'static str, key: u64) {
-        let mut inner = self.inner.lock().expect("obs stats lock");
+        let mut inner = lock(&self.inner);
         if inner.seen.entry(name).or_default().insert(key) {
-            *inner.counters.entry(name).or_insert(0) += 1;
-            if let Some(open) = inner.open.last_mut() {
-                *open.counters.entry(name).or_insert(0) += 1;
-            }
+            inner.add(name, 1);
         }
     }
 }
@@ -504,7 +485,6 @@ mod tests {
         assert_eq!(outer.counters.get("work"), Some(&3));
         assert_eq!(outer.children.len(), 1);
         assert_eq!(outer.children[0].counters.get("work"), Some(&10));
-        assert_eq!(outer.subtree_counter("work"), 13);
     }
 
     #[test]
@@ -513,11 +493,13 @@ mod tests {
         r.span_exit("ghost", 1); // exit with nothing open
         r.span_enter("a");
         r.span_enter("b");
-        r.span_exit("a", 100); // 'b' is still open: becomes a child of 'a'
+        r.span_exit("ghost", 1); // no `ghost` open: ignored, 'b' stays open
+        r.span_exit("a", 100); // 'b' is still open: closed first, under 'a'
         let roots = r.span_roots();
         assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "a");
-        assert_eq!(roots[0].children[0].name, "b");
+        assert_eq!((roots[0].name, roots[0].nanos), ("a", 100));
+        let b = &roots[0].children[0];
+        assert_eq!((b.name, b.nanos), ("b", 0), "closed early, no duration");
     }
 
     #[test]
@@ -580,7 +562,6 @@ mod tests {
             assert_eq!(s.p95, max, "{samples:?}");
             assert_eq!(s.p99, max, "{samples:?}");
             assert_eq!(s.p999, max, "{samples:?}");
-            assert_eq!(s.p999(), s.p999);
             assert!(s.min <= s.p50 && s.p50 <= s.p95 && s.p999 <= s.max);
         }
     }

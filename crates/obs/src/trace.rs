@@ -24,12 +24,12 @@
 //! [`TraceRecorder::dropped`]) so a long run keeps its most recent
 //! window rather than aborting or allocating without limit.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use crate::json::JsonValue;
+use crate::threads::{lock, render_folded, PerThread, SpanStack};
 use crate::Recorder;
 
 /// Default event capacity: plenty for a whole CLI run over the example
@@ -52,7 +52,7 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
     /// Span name (from the [`crate::names`] registry).
     pub name: &'static str,
-    /// Dense per-recorder thread index (0 = first thread seen).
+    /// The emitting thread's process-wide [`crate::thread_index`].
     pub tid: u32,
     /// Nanoseconds since the recorder was created.
     pub ts_nanos: u64,
@@ -61,25 +61,30 @@ pub struct TraceEvent {
     pub counters: BTreeMap<&'static str, u64>,
 }
 
+/// Counter deltas by name.
+type Counters = BTreeMap<&'static str, u64>;
+
 #[derive(Debug)]
-struct OpenSpan {
-    name: &'static str,
-    counters: BTreeMap<&'static str, u64>,
-}
-
-#[derive(Debug, Default)]
-struct ThreadState {
-    open: Vec<OpenSpan>,
-}
-
-#[derive(Debug, Default)]
 struct TraceInner {
+    /// The buffered events, oldest first, at most `capacity` of them.
     events: VecDeque<TraceEvent>,
+    capacity: usize,
     dropped: u64,
-    threads: Vec<ThreadState>,
-    tids: HashMap<ThreadId, u32>,
+    /// Each thread's open spans, with the counter deltas attributed to
+    /// them so far.
+    threads: PerThread<SpanStack<Counters>>,
     /// Counter deltas that fired with no span open on their thread.
-    unattributed: BTreeMap<&'static str, u64>,
+    unattributed: Counters,
+}
+
+/// Appends `ev` to the ring, evicting (and counting) the oldest event
+/// when it is full.
+fn push(events: &mut VecDeque<TraceEvent>, dropped: &mut u64, capacity: usize, ev: TraceEvent) {
+    if events.len() >= capacity {
+        events.pop_front();
+        *dropped += 1;
+    }
+    events.push_back(ev);
 }
 
 /// An event-level [`Recorder`]: a bounded ring buffer of span
@@ -92,7 +97,6 @@ struct TraceInner {
 #[derive(Debug)]
 pub struct TraceRecorder {
     start: Instant,
-    capacity: usize,
     inner: Mutex<TraceInner>,
 }
 
@@ -112,49 +116,37 @@ impl TraceRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         TraceRecorder {
             start: Instant::now(),
-            capacity: capacity.max(2),
-            inner: Mutex::new(TraceInner::default()),
+            inner: Mutex::new(TraceInner {
+                events: VecDeque::new(),
+                capacity: capacity.max(2),
+                dropped: 0,
+                threads: PerThread::default(),
+                unattributed: Counters::new(),
+            }),
         }
     }
 
     /// Number of events evicted because the ring buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("obs trace lock").dropped
+        lock(&self.inner).dropped
     }
 
     /// Snapshot of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().expect("obs trace lock");
-        inner.events.iter().cloned().collect()
+        lock(&self.inner).events.iter().cloned().collect()
     }
 
     /// Counter deltas that fired while no span was open on their thread.
     pub fn unattributed_counters(&self) -> Vec<(&'static str, u64)> {
-        let inner = self.inner.lock().expect("obs trace lock");
-        inner.unattributed.iter().map(|(&k, &v)| (k, v)).collect()
+        lock(&self.inner)
+            .unattributed
+            .iter()
+            .map(|(&k, &v)| (k, v))
+            .collect()
     }
 
     fn now_nanos(&self) -> u64 {
         self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    fn push(inner: &mut TraceInner, capacity: usize, ev: TraceEvent) {
-        if inner.events.len() >= capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(ev);
-    }
-
-    fn tid(inner: &mut TraceInner) -> u32 {
-        let id = std::thread::current().id();
-        if let Some(&t) = inner.tids.get(&id) {
-            return t;
-        }
-        let t = inner.threads.len() as u32;
-        inner.tids.insert(id, t);
-        inner.threads.push(ThreadState::default());
-        t
     }
 
     /// Chrome trace-event JSON (object format): `{"traceEvents":[...],
@@ -165,63 +157,49 @@ impl TraceRecorder {
     /// end of the trace, which is exactly right for a run that failed
     /// mid-span.
     pub fn to_chrome_trace(&self) -> String {
-        let inner = self.inner.lock().expect("obs trace lock");
-        let mut events: Vec<JsonValue> = Vec::with_capacity(inner.events.len() + 2);
-        events.push(JsonValue::object([
+        let inner = lock(&self.inner);
+        let number = |v: u64| JsonValue::number(v as f64);
+        let args = |counters: &Counters| {
+            JsonValue::object(counters.iter().map(|(&name, &v)| (name, number(v))))
+        };
+        // The fields every span and instant event carries.
+        let event = |ph: &str, tid: u32, ts_nanos: u64, name: &str| {
+            vec![
+                ("ph", JsonValue::string(ph)),
+                ("pid", number(1)),
+                ("tid", number(u64::from(tid))),
+                ("ts", JsonValue::number(ts_nanos as f64 / 1_000.0)),
+                ("name", JsonValue::string(name)),
+                ("cat", JsonValue::string("chc")),
+            ]
+        };
+        let mut events = vec![JsonValue::object([
             ("ph", JsonValue::string("M")),
-            ("pid", JsonValue::number(1.0)),
+            ("pid", number(1)),
             ("name", JsonValue::string("process_name")),
             (
                 "args",
                 JsonValue::object([("name", JsonValue::string("chc"))]),
             ),
-        ]));
+        ])];
         for ev in &inner.events {
-            let mut fields = vec![
-                (
-                    "ph",
-                    JsonValue::string(match ev.kind {
-                        TraceEventKind::Begin => "B",
-                        TraceEventKind::End => "E",
-                    }),
-                ),
-                ("pid", JsonValue::number(1.0)),
-                ("tid", JsonValue::number(ev.tid as f64)),
-                ("ts", JsonValue::number(ev.ts_nanos as f64 / 1_000.0)),
-                ("name", JsonValue::string(ev.name)),
-                ("cat", JsonValue::string("chc")),
-            ];
+            let ph = match ev.kind {
+                TraceEventKind::Begin => "B",
+                TraceEventKind::End => "E",
+            };
+            let mut fields = event(ph, ev.tid, ev.ts_nanos, ev.name);
             if !ev.counters.is_empty() {
-                fields.push((
-                    "args",
-                    JsonValue::object(
-                        ev.counters
-                            .iter()
-                            .map(|(&k, &v)| (k, JsonValue::number(v as f64))),
-                    ),
-                ));
+                fields.push(("args", args(&ev.counters)));
             }
             events.push(JsonValue::object(fields));
         }
         if !inner.unattributed.is_empty() {
-            events.push(JsonValue::object([
-                ("ph", JsonValue::string("i")),
-                ("pid", JsonValue::number(1.0)),
-                ("tid", JsonValue::number(0.0)),
-                ("ts", JsonValue::number(self.now_nanos() as f64 / 1_000.0)),
+            let mut fields = event("i", 0, self.now_nanos(), "counters.unattributed");
+            fields.extend([
                 ("s", JsonValue::string("g")),
-                ("name", JsonValue::string("counters.unattributed")),
-                ("cat", JsonValue::string("chc")),
-                (
-                    "args",
-                    JsonValue::object(
-                        inner
-                            .unattributed
-                            .iter()
-                            .map(|(&k, &v)| (k, JsonValue::number(v as f64))),
-                    ),
-                ),
-            ]));
+                ("args", args(&inner.unattributed)),
+            ]);
+            events.push(JsonValue::object(fields));
         }
         JsonValue::object([
             ("traceEvents", JsonValue::Arr(events)),
@@ -235,50 +213,39 @@ impl TraceRecorder {
     /// where the value is the stack's *exclusive* (self) wall time in
     /// nanoseconds. Spans still open at export time are skipped (their
     /// self time is not yet known); ends whose begin was evicted from
-    /// the ring are skipped likewise.
+    /// the ring match no open span and are skipped likewise.
     pub fn to_folded_stacks(&self) -> String {
-        let inner = self.inner.lock().expect("obs trace lock");
-        // Per-tid reconstruction stack: (name, begin_ts, child_nanos).
-        let mut stacks: HashMap<u32, Vec<(&'static str, u64, u64)>> = HashMap::new();
-        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+        let inner = lock(&self.inner);
+        // Per-tid reconstruction: each open span's (begin_ts, child_nanos).
+        let mut stacks: BTreeMap<u32, SpanStack<(u64, u64)>> = BTreeMap::new();
+        let mut folded = BTreeMap::new();
         for ev in &inner.events {
             let stack = stacks.entry(ev.tid).or_default();
             match ev.kind {
-                TraceEventKind::Begin => stack.push((ev.name, ev.ts_nanos, 0)),
-                TraceEventKind::End => {
-                    // Tolerate a begin evicted from the ring: only pop if
-                    // the top matches this end's name.
-                    if stack.last().map(|(n, _, _)| *n) != Some(ev.name) {
-                        continue;
+                TraceEventKind::Begin => stack.enter(ev.name, (ev.ts_nanos, 0)),
+                TraceEventKind::End => stack.exit(ev.name, |rest, name, (begin, child)| {
+                    let total = ev.ts_nanos.saturating_sub(begin);
+                    if let Some(parent) = rest.innermost() {
+                        parent.1 = parent.1.saturating_add(total);
                     }
-                    let (name, begin_ts, child_nanos) = stack.pop().expect("non-empty");
-                    let total = ev.ts_nanos.saturating_sub(begin_ts);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 = parent.2.saturating_add(total);
-                    }
-                    let mut path: Vec<&str> = stack.iter().map(|(n, _, _)| *n).collect();
-                    path.push(name);
-                    *folded.entry(path.join(";")).or_insert(0) += total.saturating_sub(child_nanos);
-                }
+                    let path = rest.names().chain([name]).collect::<Vec<_>>().join(";");
+                    *folded.entry(path).or_insert(0) += total.saturating_sub(child);
+                }),
             }
         }
-        let mut out = String::new();
-        for (path, nanos) in &folded {
-            out.push_str(&format!("{path} {nanos}\n"));
-        }
-        out
+        render_folded(&folded)
     }
 }
 
 impl Recorder for TraceRecorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut guard = self.inner.lock().expect("obs trace lock");
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        match inner.threads[tid as usize].open.last_mut() {
-            Some(span) => *span.counters.entry(name).or_insert(0) += delta,
-            None => *inner.unattributed.entry(name).or_insert(0) += delta,
-        }
+        let counters = match inner.threads.mine().1.innermost() {
+            Some(span) => span,
+            None => &mut inner.unattributed,
+        };
+        *counters.entry(name).or_insert(0) += delta;
     }
 
     fn histogram(&self, name: &'static str, value: u64) {
@@ -288,54 +255,40 @@ impl Recorder for TraceRecorder {
     }
 
     fn span_enter(&self, name: &'static str) {
-        let ts = self.now_nanos();
-        let mut guard = self.inner.lock().expect("obs trace lock");
+        let ts_nanos = self.now_nanos();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        inner.threads[tid as usize].open.push(OpenSpan {
+        let (tid, open) = inner.threads.mine();
+        open.enter(name, Counters::new());
+        let (tid, kind, counters) = (tid as u32, TraceEventKind::Begin, Counters::new());
+        let ev = TraceEvent {
+            kind,
             name,
-            counters: BTreeMap::new(),
-        });
-        Self::push(
-            inner,
-            self.capacity,
-            TraceEvent {
-                kind: TraceEventKind::Begin,
-                name,
-                tid,
-                ts_nanos: ts,
-                counters: BTreeMap::new(),
-            },
-        );
+            tid,
+            ts_nanos,
+            counters,
+        };
+        push(&mut inner.events, &mut inner.dropped, inner.capacity, ev);
     }
 
     fn span_exit(&self, name: &'static str, _nanos: u64) {
-        let ts = self.now_nanos();
-        let mut guard = self.inner.lock().expect("obs trace lock");
+        let ts_nanos = self.now_nanos();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
-        let tid = Self::tid(inner);
-        let open = &mut inner.threads[tid as usize].open;
-        // Mirror StatsRecorder's tolerance: close the innermost span
-        // with this name; guards dropped out of order close everything
-        // opened after it first (at the same timestamp), keeping the
-        // B/E stream well nested. An exit with no match is dropped.
-        let Some(idx) = open.iter().rposition(|s| s.name == name) else {
-            return;
-        };
-        let closing: Vec<OpenSpan> = open.drain(idx..).collect();
-        for span in closing.into_iter().rev() {
-            Self::push(
-                inner,
-                self.capacity,
-                TraceEvent {
-                    kind: TraceEventKind::End,
-                    name: span.name,
-                    tid,
-                    ts_nanos: ts,
-                    counters: span.counters,
-                },
-            );
-        }
+        let (tid, open) = inner.threads.mine();
+        let (tid, kind) = (tid as u32, TraceEventKind::End);
+        // Spans closed early with it end at the same timestamp, keeping
+        // the B/E stream well nested.
+        open.exit(name, |_, name, counters| {
+            let ev = TraceEvent {
+                kind,
+                name,
+                tid,
+                ts_nanos,
+                counters,
+            };
+            push(&mut inner.events, &mut inner.dropped, inner.capacity, ev);
+        });
     }
 }
 
@@ -352,37 +305,31 @@ impl FanoutRecorder {
     pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
         FanoutRecorder { sinks }
     }
+
+    fn each(&self, f: impl Fn(&dyn Recorder)) {
+        self.sinks.iter().for_each(|s| f(&**s));
+    }
 }
 
 impl Recorder for FanoutRecorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        for s in &self.sinks {
-            s.counter(name, delta);
-        }
+        self.each(|s| s.counter(name, delta));
     }
 
     fn histogram(&self, name: &'static str, value: u64) {
-        for s in &self.sinks {
-            s.histogram(name, value);
-        }
+        self.each(|s| s.histogram(name, value));
     }
 
     fn span_enter(&self, name: &'static str) {
-        for s in &self.sinks {
-            s.span_enter(name);
-        }
+        self.each(|s| s.span_enter(name));
     }
 
     fn span_exit(&self, name: &'static str, nanos: u64) {
-        for s in &self.sinks {
-            s.span_exit(name, nanos);
-        }
+        self.each(|s| s.span_exit(name, nanos));
     }
 
     fn event(&self, event: &crate::events::Event) {
-        for s in &self.sinks {
-            s.event(event);
-        }
+        self.each(|s| s.event(event));
     }
 
     fn reads_event_payloads(&self, level: crate::EventLevel) -> bool {
@@ -390,21 +337,15 @@ impl Recorder for FanoutRecorder {
     }
 
     fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
-        for s in &self.sinks {
-            s.labeled_counter(name, label, delta);
-        }
+        self.each(|s| s.labeled_counter(name, label, delta));
     }
 
     fn labeled_histogram(&self, name: &'static str, label: u64, value: u64) {
-        for s in &self.sinks {
-            s.labeled_histogram(name, label, value);
-        }
+        self.each(|s| s.labeled_histogram(name, label, value));
     }
 
     fn distinct(&self, name: &'static str, key: u64) {
-        for s in &self.sinks {
-            s.distinct(name, key);
-        }
+        self.each(|s| s.distinct(name, key));
     }
 }
 

@@ -1,15 +1,22 @@
-//! The flight recorder against a reference model, and its per-call cost.
+//! The recorders that keep per-thread state against one reference model,
+//! and the flight recorder's per-call cost.
 //!
 //! `FlightRecorder` keeps one buffer per thread and merges them when
-//! read. The model here is the simplest recorder with the same contract:
-//! one ring of `capacity` entries, one open-span stack per thread and one
-//! counter map, all updated in the order the calls were made. Seeded
-//! SplitMix64 sequences of enter/exit/counter/event calls are replayed on
-//! 1–4 threads, one call at a time, so the global call order is known,
-//! and after every few calls each read-side view of the recorder must
-//! equal the model's: `tail()`, `dropped()`, `seq()`, `counters()` and
-//! `open_spans()`, malformed exits included. The `chc-crash/1` document
-//! built from the recorder must round-trip and carry the same views.
+//! read; `TraceRecorder` and `StatsRecorder` keep one open-span stack per
+//! thread on the shared substrate. The model here is the simplest
+//! recorder with the same contract: one ring of `capacity` entries, one
+//! open-span stack and one span tree per thread and one counter map, all
+//! updated in the order the calls were made, with every thread known by
+//! the index `chc_obs::thread_index` reports on it. Seeded SplitMix64
+//! sequences of enter/exit/counter/event calls are replayed on 1–4
+//! threads, one call at a time, so the global call order is known, and
+//! after every few calls each read-side view must equal the model's:
+//! the flight recorder's `tail()`, `dropped()`, `seq()`, `counters()` and
+//! `open_spans()`, the trace recorder's `events()`, `dropped()` and
+//! `unattributed_counters()`, and the stats recorder's `span_roots()` and
+//! `counters()`, malformed exits included. The `chc-crash/1` document
+//! built from the flight recorder must round-trip and carry the same
+//! views.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hint::black_box;
@@ -20,7 +27,10 @@ use std::time::Instant;
 
 use chc_obs::flight::crash_report;
 use chc_obs::json::{self, JsonValue};
-use chc_obs::{Event, EventLevel, FlightKind, FlightRecorder, Recorder};
+use chc_obs::{
+    Event, EventLevel, FlightKind, FlightRecorder, Recorder, SpanNode, StatsRecorder,
+    TraceEventKind, TraceRecorder,
+};
 
 struct SplitMix64(u64);
 
@@ -57,12 +67,12 @@ enum Call {
 }
 
 impl Call {
-    fn apply(self, flight: &FlightRecorder) {
+    fn apply(self, recorder: &dyn Recorder) {
         match self {
-            Call::Enter(name) => flight.span_enter(name),
-            Call::Exit(name, nanos) => flight.span_exit(name, nanos),
-            Call::Counter(name, delta) => flight.counter(name, delta),
-            Call::Event(name) => flight.event(&Event::new(EventLevel::Audit, name)),
+            Call::Enter(name) => recorder.span_enter(name),
+            Call::Exit(name, nanos) => recorder.span_exit(name, nanos),
+            Call::Counter(name, delta) => recorder.counter(name, delta),
+            Call::Event(name) => recorder.event(&Event::new(EventLevel::Audit, name)),
         }
     }
 }
@@ -70,65 +80,106 @@ impl Call {
 /// `(seq, thread, kind, name, value)`: a flight entry without its clock.
 type Entry = (u64, usize, FlightKind, &'static str, u64);
 
-/// One ring, one stack per thread, one counter map.
+/// `(kind, name, tid, counters)`: a trace event without its clock.
+type TraceEntry = (
+    TraceEventKind,
+    &'static str,
+    u32,
+    BTreeMap<&'static str, u64>,
+);
+
+/// What the model keeps per thread: its open spans, outermost first
+/// (each as the stats node it will become, counters included), and its
+/// completed root spans.
+#[derive(Default)]
+struct ThreadModel {
+    open: Vec<SpanNode>,
+    roots: Vec<SpanNode>,
+}
+
+/// One ring, one stack and tree per thread, one counter map.
 struct Model {
     capacity: usize,
     ring: VecDeque<Entry>,
     dropped: u64,
     seq: u64,
-    /// Worker id -> dense thread index, in order of first call.
-    threads: Vec<usize>,
-    stacks: Vec<Vec<&'static str>>,
+    /// Worker id -> the thread index the worker's thread reported.
+    index: Vec<usize>,
+    threads: Vec<ThreadModel>,
     counters: BTreeMap<&'static str, u64>,
+    trace: VecDeque<TraceEntry>,
+    trace_dropped: u64,
+    unattributed: BTreeMap<&'static str, u64>,
 }
 
 impl Model {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, index: Vec<usize>) -> Self {
         Model {
             capacity,
             ring: VecDeque::new(),
             dropped: 0,
             seq: 0,
-            threads: Vec::new(),
-            stacks: Vec::new(),
+            threads: index.iter().map(|_| ThreadModel::default()).collect(),
+            index,
             counters: BTreeMap::new(),
+            trace: VecDeque::new(),
+            trace_dropped: 0,
+            unattributed: BTreeMap::new(),
         }
     }
 
-    fn thread(&mut self, worker: usize) -> usize {
-        match self.threads.iter().position(|&w| w == worker) {
-            Some(idx) => idx,
-            None => {
-                self.threads.push(worker);
-                self.stacks.push(Vec::new());
-                self.threads.len() - 1
-            }
+    /// `TraceRecorder::with_capacity` keeps at least two events.
+    fn trace_push(&mut self, entry: TraceEntry) {
+        if self.trace.len() == self.capacity.max(2) {
+            self.trace.pop_front();
+            self.trace_dropped += 1;
         }
-    }
-
-    fn stack_of(&self, worker: usize) -> &[&'static str] {
-        match self.threads.iter().position(|&w| w == worker) {
-            Some(idx) => &self.stacks[idx],
-            None => &[],
-        }
+        self.trace.push_back(entry);
     }
 
     fn apply(&mut self, worker: usize, call: Call) {
-        let thread = self.thread(worker);
+        let thread = self.index[worker];
+        let tid = thread as u32;
         let (kind, name, value) = match call {
             Call::Enter(name) => {
-                self.stacks[thread].push(name);
+                self.threads[worker].open.push(SpanNode {
+                    name,
+                    nanos: 0,
+                    counters: BTreeMap::new(),
+                    children: Vec::new(),
+                });
+                self.trace_push((TraceEventKind::Begin, name, tid, BTreeMap::new()));
                 (FlightKind::SpanEnter, name, 0)
             }
             Call::Exit(name, nanos) => {
-                let stack = &mut self.stacks[thread];
-                if let Some(pos) = stack.iter().rposition(|&n| n == name) {
-                    stack.truncate(pos);
+                // The innermost open span of that name closes, and every
+                // span opened after it closes first; else nothing does.
+                let open = &mut self.threads[worker].open;
+                let mut closing = match open.iter().rposition(|s| s.name == name) {
+                    Some(at) => open.split_off(at),
+                    None => Vec::new(),
+                };
+                while let Some(mut node) = closing.pop() {
+                    let end = (TraceEventKind::End, node.name, tid, node.counters.clone());
+                    self.trace_push(end);
+                    if node.name == name {
+                        node.nanos = nanos;
+                    }
+                    let tree = &mut self.threads[worker];
+                    match closing.last_mut().or(tree.open.last_mut()) {
+                        Some(parent) => parent.children.push(node),
+                        None => tree.roots.push(node),
+                    }
                 }
                 (FlightKind::SpanExit, name, nanos)
             }
             Call::Counter(name, delta) => {
                 *self.counters.entry(name).or_insert(0) += delta;
+                let attributed = match self.threads[worker].open.last_mut() {
+                    Some(span) => &mut span.counters,
+                    None => &mut self.unattributed,
+                };
+                *attributed.entry(name).or_insert(0) += delta;
                 (FlightKind::Counter, name, delta)
             }
             Call::Event(name) => (FlightKind::Event, name, 0),
@@ -141,24 +192,41 @@ impl Model {
         self.seq += 1;
     }
 
+    /// Workers in thread-index order.
+    fn by_index(&self) -> Vec<usize> {
+        let mut workers: Vec<usize> = (0..self.index.len()).collect();
+        workers.sort_by_key(|&w| self.index[w]);
+        workers
+    }
+
     fn open_spans(&self) -> Vec<(usize, Vec<&'static str>)> {
-        self.stacks
+        self.by_index()
+            .into_iter()
+            .filter(|&w| !self.threads[w].open.is_empty())
+            .map(|w| {
+                let names = self.threads[w].open.iter().map(|s| s.name).collect();
+                (self.index[w], names)
+            })
+            .collect()
+    }
+
+    fn span_roots(&self) -> Vec<SpanNode> {
+        let by_index = self.by_index();
+        by_index
             .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(idx, s)| (idx, s.clone()))
+            .flat_map(|&w| self.threads[w].roots.iter().cloned())
             .collect()
     }
 }
 
 /// The next call for `worker`: mostly well-formed span nesting, with
 /// exits of spans that are not innermost (or not open at all) mixed in.
-fn next_call(rng: &mut SplitMix64, stack: &[&'static str]) -> Call {
+fn next_call(rng: &mut SplitMix64, stack: &[SpanNode]) -> Call {
     let name = NAMES[rng.below(NAMES.len())];
     match rng.below(8) {
         0 | 1 => Call::Enter(name),
         2 | 3 => match stack.last() {
-            Some(&top) => Call::Exit(top, rng.next() % 1_000),
+            Some(top) => Call::Exit(top.name, rng.next() % 1_000),
             None => Call::Exit(name, 7),
         },
         // Malformed: may close an outer span or one that is not open.
@@ -168,7 +236,15 @@ fn next_call(rng: &mut SplitMix64, stack: &[&'static str]) -> Call {
     }
 }
 
-fn assert_matches(flight: &FlightRecorder, model: &Model, ctx: &str) {
+/// The recorders under test, fed the same calls.
+struct Recorders {
+    flight: FlightRecorder,
+    trace: TraceRecorder,
+    stats: StatsRecorder,
+}
+
+fn assert_matches(r: &Recorders, model: &Model, ctx: &str) {
+    let flight = &r.flight;
     let tail: Vec<Entry> = flight
         .tail()
         .iter()
@@ -186,6 +262,33 @@ fn assert_matches(flight: &FlightRecorder, model: &Model, ctx: &str) {
         !model.open_spans().is_empty(),
         "has_open_spans, {ctx}"
     );
+
+    let events: Vec<TraceEntry> = r
+        .trace
+        .events()
+        .into_iter()
+        .map(|e| (e.kind, e.name, e.tid, e.counters))
+        .collect();
+    let want: Vec<TraceEntry> = model.trace.iter().cloned().collect();
+    assert_eq!(events, want, "trace events, {ctx}");
+    assert_eq!(
+        r.trace.dropped(),
+        model.trace_dropped,
+        "trace dropped, {ctx}"
+    );
+    let unattributed: Vec<(&str, u64)> = model.unattributed.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(
+        r.trace.unattributed_counters(),
+        unattributed,
+        "trace unattributed, {ctx}"
+    );
+
+    assert_eq!(
+        r.stats.span_roots(),
+        model.span_roots(),
+        "stats roots, {ctx}"
+    );
+    assert_eq!(r.stats.counters(), counters, "stats counters, {ctx}");
 }
 
 fn number(value: Option<&JsonValue>) -> u64 {
@@ -237,49 +340,59 @@ fn assert_crash_report_matches(flight: &FlightRecorder, model: &Model, ctx: &str
 }
 
 /// Replays `calls` seeded calls on `workers` threads, one at a time, and
-/// compares the recorder with the model every few calls.
+/// compares the recorders with the model every few calls.
 fn run_case(workers: usize, capacity: usize, seed: u64, calls: usize) {
     let ctx = format!("{workers} thread(s), capacity {capacity}, seed {seed}");
-    let flight = Arc::new(FlightRecorder::with_capacity(capacity));
-    let mut model = Model::new(capacity);
-    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let recorders = Arc::new(Recorders {
+        flight: FlightRecorder::with_capacity(capacity),
+        trace: TraceRecorder::with_capacity(capacity),
+        stats: StatsRecorder::new(),
+    });
+    let (done_tx, done_rx) = mpsc::channel::<usize>();
     let mut senders = Vec::new();
     let mut handles = Vec::new();
+    let mut index = Vec::new();
     for _ in 0..workers {
         let (tx, rx) = mpsc::channel::<Call>();
-        let flight = flight.clone();
+        let recorders = recorders.clone();
         let done = done_tx.clone();
         handles.push(thread::spawn(move || {
+            done.send(chc_obs::thread_index())
+                .expect("coordinator alive");
             for call in rx {
-                call.apply(&flight);
-                done.send(()).expect("coordinator alive");
+                call.apply(&recorders.flight);
+                call.apply(&recorders.trace);
+                call.apply(&recorders.stats);
+                done.send(0).expect("coordinator alive");
             }
         }));
         senders.push(tx);
+        index.push(done_rx.recv().expect("worker reports its thread index"));
     }
+    let mut model = Model::new(capacity, index);
     let mut rng = SplitMix64(seed);
     for i in 0..calls {
         let worker = rng.below(workers);
-        let call = next_call(&mut rng, model.stack_of(worker));
+        let call = next_call(&mut rng, &model.threads[worker].open);
         senders[worker].send(call).expect("worker alive");
         done_rx.recv().expect("worker acked");
         model.apply(worker, call);
         if i % 37 == 0 {
-            assert_matches(&flight, &model, &format!("{ctx}, after call {i}"));
+            assert_matches(&recorders, &model, &format!("{ctx}, after call {i}"));
         }
     }
-    assert_matches(&flight, &model, &ctx);
-    assert_crash_report_matches(&flight, &model, &ctx);
+    assert_matches(&recorders, &model, &ctx);
+    assert_crash_report_matches(&recorders.flight, &model, &ctx);
     drop(senders);
     for handle in handles {
         handle.join().expect("worker exits cleanly");
     }
-    // Buffers outlive their threads: a dead thread's tail still reads.
-    assert_matches(&flight, &model, &format!("{ctx}, workers joined"));
+    // Buffers outlive their threads: a dead thread's state still reads.
+    assert_matches(&recorders, &model, &format!("{ctx}, workers joined"));
 }
 
 #[test]
-fn per_thread_flight_buffers_match_the_one_ring_model() {
+fn per_thread_recorders_match_the_one_stack_per_thread_model() {
     let _serial = serial();
     for workers in 1..=4 {
         for capacity in [1, 4, 4096] {
@@ -291,12 +404,16 @@ fn per_thread_flight_buffers_match_the_one_ring_model() {
 }
 
 #[test]
-fn a_fresh_recorder_matches_the_empty_model() {
+fn fresh_recorders_match_the_empty_model() {
     let _serial = serial();
-    let flight = FlightRecorder::with_capacity(4);
-    let model = Model::new(4);
-    assert_matches(&flight, &model, "empty");
-    assert_crash_report_matches(&flight, &model, "empty");
+    let recorders = Recorders {
+        flight: FlightRecorder::with_capacity(4),
+        trace: TraceRecorder::with_capacity(4),
+        stats: StatsRecorder::new(),
+    };
+    let model = Model::new(4, Vec::new());
+    assert_matches(&recorders, &model, "empty");
+    assert_crash_report_matches(&recorders.flight, &model, "empty");
 }
 
 /// The always-on path must stay cheap enough to leave installed in every

@@ -80,12 +80,12 @@ fn concurrent_scoped_recorders_do_not_cross_attribute() {
                     let _guard = chc_obs::scoped(fan);
                     run_schedule(0xC0FFEE + t, ops)
                 };
-                (t, expected, stats, trace)
+                (t, chc_obs::thread_index() as u32, expected, stats, trace)
             })
         })
         .collect();
     for h in handles {
-        let (t, expected, stats, trace) = h.join().expect("thread survives");
+        let (t, tid, expected, stats, trace) = h.join().expect("thread survives");
         // Exact attribution: each recorder saw its own thread's deltas,
         // all of them, and nothing else.
         assert_eq!(
@@ -106,7 +106,10 @@ fn concurrent_scoped_recorders_do_not_cross_attribute() {
         }
         // The event timeline is well nested per thread and single-tid.
         let events = trace.events();
-        assert!(events.iter().all(|e| e.tid == 0), "thread {t} saw one tid");
+        assert!(
+            events.iter().all(|e| e.tid == tid),
+            "thread {t} saw one tid, its own"
+        );
         let mut stack = Vec::new();
         for ev in &events {
             match ev.kind {
@@ -216,4 +219,70 @@ fn one_trace_recorder_shared_by_many_threads_keeps_tids_apart() {
     {
         assert_eq!(ev.counters.get("t.n"), Some(&1));
     }
+}
+
+#[test]
+fn one_stats_recorder_shared_by_many_threads_keeps_trees_apart() {
+    // The StatsRecorder twin of the test above: `chc load --trace`
+    // installs one global StatsRecorder that every worker thread reports
+    // to, so each thread must grow its own span tree. Thread `t` opens
+    // only spans named for it and bumps `t.n` by `t + 1` in its outer
+    // span and by `10 * (t + 1)` in its inner one.
+    const OUTER: [&str; 4] = ["t0.outer", "t1.outer", "t2.outer", "t3.outer"];
+    const INNER: [&str; 4] = ["t0.inner", "t1.inner", "t2.inner", "t3.inner"];
+    const ROUNDS: usize = 200;
+    let stats = Arc::new(StatsRecorder::new());
+    let barrier = Arc::new(Barrier::new(OUTER.len()));
+    let handles: Vec<_> = (0..OUTER.len())
+        .map(|t| {
+            let stats = stats.clone();
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                let r: Arc<dyn chc_obs::Recorder> = stats;
+                barrier.wait();
+                for _ in 0..ROUNDS {
+                    r.span_enter(OUTER[t]);
+                    r.counter("t.n", t as u64 + 1);
+                    std::thread::yield_now();
+                    r.span_enter(INNER[t]);
+                    r.counter("t.n", 10 * (t as u64 + 1));
+                    std::thread::yield_now();
+                    r.span_exit(INNER[t], 1);
+                    r.span_exit(OUTER[t], 2);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let roots = stats.span_roots();
+    assert_eq!(roots.len(), OUTER.len() * ROUNDS, "one root per round");
+    for root in &roots {
+        let t = OUTER
+            .iter()
+            .position(|&n| n == root.name)
+            .unwrap_or_else(|| panic!("root {} is not an outer span", root.name));
+        let bumps = |node: &chc_obs::SpanNode| node.counters.get("t.n").copied();
+        assert_eq!(bumps(root), Some(t as u64 + 1), "{} counters", root.name);
+        assert_eq!(
+            root.children.len(),
+            1,
+            "{} has its own inner span only",
+            root.name
+        );
+        let inner = &root.children[0];
+        assert_eq!(inner.name, INNER[t], "children come from the root's thread");
+        assert_eq!(
+            bumps(inner),
+            Some(10 * (t as u64 + 1)),
+            "{} counters",
+            inner.name
+        );
+        assert!(inner.children.is_empty(), "{} has no children", inner.name);
+    }
+    assert_eq!(
+        stats.counter_value("t.n"),
+        ROUNDS as u64 * 11 * (1 + 2 + 3 + 4)
+    );
 }

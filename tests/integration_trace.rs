@@ -98,19 +98,34 @@ fn trace_out_is_valid_chrome_trace_json() {
     assert!(stack.is_empty(), "spans left open: {stack:?}");
 }
 
-#[test]
-fn trace_out_nesting_matches_the_aggregated_span_tree() {
-    let (sdl, chd) = hospital();
-    let out_path = tmp("consistency.json");
-    // One run, both recorders.
-    let out = chc(&[
-        "validate",
-        "--trace",
-        "--trace-out",
-        out_path.to_str().unwrap(),
-        &sdl,
-        &chd,
-    ]);
+/// The span events of a parsed Chrome trace, as (phase, name, tid)
+/// triples in buffer order, skipping metadata/instant events.
+fn span_events_by_tid(doc: &JsonValue) -> Vec<(String, String, u64)> {
+    doc.get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .expect("traceEvents array")
+        .iter()
+        .filter_map(|e| {
+            let ph = e.get("ph")?.as_str()?;
+            if ph != "B" && ph != "E" {
+                return None;
+            }
+            let tid = e.get("tid")?.as_f64()? as u64;
+            Some((ph.to_string(), e.get("name")?.as_str()?.to_string(), tid))
+        })
+        .collect()
+}
+
+/// Runs `chc --trace --trace-out <file> <args>` and checks that the
+/// aggregated span tree on stderr nests exactly as the timeline does,
+/// thread by thread: the tree renders each thread's spans in turn, by
+/// thread index, and each thread's part must equal the (depth, name)
+/// sequence of that tid's B events.
+fn assert_tree_matches_timeline(file: &str, args: &[&str]) {
+    let out_path = tmp(file);
+    let mut argv = vec!["--trace", "--trace-out", out_path.to_str().unwrap()];
+    argv.extend_from_slice(args);
+    let out = chc(&argv);
     assert!(
         out.status.success(),
         "{}",
@@ -131,23 +146,58 @@ fn trace_out_nesting_matches_the_aggregated_span_tree() {
         })
         .collect();
     assert!(!tree.is_empty(), "{stderr}");
-    // Reconstruct the same (depth, name) sequence from B events.
+    // Reconstruct the same (depth, name) sequence per tid from B events.
     let text = std::fs::read_to_string(&out_path).unwrap();
     let doc = chc_obs::json::parse(&text).unwrap();
-    let mut from_trace = Vec::new();
-    let mut depth = 0usize;
-    for (ph, name) in span_events(&doc) {
+    let mut by_tid: std::collections::BTreeMap<u64, (usize, Vec<(usize, String)>)> =
+        std::collections::BTreeMap::new();
+    for (ph, name, tid) in span_events_by_tid(&doc) {
+        let (depth, spans) = by_tid.entry(tid).or_default();
         match ph.as_str() {
             "B" => {
-                from_trace.push((depth, name));
-                depth += 1;
+                spans.push((*depth, name));
+                *depth += 1;
             }
-            _ => depth -= 1,
+            _ => *depth -= 1,
         }
     }
-    assert_eq!(
-        tree, from_trace,
-        "aggregated tree and event timeline disagree\ntree: {tree:?}\ntrace: {from_trace:?}"
+    let mut rest = &tree[..];
+    for (tid, (depth, from_trace)) in &by_tid {
+        assert_eq!(*depth, 0, "tid {tid} left spans open");
+        assert!(
+            rest.len() >= from_trace.len(),
+            "tree too short for tid {tid}"
+        );
+        let (part, tail) = rest.split_at(from_trace.len());
+        assert_eq!(
+            part, from_trace,
+            "aggregated tree and event timeline disagree on tid {tid}\n\
+             tree: {part:?}\ntrace: {from_trace:?}"
+        );
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "tree spans with no timeline: {rest:?}");
+}
+
+#[test]
+fn trace_out_nesting_matches_the_aggregated_span_tree() {
+    let (sdl, chd) = hospital();
+    // One thread: the whole run is tid 0's tree.
+    assert_tree_matches_timeline("consistency.json", &["validate", &sdl, &chd]);
+    // Two load workers beside the main thread: each worker's spans are
+    // roots of its own thread's tree, never children of the main
+    // thread's `load.run`.
+    assert_tree_matches_timeline(
+        "consistency-load.json",
+        &[
+            "load",
+            "--hier",
+            "classes=40,seed=9",
+            "--threads",
+            "2",
+            "--ops",
+            "2000",
+        ],
     );
 }
 
