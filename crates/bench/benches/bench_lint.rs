@@ -2,9 +2,12 @@
 //!
 //! The lints share the verifiability budget of `chc check` (§5.3): both
 //! are meant to run on every edit, so the pass must stay near-linear in
-//! the number of classes. The coherence sweep (one `admits_common_value`
-//! per class × applicable attribute) dominates; the structural lints
-//! (L002, L004–L006) are cheap graph walks.
+//! the number of classes. The coherence sweep visits every class ×
+//! applicable attribute, but settles most sites from their minimal
+//! declarer's §5.1 verdict (decided once per declaration) and runs the
+//! exact `admits_common_value` decision only at joins of two or more
+//! lineages and at failed declarations. The structural lints (L002,
+//! L004–L006) are graph walks.
 
 use chc_bench::harness::{BenchmarkId, Criterion, Throughput};
 use chc_bench::{criterion_group, criterion_main};

@@ -139,9 +139,7 @@ impl Work {
 pub(crate) struct Checker<'s> {
     schema: &'s Schema,
     ranges: RangeTable<'s>,
-    /// Indexed by attribute symbol: the classes declaring it, so the
-    /// constraints on a class are one intersection with its ancestor set.
-    declarers: Vec<Option<BitSet>>,
+    declarers: Declarers<'s>,
     report: CheckReport,
     /// `(class, attr)` → `SITE_*` bits of the diagnostics in `report`.
     sites: HashMap<(ClassId, Sym), u8>,
@@ -151,22 +149,10 @@ pub(crate) struct Checker<'s> {
 impl<'s> Checker<'s> {
     /// A check of `schema` with an empty report.
     pub(crate) fn new(schema: &'s Schema) -> Self {
-        let mut declarers: Vec<Option<BitSet>> = Vec::new();
-        for class in schema.class_ids() {
-            for decl in &schema.class(class).attrs {
-                let at = decl.name.index();
-                if declarers.len() <= at {
-                    declarers.resize(at + 1, None);
-                }
-                declarers[at]
-                    .get_or_insert_with(|| BitSet::new(schema.num_classes()))
-                    .insert(class.index());
-            }
-        }
         Checker {
             schema,
             ranges: RangeTable::new(schema),
-            declarers,
+            declarers: Declarers::new(schema),
             report: CheckReport::default(),
             sites: HashMap::new(),
             work: Work::default(),
@@ -262,19 +248,6 @@ impl<'s> Checker<'s> {
         self.report.diagnostics.push(d);
     }
 
-    /// The classes among `class` and its ancestors that declare `attr`,
-    /// in ascending id order: the constraints on `attr` that apply to
-    /// instances of `class`.
-    fn declaring_ancestors(&self, class: ClassId, attr: Sym) -> Vec<ClassId> {
-        let Some(Some(declarers)) = self.declarers.get(attr.index()) else {
-            return Vec::new();
-        };
-        declarers
-            .intersection_iter(self.schema.ancestor_bits(class))
-            .map(|i| ClassId::from_raw(i as u32))
-            .collect()
-    }
-
     fn site_has(&self, class: ClassId, attr: Sym, bit: u8) -> bool {
         self.sites.get(&(class, attr)).is_some_and(|b| b & bit != 0)
     }
@@ -284,7 +257,7 @@ impl<'s> Checker<'s> {
         let spec = &schema.declared_attr(class, attr).expect("declared").spec;
         let s_range = self.ranges.decl(class, attr);
 
-        for ancestor in self.declaring_ancestors(class, attr) {
+        for ancestor in self.declarers.on(class, attr) {
             if ancestor == class {
                 continue;
             }
@@ -376,7 +349,7 @@ impl<'s> Checker<'s> {
         if schema.supers(class).len() < 2 && !declared {
             return;
         }
-        let declarers = self.declaring_ancestors(class, attr);
+        let declarers = self.declarers.on(class, attr);
         if declarers.len() < 2 {
             return;
         }
@@ -460,15 +433,7 @@ impl<'s> Checker<'s> {
         // the excuse branch the instance is entitled to) — the site is
         // satisfiable by construction. Only genuine multi-lineage joins (two
         // or more incomparable minimal declarers) need the k-way test.
-        let minimal_count = declarers
-            .iter()
-            .filter(|&&b| {
-                !declarers
-                    .iter()
-                    .any(|&other| schema.is_strict_subclass(other, b))
-            })
-            .count();
-        if minimal_count <= 1 {
+        if minimal_declarers(schema, &declarers).nth(1).is_none() {
             return;
         }
         // Exact admission over the allowed sets, shared with chc-lint's
@@ -488,6 +453,58 @@ impl<'s> Checker<'s> {
             attr,
         });
     }
+}
+
+/// Indexed by attribute symbol: the classes declaring it, so the
+/// constraints on a class are one intersection with its ancestor set.
+pub(crate) struct Declarers<'s> {
+    schema: &'s Schema,
+    bits: Vec<Option<BitSet>>,
+}
+
+impl<'s> Declarers<'s> {
+    pub(crate) fn new(schema: &'s Schema) -> Self {
+        let mut bits: Vec<Option<BitSet>> = Vec::new();
+        for class in schema.class_ids() {
+            for decl in &schema.class(class).attrs {
+                let at = decl.name.index();
+                if bits.len() <= at {
+                    bits.resize(at + 1, None);
+                }
+                bits[at]
+                    .get_or_insert_with(|| BitSet::new(schema.num_classes()))
+                    .insert(class.index());
+            }
+        }
+        Declarers { schema, bits }
+    }
+
+    /// The classes among `class` and its ancestors that declare `attr`,
+    /// in ascending id order: the constraints on `attr` that apply to
+    /// instances of `class`.
+    pub(crate) fn on(&self, class: ClassId, attr: Sym) -> Vec<ClassId> {
+        let Some(Some(bits)) = self.bits.get(attr.index()) else {
+            return Vec::new();
+        };
+        bits.intersection_iter(self.schema.ancestor_bits(class))
+            .map(|i| ClassId::from_raw(i as u32))
+            .collect()
+    }
+}
+
+/// The minimal declarers of a site, given all its declarers: those with
+/// no other declarer strictly below them. Every declarer lies above one
+/// of them, so a site with one minimal declarer `M` has exactly the
+/// constraints of the site `(M, attr)`.
+pub(crate) fn minimal_declarers<'a>(
+    schema: &'a Schema,
+    declarers: &'a [ClassId],
+) -> impl Iterator<Item = ClassId> + 'a {
+    declarers.iter().copied().filter(move |&b| {
+        !declarers
+            .iter()
+            .any(|&other| schema.is_strict_subclass(other, b))
+    })
 }
 
 /// For each constraint at a joint-satisfiability site, the direct parents

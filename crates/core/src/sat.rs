@@ -24,9 +24,18 @@
 //! treated as mutually overlapping — a first-order approximation matching
 //! [`Range::overlaps`]: whether two entity classes share an instance is a
 //! question about extents, not the schema.
+//!
+//! [`incoherent_sites`] answers the question for every site of a schema
+//! at once. It settles most sites from their minimal declarer's §5.1
+//! verdict and runs the decision procedure only on the rest.
 
-use chc_model::{AttrSpec, ClassId, Range, Schema, Sym};
+use std::collections::BTreeSet;
+
+use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, Range, Schema, Sym};
 use chc_obs::json::JsonValue;
+
+use crate::canon::{RangeId, RangeTable};
+use crate::check::{minimal_declarers, Declarers};
 
 /// Does some single value satisfy every constraint on `attr` inherited
 /// by (or declared on) `class`, with applicable excuses folded in?
@@ -221,6 +230,96 @@ pub fn common_value_witness_of(
         intervals = next;
     }
     intervals.first().map(|&(lo, _)| Witness::Int(lo))
+}
+
+/// Every `(class, attr)` site of `schema`, over each class's applicable
+/// attributes, where [`admits_common_value`] is `false`.
+///
+/// A site whose declarers have one minimal element `M` carries exactly
+/// the constraints of the site `(M, attr)`, and its instances may take
+/// every excuse branch `M`'s instances may. Suppose `M`'s declaration
+/// passes the §5.1 rule: for each other declarer `B`, `R_B ⊇ S_M` or some
+/// excuser `E` with `M ⊆ E` has `S_E ⊇ S_M`. Then every value of `S_M`
+/// lies in every allowed set of the site, so the site is coherent as soon
+/// as `S_M` holds a value. That verdict is decided once per declaration,
+/// on canonical ranges. Every other site (two or more minimal declarers,
+/// a declaration that fails the rule, an empty `S_M`) goes to
+/// [`common_value_witness_of`], which stays the one decision procedure.
+pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
+    let ranges = RangeTable::new(schema);
+    let declarers = Declarers::new(schema);
+    // `subsumes` also lets a pure record type `[..]` cover a refined class
+    // type `C [..]`. Their values are records and entities, which the
+    // decision procedure keeps apart, so such a cover settles nothing.
+    let covers = |sup: RangeId, sub: RangeId| {
+        let pure_record = |id| matches!(ranges.range(id), Range::Record { base: None, .. });
+        ranges.subsumes(sup, sub) && pure_record(sup) == pure_record(sub)
+    };
+    // Does `m`'s declaration `decl` settle the sites it is the minimal
+    // declarer of? `m` is itself an applicable excuser of every constraint
+    // its declaration excuses, and `S_M ⊇ S_M`.
+    let settles = |m: ClassId, decl: &AttrDecl| {
+        let (attr, s) = (decl.name, ranges.decl(m, decl.name));
+        let excused_here = |b| decl.spec.excuses.contains(&Excuse { attr, on: b });
+        inhabited(&decl.spec.range)
+            && declarers.on(m, attr).into_iter().all(|b| {
+                b == m
+                    || covers(ranges.decl(b, attr), s)
+                    || excused_here(b)
+                    || ranges
+                        .applicable_excusers(m, b, attr)
+                        .any(|(_, e)| covers(e, s))
+            })
+    };
+    // Indexed like `schema.class(m).attrs`.
+    let settling: Vec<Vec<bool>> = schema
+        .class_ids()
+        .map(|m| {
+            let attrs = &schema.class(m).attrs;
+            attrs.iter().map(|d| settles(m, d)).collect()
+        })
+        .collect();
+    let settled = |m: ClassId, attr: Sym| {
+        let attrs = &schema.class(m).attrs;
+        let at = attrs.binary_search_by_key(&attr, |d| d.name);
+        settling[m.index()][at.expect("declarer")]
+    };
+
+    let mut incoherent = BTreeSet::new();
+    for class in schema.class_ids() {
+        for attr in schema.applicable_attrs(class) {
+            // A class declaring `attr` lies below every other declarer.
+            if schema.declared_attr(class, attr).is_some() && settled(class, attr) {
+                continue;
+            }
+            let on = declarers.on(class, attr);
+            let mut minimal = minimal_declarers(schema, &on);
+            if let (Some(m), None) = (minimal.next(), minimal.next()) {
+                if settled(m, attr) {
+                    continue;
+                }
+            }
+            let constraints: Vec<_> = on
+                .iter()
+                .map(|&b| (b, &schema.declared_attr(b, attr).expect("declarer").spec))
+                .collect();
+            if common_value_witness_of(schema, class, attr, &constraints).is_none() {
+                incoherent.insert((class, attr));
+            }
+        }
+    }
+    incoherent
+}
+
+/// Whether `range` holds any value. [`Range::int`] and
+/// [`Range::enumeration`] refuse reversed intervals and empty
+/// enumerations, but the variants are public and can be built directly.
+fn inhabited(range: &Range) -> bool {
+    match range {
+        Range::Int { lo, hi } => lo <= hi,
+        Range::Enum(set) => !set.is_empty(),
+        _ => true,
+    }
 }
 
 /// One excuse branch enlarging a constraint's allowed set for instances
@@ -602,6 +701,37 @@ mod tests {
                     "{}.{attr}",
                     schema.class_name(class)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn an_uninhabited_range_is_not_settled_by_its_declaration() {
+        // `Range::enumeration` and `Range::int` refuse these ranges; the
+        // public variants do not. `T.p` passes §5.1 vacuously (nothing
+        // above it), and `U.q`'s `5..1` is subsumed by `0..10`, yet
+        // neither declaration holds a value.
+        let mut b = chc_model::SchemaBuilder::new();
+        let t = b.declare("T").unwrap();
+        let u = b.declare("U").unwrap();
+        b.add_super(u, t).unwrap();
+        let empty = Range::Enum(BTreeSet::new());
+        b.add_attr(t, "p", AttrSpec::plain(empty)).unwrap();
+        b.add_attr(t, "q", AttrSpec::plain(Range::Int { lo: 0, hi: 10 }))
+            .unwrap();
+        b.add_attr(u, "q", AttrSpec::plain(Range::Int { lo: 5, hi: 1 }))
+            .unwrap();
+        let schema = b.build().unwrap();
+        let swept = incoherent_sites(&schema);
+        let names: Vec<String> = swept
+            .iter()
+            .map(|&(c, a)| format!("{}.{}", schema.class_name(c), schema.resolve(a)))
+            .collect();
+        assert_eq!(names, ["T.p", "U.p", "U.q"]);
+        for class in schema.class_ids() {
+            for attr in schema.applicable_attrs(class) {
+                let incoherent = swept.contains(&(class, attr));
+                assert_eq!(incoherent, !admits_common_value(&schema, class, attr));
             }
         }
     }

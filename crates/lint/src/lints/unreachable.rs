@@ -12,6 +12,8 @@
 //! (An excuser that does not intersect the host hierarchy at all is
 //! reported by L002 instead; the two lints partition the failure modes.)
 
+use chc_model::Sym;
+
 use crate::config::LintLevel;
 use crate::finding::Finding;
 use crate::lints::LintCtx;
@@ -37,8 +39,9 @@ pub(crate) fn run(ctx: &LintCtx<'_>, out: &mut Vec<Finding>) {
                     .filter(|&d| schema.is_subclass(d, host))
                     .find_map(|d| {
                         ctx.incoherent_at
-                            .iter()
-                            .find(|(c, _)| *c == d)
+                            .range((d, Sym::from_raw(0))..)
+                            .next()
+                            .filter(|&&(c, _)| c == d)
                             .map(|&(c, a)| chc_core::explain_admissibility(schema, c, a))
                     });
                 out.push(Finding {
