@@ -103,10 +103,17 @@ pub fn load_data(schema: &Schema, src: &str) -> Result<LoadedData, DataError> {
         attr_error: None,
         forward: false,
         all_defined: false,
+        fanout: 0,
     };
-    for (line, text) in &entries {
-        loader.entry(*line, text)?;
+    let read = entries
+        .iter()
+        .try_for_each(|(line, text)| loader.entry(*line, text));
+    // One counter update per load, not per object, whether or not the
+    // load succeeds.
+    if loader.fanout > 0 {
+        chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, loader.fanout);
     }
+    read?;
     if let Some(e) = unterminated {
         return Err(e);
     }
@@ -265,6 +272,9 @@ struct Loader<'a, 's> {
     forward: bool,
     /// Set once every entry is read: an unknown `@ref` is then an error.
     all_defined: bool,
+    /// Extents joined by the objects created so far: the load's
+    /// `extent.add_fanout`.
+    fanout: u64,
 }
 
 impl<'a> Loader<'a, '_> {
@@ -312,7 +322,8 @@ impl<'a> Loader<'a, '_> {
             return Err(err("expected at least one class"));
         }
         let oid = if self.class_error.is_none() {
-            let oid = self.store.create(self.schema, &self.classes);
+            let (oid, fanout) = self.store.create_counted(self.schema, &self.classes);
+            self.fanout += fanout;
             self.by_name.insert(name, oid);
             self.names.push((name.to_string(), oid));
             Some(oid)

@@ -5,8 +5,9 @@
 //! ([`DefClass`]), meta-classes with class-level attributes
 //! ([`MetaClass`]), computed extents for §5.6's virtual classes
 //! ([`virtual_extent()`], [`refresh_virtual_extents`]), store-integrated
-//! validation ([`validate_stored`]), and excusable integrity assertions
-//! over relationships between objects ([`AssertionSet`], §2d).
+//! validation ([`validate_stored`], [`validate_loaded`]), and excusable
+//! integrity assertions over relationships between objects
+//! ([`AssertionSet`], §2d).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,5 +26,5 @@ pub use data::{load_data, DataError, LoadedData};
 pub use defclass::DefClass;
 pub use metaclass::{avg_over_extent, MetaClass};
 pub use store::ExtentStore;
-pub use validate::{validate_all, validate_stored};
+pub use validate::{validate_all, validate_loaded, validate_stored};
 pub use virtual_extent::{refresh_virtual_extents, virtual_extent};

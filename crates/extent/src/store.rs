@@ -132,6 +132,17 @@ impl ExtentStore {
     /// Creates an object that is an instance of each of `classes` (and,
     /// automatically, of all their superclasses).
     pub fn create(&mut self, schema: &Schema, classes: &[ClassId]) -> Oid {
+        let (oid, fanout) = self.create_counted(schema, classes);
+        if chc_obs::enabled() {
+            chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
+        }
+        oid
+    }
+
+    /// [`ExtentStore::create`], leaving the `extent.add_fanout` counter
+    /// to the caller: returns the object and the number of extents it
+    /// joined, so a bulk loader can report the sum once.
+    pub(crate) fn create_counted(&mut self, schema: &Schema, classes: &[ClassId]) -> (Oid, u64) {
         self.assert_schema(schema);
         let i = self.objects.len();
         self.objects.push(Some(Vec::new()));
@@ -144,11 +155,8 @@ impl ExtentStore {
                 fanout += u64::from(self.join(i, a));
             }
         }
-        if chc_obs::enabled() {
-            chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
-            chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
-        }
-        Oid::from_raw(i as u64)
+        chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
+        (Oid::from_raw(i as u64), fanout)
     }
 
     /// Adds an existing object to a class (and its superclasses).

@@ -2,7 +2,9 @@
 
 use chc_core::{validate_object, ValidationOptions, Violation};
 use chc_model::{Oid, Schema};
+use chc_obs::{names, EventLevel};
 
+use crate::data::LoadedData;
 use crate::store::ExtentStore;
 
 /// Validates one stored object against every constraint applicable to its
@@ -13,7 +15,6 @@ pub fn validate_stored(
     opts: ValidationOptions,
     oid: Oid,
 ) -> Vec<Violation> {
-    let _span = chc_obs::span(chc_obs::names::SPAN_VALIDATE_STORED);
     validate_object(schema, store, opts, oid, &store.classes_of(oid))
 }
 
@@ -25,13 +26,43 @@ pub fn validate_all(
     opts: ValidationOptions,
     root: chc_model::ClassId,
 ) -> Vec<(Oid, Vec<Violation>)> {
+    let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
+    let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
     store
         .extent(root)
         .filter_map(|o| {
+            crumb.set(o.raw());
             let v = validate_stored(schema, store, opts, o);
             (!v.is_empty()).then_some((o, v))
         })
         .collect()
+}
+
+/// Validates every object of a loaded data file, in definition order,
+/// handing each object's name and violations to `judge`; stops at the
+/// first error `judge` returns. This is `chc validate`'s loop.
+///
+/// The recorders see one `validate.all` phase span, not one span per
+/// object. Per object, the audit ledger gets a `validate.object` record
+/// joining the name to its surrogate (built only while a sink keeps
+/// `Info` events), and the flight recorder's breadcrumb names the
+/// surrogate being judged, so a crash report says which object it was.
+pub fn validate_loaded<E>(
+    schema: &Schema,
+    data: &LoadedData,
+    opts: ValidationOptions,
+    mut judge: impl FnMut(&str, Vec<Violation>) -> Result<(), E>,
+) -> Result<(), E> {
+    let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
+    let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
+    for (name, oid) in &data.names {
+        crumb.set(oid.raw());
+        chc_obs::event_with(EventLevel::Info, names::EVENT_VALIDATE_OBJECT, |ev| {
+            ev.field("name", name.as_str()).field("object", oid.raw())
+        });
+        judge(name, validate_stored(schema, &data.store, opts, *oid))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

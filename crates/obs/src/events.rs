@@ -14,8 +14,9 @@
 //! ignore the stream), and [`AuditRecorder`] is the batteries-included
 //! sink: a bounded ring that keeps the most recent events and renders
 //! them as JSON lines via [`crate::json`]. It is also the one in-tree
-//! sink that reads payloads, so [`crate::event_with`] builds an event's
-//! fields only while an `AuditRecorder` is installed.
+//! sink that keeps events ([`Recorder::keeps_events`]), so
+//! [`crate::event_with`] delivers an event, and builds its fields, only
+//! while an `AuditRecorder` keeping its level is installed.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -51,6 +52,9 @@ pub enum EventLevel {
 }
 
 impl EventLevel {
+    /// Every level, lowest first.
+    pub const ALL: [EventLevel; 3] = [EventLevel::Debug, EventLevel::Info, EventLevel::Audit];
+
     /// The lowercase label used in JSON output.
     pub fn label(self) -> &'static str {
         match self {
@@ -333,7 +337,7 @@ impl Default for AuditRecorder {
 }
 
 impl Recorder for AuditRecorder {
-    fn reads_event_payloads(&self, level: EventLevel) -> bool {
+    fn keeps_events(&self, level: EventLevel) -> bool {
         level >= self.min_level
     }
 

@@ -2,9 +2,10 @@
 //! crash/stall diagnostics built on top of it.
 //!
 //! A [`FlightRecorder`] is a [`Recorder`] sink that keeps the most
-//! recent span transitions, counter deltas, and event names, along with
-//! the per-thread stack of currently-open spans and a running total per
-//! counter name. It is designed to be installed *unconditionally* in
+//! recent span transitions and counter deltas, along with the
+//! per-thread stack of currently-open spans, a per-thread breadcrumb
+//! naming the item being worked on, and a running total per counter
+//! name. It is designed to be installed *unconditionally* in
 //! long-lived binaries, so that when the process dies there is always a
 //! recent-history tail to dump, and its write path is built to cost
 //! close to nothing:
@@ -19,16 +20,21 @@
 //!   [`FlightRecorder::counters`], …) merge the buffers; the merged tail
 //!   is the last `capacity` transitions by sequence number, exactly what
 //!   one shared ring of that capacity would hold.
-//! * **Names only.** Events are kept by name; the flight recorder does
-//!   not read payloads ([`Recorder::reads_event_payloads`] stays
-//!   `false`), so [`crate::event_with`] never builds one for it.
+//! * **Phases, not items.** The flight recorder keeps no structured
+//!   events ([`Recorder::keeps_events`] stays `false`: the audit ledger
+//!   owns them), so an event nobody else keeps costs one relaxed load.
+//!   Instrumented code marks phases with spans; which item a phase is
+//!   on is a [`crate::breadcrumb`]: one "current item" slot per thread
+//!   buffer, set with a relaxed store and no ring entry, read only by
+//!   [`crash_report`].
 //!
 //! `tests/flight_model.rs` checks the merged views against a one-ring
 //! reference model and pins the per-call cost on two threads
 //! (`flight_recording_is_cheap`).
 //!
 //! The dump is a `chc-crash/1` JSON document produced by
-//! [`crash_report`]: the flight tail, open-span stacks per thread, the
+//! [`crash_report`]: the flight tail, open-span stacks and current items
+//! per thread, the
 //! counter and [`crate::memalloc`] snapshots, and whatever key/value
 //! context the host registered via [`set_context`] (schema digest,
 //! build info, argv). [`CrashWriter`] renders and writes it
@@ -53,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::{self, JsonValue};
 use crate::threads::{lock, thread_index, SpanStack, Ticker};
-use crate::{events, memalloc, Recorder};
+use crate::{memalloc, Recorder};
 
 /// Default ring capacity: enough for a few thousand recent transitions
 /// without the tail dominating the crash report.
@@ -68,9 +74,6 @@ pub enum FlightKind {
     SpanExit,
     /// A counter was bumped; `value` is the delta.
     Counter,
-    /// A structured event was emitted (name only — payloads stay in
-    /// the audit sink).
-    Event,
 }
 
 impl FlightKind {
@@ -80,7 +83,6 @@ impl FlightKind {
             FlightKind::SpanEnter => "enter",
             FlightKind::SpanExit => "exit",
             FlightKind::Counter => "counter",
-            FlightKind::Event => "event",
         }
     }
 }
@@ -96,7 +98,7 @@ pub struct FlightEntry {
     pub thread: usize,
     /// Transition kind.
     pub kind: FlightKind,
-    /// Counter/span/event name.
+    /// Counter/span name.
     pub name: &'static str,
     /// Kind-dependent value: counter delta, span-exit nanos, else 0.
     pub value: u64,
@@ -111,13 +113,32 @@ struct ThreadLog {
     stack: SpanStack<()>,
     /// Running totals per counter name, in order of first use.
     counters: Vec<(&'static str, u64)>,
+    /// The name of the live breadcrumb, whose current item is
+    /// [`ThreadBuffer::item`].
+    item_name: Option<&'static str>,
 }
+
+/// [`ThreadBuffer::item`] while the breadcrumb has named no item yet.
+const NO_ITEM: u64 = u64::MAX;
 
 /// One thread's buffer. Only that thread writes to it; the lock is for
 /// the readers that merge the buffers. Aligned so that two threads'
 /// buffers never share a cache line.
 #[repr(align(128))]
-struct ThreadBuffer(Mutex<ThreadLog>);
+struct ThreadBuffer {
+    log: Mutex<ThreadLog>,
+    /// The breadcrumb's current item, outside the lock: the owning
+    /// thread stores it once per item, relaxed.
+    item: AtomicU64,
+}
+
+impl ThreadBuffer {
+    /// The breadcrumb's name and current item, if it has named one.
+    fn current_item(&self, log: &ThreadLog) -> Option<(&'static str, u64)> {
+        let item = self.item.load(Ordering::Relaxed);
+        log.item_name.filter(|_| item != NO_ITEM).map(|n| (n, item))
+    }
+}
 
 /// Source of [`FlightRecorder`] ids. Ids are never reused, so a stale
 /// thread-local entry cannot alias a newer recorder.
@@ -171,10 +192,19 @@ impl FlightRecorder {
     /// Calls `f` with every thread's log, in order of first use, while
     /// holding all of their locks.
     fn with_logs<R>(&self, f: impl FnOnce(&[&ThreadLog]) -> R) -> R {
+        self.with_buffers(|buffers| f(&buffers.iter().map(|(_, log)| *log).collect::<Vec<_>>()))
+    }
+
+    /// [`FlightRecorder::with_logs`], with each log's buffer.
+    fn with_buffers<R>(&self, f: impl FnOnce(&[(&ThreadBuffer, &ThreadLog)]) -> R) -> R {
         let threads = lock(&self.threads);
-        let guards: Vec<MutexGuard<'_, ThreadLog>> = threads.iter().map(|b| lock(&b.0)).collect();
-        let logs: Vec<&ThreadLog> = guards.iter().map(|g| &**g).collect();
-        f(&logs)
+        let guards: Vec<MutexGuard<'_, ThreadLog>> = threads.iter().map(|b| lock(&b.log)).collect();
+        let buffers: Vec<_> = threads
+            .iter()
+            .map(|b| &**b)
+            .zip(guards.iter().map(|g| &**g))
+            .collect();
+        f(&buffers)
     }
 
     /// The merged tail and the number of entries it no longer holds.
@@ -209,14 +239,32 @@ impl FlightRecorder {
     /// Open-span stacks by thread index, outermost first, for threads
     /// that currently have at least one span open.
     pub fn open_spans(&self) -> Vec<(usize, Vec<&'static str>)> {
-        let mut open: Vec<_> = self.with_logs(|logs| {
-            logs.iter()
-                .filter(|log| !log.stack.is_empty())
-                .map(|log| (log.thread, log.stack.names().collect()))
+        self.thread_states()
+            .into_iter()
+            .filter(|(_, stack, _)| !stack.is_empty())
+            .map(|(thread, stack, _)| (thread, stack))
+            .collect()
+    }
+
+    /// Per thread that has an open span or a current item, by thread
+    /// index: its open spans, outermost first, and its breadcrumb's
+    /// current item.
+    fn thread_states(&self) -> Vec<ThreadState> {
+        let mut states: Vec<_> = self.with_buffers(|buffers| {
+            buffers
+                .iter()
+                .map(|(buffer, log)| {
+                    (
+                        log.thread,
+                        log.stack.names().collect(),
+                        buffer.current_item(log),
+                    )
+                })
+                .filter(|(_, stack, item): &ThreadState| !stack.is_empty() || item.is_some())
                 .collect()
         });
-        open.sort_unstable_by_key(|&(thread, _)| thread);
-        open
+        states.sort_unstable_by_key(|&(thread, _, _)| thread);
+        states
     }
 
     /// True when any thread has an open span — the watchdog's "work
@@ -238,18 +286,24 @@ impl FlightRecorder {
 
     /// Registers a buffer for the calling thread.
     fn register(&self) -> Arc<ThreadBuffer> {
-        let buffer = Arc::new(ThreadBuffer(Mutex::new(ThreadLog {
-            thread: thread_index(),
-            ring: VecDeque::with_capacity(self.capacity),
-            dropped: 0,
-            stack: SpanStack::default(),
-            counters: Vec::new(),
-        })));
+        let buffer = Arc::new(ThreadBuffer {
+            log: Mutex::new(ThreadLog {
+                thread: thread_index(),
+                ring: VecDeque::with_capacity(self.capacity),
+                dropped: 0,
+                stack: SpanStack::default(),
+                counters: Vec::new(),
+                item_name: None,
+            }),
+            item: AtomicU64::new(NO_ITEM),
+        });
         lock(&self.threads).push(buffer.clone());
         buffer
     }
 
-    fn record(&self, kind: FlightKind, name: &'static str, value: u64) {
+    /// Calls `f` with the calling thread's buffer, registering it first
+    /// if this is the thread's first write.
+    fn with_buffer<R>(&self, f: impl FnOnce(&Arc<ThreadBuffer>) -> R) -> R {
         BUFFERS.with(|buffers| {
             let mut buffers = buffers.borrow_mut();
             let at = match buffers.iter().position(|(id, _)| *id == self.id) {
@@ -261,7 +315,13 @@ impl FlightRecorder {
                     buffers.len() - 1
                 }
             };
-            let mut guard = lock(&buffers[at].1 .0);
+            f(&buffers[at].1)
+        })
+    }
+
+    fn record(&self, kind: FlightKind, name: &'static str, value: u64) {
+        self.with_buffer(|buffer| {
+            let mut guard = lock(&buffer.log);
             let log = &mut *guard;
             match kind {
                 FlightKind::SpanEnter => log.stack.enter(name, ()),
@@ -270,7 +330,6 @@ impl FlightRecorder {
                     Some((_, total)) => *total += value,
                     None => log.counters.push((name, value)),
                 },
-                FlightKind::Event => {}
             }
             if log.ring.len() == self.capacity {
                 log.ring.pop_front();
@@ -307,14 +366,73 @@ impl Recorder for FlightRecorder {
         self.record(FlightKind::SpanExit, name, nanos);
     }
 
-    fn event(&self, event: &events::Event) {
-        self.record(FlightKind::Event, event.name, 0);
+    fn breadcrumb_slots(&self, name: &'static str, slots: &mut Vec<ItemSlot>) {
+        let buffer = self.with_buffer(Arc::clone);
+        let mut log = lock(&buffer.log);
+        let outer = log.item_name.replace(name);
+        let outer = outer.map(|n| (n, buffer.item.swap(NO_ITEM, Ordering::Relaxed)));
+        drop(log);
+        slots.push(ItemSlot { buffer, outer });
     }
 
-    // reads_event_payloads stays false: the ring keeps event names only.
-    // Histograms (they ride hot loops), labeled metrics and distinct keep
-    // the default no-op: per-label attribution is the profiler's job.
+    // `event` and `keeps_events` keep their defaults: the ring holds no
+    // events (the audit ledger owns them; the breadcrumb says which item
+    // a phase is on). Histograms (they ride hot loops), labeled metrics
+    // and distinct keep the default no-op too: per-label attribution is
+    // the profiler's job.
 }
+
+// --- breadcrumbs ----------------------------------------------------
+
+/// One thread's "current item" slot in one flight recorder, handed out
+/// by [`Recorder::breadcrumb_slots`] for a [`Breadcrumb`].
+pub struct ItemSlot {
+    buffer: Arc<ThreadBuffer>,
+    /// The breadcrumb this one shadows on the thread, restored on drop.
+    outer: Option<(&'static str, u64)>,
+}
+
+/// Names the item the thread is working on in every flight recorder
+/// installed when [`crate::breadcrumb`] made it; the item is cleared
+/// (an outer breadcrumb's restored) when it drops. See the module docs.
+#[must_use = "the breadcrumb is cleared when this guard drops"]
+pub struct Breadcrumb {
+    slots: Vec<ItemSlot>,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Breadcrumb {
+    pub(crate) fn new(slots: Vec<ItemSlot>) -> Self {
+        Breadcrumb {
+            slots,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    /// Makes `item` the current item: one relaxed store per flight
+    /// recorder, no lock and no ring entry.
+    #[inline]
+    pub fn set(&self, item: u64) {
+        for slot in &self.slots {
+            slot.buffer.item.store(item, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for Breadcrumb {
+    fn drop(&mut self) {
+        for slot in &self.slots {
+            let mut log = lock(&slot.buffer.log);
+            log.item_name = slot.outer.map(|(name, _)| name);
+            let item = slot.outer.map_or(NO_ITEM, |(_, item)| item);
+            slot.buffer.item.store(item, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A thread's index, open spans and current item; see
+/// [`FlightRecorder::thread_states`].
+type ThreadState = (usize, Vec<&'static str>, Option<(&'static str, u64)>);
 
 // --- crash-report context -------------------------------------------
 
@@ -359,15 +477,26 @@ pub fn context() -> Vec<(String, String)> {
 /// payload or a stall description.
 pub fn crash_report(reason: &str, message: &str, flight: &FlightRecorder) -> JsonValue {
     let mem = memalloc::snapshot_json();
-    let threads = flight.open_spans().into_iter().map(|(idx, stack)| {
-        JsonValue::object([
-            ("thread", JsonValue::number(idx as f64)),
-            (
-                "stack",
-                JsonValue::array(stack.into_iter().map(JsonValue::string)),
-            ),
-        ])
-    });
+    let threads = flight
+        .thread_states()
+        .into_iter()
+        .map(|(idx, stack, item)| {
+            let mut fields = vec![
+                ("thread", JsonValue::number(idx as f64)),
+                (
+                    "stack",
+                    JsonValue::array(stack.into_iter().map(JsonValue::string)),
+                ),
+            ];
+            if let Some((name, value)) = item {
+                let item = [
+                    ("name", JsonValue::string(name)),
+                    ("value", JsonValue::number(value as f64)),
+                ];
+                fields.push(("item", JsonValue::object(item)));
+            }
+            JsonValue::object(fields)
+        });
     let tail = flight.tail().into_iter().map(|e| {
         JsonValue::object([
             ("seq", JsonValue::number(e.seq as f64)),
@@ -485,7 +614,15 @@ pub fn render_crash_report(doc: &JsonValue) -> String {
         } else {
             stack.join(" > ")
         };
-        let _ = writeln!(out, "  thread {}: {stack}", num_of(t.get("thread")));
+        let item = match t.get("item") {
+            Some(item) => format!(
+                " (at {} {})",
+                str_of(item.get("name")),
+                num_of(item.get("value"))
+            ),
+            None => String::new(),
+        };
+        let _ = writeln!(out, "  thread {}: {stack}{item}", num_of(t.get("thread")));
     }
 
     let flight = doc.get("flight").and_then(|v| v.as_array()).unwrap_or(&[]);
@@ -696,13 +833,57 @@ mod tests {
     }
 
     #[test]
-    fn events_land_in_the_ring_by_name() {
-        let flight = FlightRecorder::new();
-        flight.event(&Event::new(crate::EventLevel::Audit, "t.event"));
-        let tail = flight.tail();
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].kind, FlightKind::Event);
-        assert_eq!(tail[0].name, "t.event");
+    fn events_nobody_keeps_skip_the_ring_and_build_no_payload() {
+        let flight = Arc::new(FlightRecorder::new());
+        let built = std::cell::Cell::new(0);
+        {
+            let _scope = crate::scoped(flight.clone());
+            for level in crate::EventLevel::ALL {
+                assert!(!flight.keeps_events(level), "{level:?}");
+                crate::event_with(level, "t.event", |ev| {
+                    built.set(built.get() + 1);
+                    ev.field("k", "v")
+                });
+                crate::event(Event::new(level, "t.event"));
+            }
+        }
+        assert_eq!(built.get(), 0, "no payload is built");
+        assert_eq!(flight.seq(), 0, "no flight transition is recorded");
+        assert!(flight.tail().is_empty());
+    }
+
+    #[test]
+    fn breadcrumbs_name_the_current_item_without_a_ring_entry() {
+        let flight = Arc::new(FlightRecorder::new());
+        let me = thread_index();
+        let item = |flight: &FlightRecorder| {
+            let states = flight.thread_states();
+            states.iter().find(|s| s.0 == me).and_then(|s| s.2)
+        };
+        let _scope = crate::scoped(flight.clone());
+        {
+            let outer = crate::breadcrumb("t.outer");
+            assert_eq!(item(&flight), None, "no item named yet");
+            outer.set(7);
+            assert_eq!(item(&flight), Some(("t.outer", 7)));
+            {
+                let inner = crate::breadcrumb("t.inner");
+                inner.set(3);
+                inner.set(4);
+                assert_eq!(item(&flight), Some(("t.inner", 4)));
+            }
+            assert_eq!(item(&flight), Some(("t.outer", 7)), "outer restored");
+            let _span = crate::span("t.phase");
+            outer.set(8);
+            let doc = json::parse(&crash_report("panic", "boom", &flight).render()).unwrap();
+            let threads = doc.get("threads").and_then(|v| v.as_array()).unwrap();
+            let at = threads[0].get("item").expect("the item is reported");
+            assert_eq!(at.get("name").and_then(|v| v.as_str()), Some("t.outer"));
+            assert_eq!(at.get("value").and_then(|v| v.as_f64()), Some(8.0));
+            assert!(render_crash_report(&doc).contains("t.phase (at t.outer 8)"));
+        }
+        assert_eq!(item(&flight), None, "cleared on drop");
+        assert_eq!(flight.seq(), 2, "only the span's enter and exit");
     }
 
     #[test]

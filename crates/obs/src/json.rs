@@ -121,36 +121,78 @@ fn render_string(s: &str) -> String {
     out
 }
 
-/// Parses one line of the subset. Errors carry a byte offset.
+/// How deeply arrays and objects may nest: the limit `.sdl` records and
+/// `.chd` values have too. The parser recurses once per level, so the
+/// limit is what keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 1_000;
+
+/// Parses one document of the subset. Every error starts with the
+/// `line:column` (1-based; the column counts characters) where parsing
+/// stopped.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(v)
+    parse_at(input, 1)
 }
 
 /// Parses a whole line-delimited JSON document, skipping blank lines.
+/// Error positions are lines of the whole document.
 pub fn parse_lines(input: &str) -> Result<Vec<JsonValue>, String> {
     input
         .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(parse)
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| parse_at(l, i + 1))
         .collect()
 }
 
+/// [`parse`], with `input` starting on line `first_line`.
+fn parse_at(input: &str, first_line: usize) -> Result<JsonValue, String> {
+    let mut p = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.document().map_err(|msg| {
+        let mut end = p.pos.min(input.len());
+        while !input.is_char_boundary(end) {
+            end -= 1;
+        }
+        let before = &input[..end];
+        let line = first_line + before.matches('\n').count();
+        let column = before.rsplit('\n').next().unwrap_or("").chars().count() + 1;
+        format!("{line}:{column}: {msg}")
+    })
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Where parsing is; on an error, where it stopped.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+}
+
+/// What the parser found at a position, for error messages.
+fn found(b: Option<&u8>) -> String {
+    match b {
+        None => "end of input".to_string(),
+        Some(&b) if b.is_ascii_graphic() => format!("`{}`", b as char),
+        Some(&b) => format!("byte {b:#04x}"),
+    }
 }
 
 impl Parser<'_> {
+    fn document(&mut self) -> Result<JsonValue, String> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        match self.pos == self.bytes.len() {
+            true => Ok(v),
+            false => Err("trailing input".to_string()),
+        }
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -166,18 +208,33 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            let got = found(self.bytes.get(self.pos));
+            Err(format!("expected `{}`, found {got}", b as char))
         }
     }
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
+            other => Err(format!("expected a value, found {}", found(other))),
         }
+    }
+
+    /// Parses an array or object one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -198,7 +255,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Arr(items));
                 }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
+                other => return Err(format!("expected `,` or `]`, found {}", found(other))),
             }
         }
     }
@@ -226,7 +283,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Obj(map));
                 }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
+                other => return Err(format!("expected `,` or `}}`, found {}", found(other))),
             }
         }
     }
@@ -251,27 +308,21 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("short \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                             self.pos += 4;
                         }
-                        other => return Err(format!("bad escape {other:?}")),
+                        other => return Err(format!("bad escape, found {}", found(other))),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are
-                    // copied byte-for-byte; the input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
+                    // One scalar: `pos` only ever stops on a character
+                    // boundary of the text.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -288,10 +339,11 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>().map(JsonValue::Num).map_err(|e| {
+            self.pos = start;
+            format!("bad number `{text}`: {e}")
+        })
     }
 }
 
@@ -331,6 +383,53 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("[1,").is_err());
         assert!(parse("[1 2]").is_err());
+    }
+
+    #[test]
+    fn every_error_names_its_line_and_column() {
+        let cases = [
+            ("", "1:1: expected a value, found end of input"),
+            ("[1,", "1:4: expected a value, found end of input"),
+            ("[1 2]", "1:4: expected `,` or `]`, found `2`"),
+            ("{\"a\":1", "1:7: expected `,` or `}`, found end of input"),
+            ("{\n  \"a\" 1}", "2:7: expected `:`, found `1`"),
+            ("{\"a\":1} extra", "1:9: trailing input"),
+            ("[\"é\", x]", "1:7: expected a value, found `x`"),
+            ("[1-2]", "1:2: bad number `1-2`: invalid float literal"),
+            ("\"abc", "1:5: unterminated string"),
+            ("\"\\q\"", "1:3: bad escape, found `q`"),
+        ];
+        for (input, want) in cases {
+            assert_eq!(parse(input).unwrap_err(), want, "{input:?}");
+        }
+        // A truncated document: the position is where the text ends.
+        let doc = JsonValue::object([("a", JsonValue::array([JsonValue::number(1.0)]))]);
+        let text = doc.render();
+        for cut in 0..text.len() {
+            let err = parse(&text[..cut]).unwrap_err();
+            assert!(err.starts_with(&format!("1:{}: ", cut + 1)), "{cut}: {err}");
+        }
+        // In a line-delimited document, the line is the document's.
+        let err = parse_lines("{\"a\":1}\n\n{\"b\":}\n").unwrap_err();
+        assert_eq!(err, "3:6: expected a value, found `}`");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let deep = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        let limit = format!(
+            "1:{}: arrays and objects nest deeper than 1000 levels",
+            MAX_DEPTH + 1
+        );
+        assert_eq!(deep, limit);
+        // Far past the limit, unclosed, and mixed with objects.
+        assert!(parse(&"[".repeat(50_000))
+            .unwrap_err()
+            .contains("nest deeper"));
+        let mixed = "{\"k\":[".repeat(MAX_DEPTH);
+        assert!(parse(&mixed).unwrap_err().contains("nest deeper"));
     }
 
     #[test]

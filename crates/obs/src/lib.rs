@@ -10,8 +10,10 @@
 //! * **hierarchical spans** with monotonic [`std::time::Instant`] timing
 //!   ([`span`]),
 //! * **structured audit events** with leveled key-value payloads
-//!   ([`event`], [`event_with`], whose payload is built only for sinks
-//!   that read it) — see [`events`],
+//!   ([`event`], [`event_with`]), delivered only to sinks that keep
+//!   their level — see [`events`],
+//! * a per-thread **breadcrumb** naming the item being worked on, for
+//!   crash reports ([`breadcrumb`]) — see [`flight`],
 //! * **labeled metrics** and **distinct-work tracking** for cost
 //!   attribution ([`labeled_counter`], [`labeled_histogram`],
 //!   [`distinct`], [`label_scope`]) — see [`profile`],
@@ -79,7 +81,7 @@ mod threads;
 pub mod trace;
 
 pub use events::{AuditRecorder, Event, EventLevel, FieldValue};
-pub use flight::{CrashWriter, FlightEntry, FlightKind, FlightRecorder, Watchdog};
+pub use flight::{Breadcrumb, CrashWriter, FlightEntry, FlightKind, FlightRecorder, Watchdog};
 pub use memalloc::{MemSnapshot, ProbeStats, ThreadProbe, TrackingAllocator};
 pub use profile::{LabeledSnapshot, ProfileRecorder};
 pub use sampler::SpanSampler;
@@ -109,23 +111,26 @@ pub trait Recorder: Send + Sync {
     /// keeps open spans closes that span and every span opened after it
     /// on the thread, and ignores an exit with no such span open.
     fn span_exit(&self, _name: &'static str, _nanos: u64) {}
-    /// A structured event was emitted. Recorders that aggregate numeric
-    /// work (stats, traces) ignore the audit stream; [`AuditRecorder`]
-    /// retains it.
-    ///
-    /// Events emitted through [`event_with`] carry their fields only
-    /// when [`Recorder::reads_event_payloads`] says this sink reads
-    /// them; otherwise `event` sees the name and level alone.
+    /// A structured event was emitted at a level this sink keeps
+    /// ([`Recorder::keeps_events`]), payload included. Recorders that
+    /// aggregate numeric work (stats, traces, the flight recorder) keep
+    /// no level; [`AuditRecorder`] retains the stream.
     fn event(&self, _event: &events::Event) {}
-    /// Whether this sink reads the fields of events at `level`.
-    /// [`event_with`] runs its payload closure only when the active
-    /// recorder answers yes, so a sink that keeps names at most (the
-    /// flight recorder) never pays for rendering values. Defaults to
-    /// `false`; a sink that overrides [`Recorder::event`] to read
-    /// fields must override this too.
-    fn reads_event_payloads(&self, _level: EventLevel) -> bool {
+    /// Whether this sink keeps events at `level`. Events reach a sink
+    /// only at the levels it keeps, and [`event_with`] builds a payload
+    /// only when the active recorder keeps its level. The answer is read
+    /// when the recorder is installed ([`set_global`], [`scoped`]), so
+    /// it must not change afterwards; while no installed recorder keeps
+    /// a level, emitting at it costs one relaxed atomic load. Defaults to
+    /// `false`; a sink that overrides [`Recorder::event`] must override
+    /// this too.
+    fn keeps_events(&self, _level: EventLevel) -> bool {
         false
     }
+    /// Hands over the calling thread's "current item" slot for the
+    /// breadcrumb `name`, if this sink keeps one; see [`breadcrumb`].
+    /// Only the flight recorder does.
+    fn breadcrumb_slots(&self, _name: &'static str, _slots: &mut Vec<flight::ItemSlot>) {}
     /// Add `delta` to the named counter *under a label* — a cheap
     /// interned `u64` key such as a class id, a query id, or a
     /// structural pair hash. [`ProfileRecorder`] builds per-label
@@ -147,6 +152,33 @@ pub trait Recorder: Send + Sync {
 /// zero, instrumentation calls return after one relaxed load.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
+/// Per [`EventLevel`], the number of live installations that keep
+/// events at that level: the installed recorders' answers to
+/// [`Recorder::keeps_events`], cached. While zero, [`event`] and
+/// [`event_with`] at that level return after one relaxed load.
+static KEEPING: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+/// Counts `recorder`'s kept levels in (`installed`) or out of [`KEEPING`].
+fn count_kept_levels(recorder: &dyn Recorder, installed: bool) {
+    for level in EventLevel::ALL {
+        if recorder.keeps_events(level) {
+            let count = &KEEPING[level as usize];
+            if installed {
+                count.fetch_add(1, Ordering::Relaxed);
+            } else {
+                count.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// True if some installed recorder (on any thread) keeps events at
+/// `level`.
+#[inline]
+fn kept(level: EventLevel) -> bool {
+    KEEPING[level as usize].load(Ordering::Relaxed) != 0
+}
+
 static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
 thread_local! {
@@ -155,8 +187,9 @@ thread_local! {
 
 /// True if any recorder (global or scoped-on-this-thread) may be live.
 ///
-/// Use this to skip *preparing* expensive event payloads; the emit
-/// functions already check it internally.
+/// Use this to skip *preparing* expensive observations (a counter's
+/// value, a label); the emit functions already check it internally, and
+/// [`event_with`] builds a payload only for a sink that keeps it.
 #[inline]
 pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
@@ -183,15 +216,20 @@ fn dispatch(f: impl FnOnce(&dyn Recorder)) {
 /// [`scoped`] guard keeps reporting to its own recorder.
 pub fn set_global(recorder: Arc<dyn Recorder>) {
     let mut g = GLOBAL.write().expect("obs global lock");
-    if g.replace(recorder).is_none() {
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
+    count_kept_levels(&*recorder, true);
+    match g.replace(recorder) {
+        Some(old) => count_kept_levels(&*old, false),
+        None => {
+            ACTIVE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 /// Removes the process-wide recorder installed by [`set_global`].
 pub fn clear_global() {
     let mut g = GLOBAL.write().expect("obs global lock");
-    if g.take().is_some() {
+    if let Some(old) = g.take() {
+        count_kept_levels(&*old, false);
         ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -208,6 +246,7 @@ pub struct ScopeGuard {
 /// wins), so a test can meter exactly one region of code regardless of
 /// what the process or enclosing scopes are doing.
 pub fn scoped(recorder: Arc<dyn Recorder>) -> ScopeGuard {
+    count_kept_levels(&*recorder, true);
     LOCAL.with(|l| l.borrow_mut().push(recorder));
     ACTIVE.fetch_add(1, Ordering::Relaxed);
     ScopeGuard {
@@ -217,7 +256,9 @@ pub fn scoped(recorder: Arc<dyn Recorder>) -> ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        LOCAL.with(|l| l.borrow_mut().pop());
+        if let Some(recorder) = LOCAL.with(|l| l.borrow_mut().pop()) {
+            count_kept_levels(&*recorder, false);
+        }
         ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -314,33 +355,49 @@ pub fn labeled_counter_scoped(name: &'static str, delta: u64) {
     }
 }
 
-/// Emits a structured event to the active recorder, if any.
+/// Emits a structured event to the active recorder, if it keeps the
+/// event's level. One relaxed load while no installed recorder does.
 #[inline]
 pub fn event(event: Event) {
-    if enabled() {
-        dispatch(|r| r.event(&event));
+    if kept(event.level) {
+        dispatch(|r| {
+            if r.keeps_events(event.level) {
+                r.event(&event);
+            }
+        });
     }
 }
 
 /// Emits the event `name` at `level` with a lazily built payload:
-/// `fields` adds the key-value fields to the bare event, and runs only
-/// when the active recorder reads payloads at `level`
-/// ([`Recorder::reads_event_payloads`]). Every other sink receives the
-/// bare event, so hot paths pay for resolving names or rendering values
-/// only while an audit sink is listening.
+/// `fields` adds the key-value fields to the bare event. Both run only
+/// when the active recorder keeps events at `level`
+/// ([`Recorder::keeps_events`]); while no installed recorder does, this
+/// is one relaxed load, so hot paths pay for resolving names or
+/// rendering values only while an audit sink is listening.
 #[inline]
 pub fn event_with(level: EventLevel, name: &'static str, fields: impl FnOnce(Event) -> Event) {
-    if enabled() {
+    if kept(level) {
         dispatch(|r| {
-            let event = Event::new(level, name);
-            let event = if r.reads_event_payloads(level) {
-                fields(event)
-            } else {
-                event
-            };
-            r.event(&event);
+            if r.keeps_events(level) {
+                r.event(&fields(Event::new(level, name)));
+            }
         });
     }
+}
+
+/// Names the item the calling thread is about to work on, for a crash
+/// report: returns a [`Breadcrumb`] whose [`Breadcrumb::set`] records
+/// each item (an object surrogate, an op number) under `name` in the
+/// thread's buffer of every installed flight recorder. Setting an item
+/// is one relaxed store per flight recorder, with no lock and no ring
+/// entry; the [`flight::crash_report`] shows the last item set while the
+/// breadcrumb is alive. With no flight recorder installed, it is inert.
+pub fn breadcrumb(name: &'static str) -> Breadcrumb {
+    let mut slots = Vec::new();
+    if enabled() {
+        dispatch(|r| r.breadcrumb_slots(name, &mut slots));
+    }
+    Breadcrumb::new(slots)
 }
 
 /// RAII guard for a timed span; created by [`span`].

@@ -99,8 +99,11 @@ pub const SPAN_SDL_COMPILE: &str = "sdl.compile";
 pub const SPAN_EXTENT_LOAD: &str = "extent.load";
 /// Span: recomputing every virtual class's extent (§5.6).
 pub const SPAN_EXTENT_REFRESH: &str = "extent.refresh_virtual";
-/// Span: validating one stored object against its classes.
-pub const SPAN_VALIDATE_STORED: &str = "validate.stored";
+/// Span: the validate phase, judging every stored object against its
+/// classes (the `chc validate` hot phase). One span per phase, not per
+/// object: the object being judged is the flight recorder's breadcrumb,
+/// named [`EVENT_VALIDATE_OBJECT`].
+pub const SPAN_VALIDATE_ALL: &str = "validate.all";
 
 // --- chc-core::validate (E11, audit ledger) ---
 
@@ -116,7 +119,8 @@ pub const VALIDATE_ADMITTED: &str = "validate.admitted";
 /// attribute, value, verdict, and the admitting excuse if any.
 pub const EVENT_VALIDATE_CHECK: &str = "validate.check";
 /// Event: maps a loaded object's source name to its surrogate, so the
-/// ledger's `object` fields can be joined back to `.chd` names.
+/// ledger's `object` fields can be joined back to `.chd` names. Also the
+/// name of the breadcrumb whose item is the surrogate being validated.
 pub const EVENT_VALIDATE_OBJECT: &str = "validate.object";
 
 // --- chc-lint ---

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use crate::json::JsonValue;
 use crate::threads::{lock, render_folded, PerThread, SpanStack};
-use crate::Recorder;
+use crate::{EventLevel, Recorder};
 
 /// Default event capacity: plenty for a whole CLI run over the example
 /// schemas, ~a few MB at worst.
@@ -150,7 +150,9 @@ impl TraceRecorder {
     }
 
     /// Chrome trace-event JSON (object format): `{"traceEvents":[...],
-    /// "displayTimeUnit":"ns"}`. Timestamps are microseconds (the
+    /// "displayTimeUnit":"ns","otherData":{"dropped":N}}`, where `N` is
+    /// the number of events the ring evicted ([`TraceRecorder::dropped`]),
+    /// so a truncated timeline says so. Timestamps are microseconds (the
     /// format's unit), as fractional values, relative to recorder
     /// creation. Spans still open at export time appear as `B` events
     /// without a matching `E` — Perfetto renders them as running to the
@@ -204,6 +206,10 @@ impl TraceRecorder {
         JsonValue::object([
             ("traceEvents", JsonValue::Arr(events)),
             ("displayTimeUnit", JsonValue::string("ns")),
+            (
+                "otherData",
+                JsonValue::object([("dropped", number(inner.dropped))]),
+            ),
         ])
         .render()
     }
@@ -292,21 +298,25 @@ impl Recorder for TraceRecorder {
     }
 }
 
-/// Forwards every event to each of a set of recorders, so `--trace`
-/// (aggregated) and `--trace-out` (event-level) can observe one run.
-/// An [`crate::event_with`] payload is built once when any sink reads
-/// it, and every sink then receives the full event.
+/// Forwards every observation to each of a set of recorders, so
+/// `--trace` (aggregated) and `--trace-out` (event-level) can observe
+/// one run. It keeps the event levels any of its sinks keeps; an
+/// [`crate::event_with`] payload is then built once and reaches only
+/// the sinks that keep its level.
 pub struct FanoutRecorder {
     sinks: Vec<std::sync::Arc<dyn Recorder>>,
+    /// Per [`EventLevel`], whether any sink keeps it.
+    keeps: [bool; 3],
 }
 
 impl FanoutRecorder {
     /// A recorder fanning out to `sinks`, in order.
     pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        FanoutRecorder { sinks }
+        let keeps = EventLevel::ALL.map(|level| sinks.iter().any(|s| s.keeps_events(level)));
+        FanoutRecorder { sinks, keeps }
     }
 
-    fn each(&self, f: impl Fn(&dyn Recorder)) {
+    fn each(&self, mut f: impl FnMut(&dyn Recorder)) {
         self.sinks.iter().for_each(|s| f(&**s));
     }
 }
@@ -329,11 +339,19 @@ impl Recorder for FanoutRecorder {
     }
 
     fn event(&self, event: &crate::events::Event) {
-        self.each(|s| s.event(event));
+        self.each(|s| {
+            if s.keeps_events(event.level) {
+                s.event(event);
+            }
+        });
     }
 
-    fn reads_event_payloads(&self, level: crate::EventLevel) -> bool {
-        self.sinks.iter().any(|s| s.reads_event_payloads(level))
+    fn keeps_events(&self, level: EventLevel) -> bool {
+        self.keeps[level as usize]
+    }
+
+    fn breadcrumb_slots(&self, name: &'static str, slots: &mut Vec<crate::flight::ItemSlot>) {
+        self.each(|s| s.breadcrumb_slots(name, slots));
     }
 
     fn labeled_counter(&self, name: &'static str, label: u64, delta: u64) {
@@ -423,6 +441,12 @@ mod tests {
             .filter(|e| matches!(e.get("ph").and_then(JsonValue::as_str), Some("B" | "E")))
             .count();
         assert_eq!(spans, 4, "exactly the retained events are exported");
+        let dropped = doc.get("otherData").and_then(|d| d.get("dropped"));
+        assert_eq!(
+            dropped.and_then(JsonValue::as_f64),
+            Some(r.dropped() as f64),
+            "the export says how many events it lost"
+        );
         for ev in events {
             if ev.get("ph").and_then(JsonValue::as_str) != Some("M") {
                 assert!(ev.get("ts").and_then(JsonValue::as_f64).is_some(), "{ev:?}");
@@ -455,6 +479,8 @@ mod tests {
             .filter_map(|e| e.get("ph").and_then(JsonValue::as_str))
             .collect();
         assert_eq!(phases, vec!["M", "B", "B", "E", "E", "i"]);
+        let dropped = doc.get("otherData").and_then(|d| d.get("dropped"));
+        assert_eq!(dropped.and_then(JsonValue::as_f64), Some(0.0));
         let inner_end = &events[3];
         assert_eq!(
             inner_end.get("name").and_then(JsonValue::as_str),

@@ -81,6 +81,24 @@ for sdl in tests/fixtures/malformed/*.sdl "$deep_sdl"; do
 done
 rm -f "$deep_sdl"
 
+echo "==> malformed JSON sweep: chc doctor gives positioned errors (exit 2), never a crash"
+deep_json="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.json")"
+cut_json="$(mktemp "${TMPDIR:-/tmp}/chc-cut.XXXXXX.json")"
+trap 'rm -f "$deep_json" "$cut_json"' EXIT
+# 50,000 unclosed arrays: past the reader's nesting limit, and deep
+# enough to overflow the stack of a recursive parser.
+printf '[%.0s' $(seq 50000) >"$deep_json"
+# A crash report cut off inside a string.
+head -c 100 tests/fixtures/crash/load-panic.json >"$cut_json"
+for json in "$deep_json" "$cut_json"; do
+    rc=0
+    err="$(./target/release/chc doctor "$json" 2>&1 >/dev/null)" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "^error: $json: not valid JSON: [0-9][0-9]*:[0-9][0-9]*: " <<<"$err"; then
+        echo "FAIL: chc doctor on $json exited $rc with: $err" >&2; exit 1
+    fi
+done
+rm -f "$deep_json" "$cut_json"
+
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do
     ./target/release/chc lint "$sdl" --deny warnings

@@ -49,14 +49,20 @@
 //!
 //! `--trace` (span tree) and `--stats` (counter table) print on stderr,
 //! so stdout stays machine-parseable; `--stats-out`, `--trace-out`
-//! (Chrome trace JSON), `--flame-out` (folded stacks), `--audit-out` (one
-//! JSON line per run-time check, naming the admitting excuse) and
-//! `--profile-out` (labeled cost attribution) write files. All of them
-//! report and flush even when the command fails. All stdout goes through
-//! one buffered writer: a closed or full stdout is `error: stdout: …`,
-//! exit 2. Always on: the [`chc_obs::memalloc`] tracking allocator and a
+//! (Chrome trace JSON, with the count of events its ring dropped),
+//! `--flame-out` (folded stacks), `--audit-out` (one JSON line per
+//! run-time check, naming the admitting excuse) and `--profile-out`
+//! (labeled cost attribution) write files. All of them report and flush
+//! even when the command fails. Spans mark phases (compile, check, load,
+//! refresh, `validate.all`), never single objects, so `--trace` stays a
+//! few lines on any input. All stdout goes through one buffered writer: a
+//! closed or full stdout is `error: stdout: …`, exit 2. Always on: the
+//! [`chc_obs::memalloc`] tracking allocator and a
 //! [`chc_obs::FlightRecorder`], whose `chc-crash/1` report a panic (or a
 //! stall, under `--watchdog`) writes to `--crash-out` or `$CHC_CRASH_DIR`.
+//! It keeps no events and about one record per validated object; under
+//! `chc validate` its breadcrumb names the object being validated, so
+//! the report (and `chc doctor`) says which one it was.
 
 use std::io::Write;
 use std::path::Path;
@@ -70,7 +76,7 @@ use excuses::core::{
     check, explain_admissibility, virtualize, MissingPolicy, Semantics, ValidationOptions,
     Virtualized,
 };
-use excuses::extent::{load_data, refresh_virtual_extents, validate_stored, LoadedData};
+use excuses::extent::{load_data, refresh_virtual_extents, validate_loaded, LoadedData};
 use excuses::lint::{LintCode, LintConfig, LintLevel};
 use excuses::model::Schema;
 use excuses::query::{compile as compile_query, execute, parse_query, parse_query_file, CheckMode};
@@ -908,20 +914,13 @@ fn run_validate(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     require_clean(&schema, out, "validating data")?;
     let (v, data) = load_instances(&schema, &data_src)?;
     let mut bad = 0usize;
-    for (name, oid) in &data.names {
-        // Ledger join key: which surrogate belongs to which source-file
-        // name.
-        chc_obs::event_with(
-            chc_obs::EventLevel::Info,
-            names::EVENT_VALIDATE_OBJECT,
-            |ev| ev.field("name", name.as_str()).field("object", oid.raw()),
-        );
-        let violations = validate_stored(&v.schema, &data.store, FILE_VALIDATION, *oid);
+    validate_loaded(&v.schema, &data, FILE_VALIDATION, |name, violations| {
         for viol in &violations {
             outln!(out, "{name}: {}", viol.render(&v.schema));
         }
         bad += usize::from(!violations.is_empty());
-    }
+        Ok::<_, String>(())
+    })?;
     outln!(out, "{} object(s), {} invalid", data.names.len(), bad);
     Ok(exit_ok(bad == 0))
 }
@@ -1104,10 +1103,12 @@ fn run_profile(args: &Args, sinks: &Sinks, out: &mut dyn Write) -> Result<ExitCo
                     format!("{scanned} row(s) scanned, {emitted} emitted")
                 }
                 None => {
-                    let invalid = |oid| {
-                        !validate_stored(&v.schema, &data.store, FILE_VALIDATION, oid).is_empty()
-                    };
-                    let bad = data.names.iter().filter(|(_, oid)| invalid(*oid)).count();
+                    let mut bad = 0usize;
+                    let judged = validate_loaded(&v.schema, &data, FILE_VALIDATION, |_, v| {
+                        bad += usize::from(!v.is_empty());
+                        Ok::<_, ()>(())
+                    });
+                    judged.expect("counting never fails");
                     format!("{} object(s), {bad} invalid", data.names.len())
                 }
             }

@@ -184,6 +184,25 @@ fn doctor_rejects_non_crash_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unsupported schema"));
 }
 
+/// Hostile JSON is a positioned error, not a stack overflow (exit 134)
+/// or an unpositioned complaint.
+#[test]
+fn doctor_reports_malformed_json_with_a_position() {
+    let deep = tmp("deep.json");
+    std::fs::write(&deep, "[".repeat(50_000)).unwrap();
+    let cut = tmp("cut.json");
+    let report = include_str!("fixtures/crash/load-panic.json");
+    std::fs::write(&cut, &report[..100]).unwrap();
+    let too_deep = "not valid JSON: 1:1001: arrays and objects nest deeper than 1000 levels";
+    let truncated = "not valid JSON: 1:101: unterminated string";
+    for (path, want) in [(&deep, too_deep), (&cut, truncated)] {
+        let out = chc(&["doctor", path.to_str().unwrap()], &[]);
+        assert_eq!(out.status.code(), Some(2), "{path:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{path:?}: {stderr}");
+    }
+}
+
 /// A clean run with `--crash-out` writes nothing — the report is a crash
 /// artifact, not a log file.
 #[test]

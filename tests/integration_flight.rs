@@ -1,17 +1,24 @@
 //! Pins `chc validate` under the always-on flight recorder: the audit
-//! outputs stay byte-identical, the flight recorder never makes the
-//! validator build an audit payload, its traffic per validated object is
-//! bounded, and the E11 invariant (`validate.checks` equals the number of
+//! outputs stay byte-identical, events reach only the sinks that keep
+//! their level (so the flight recorder never makes the validator build
+//! an audit payload), its traffic is one phase plus at most one record
+//! per validated object, a crash mid-validate names the object, and the
+//! E11 invariant (`validate.checks` equals the number of
 //! `validate.check` ledger records) holds on a generated patients file.
 
 use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use excuses::core::{check, virtualize, MissingPolicy, Semantics, ValidationOptions};
-use excuses::extent::{load_data, refresh_virtual_extents, validate_stored};
+use excuses::extent::{
+    load_data, refresh_virtual_extents, validate_loaded, validate_stored, LoadedData,
+};
+use excuses::model::Schema;
+use excuses::obs::flight::{crash_report, render_crash_report};
 use excuses::obs::json::{self, JsonValue};
 use excuses::obs::{
     self as obs, names, AuditRecorder, Event, EventLevel, FanoutRecorder, FlightRecorder, Recorder,
@@ -277,72 +284,88 @@ fn ledger_records_equal_the_checks_counter_on_generated_data() {
     let _ = std::fs::remove_file(&stats);
 }
 
-/// Counts the events it sees and how many of them carry fields, without
-/// reading payloads itself.
+/// Counts the events it receives and how many of them carry fields. It
+/// keeps events at every level when `keeps` is set, and at none
+/// otherwise.
 #[derive(Default)]
 struct PayloadProbe {
+    keeps: bool,
     events: AtomicU64,
     with_fields: AtomicU64,
 }
 
 impl Recorder for PayloadProbe {
-    fn counter(&self, _name: &'static str, _delta: u64) {}
-    fn histogram(&self, _name: &'static str, _value: u64) {}
-    fn span_enter(&self, _name: &'static str) {}
-    fn span_exit(&self, _name: &'static str, _nanos: u64) {}
     fn event(&self, event: &Event) {
         self.events.fetch_add(1, Ordering::Relaxed);
         if !event.fields.is_empty() {
             self.with_fields.fetch_add(1, Ordering::Relaxed);
         }
     }
+    fn keeps_events(&self, _level: EventLevel) -> bool {
+        self.keeps
+    }
 }
 
-/// Validates every object of the generated file the way `chc validate`
-/// does (one `validate.object` event, then `validate_stored`), with
-/// `recorder` scoped; returns `(objects, invalid objects)`.
-fn validate_generated(recorder: Arc<dyn Recorder>) -> (u64, u64) {
+/// The hospital schema, virtualized, and the generated file with
+/// `patients` patients loaded into it with the virtual extents fresh.
+fn generated_data(patients: usize) -> (Schema, LoadedData) {
     let schema = compile(HOSPITAL_SDL).unwrap();
     assert!(check(&schema).is_ok());
     let v = virtualize(&schema).unwrap();
-    let mut data = load_data(&v.schema, &patients_chd(PATIENTS)).unwrap();
+    let mut data = load_data(&v.schema, &patients_chd(patients)).unwrap();
     refresh_virtual_extents(&mut data.store, &v);
-    let opts = ValidationOptions {
-        semantics: Semantics::Correct,
-        missing: MissingPolicy::Absent,
-    };
+    (v.schema, data)
+}
+
+/// How `chc validate` judges source-file objects.
+const FILE_VALIDATION: ValidationOptions = ValidationOptions {
+    semantics: Semantics::Correct,
+    missing: MissingPolicy::Absent,
+};
+
+/// Validates every object of the generated file through `chc validate`'s
+/// loop ([`validate_loaded`]), with `recorder` scoped; returns `(objects,
+/// invalid objects)`.
+fn validate_generated(recorder: Arc<dyn Recorder>) -> (u64, u64) {
+    let (schema, data) = generated_data(PATIENTS);
     let _scope = obs::scoped(recorder);
     let mut invalid = 0;
-    for (name, oid) in &data.names {
-        obs::event_with(EventLevel::Info, names::EVENT_VALIDATE_OBJECT, |ev| {
-            ev.field("name", name.as_str()).field("object", oid.raw())
-        });
-        invalid += u64::from(!validate_stored(&v.schema, &data.store, opts, *oid).is_empty());
-    }
+    validate_loaded(&schema, &data, FILE_VALIDATION, |_, violations| {
+        invalid += u64::from(!violations.is_empty());
+        Ok::<_, ()>(())
+    })
+    .unwrap();
     (data.names.len() as u64, invalid)
 }
 
 #[test]
 fn event_payloads_are_built_only_for_sinks_that_read_them() {
-    // The flight recorder alone: the payload closure never runs.
+    // The flight recorder alone keeps no event level: the event leaves
+    // its sequence number and ring as they were, and the payload
+    // closure never runs.
     let built = AtomicU64::new(0);
     let flight = Arc::new(FlightRecorder::new());
     {
         let _scope = obs::scoped(flight.clone());
-        obs::event_with(EventLevel::Audit, "t.event", |ev| {
-            built.fetch_add(1, Ordering::Relaxed);
-            ev.field("k", "v")
-        });
+        for level in EventLevel::ALL {
+            obs::event_with(level, "t.event", |ev| {
+                built.fetch_add(1, Ordering::Relaxed);
+                ev.field("k", "v")
+            });
+        }
     }
     assert_eq!(built.load(Ordering::Relaxed), 0);
-    assert_eq!(flight.tail().last().map(|e| e.name), Some("t.event"));
+    assert_eq!(flight.seq(), 0);
+    assert!(flight.tail().is_empty());
 
-    // An audit sink reading that level gets the payload, built once for
-    // every sink of a fanout; one filtering it out does not.
+    // An audit sink keeping that level gets the payload, built once for
+    // every sink of a fanout; one filtering it out does not. Neither
+    // way does the event reach the flight recorder.
     for (min_level, want) in [(EventLevel::Info, 1), (EventLevel::Audit, 0)] {
         let audit = Arc::new(AuditRecorder::with_capacity_and_level(16, min_level));
+        let flight = Arc::new(FlightRecorder::new());
         let fan = Arc::new(FanoutRecorder::new(vec![
-            Arc::new(FlightRecorder::new()) as Arc<dyn Recorder>,
+            flight.clone() as Arc<dyn Recorder>,
             audit.clone(),
         ]));
         built.store(0, Ordering::Relaxed);
@@ -359,11 +382,14 @@ fn event_payloads_are_built_only_for_sinks_that_read_them() {
             "min level {min_level:?}"
         );
         assert_eq!(audit.len() as u64, want);
+        assert_eq!(flight.seq(), 0, "min level {min_level:?}");
     }
 }
 
 #[test]
 fn validating_under_the_flight_recorder_builds_no_audit_payload() {
+    // Next to the flight recorder, a sink keeping no level receives no
+    // event at all, so no payload is built for anyone.
     let probe = Arc::new(PayloadProbe::default());
     let fan = Arc::new(FanoutRecorder::new(vec![
         Arc::new(FlightRecorder::new()) as Arc<dyn Recorder>,
@@ -371,11 +397,14 @@ fn validating_under_the_flight_recorder_builds_no_audit_payload() {
     ]));
     let (objects, invalid) = validate_generated(fan);
     assert!(invalid > 0);
-    assert!(probe.events.load(Ordering::Relaxed) > objects);
+    assert_eq!(probe.events.load(Ordering::Relaxed), 0);
     assert_eq!(probe.with_fields.load(Ordering::Relaxed), 0);
 
     // With an audit sink listening, every event carries its payload.
-    let probe = Arc::new(PayloadProbe::default());
+    let probe = Arc::new(PayloadProbe {
+        keeps: true,
+        ..PayloadProbe::default()
+    });
     let fan = Arc::new(FanoutRecorder::new(vec![
         Arc::new(AuditRecorder::new()) as Arc<dyn Recorder>,
         probe.clone(),
@@ -396,20 +425,21 @@ fn flight_traffic_per_validated_object_is_bounded() {
     ]));
     let (objects, _) = validate_generated(fan);
     let checks = stats.counter_value(names::VALIDATE_CHECKS);
+    let admitted = stats.counter_value(names::VALIDATE_ADMITTED);
     let transitions = flight.seq();
-    // Per object: its `validate.object` event, the `validate.stored`
-    // span's enter and exit, and at most one `validate.checks` and one
-    // `validate.admitted` update; per executed check, its event name.
+    // A constant per phase (the `validate.all` span's enter and exit),
+    // then per object one `validate.checks` update, plus a
+    // `validate.admitted` update for an object with admitted checks. No
+    // span per object, and no record per check or per event.
     assert!(
-        transitions <= checks + 5 * objects,
-        "{transitions} flight transitions for {objects} objects and {checks} checks"
+        transitions <= 64 + objects + admitted,
+        "{transitions} flight transitions for {objects} objects and {admitted} admitted checks"
     );
-    // One counter update per check, as before, took `3 * objects +
-    // 2 * checks + admitted` transitions, over the bound whenever there
-    // are more than two checks per object.
+    // One record per check would blow the bound: there are several
+    // checks per object, and far fewer admitted ones.
     assert!(
-        checks > 2 * objects,
-        "{checks} checks for {objects} objects"
+        checks > 2 * objects && admitted < objects,
+        "{checks} checks and {admitted} admitted for {objects} objects"
     );
     assert_eq!(
         flight
@@ -419,4 +449,163 @@ fn flight_traffic_per_validated_object_is_bounded() {
             .map(|(_, v)| *v),
         Some(checks)
     );
+}
+
+/// Panics on the `n`th `validate.checks` update, first taking the crash
+/// report of `flight`, as `chc`'s panic hook does when a panic starts
+/// and before the stack unwinds.
+struct PanicOnNthCheck {
+    flight: Arc<FlightRecorder>,
+    n: u64,
+    seen: AtomicU64,
+    report: Mutex<Option<JsonValue>>,
+}
+
+impl Recorder for PanicOnNthCheck {
+    fn counter(&self, name: &'static str, _delta: u64) {
+        if name == names::VALIDATE_CHECKS && self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.n
+        {
+            let report = crash_report("panic", "injected", &self.flight);
+            *self.report.lock().unwrap() = Some(report);
+            panic!("injected at validate.checks update {}", self.n);
+        }
+    }
+}
+
+#[test]
+fn a_crash_mid_validate_names_the_object_being_validated() {
+    const N: u64 = 250;
+    let (schema, data) = generated_data(PATIENTS);
+    // The object whose check total is the `N`th `validate.checks` update:
+    // the `N`th object, in file order, with at least one check.
+    let checks_of = |oid| {
+        let stats = Arc::new(StatsRecorder::new());
+        let _scope = obs::scoped(stats.clone());
+        validate_stored(&schema, &data.store, FILE_VALIDATION, oid);
+        stats.counter_value(names::VALIDATE_CHECKS)
+    };
+    let (name, oid) = data
+        .names
+        .iter()
+        .filter(|(_, oid)| checks_of(*oid) > 0)
+        .nth(N as usize - 1)
+        .expect("enough objects with checks");
+
+    let flight = Arc::new(FlightRecorder::new());
+    let panicker = Arc::new(PanicOnNthCheck {
+        flight: flight.clone(),
+        n: N,
+        seen: AtomicU64::new(0),
+        report: Mutex::new(None),
+    });
+    let fan = Arc::new(FanoutRecorder::new(vec![
+        flight.clone() as Arc<dyn Recorder>,
+        panicker.clone(),
+    ]));
+    let mut judged = Vec::new();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        let _scope = obs::scoped(fan);
+        validate_loaded(&schema, &data, FILE_VALIDATION, |name, _| {
+            judged.push(name.to_string());
+            Ok::<_, ()>(())
+        })
+    }));
+    assert!(
+        outcome.is_err(),
+        "the injected panic unwinds out of the loop"
+    );
+    let first: Vec<&String> = data
+        .names
+        .iter()
+        .map(|(n, _)| n)
+        .take(judged.len())
+        .collect();
+    assert_eq!(
+        judged.iter().collect::<Vec<_>>(),
+        first,
+        "judged in file order"
+    );
+    assert!(
+        !judged.contains(name),
+        "`{name}` was not judged before the crash"
+    );
+
+    let report = panicker
+        .report
+        .lock()
+        .unwrap()
+        .take()
+        .expect("report taken");
+    let doc = json::parse(&report.render()).expect("chc-crash/1 round-trips");
+    let threads = doc.get("threads").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(threads.len(), 1, "{threads:?}");
+    let stack: Vec<&str> = threads[0]
+        .get("stack")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(JsonValue::as_str)
+        .collect();
+    assert_eq!(stack, [names::SPAN_VALIDATE_ALL], "the open phase span");
+    let item = threads[0].get("item").expect("the breadcrumb is reported");
+    assert_eq!(
+        item.get("name").and_then(JsonValue::as_str),
+        Some(names::EVENT_VALIDATE_OBJECT)
+    );
+    assert_eq!(
+        item.get("value").and_then(JsonValue::as_f64),
+        Some(oid.raw() as f64),
+        "the breadcrumb names `{name}`"
+    );
+    let rendered = render_crash_report(&doc);
+    let want = format!("validate.all (at validate.object {})", oid.raw());
+    assert!(rendered.contains(&want), "{rendered}");
+}
+
+#[test]
+fn trace_out_keeps_every_phase_of_a_large_validate() {
+    // Past the trace ring's 65,536 events if spans marked objects.
+    const OBJECTS: usize = 70_000;
+    let data = tmp("trace-out-patients.chd");
+    std::fs::write(&data, patients_chd(OBJECTS)).unwrap();
+    let trace = tmp("trace-out.json");
+    let out = chc(&[
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "validate",
+        &example("hospital.sdl"),
+        data.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "the generated file has invalid objects"
+    );
+    let doc = json::parse(&std::fs::read_to_string(&trace).unwrap()).expect("valid JSON");
+    let dropped = doc.get("otherData").and_then(|d| d.get("dropped"));
+    assert_eq!(
+        dropped.and_then(JsonValue::as_f64),
+        Some(0.0),
+        "no event dropped"
+    );
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap();
+    for span in [
+        names::SPAN_CLI_VALIDATE,
+        names::SPAN_EXTENT_LOAD,
+        names::SPAN_VALIDATE_ALL,
+    ] {
+        let count = |ph: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some(ph))
+                .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some(span))
+                .count()
+        };
+        assert_eq!((count("B"), count("E")), (1, 1), "{span}");
+    }
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_file(&trace);
 }
