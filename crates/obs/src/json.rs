@@ -363,6 +363,59 @@ mod tests {
     }
 
     #[test]
+    fn rendered_bytes_are_pinned() {
+        let s = JsonValue::string;
+        let n = JsonValue::number;
+        // Keys sort bytewise, whatever order they were given in.
+        let keys = JsonValue::object([("b", n(1.0)), ("a", n(2.0)), ("B", n(3.0)), ("10", n(4.0))]);
+        assert_eq!(keys.render(), r#"{"10":4,"B":3,"a":2,"b":1}"#);
+        // Every escape; other control characters as `\u00xx`, the rest raw.
+        let esc = s("q\"b\\n\nt\tr\r\u{0}\u{8}\u{c}\u{1f} \u{7f}é/");
+        assert_eq!(
+            esc.render(),
+            concat!(
+                r#""q\"b\\n\nt\tr\r\u0000\u0008\u000c\u001f "#,
+                "\u{7f}",
+                r#"é/""#
+            )
+        );
+        assert_eq!(
+            JsonValue::object([("k\n", s(""))]).render(),
+            r#"{"k\n":""}"#
+        );
+        // Whole numbers below 9e15 print as integers; the rest as `f64`.
+        let nums = [
+            0.0,
+            -0.0,
+            42.0,
+            -7.0,
+            1.5,
+            -0.25,
+            0.1,
+            1e-7,
+            8_999_999_999_999_999.0,
+        ];
+        let big = [9e15, -9e15, 1e16, 1e21];
+        let arr = JsonValue::array(nums.into_iter().chain(big).map(n));
+        assert_eq!(
+            arr.render(),
+            "[0,0,42,-7,1.5,-0.25,0.1,0.0000001,8999999999999999,\
+             9000000000000000,-9000000000000000,10000000000000000,1000000000000000000000]"
+        );
+        // Nested empty objects and arrays.
+        let empty = || JsonValue::object([]);
+        let nested = JsonValue::object([
+            ("a", empty()),
+            ("b", JsonValue::array([])),
+            (
+                "c",
+                JsonValue::array([empty(), JsonValue::array([JsonValue::array([])])]),
+            ),
+        ]);
+        assert_eq!(nested.render(), r#"{"a":{},"b":[],"c":[{},[[]]]}"#);
+    }
+
+    #[test]
     fn escapes_round_trip() {
         let v = JsonValue::object([("k", JsonValue::string("a\"b\\c\nd\te\u{1}"))]);
         assert_eq!(parse(&v.render()).unwrap(), v);
