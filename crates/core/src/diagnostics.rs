@@ -7,7 +7,7 @@
 //! excuses ("nothing wrong will happen if an excuse is added — it will
 //! simply be redundant", §5.3).
 
-use std::fmt;
+use std::fmt::{self, Display};
 
 use chc_model::{ClassId, Schema, Sym};
 
@@ -85,59 +85,64 @@ impl Diagnostic {
         schema.source_map().site_span(self.class, Some(self.attr))
     }
 
-    /// Renders the diagnostic with names resolved against `schema`,
-    /// prefixed with `file:line:col` when a source position is known.
-    pub fn render(&self, schema: &Schema) -> String {
-        match self.span(schema) {
-            Some(span) => {
-                format!("{}: {}", schema.source_map().locate(span), self.message(schema))
+    /// The diagnostic with names resolved against `schema`, prefixed
+    /// with `file:line:col` when a source position is known.
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            if let Some(span) = self.span(schema) {
+                write!(f, "{}: ", schema.source_map().locate(span))?;
             }
-            None => self.message(schema),
-        }
+            self.message(schema).fmt(f)
+        })
     }
 
     /// The diagnostic message, without any position prefix.
-    pub fn message(&self, schema: &Schema) -> String {
-        let class = schema.class_name(self.class);
-        let attr = schema.resolve(self.attr);
-        let sev = match self.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
-        match &self.kind {
-            DiagKind::UnexcusedContradiction { contradicted } => format!(
-                "{sev}: `{class}.{attr}` contradicts the constraint on `{}` without excusing it; \
-                 add `excuses {attr} on {}` or specialize the range",
-                schema.class_name(*contradicted),
-                schema.class_name(*contradicted),
-            ),
-            DiagKind::ExcuseRangeEscape { contradicted, excuser } => format!(
-                "{sev}: `{class}.{attr}` is excused on `{}` via `{}`, but its range is not \
-                 contained in the excusing range",
-                schema.class_name(*contradicted),
-                schema.class_name(*excuser),
-            ),
-            DiagKind::IncompatibleParents { a, b } => format!(
-                "{sev}: `{class}` inherits incompatible constraints on `{attr}` from `{}` and \
-                 `{}`; instances cannot satisfy both — excuse one of them",
-                schema.class_name(*a),
-                schema.class_name(*b),
-            ),
-            DiagKind::JointlyUnsatisfiable { declarers } => format!(
-                "{sev}: no value of `{class}.{attr}` can satisfy all of the constraints \
-                 inherited from {} at once — excuse at least one of them",
-                declarers
-                    .iter()
-                    .map(|d| format!("`{}`", schema.class_name(*d)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ),
-            DiagKind::RedundantExcuse { on } => format!(
-                "{sev}: the excuse of `{}.{attr}` by `{class}` is redundant (the range is already \
-                 a specialization or another excuse applies)",
-                schema.class_name(*on),
-            ),
-        }
+    pub fn message<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            let (sev, class) = (self.severity, schema.class_name(self.class));
+            let attr = schema.resolve(self.attr);
+            match &self.kind {
+                DiagKind::UnexcusedContradiction { contradicted } => write!(
+                    f,
+                    "{sev}: `{class}.{attr}` contradicts the constraint on `{}` without excusing \
+                     it; add `excuses {attr} on {}` or specialize the range",
+                    schema.class_name(*contradicted),
+                    schema.class_name(*contradicted),
+                ),
+                DiagKind::ExcuseRangeEscape { contradicted, excuser } => write!(
+                    f,
+                    "{sev}: `{class}.{attr}` is excused on `{}` via `{}`, but its range is not \
+                     contained in the excusing range",
+                    schema.class_name(*contradicted),
+                    schema.class_name(*excuser),
+                ),
+                DiagKind::IncompatibleParents { a, b } => write!(
+                    f,
+                    "{sev}: `{class}` inherits incompatible constraints on `{attr}` from `{}` \
+                     and `{}`; instances cannot satisfy both — excuse one of them",
+                    schema.class_name(*a),
+                    schema.class_name(*b),
+                ),
+                DiagKind::JointlyUnsatisfiable { declarers } => {
+                    write!(
+                        f,
+                        "{sev}: no value of `{class}.{attr}` can satisfy all of the \
+                         constraints inherited from "
+                    )?;
+                    for (i, d) in declarers.iter().enumerate() {
+                        let sep = if i == 0 { "" } else { ", " };
+                        write!(f, "{sep}`{}`", schema.class_name(*d))?;
+                    }
+                    f.write_str(" at once — excuse at least one of them")
+                }
+                DiagKind::RedundantExcuse { on } => write!(
+                    f,
+                    "{sev}: the excuse of `{}.{attr}` by `{class}` is redundant (the range is \
+                     already a specialization or another excuse applies)",
+                    schema.class_name(*on),
+                ),
+            }
+        })
     }
 }
 
@@ -173,12 +178,14 @@ impl CheckReport {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Warning)
     }
 
-    /// Renders every finding against `schema`, one per line.
-    pub fn render(&self, schema: &Schema) -> String {
-        self.diagnostics
-            .iter()
-            .map(|d| d.render(schema))
-            .collect::<Vec<_>>()
-            .join("\n")
+    /// Every finding rendered against `schema`, one per line.
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            for (i, d) in self.diagnostics.iter().enumerate() {
+                f.write_str(if i == 0 { "" } else { "\n" })?;
+                d.render(schema).fmt(f)?;
+            }
+            Ok(())
+        })
     }
 }

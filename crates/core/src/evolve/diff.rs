@@ -398,7 +398,7 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
         let Some(&oa) = old_attrs.get(attr_name) else {
             edits.push(SchemaEdit {
                 kind: EditKind::Additive,
-                detail: EditDetail::AttrAdded { range: n_spec.range.render(new) },
+                detail: EditDetail::AttrAdded { range: n_spec.range.render(new).to_string() },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
@@ -416,22 +416,22 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
                 RangeRel::Narrowed => (
                     EditKind::Refining,
                     EditDetail::RangeNarrowed {
-                        old: o_spec.range.render(old),
-                        new: n_spec.range.render(new),
+                        old: o_spec.range.render(old).to_string(),
+                        new: n_spec.range.render(new).to_string(),
                     },
                 ),
                 RangeRel::Widened => (
                     EditKind::Breaking,
                     EditDetail::RangeWidened {
-                        old: o_spec.range.render(old),
-                        new: n_spec.range.render(new),
+                        old: o_spec.range.render(old).to_string(),
+                        new: n_spec.range.render(new).to_string(),
                     },
                 ),
                 _ => (
                     EditKind::Breaking,
                     EditDetail::RangeChanged {
-                        old: o_spec.range.render(old),
-                        new: n_spec.range.render(new),
+                        old: o_spec.range.render(old).to_string(),
+                        new: n_spec.range.render(new).to_string(),
                     },
                 ),
             };
@@ -488,7 +488,7 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             let o_spec = &old.declared_attr(oc, oa).expect("declared").spec;
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
-                detail: EditDetail::AttrRemoved { range: o_spec.range.render(old) },
+                detail: EditDetail::AttrRemoved { range: o_spec.range.render(old).to_string() },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),

@@ -80,15 +80,15 @@ pub enum Witness {
 
 impl Witness {
     /// A human-readable rendering (`'Dove`, `42`, `any string`, …).
-    pub fn render(&self, schema: &Schema) -> String {
-        match self {
-            Witness::Absent => "absent".to_string(),
-            Witness::AnyString => "any string".to_string(),
-            Witness::AnyRecord => "any record".to_string(),
-            Witness::AnyEntity => "an entity".to_string(),
-            Witness::Token(t) => format!("'{}", schema.resolve(*t)),
-            Witness::Int(i) => i.to_string(),
-        }
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| match self {
+            Witness::Absent => f.write_str("absent"),
+            Witness::AnyString => f.write_str("any string"),
+            Witness::AnyRecord => f.write_str("any record"),
+            Witness::AnyEntity => f.write_str("an entity"),
+            Witness::Token(t) => write!(f, "'{}", schema.resolve(*t)),
+            Witness::Int(i) => write!(f, "{i}"),
+        })
     }
 }
 
@@ -390,49 +390,49 @@ pub struct Derivation {
 impl Derivation {
     /// Multi-line human-readable rendering (used by `chc check
     /// --explain`).
-    pub fn render(&self, schema: &Schema) -> String {
-        let mut out = format!(
-            "derivation for `{}.{}`:\n",
-            schema.class_name(self.class),
-            schema.resolve(self.attr)
-        );
-        for c in &self.constraints {
-            let attr = schema.resolve(self.attr);
-            let via = if c.path.len() <= 1 {
-                "declared locally".to_string()
-            } else {
-                let names: Vec<&str> = c.path.iter().map(|p| schema.class_name(*p)).collect();
-                format!("via {}", names.join(" is-a "))
-            };
-            out.push_str(&format!(
-                "  constraint `{attr}: {}` on `{}` ({via})\n",
-                c.range.render(schema),
-                schema.class_name(c.declarer),
-            ));
-            for e in &c.excuses {
-                out.push_str(&format!(
-                    "    + excused by `{}.{}: {}` (allowed set grows)\n",
-                    schema.class_name(e.excuser),
-                    schema.resolve(e.attr),
-                    e.range.render(schema),
-                ));
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            let (name, attr) = (|c| schema.class_name(c), schema.resolve(self.attr));
+            writeln!(f, "derivation for `{}.{attr}`:", name(self.class))?;
+            for c in &self.constraints {
+                let range = c.range.render(schema);
+                write!(f, "  constraint `{attr}: {range}` on `{}` (", name(c.declarer))?;
+                match c.path.len() {
+                    0 | 1 => f.write_str("declared locally")?,
+                    _ => {
+                        f.write_str("via ")?;
+                        for (i, p) in c.path.iter().enumerate() {
+                            write!(f, "{}{}", if i == 0 { "" } else { " is-a " }, name(*p))?;
+                        }
+                    }
+                }
+                f.write_str(")\n")?;
+                for e in &c.excuses {
+                    writeln!(
+                        f,
+                        "    + excused by `{}.{}: {}` (allowed set grows)",
+                        name(e.excuser),
+                        schema.resolve(e.attr),
+                        e.range.render(schema),
+                    )?;
+                }
             }
-        }
-        match &self.verdict {
-            Verdict::Admits(w) => out.push_str(&format!(
-                "  verdict: satisfiable — admits {}\n",
-                w.render(schema)
-            )),
-            Verdict::Empty => out.push_str(
-                "  verdict: unsatisfiable — the intersection of the allowed sets is empty\n",
-            ),
-            Verdict::NoSharedDescendant { excuser, on } => out.push_str(&format!(
-                "  verdict: excuse can never apply — `{}` and `{}` share no descendant\n",
-                schema.class_name(*excuser),
-                schema.class_name(*on),
-            )),
-        }
-        out
+            match &self.verdict {
+                Verdict::Admits(w) => {
+                    writeln!(f, "  verdict: satisfiable — admits {}", w.render(schema))
+                }
+                Verdict::Empty => writeln!(
+                    f,
+                    "  verdict: unsatisfiable — the intersection of the allowed sets is empty"
+                ),
+                Verdict::NoSharedDescendant { excuser, on } => writeln!(
+                    f,
+                    "  verdict: excuse can never apply — `{}` and `{}` share no descendant",
+                    name(*excuser),
+                    name(*on),
+                ),
+            }
+        })
     }
 
     /// The derivation as a [`JsonValue`] object (the shape embedded in
@@ -441,7 +441,7 @@ impl Derivation {
         let constraints = JsonValue::array(self.constraints.iter().map(|c| {
             JsonValue::object([
                 ("declarer", JsonValue::string(schema.class_name(c.declarer))),
-                ("range", JsonValue::string(&c.range.render(schema))),
+                ("range", JsonValue::string(&c.range.render(schema).to_string())),
                 (
                     "path",
                     JsonValue::array(
@@ -456,7 +456,7 @@ impl Derivation {
                         JsonValue::object([
                             ("excuser", JsonValue::string(schema.class_name(e.excuser))),
                             ("attr", JsonValue::string(schema.resolve(e.attr))),
-                            ("range", JsonValue::string(&e.range.render(schema))),
+                            ("range", JsonValue::string(&e.range.render(schema).to_string())),
                         ])
                     })),
                 ),
@@ -465,7 +465,7 @@ impl Derivation {
         let verdict = match &self.verdict {
             Verdict::Admits(w) => JsonValue::object([
                 ("kind", JsonValue::string("admits")),
-                ("witness", JsonValue::string(&w.render(schema))),
+                ("witness", JsonValue::string(&w.render(schema).to_string())),
             ]),
             Verdict::Empty => JsonValue::object([("kind", JsonValue::string("empty"))]),
             Verdict::NoSharedDescendant { excuser, on } => JsonValue::object([
@@ -658,7 +658,7 @@ mod tests {
                 "path ends at the declarer"
             );
         }
-        let text = d.render(&schema);
+        let text = d.render(&schema).to_string();
         assert!(text.contains("Dove_Keeper"), "{text}");
         assert!(text.contains("Hawk_Club"), "{text}");
         assert!(text.contains("unsatisfiable"), "{text}");
@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(on_a.excuses.len(), 1);
         assert_eq!(on_a.excuses[0].excuser, b);
         assert_eq!(on_a.excuses[0].range, Range::Int { lo: 20, hi: 30 });
-        let text = d.render(&schema);
+        let text = d.render(&schema).to_string();
         assert!(text.contains("excused by `B.p: 20..30`"), "{text}");
     }
 

@@ -53,14 +53,17 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// Renders against the schema.
-    pub fn render(&self, schema: &Schema) -> String {
-        format!(
-            "object violates `{}.{}` with value {:?}",
-            schema.class_name(self.class),
-            schema.resolve(self.attr),
-            self.value
-        )
+    /// The violation with names resolved against `schema`.
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            write!(
+                f,
+                "object violates `{}.{}` with value {:?}",
+                schema.class_name(self.class),
+                schema.resolve(self.attr),
+                self.value
+            )
+        })
     }
 }
 

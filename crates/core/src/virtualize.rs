@@ -45,15 +45,16 @@ impl VirtualClassInfo {
     /// The one-line description `chc virtualize` prints:
     /// `virtual class H1 is-a Hospital — extent = values of treatedAt over
     /// Tubercular_Patient`.
-    pub fn describe(&self, schema: &Schema) -> String {
-        let path: Vec<&str> = self.path.iter().map(|p| schema.resolve(*p)).collect();
-        format!(
-            "virtual class {} is-a {} — extent = values of {} over {}",
-            schema.class_name(self.class),
-            schema.class_name(self.base),
-            path.join("."),
-            schema.class_name(self.root),
-        )
+    pub fn describe<'a>(&'a self, schema: &'a Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| {
+            let name = |c| schema.class_name(c);
+            let (class, base) = (name(self.class), name(self.base));
+            write!(f, "virtual class {class} is-a {base} — extent = values of ")?;
+            for (i, p) in self.path.iter().enumerate() {
+                write!(f, "{}{}", if i == 0 { "" } else { "." }, schema.resolve(*p))?;
+            }
+            write!(f, " over {}", name(self.root))
+        })
     }
 }
 

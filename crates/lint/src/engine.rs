@@ -328,17 +328,20 @@ impl DiffReport {
 
     /// The one-line text summary `chc diff` ends with: edit counts by
     /// kind and the size of the dirty set.
-    pub fn summary(&self, old_path: &str, new_path: &str) -> String {
+    pub fn summary<'a>(&'a self, old_path: &'a str, new_path: &'a str) -> impl std::fmt::Display + 'a {
         use chc_core::EditKind;
-        format!(
-            "{old_path} -> {new_path}: {} edit(s) ({} additive, {} refining, {} breaking); \
-             dirty: {} class(es) to re-check, {} extent(s) to re-validate",
-            self.diff.edits.len(),
-            self.diff.count(EditKind::Additive),
-            self.diff.count(EditKind::Refining),
-            self.diff.count(EditKind::Breaking),
-            self.dirty.classes.len(),
-            self.dirty.extents.len(),
-        )
+        chc_obs::display_with(move |f| {
+            write!(
+                f,
+                "{old_path} -> {new_path}: {} edit(s) ({} additive, {} refining, {} breaking); \
+                 dirty: {} class(es) to re-check, {} extent(s) to re-validate",
+                self.diff.edits.len(),
+                self.diff.count(EditKind::Additive),
+                self.diff.count(EditKind::Refining),
+                self.diff.count(EditKind::Breaking),
+                self.dirty.classes.len(),
+                self.dirty.extents.len(),
+            )
+        })
     }
 }

@@ -43,12 +43,12 @@ pub struct Finding {
 impl Finding {
     /// The `file:line:col` (or `line:col`) prefix, when a span is known.
     /// Query findings locate in their own file, not the schema's.
-    pub fn location(&self, schema: &Schema) -> Option<String> {
+    pub fn location<'a>(&'a self, schema: &'a Schema) -> Option<impl std::fmt::Display + 'a> {
         let span = self.span?;
-        Some(match &self.file {
-            Some(file) => format!("{file}:{span}"),
-            None => schema.source_map().locate(span),
-        })
+        Some(chc_obs::display_with(move |f| match &self.file {
+            Some(file) => write!(f, "{file}:{span}"),
+            None => write!(f, "{}", schema.source_map().locate(span)),
+        }))
     }
 
     /// This finding as a [`JsonValue`] object (round-trippable through

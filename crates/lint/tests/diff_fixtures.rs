@@ -75,7 +75,7 @@ fn d003_fires_on_a_retired_excuse_and_anchors_in_the_old_file() {
     let span = f.span.expect("anchored at the retired clause");
     assert_eq!(span.line, 5, "points at the old excuses clause");
     // The renderer quotes the *old* source for findings carrying a file.
-    let text = render_report_sources(&outcome.report, &new, Some(new_src), Some(old_src));
+    let text = render_report_sources(&outcome.report, &new, Some(new_src), Some(old_src)).to_string();
     assert!(text.contains("old.sdl:5:"), "{text}");
     assert!(text.contains("excuses treatedBy on Patient"), "{text}");
 }

@@ -89,13 +89,13 @@ fn fires_findings_carry_file_positions() {
             .iter()
             .find(|f| f.code == code)
             .expect("fires");
-        let loc = f.location(&schema).expect("span recorded from SDL");
+        let loc = f.location(&schema).expect("span recorded from SDL").to_string();
         assert!(
             loc.starts_with(&format!("{file}:")),
             "{code}: location should be file:line:col, got {loc}"
         );
         // The rendered block quotes the offending source line with a caret.
-        let text = chc_lint::render_finding(f, &schema, Some(src));
+        let text = chc_lint::render_finding(f, &schema, Some(src)).to_string();
         assert!(text.contains(&format!("--> {loc}")), "{text}");
         assert!(
             text.lines().last().unwrap().trim_end().ends_with('^'),

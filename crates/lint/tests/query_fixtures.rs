@@ -104,12 +104,12 @@ fn fires_findings_point_into_the_query_file() {
             .iter()
             .find(|f| f.code == code)
             .expect("fires");
-        let loc = f.location(&v.schema).expect("span recorded from the batch");
+        let loc = f.location(&v.schema).expect("span recorded from the batch").to_string();
         assert!(
             loc.starts_with(&format!("{file}:")),
             "{code}: location should be chq-file:line:col, got {loc}"
         );
-        let text = chc_lint::render_finding(f, &v.schema, Some(chq));
+        let text = chc_lint::render_finding(f, &v.schema, Some(chq)).to_string();
         assert!(text.contains(&format!("--> {loc}")), "{text}");
         assert!(
             text.lines().last().unwrap().trim_end().ends_with('^'),

@@ -121,11 +121,6 @@ impl SchemaBuilder {
         Ok(id)
     }
 
-    /// Finds a previously declared class.
-    pub fn class_id(&self, name: &str) -> Option<ClassId> {
-        self.interner.get(name).and_then(|s| self.by_name.get(&s).copied())
-    }
-
     /// Adds an is-a edge `class is-a superclass`.
     pub fn add_super(&mut self, class: ClassId, superclass: ClassId) -> Result<(), ModelError> {
         if self.classes[class.index()].supers.contains(&superclass) {

@@ -244,44 +244,34 @@ impl Range {
     /// A compact, single-line rendering in SDL syntax, for diagnostics
     /// and the audit ledger (record fields are rendered in-line rather
     /// than with the pretty-printer's indentation).
-    pub fn render(&self, schema: &Schema) -> String {
-        match self {
-            Range::Int { lo, hi } if *lo == i64::MIN && *hi == i64::MAX => "Integer".to_string(),
-            Range::Int { lo, hi } => format!("{lo}..{hi}"),
-            Range::Str => "String".to_string(),
-            Range::None => "None".to_string(),
-            Range::AnyEntity => "AnyEntity".to_string(),
+    pub fn render<'a>(&'a self, schema: &'a Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| match self {
+            Range::Int { lo, hi } if *lo == i64::MIN && *hi == i64::MAX => f.write_str("Integer"),
+            Range::Int { lo, hi } => write!(f, "{lo}..{hi}"),
+            Range::Str => f.write_str("String"),
+            Range::None => f.write_str("None"),
+            Range::AnyEntity => f.write_str("AnyEntity"),
             Range::Enum(toks) => {
-                let mut names: Vec<String> = toks
-                    .iter()
-                    .map(|t| format!("'{}", schema.resolve(*t)))
-                    .collect();
-                names.sort();
-                format!("{{{}}}", names.join(", "))
-            }
-            Range::Class(c) => schema.class_name(*c).to_string(),
-            Range::Record { base, fields } => {
-                let mut out = String::new();
-                if let Some(b) = base {
-                    out.push_str(schema.class_name(*b));
-                    out.push(' ');
+                let mut names: Vec<&str> = toks.iter().map(|t| schema.resolve(*t)).collect();
+                names.sort_unstable();
+                for (i, name) in names.iter().enumerate() {
+                    write!(f, "{}'{name}", if i == 0 { "{" } else { ", " })?;
                 }
-                out.push('[');
-                let rendered: Vec<String> = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{}: {}",
-                            schema.resolve(f.name),
-                            f.spec.range.render(schema)
-                        )
-                    })
-                    .collect();
-                out.push_str(&rendered.join("; "));
-                out.push(']');
-                out
+                f.write_str(if names.is_empty() { "{}" } else { "}" })
             }
-        }
+            Range::Class(c) => f.write_str(schema.class_name(*c)),
+            Range::Record { base, fields } => {
+                if let Some(b) = base {
+                    write!(f, "{} ", schema.class_name(*b))?;
+                }
+                for (i, field) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "[" } else { "; " };
+                    let range = field.spec.range.render(schema);
+                    write!(f, "{sep}{}: {range}", schema.resolve(field.name))?;
+                }
+                f.write_str(if fields.is_empty() { "[]" } else { "]" })
+            }
+        })
     }
 
     /// Whether two ranges can possibly share a value (a cheap,

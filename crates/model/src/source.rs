@@ -129,13 +129,13 @@ impl SourceMap {
             .or_else(|| self.class_span(class))
     }
 
-    /// Renders a position as `file:line:col` (or `line:col` when no file
-    /// was recorded) — the prefix diagnostics print.
-    pub fn locate(&self, span: Span) -> String {
-        match &self.file {
-            Some(f) => format!("{f}:{span}"),
-            None => span.to_string(),
-        }
+    /// A position as `file:line:col` (or `line:col` when no file was
+    /// recorded) — the prefix diagnostics print.
+    pub fn locate(&self, span: Span) -> impl std::fmt::Display + '_ {
+        chc_obs::display_with(move |f| match &self.file {
+            Some(file) => write!(f, "{file}:{span}"),
+            None => write!(f, "{span}"),
+        })
     }
 }
 
@@ -160,7 +160,7 @@ mod tests {
         m.set_file("x.sdl");
         assert_eq!(m.class_span(c), Some(s));
         assert_eq!(m.site_span(c, None), Some(s));
-        assert_eq!(m.locate(s), "x.sdl:7:2");
+        assert_eq!(m.locate(s).to_string(), "x.sdl:7:2");
         assert!(!m.is_empty());
     }
 
@@ -200,6 +200,6 @@ mod tests {
         m.record_class(c, Span { line: 1, col: 1 });
         m.record_attr(c, attr, Span { line: 2, col: 5 });
         assert_eq!(m.site_span(c, Some(attr)), Some(Span { line: 2, col: 5 }));
-        assert_eq!(m.locate(Span { line: 2, col: 5 }), "2:5");
+        assert_eq!(m.locate(Span { line: 2, col: 5 }).to_string(), "2:5");
     }
 }

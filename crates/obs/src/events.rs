@@ -276,9 +276,8 @@ impl AuditRecorder {
     /// [`names::EVENT_VALIDATE_CHECK`](crate::names::EVENT_VALIDATE_CHECK)
     /// records: §6 asks for "statistics about exceptional cases", so
     /// admissions are grouped by the excuse that admitted them.
-    pub fn render_summary(&self) -> String {
+    pub fn render_summary(&self) -> impl std::fmt::Display {
         use std::collections::BTreeMap;
-        use std::fmt::Write as _;
         let mut checks = 0u64;
         let mut passed = 0u64;
         let mut violations = 0u64;
@@ -309,24 +308,27 @@ impl AuditRecorder {
             }
         }
         let admitted_total: u64 = admitted.values().sum();
-        let mut out = format!(
-            "audit: {checks} check(s) executed — {passed} passed, \
-             {admitted_total} admitted by excuse, {violations} violation(s)\n"
-        );
-        for ([excuser, excuse_attr, class, attr], n) in &admitted {
-            let _ = writeln!(
-                out,
-                "  `{excuser}.{excuse_attr}` excusing `{class}.{attr}`: {n}"
-            );
-        }
         let dropped = self.dropped();
-        if dropped > 0 {
-            let _ = writeln!(
-                out,
-                "  (ring full: {dropped} older record(s) evicted; totals reflect retained events only)"
-            );
-        }
-        out
+        crate::display_with(move |f| {
+            writeln!(
+                f,
+                "audit: {checks} check(s) executed — {passed} passed, \
+                 {admitted_total} admitted by excuse, {violations} violation(s)"
+            )?;
+            for ([excuser, excuse_attr, class, attr], n) in &admitted {
+                writeln!(
+                    f,
+                    "  `{excuser}.{excuse_attr}` excusing `{class}.{attr}`: {n}"
+                )?;
+            }
+            if dropped > 0 {
+                writeln!(
+                    f,
+                    "  (ring full: {dropped} older record(s) evicted; totals reflect retained events only)"
+                )?;
+            }
+            Ok(())
+        })
     }
 }
 

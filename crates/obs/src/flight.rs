@@ -536,134 +536,128 @@ pub fn crash_report(reason: &str, message: &str, flight: &FlightRecorder) -> Jso
 /// Renders a `chc-crash/1` document (as written by [`crash_report`])
 /// human-readably: the `chc doctor` output. Missing fields render as
 /// `?` or zero, so a truncated report still shows what it has.
-pub fn render_crash_report(doc: &JsonValue) -> String {
+pub fn render_crash_report(doc: &JsonValue) -> impl std::fmt::Display + '_ {
     use crate::{format_bytes, format_ns};
-    use std::fmt::Write as _;
 
     let str_of = |v: Option<&JsonValue>| v.and_then(|v| v.as_str()).unwrap_or("?").to_string();
     let num_of = |v: Option<&JsonValue>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-    let mut out = String::new();
 
-    let _ = writeln!(out, "chc crash report ({})", str_of(doc.get("reason")));
-    let _ = writeln!(out, "  message: {}", str_of(doc.get("message")));
-    let _ = writeln!(
-        out,
-        "  pid {} after {}",
-        num_of(doc.get("pid")),
-        format_ns(num_of(doc.get("uptime_us")).saturating_mul(1_000)),
-    );
+    crate::display_with(move |f| {
+        writeln!(f, "chc crash report ({})", str_of(doc.get("reason")))?;
+        writeln!(f, "  message: {}", str_of(doc.get("message")))?;
+        writeln!(
+            f,
+            "  pid {} after {}",
+            num_of(doc.get("pid")),
+            format_ns(num_of(doc.get("uptime_us")).saturating_mul(1_000)),
+        )?;
 
-    if let Some(JsonValue::Obj(ctx)) = doc.get("context") {
-        if !ctx.is_empty() {
-            let _ = writeln!(out, "\ncontext:");
-            for (k, v) in ctx {
-                let _ = writeln!(out, "  {:<14} {}", k, v.as_str().unwrap_or("?"));
+        if let Some(JsonValue::Obj(ctx)) = doc.get("context") {
+            if !ctx.is_empty() {
+                writeln!(f, "\ncontext:")?;
+                for (k, v) in ctx {
+                    writeln!(f, "  {:<14} {}", k, v.as_str().unwrap_or("?"))?;
+                }
             }
         }
-    }
 
-    if let Some(mem) = doc.get("mem") {
-        if num_of(mem.get("installed")) == 1 {
-            let allocs = num_of(mem.get("allocs"));
-            let _ = writeln!(
-                out,
-                "\nmemory: {} allocated over {allocs} allocs; live {} ({} allocs), peak {}",
-                format_bytes(num_of(mem.get("bytes_total"))),
-                format_bytes(num_of(mem.get("bytes_live"))),
-                allocs.saturating_sub(num_of(mem.get("frees"))),
-                format_bytes(num_of(mem.get("bytes_peak"))),
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "\nmemory: tracking allocator not installed in this binary"
-            );
-        }
-    }
-
-    if let Some(JsonValue::Obj(counters)) = doc.get("counters") {
-        if !counters.is_empty() {
-            let mut rows: Vec<(&str, u64)> = counters
-                .iter()
-                .map(|(k, v)| (k.as_str(), num_of(Some(v))))
-                .collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-            let shown = rows.len().min(20);
-            let _ = writeln!(out, "\ncounters (top {shown} of {}):", rows.len());
-            for (name, value) in rows.iter().take(shown) {
-                let _ = writeln!(out, "  {name:<32} {value:>12}");
+        if let Some(mem) = doc.get("mem") {
+            if num_of(mem.get("installed")) == 1 {
+                let allocs = num_of(mem.get("allocs"));
+                writeln!(
+                    f,
+                    "\nmemory: {} allocated over {allocs} allocs; live {} ({} allocs), peak {}",
+                    format_bytes(num_of(mem.get("bytes_total"))),
+                    format_bytes(num_of(mem.get("bytes_live"))),
+                    allocs.saturating_sub(num_of(mem.get("frees"))),
+                    format_bytes(num_of(mem.get("bytes_peak"))),
+                )?;
+            } else {
+                writeln!(
+                    f,
+                    "\nmemory: tracking allocator not installed in this binary"
+                )?;
             }
         }
-    }
 
-    let _ = writeln!(out, "\nopen spans at time of death:");
-    let threads = doc.get("threads").and_then(|v| v.as_array()).unwrap_or(&[]);
-    if threads.is_empty() {
-        let _ = writeln!(out, "  (none)");
-    }
-    for t in threads {
-        let stack: Vec<&str> = t
-            .get("stack")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|v| v.as_str())
-            .collect();
-        let stack = if stack.is_empty() {
-            "(idle)".to_string()
-        } else {
-            stack.join(" > ")
-        };
-        let item = match t.get("item") {
-            Some(item) => format!(
-                " (at {} {})",
-                str_of(item.get("name")),
-                num_of(item.get("value"))
-            ),
-            None => String::new(),
-        };
-        let _ = writeln!(out, "  thread {}: {stack}{item}", num_of(t.get("thread")));
-    }
+        if let Some(JsonValue::Obj(counters)) = doc.get("counters") {
+            if !counters.is_empty() {
+                let mut rows: Vec<(&str, u64)> = counters
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), num_of(Some(v))))
+                    .collect();
+                rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+                let shown = rows.len().min(20);
+                writeln!(f, "\ncounters (top {shown} of {}):", rows.len())?;
+                for (name, value) in rows.iter().take(shown) {
+                    writeln!(f, "  {name:<32} {value:>12}")?;
+                }
+            }
+        }
 
-    let flight = doc.get("flight").and_then(|v| v.as_array()).unwrap_or(&[]);
-    let dropped = num_of(doc.get("flight_dropped"));
-    let shown = flight.len().min(40);
-    let skipped = flight.len() - shown;
-    let _ = write!(
-        out,
-        "\nflight tail (last {shown} of {} recorded",
-        flight.len()
-    );
-    if dropped > 0 {
-        let _ = write!(out, ", {dropped} older dropped from ring");
-    }
-    let _ = writeln!(out, "):");
-    if skipped > 0 {
-        let _ = writeln!(
-            out,
-            "  … {skipped} earlier entr(ies) elided; read the JSON for all"
-        );
-    }
-    for e in flight.iter().skip(skipped) {
-        let kind = str_of(e.get("kind"));
-        let value = num_of(e.get("value"));
-        let suffix = match kind.as_str() {
-            "exit" => format!(" ({})", format_ns(value)),
-            "counter" => format!(" +{value}"),
-            _ => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "  [{:>8}] t+{:<10} thread {} {:<7} {}{}",
-            num_of(e.get("seq")),
-            format_ns(num_of(e.get("t_us")).saturating_mul(1_000)),
-            num_of(e.get("thread")),
-            kind,
-            str_of(e.get("name")),
-            suffix,
-        );
-    }
-    out
+        writeln!(f, "\nopen spans at time of death:")?;
+        let threads = doc.get("threads").and_then(|v| v.as_array()).unwrap_or(&[]);
+        if threads.is_empty() {
+            writeln!(f, "  (none)")?;
+        }
+        for t in threads {
+            write!(f, "  thread {}: ", num_of(t.get("thread")))?;
+            let stack = t.get("stack").and_then(|v| v.as_array()).unwrap_or(&[]);
+            let mut sep = "";
+            for name in stack.iter().filter_map(|v| v.as_str()) {
+                write!(f, "{sep}{name}")?;
+                sep = " > ";
+            }
+            if sep.is_empty() {
+                f.write_str("(idle)")?;
+            }
+            if let Some(item) = t.get("item") {
+                let (name, value) = (str_of(item.get("name")), num_of(item.get("value")));
+                write!(f, " (at {name} {value})")?;
+            }
+            writeln!(f)?;
+        }
+
+        let flight = doc.get("flight").and_then(|v| v.as_array()).unwrap_or(&[]);
+        let dropped = num_of(doc.get("flight_dropped"));
+        let shown = flight.len().min(40);
+        let skipped = flight.len() - shown;
+        write!(
+            f,
+            "\nflight tail (last {shown} of {} recorded",
+            flight.len()
+        )?;
+        if dropped > 0 {
+            write!(f, ", {dropped} older dropped from ring")?;
+        }
+        writeln!(f, "):")?;
+        if skipped > 0 {
+            writeln!(
+                f,
+                "  … {skipped} earlier entr(ies) elided; read the JSON for all"
+            )?;
+        }
+        for e in flight.iter().skip(skipped) {
+            let kind = str_of(e.get("kind"));
+            let value = num_of(e.get("value"));
+            let suffix = match kind.as_str() {
+                "exit" => format!(" ({})", format_ns(value)),
+                "counter" => format!(" +{value}"),
+                _ => String::new(),
+            };
+            writeln!(
+                f,
+                "  [{:>8}] t+{:<10} thread {} {:<7} {}{}",
+                num_of(e.get("seq")),
+                format_ns(num_of(e.get("t_us")).saturating_mul(1_000)),
+                num_of(e.get("thread")),
+                kind,
+                str_of(e.get("name")),
+                suffix,
+            )?;
+        }
+        Ok(())
+    })
 }
 
 /// Where a crash report goes: `explicit` (a `--crash-out` path) if
@@ -880,7 +874,9 @@ mod tests {
             let at = threads[0].get("item").expect("the item is reported");
             assert_eq!(at.get("name").and_then(|v| v.as_str()), Some("t.outer"));
             assert_eq!(at.get("value").and_then(|v| v.as_f64()), Some(8.0));
-            assert!(render_crash_report(&doc).contains("t.phase (at t.outer 8)"));
+            assert!(render_crash_report(&doc)
+                .to_string()
+                .contains("t.phase (at t.outer 8)"));
         }
         assert_eq!(item(&flight), None, "cleared on drop");
         assert_eq!(flight.seq(), 2, "only the span's enter and exit");

@@ -5,6 +5,7 @@
 //! sink round-trippable.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A value in the event-sink JSON subset.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,48 +78,56 @@ impl JsonValue {
         }
     }
 
-    /// Renders as compact JSON (sorted keys, no whitespace).
+    /// The compact JSON text ([`fmt::Display`]) as a `String`.
     pub fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// Compact JSON: sorted keys, no whitespace; whole numbers below 9e15
+/// print as integers.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JsonValue::Str(s) => render_string(s),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
+            JsonValue::Str(s) => write_string(f, s),
+            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => write!(f, "{}", *n as i64),
+            JsonValue::Num(n) => write!(f, "{n}"),
             JsonValue::Obj(m) => {
-                let fields: Vec<String> = m
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", render_string(k), v.render()))
-                    .collect();
-                format!("{{{}}}", fields.join(","))
+                for (i, (k, v)) in m.iter().enumerate() {
+                    f.write_str(if i == 0 { "{" } else { "," })?;
+                    write_string(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_str(if m.is_empty() { "{}" } else { "}" })
             }
             JsonValue::Arr(items) => {
-                let parts: Vec<String> = items.iter().map(JsonValue::render).collect();
-                format!("[{}]", parts.join(","))
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i == 0 { "[" } else { "," })?;
+                }
+                f.write_str(if items.is_empty() { "[]" } else { "]" })
             }
         }
     }
 }
 
-fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` quoted and escaped, each unescaped run with one write.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    // Every escaped byte is ASCII, so `run..i` ends on a char boundary.
+    let mut run = 0;
+    let escaped = |&(_, b): &(usize, u8)| b < 0x20 || b == b'"' || b == b'\\';
+    for (i, b) in s.bytes().enumerate().filter(escaped) {
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'\n' => f.write_str("\\n")?,
+            b'\t' => f.write_str("\\t")?,
+            b'\r' => f.write_str("\\r")?,
+            b'"' | b'\\' => write!(f, "\\{}", b as char)?,
+            _ => write!(f, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
-    out
+    write!(f, "{}\"", &s[run..])
 }
 
 /// How deeply arrays and objects may nest: the limit `.sdl` records and

@@ -90,6 +90,7 @@ pub use threads::thread_index;
 pub use trace::{FanoutRecorder, TraceEvent, TraceEventKind, TraceRecorder};
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -446,6 +447,19 @@ pub fn format_bytes(bytes: u64) -> String {
     } else {
         format!("{:.2}GB", bytes as f64 / (1_024.0 * 1_024.0 * 1_024.0))
     }
+}
+
+/// A [`fmt::Display`] that runs `write`: how a renderer writes straight
+/// into its caller's formatter instead of building a `String` first
+/// (`std::fmt::from_fn` is newer than the workspace's minimum Rust).
+pub fn display_with(write: impl Fn(&mut fmt::Formatter<'_>) -> fmt::Result) -> impl fmt::Display {
+    struct DisplayWith<F>(F);
+    impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Display for DisplayWith<F> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            (self.0)(f)
+        }
+    }
+    DisplayWith(write)
 }
 
 /// `1.2us`-style duration rendering; milliseconds are the largest unit

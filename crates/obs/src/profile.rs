@@ -484,15 +484,23 @@ impl ProfileRecorder {
 
     /// The one-line summary `chc profile` prints on stdout: the class
     /// count, the duplicate-work ratios, and the sampler's yield.
-    pub fn render_summary(&self, workload: &str, classes: usize, sampler: &SpanSampler) -> String {
+    pub fn render_summary<'a>(
+        &self,
+        workload: &'a str,
+        classes: usize,
+        sampler: &SpanSampler,
+    ) -> impl std::fmt::Display + 'a {
         let [(subtype, subtype_distinct), (sat, sat_distinct)] = self.duplicate_work();
-        format!(
-            "profile: {workload} — {classes} classes, subtype {subtype}/{subtype_distinct} ({:.1}x), \
-             sat {sat}/{sat_distinct} ({:.1}x), {} sample(s)",
-            duplicate_ratio(subtype, subtype_distinct),
-            duplicate_ratio(sat, sat_distinct),
-            sampler.samples(),
-        )
+        let samples = sampler.samples();
+        crate::display_with(move |f| {
+            write!(
+                f,
+                "profile: {workload} — {classes} classes, subtype {subtype}/{subtype_distinct} \
+                 ({:.1}x), sat {sat}/{sat_distinct} ({:.1}x), {samples} sample(s)",
+                duplicate_ratio(subtype, subtype_distinct),
+                duplicate_ratio(sat, sat_distinct),
+            )
+        })
     }
 
     /// The enriched `chc-profile/1` document: [`ProfileRecorder::to_json`]

@@ -8,9 +8,8 @@
 //! can be compared on work done and failures suffered.
 //!
 //! The accounting is published two ways. Each [`execute`] call returns its
-//! own [`ExecStats`] (aliased as [`EvalStats`] for callers that predate the
-//! rename), and when a `chc-obs` recorder is installed the same totals are
-//! mirrored to the `query.*` counters — `query.rows_scanned`,
+//! own [`ExecStats`], and when a `chc-obs` recorder is installed the same
+//! totals are mirrored to the `query.*` counters — `query.rows_scanned`,
 //! `query.rows_emitted`, `query.checks_executed`, plus
 //! `query.checks_eliminated`, the per-row checks the plan *dropped*
 //! relative to a check-everything plan (§5.4's savings, made visible).
@@ -37,11 +36,6 @@ pub struct ExecStats {
     /// Rows skipped by a failing check (graceful handling).
     pub rows_skipped_by_check: usize,
 }
-
-/// Historical name for [`ExecStats`], kept as a thin facade so older
-/// callers (and the docs that grew up calling this "eval stats") keep
-/// compiling unchanged.
-pub type EvalStats = ExecStats;
 
 /// The emitted values plus statistics.
 #[derive(Debug, Clone)]

@@ -6,8 +6,7 @@
 //! hazards, and — depending on [`CheckMode`] — inserts run-time safety
 //! checks only where a type error can actually occur; and an instrumented
 //! evaluator ([`execute`]) that reports its accounting two ways: the
-//! per-call [`ExecStats`] (also exported under its historical name
-//! [`EvalStats`]) returned with each result, and the workspace-wide
+//! per-call [`ExecStats`] returned with each result, and the workspace-wide
 //! `chc-obs` recorder (`query.checks_executed`, `query.rows_scanned`, …)
 //! that experiment E4 and the `chc --stats` CLI read.
 
@@ -23,7 +22,7 @@ pub mod plan;
 
 pub use analyze::{analyze_query, synthesize_guards, QuerySafety, StepSafety};
 pub use ast::{Pred, Query, QueryBuilder};
-pub use eval::{execute, EvalStats, ExecResult, ExecStats};
+pub use eval::{execute, ExecResult, ExecStats};
 pub use parse::{
     parse_query, parse_query_file, parse_query_spanned, QueryParseError, QueryParseErrorKind,
     SpannedQuery,

@@ -370,7 +370,7 @@ mod tests {
         assert_eq!((decl.line, decl.col), (2, 33));
         let edge = m.super_span(employee, person).unwrap();
         assert_eq!((edge.line, edge.col), (2, 21));
-        assert_eq!(m.locate(decl), "demo.sdl:2:33");
+        assert_eq!(m.locate(decl).to_string(), "demo.sdl:2:33");
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl PathAnalysis {
     pub fn is_safe(&self) -> bool {
         self.hazards.is_empty()
     }
-
-    /// The number of run-time checks a compiler must insert.
-    pub fn checks_needed(&self) -> usize {
-        self.hazards.len()
-    }
 }
 
 /// Analyzes `path` starting from an entity with the given facts.

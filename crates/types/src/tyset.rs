@@ -168,15 +168,6 @@ impl TySet {
             })
     }
 
-    /// Whether every value is a token drawn from `set`.
-    pub fn all_within_enum(&self, set: &BTreeSet<Sym>) -> bool {
-        !self.is_never()
-            && self.atoms.iter().all(|a| match a {
-                Atom::Enum(s) => s.is_subset(set),
-                _ => false,
-            })
-    }
-
     /// Removes atoms that cannot be entities of `class` (narrowing after a
     /// successful `x in C` test) — entity atoms gain the positive fact.
     pub fn narrow_to_class(&self, schema: &Schema, class: chc_model::ClassId) -> TySet {

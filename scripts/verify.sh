@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> the benchmark harness (perfbench/harness) builds against this tree"
+# It calls the library API directly, so an API change it depends on
+# fails here rather than only when the benchmark runs.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline \
+    --manifest-path perfbench/harness/Cargo.toml
+
 echo "==> cargo test -q --offline (root package: integration + doc tests)"
 cargo test -q --offline
 

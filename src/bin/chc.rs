@@ -55,9 +55,11 @@
 //! (labeled cost attribution) write files. All of them report and flush
 //! even when the command fails. Spans mark phases (compile, check, load,
 //! refresh, `validate.all`), never single objects, so `--trace` stays a
-//! few lines on any input. All stdout goes through one buffered writer: a
-//! closed or full stdout is `error: stdout: …`, exit 2. Always on: the
-//! [`chc_obs::memalloc`] tracking allocator and a
+//! few lines on any input. All stdout goes through one buffered writer:
+//! every report renderer is a `Display` that writes into it piece by
+//! piece, so no report is built as a whole `String` first, and a closed
+//! or full stdout, even mid-report, is `error: stdout: …`, exit 2.
+//! Always on: the [`chc_obs::memalloc`] tracking allocator and a
 //! [`chc_obs::FlightRecorder`], whose `chc-crash/1` report a panic (or a
 //! stall, under `--watchdog`) writes to `--crash-out` or `$CHC_CRASH_DIR`.
 //! It keeps no events and about one record per validated object; under
@@ -77,7 +79,7 @@ use excuses::core::{
     Virtualized,
 };
 use excuses::extent::{load_data, refresh_virtual_extents, validate_loaded, LoadedData};
-use excuses::lint::{LintCode, LintConfig, LintLevel};
+use excuses::lint::{render_report_sources, LintCode, LintConfig, LintLevel};
 use excuses::model::Schema;
 use excuses::query::{compile as compile_query, execute, parse_query, parse_query_file, CheckMode};
 use excuses::sdl::{compile_with_source, print_schema};
@@ -559,7 +561,7 @@ fn main() -> ExitCode {
         }
     }
     let summary = match &sinks.audit {
-        Some(r) if args.flag("--audit-summary") => out.write_all(r.render_summary().as_bytes()),
+        Some(r) if args.flag("--audit-summary") => write!(out, "{}", r.render_summary()),
         _ => Ok(()),
     };
     let stdout = summary
@@ -755,13 +757,13 @@ fn run_lint(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     let Some(qarg) = args.value("--query") else {
         let report = excuses::lint::run(&schema, &config);
         if json {
-            outln!(out, "{}", report.to_json(&schema).render());
+            outln!(out, "{}", report.to_json(&schema));
         } else if report.findings.is_empty() {
             let classes = schema.num_classes();
             outln!(out, "{path}: {classes} classes — no lints fired");
         } else {
-            let rendered = excuses::lint::render_report(&report, &schema, Some(&src));
-            outln!(out, "{rendered}");
+            let text = render_report_sources(&report, &schema, Some(&src), None);
+            outln!(out, "{text}");
         }
         return Ok(exit_ok(report.is_ok()));
     };
@@ -778,7 +780,7 @@ fn run_lint(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     // original class ids and the source map.
     let report = excuses::lint::run_with_queries(&schema, &v, &queries, qfile, &config);
     if json {
-        outln!(out, "{}", report.to_json(&v.schema).render());
+        outln!(out, "{}", report.to_json(&v.schema));
     } else if report.findings.is_empty() {
         let (classes, n) = (schema.num_classes(), queries.len());
         let plural = if n == 1 { "y" } else { "ies" };
@@ -787,9 +789,8 @@ fn run_lint(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
             "{path}: {classes} classes, {n} quer{plural} — no lints fired"
         );
     } else {
-        let rendered =
-            excuses::lint::render_report_sources(&report, &v.schema, Some(&src), Some(&qtext));
-        outln!(out, "{rendered}");
+        let text = render_report_sources(&report, &v.schema, Some(&src), Some(&qtext));
+        outln!(out, "{text}");
     }
     Ok(exit_ok(report.is_ok()))
 }
@@ -807,17 +808,12 @@ fn run_diff(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     let (new_src, new_schema) = read_schema(new_path)?;
     let outcome = excuses::lint::run_diff(&old_schema, &new_schema, Some(old_path), &config);
     if json {
-        let doc = outcome.to_json(old_path, new_path, &new_schema);
-        outln!(out, "{}", doc.render());
+        outln!(out, "{}", outcome.to_json(old_path, new_path, &new_schema));
     } else {
         if !outcome.report.findings.is_empty() {
-            let rendered = excuses::lint::render_report_sources(
-                &outcome.report,
-                &new_schema,
-                Some(&new_src),
-                Some(&old_src),
-            );
-            outln!(out, "{rendered}");
+            let (new, old) = (Some(&*new_src), Some(&*old_src));
+            let text = render_report_sources(&outcome.report, &new_schema, new, old);
+            outln!(out, "{text}");
         }
         outln!(out, "{}", outcome.summary(old_path, new_path));
     }

@@ -107,7 +107,7 @@ fn cases() -> Vec<(String, Schema, Schema)> {
 fn pin(name: &str, schema: &Schema, report: &CheckReport) -> (String, u64, usize, usize) {
     (
         name.to_string(),
-        fnv1a(report.render(schema).as_bytes()),
+        fnv1a(report.render(schema).to_string().as_bytes()),
         report.errors().count(),
         report.warnings().count(),
     )

@@ -454,7 +454,25 @@ fn query_into_a_closed_pipe_is_an_error_exit_not_a_panic() {
     let example = |f: &str| dir.join("examples/data").join(f).to_str().unwrap().to_string();
     let (hospital, evolved) = (example("hospital.sdl"), example("hospital-evolved.sdl"));
     let crash = dir.join("tests/fixtures/crash/load-panic.json");
-    let cases: [&[&str]; 9] = [
+    // A generated hierarchy whose check report and JSON lint report are
+    // far larger than the writer's 8 KiB buffer, so the pipe breaks in
+    // the middle of writing the report, not at the final flush.
+    let params = excuses::workloads::HierarchyParams {
+        classes: 400,
+        seed: 21,
+        ..Default::default()
+    };
+    let generated = excuses::sdl::print_schema(&excuses::workloads::generate(&params).schema);
+    let big = write_schema("pipe-big.sdl", &generated);
+    let big = big.to_str().unwrap();
+    let (check, lint): (&[&str], &[&str]) = (&["check", big], &["lint", big, "--format", "json"]);
+    for args in [check, lint] {
+        let bytes = chc(args).stdout.len();
+        assert!(bytes > 64 * 1024, "{args:?}: only {bytes} bytes");
+    }
+    let cases: [&[&str]; 11] = [
+        check,
+        lint,
         &["query", s, d, "for p in Patient emit p.name"],
         &["check", &hospital],
         &["lint", &hospital],

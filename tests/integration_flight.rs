@@ -557,7 +557,7 @@ fn a_crash_mid_validate_names_the_object_being_validated() {
         Some(oid.raw() as f64),
         "the breadcrumb names `{name}`"
     );
-    let rendered = render_crash_report(&doc);
+    let rendered = render_crash_report(&doc).to_string();
     let want = format!("validate.all (at validate.object {})", oid.raw());
     assert!(rendered.contains(&want), "{rendered}");
 }

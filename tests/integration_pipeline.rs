@@ -43,7 +43,7 @@ fn hospital_pipeline_end_to_end() {
     let opts = ValidationOptions { semantics: Semantics::Correct, missing: MissingPolicy::Absent };
     for &p in &db.patients {
         let v = validate_stored(s, &db.store, opts, p);
-        assert!(v.is_empty(), "{:?}", v.iter().map(|x| x.render(s)).collect::<Vec<_>>());
+        assert!(v.is_empty(), "{:?}", v.iter().map(|x| x.render(s).to_string()).collect::<Vec<_>>());
     }
 
     // 3. But none of them validate under *strict* semantics if exceptional —
