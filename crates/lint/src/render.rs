@@ -58,8 +58,7 @@ fn write_quoting(
     }
     let quoted = lines.and_then(|l| l.get((span.line as usize).checked_sub(1)?));
     if let Some(line) = quoted {
-        // The gutter fits the line number's digits, and at least two.
-        let gutter = span.line.checked_ilog10().map_or(1, |d| d as usize + 1).max(2);
+        let gutter = span.line.to_string().len().max(2);
         let (num, col) = (span.line, span.col as usize);
         write!(f, "\n{:gutter$} |\n{num:>gutter$} | {line}\n{:gutter$} | {:>col$}", "", "", "^")?;
     }
