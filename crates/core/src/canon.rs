@@ -21,6 +21,11 @@
 //! what [`Range::subsumes`] and [`Range::overlaps`] decide on the
 //! original ranges; the differential test in `tests/integration_canon.rs` at the workspace root
 //! pins that over generated schemas and the paper's edge cases.
+//!
+//! The table holds no excuser index of its own: `chc-model`'s [`Schema`]
+//! owns the one index of declarers and excusers, and
+//! [`RangeTable::applicable_excusers`] only maps the entries of
+//! [`Schema::applicable_excusers`] to range ids.
 
 use std::collections::HashMap;
 
@@ -50,17 +55,6 @@ enum Form {
     },
 }
 
-/// One attribute declaration — one constraint — in canonical terms.
-#[derive(Debug)]
-struct Decl {
-    range: RangeId,
-    /// The declarations excusing this constraint as `(excuser, range)`,
-    /// in the order of [`Schema::excusers_of`] (ascending by excuser).
-    excusers: Vec<(ClassId, RangeId)>,
-    /// The excuser classes, for intersecting with an ancestor set.
-    excuser_bits: Option<BitSet>,
-}
-
 /// Every range declared in one schema, interned into canonical forms.
 #[derive(Debug)]
 pub struct RangeTable<'s> {
@@ -68,8 +62,11 @@ pub struct RangeTable<'s> {
     forms: Vec<Form>,
     /// One representative original range per id.
     ranges: Vec<&'s Range>,
-    /// `decls[c][i]` describes `schema.class(c).attrs[i]`.
-    decls: Vec<Vec<Decl>>,
+    /// `(attr, range id)` of every declaration, class by class, each
+    /// class's run sorted by `attr` like `schema.class(c).attrs`.
+    decls: Vec<(Sym, RangeId)>,
+    /// Class `c`'s run is `decls[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
 }
 
 impl<'s> RangeTable<'s> {
@@ -89,59 +86,26 @@ impl<'s> RangeTable<'s> {
         let mut forms = Vec::new();
         let mut ranges = Vec::new();
         let mut ids: HashMap<&'s Range, RangeId> = HashMap::new();
-        let rows: Vec<Vec<RangeId>> = schema
-            .class_ids()
-            .map(|c| {
-                let attrs = &schema.class(c).attrs;
-                attrs
-                    .iter()
-                    .map(|d| {
-                        let range = &d.spec.range;
-                        *ids.entry(range).or_insert_with(|| {
-                            forms.push(canonical(range, &tokens));
-                            ranges.push(range);
-                            (forms.len() - 1) as RangeId
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let range_of =
-            |class: ClassId, attr: Sym| rows[class.index()][position(schema, class, attr)];
-        let decls = schema
-            .class_ids()
-            .map(|c| {
-                let attrs = &schema.class(c).attrs;
-                attrs
-                    .iter()
-                    .zip(&rows[c.index()])
-                    .map(|(d, &range)| {
-                        let entries = schema.excusers_of(c, d.name);
-                        let excusers: Vec<_> = entries
-                            .iter()
-                            .map(|e| (e.excuser, range_of(e.excuser, e.attr)))
-                            .collect();
-                        let excuser_bits = (!excusers.is_empty()).then(|| {
-                            let mut bits = BitSet::new(schema.num_classes());
-                            for &(e, _) in &excusers {
-                                bits.insert(e.index());
-                            }
-                            bits
-                        });
-                        Decl {
-                            range,
-                            excusers,
-                            excuser_bits,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut decls = Vec::with_capacity(schema.num_attr_decls());
+        let mut starts = vec![0];
+        for c in schema.class_ids() {
+            for d in &schema.class(c).attrs {
+                let range = &d.spec.range;
+                let id = *ids.entry(range).or_insert_with(|| {
+                    forms.push(canonical(range, &tokens));
+                    ranges.push(range);
+                    (forms.len() - 1) as RangeId
+                });
+                decls.push((d.name, id));
+            }
+            starts.push(decls.len());
+        }
         RangeTable {
             schema,
             forms,
             ranges,
             decls,
+            starts,
         }
     }
 
@@ -150,37 +114,25 @@ impl<'s> RangeTable<'s> {
     /// # Panics
     /// Panics if `class` does not declare `attr`.
     pub fn decl(&self, class: ClassId, attr: Sym) -> RangeId {
-        self.entry(class, attr).range
-    }
-
-    fn entry(&self, class: ClassId, attr: Sym) -> &Decl {
-        &self.decls[class.index()][position(self.schema, class, attr)]
+        let decls = &self.decls[self.starts[class.index()]..self.starts[class.index() + 1]];
+        let at = decls
+            .binary_search_by_key(&attr, |&(name, _)| name)
+            .expect("declared attribute");
+        decls[at].1
     }
 
     /// The excusers of the constraint `(on, attr)` that `class` is a
     /// subclass of, with the ids of their ranges: the canonical view of
     /// [`Schema::applicable_excusers`], in the same order.
-    ///
-    /// # Panics
-    /// Panics if `on` does not declare `attr`.
     pub fn applicable_excusers(
         &self,
         class: ClassId,
         on: ClassId,
         attr: Sym,
     ) -> impl Iterator<Item = (ClassId, RangeId)> + '_ {
-        let decl = self.entry(on, attr);
-        let entries = decl.excusers.as_slice();
-        let ancestors = self.schema.ancestor_bits(class);
-        decl.excuser_bits.iter().flat_map(move |bits| {
-            bits.intersection_iter(ancestors).flat_map(move |i| {
-                // Several entries may share an excuser class (distinct
-                // carrying attributes); yield the whole run.
-                let lo = entries.partition_point(|&(e, _)| e.index() < i);
-                let len = entries[lo..].partition_point(|&(e, _)| e.index() == i);
-                entries[lo..lo + len].iter().copied()
-            })
-        })
+        self.schema
+            .applicable_excusers(class, on, attr)
+            .map(|e| (e.excuser, self.decl(e.excuser, e.attr)))
     }
 
     /// A range with canonical id `id` (one of the structurally equal
@@ -239,15 +191,6 @@ impl<'s> RangeTable<'s> {
             _ => false,
         }
     }
-}
-
-/// Where `class` declares `attr` in its (name-sorted) declaration list.
-fn position(schema: &Schema, class: ClassId, attr: Sym) -> usize {
-    schema
-        .class(class)
-        .attrs
-        .binary_search_by_key(&attr, |d| d.name)
-        .expect("declared attribute")
 }
 
 fn canonical(range: &Range, tokens: &HashMap<Sym, usize>) -> Form {

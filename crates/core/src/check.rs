@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use chc_model::{BitSet, ClassId, Schema, Sym};
+use chc_model::{ClassId, Schema, Sym};
 use chc_obs::names;
 use chc_obs::profile::SeenSet;
 
@@ -139,7 +139,6 @@ impl Work {
 pub(crate) struct Checker<'s> {
     schema: &'s Schema,
     ranges: RangeTable<'s>,
-    declarers: Declarers<'s>,
     report: CheckReport,
     /// `(class, attr)` → `SITE_*` bits of the diagnostics in `report`.
     sites: HashMap<(ClassId, Sym), u8>,
@@ -152,7 +151,6 @@ impl<'s> Checker<'s> {
         Checker {
             schema,
             ranges: RangeTable::new(schema),
-            declarers: Declarers::new(schema),
             report: CheckReport::default(),
             sites: HashMap::new(),
             work: Work::default(),
@@ -257,7 +255,7 @@ impl<'s> Checker<'s> {
         let spec = &schema.declared_attr(class, attr).expect("declared").spec;
         let s_range = self.ranges.decl(class, attr);
 
-        for ancestor in self.declarers.on(class, attr) {
+        for ancestor in schema.declarers_on(class, attr) {
             if ancestor == class {
                 continue;
             }
@@ -349,7 +347,7 @@ impl<'s> Checker<'s> {
         if schema.supers(class).len() < 2 && !declared {
             return;
         }
-        let declarers = self.declarers.on(class, attr);
+        let declarers: Vec<ClassId> = schema.declarers_on(class, attr).collect();
         if declarers.len() < 2 {
             return;
         }
@@ -452,43 +450,6 @@ impl<'s> Checker<'s> {
             class,
             attr,
         });
-    }
-}
-
-/// Indexed by attribute symbol: the classes declaring it, so the
-/// constraints on a class are one intersection with its ancestor set.
-pub(crate) struct Declarers<'s> {
-    schema: &'s Schema,
-    bits: Vec<Option<BitSet>>,
-}
-
-impl<'s> Declarers<'s> {
-    pub(crate) fn new(schema: &'s Schema) -> Self {
-        let mut bits: Vec<Option<BitSet>> = Vec::new();
-        for class in schema.class_ids() {
-            for decl in &schema.class(class).attrs {
-                let at = decl.name.index();
-                if bits.len() <= at {
-                    bits.resize(at + 1, None);
-                }
-                bits[at]
-                    .get_or_insert_with(|| BitSet::new(schema.num_classes()))
-                    .insert(class.index());
-            }
-        }
-        Declarers { schema, bits }
-    }
-
-    /// The classes among `class` and its ancestors that declare `attr`,
-    /// in ascending id order: the constraints on `attr` that apply to
-    /// instances of `class`.
-    pub(crate) fn on(&self, class: ClassId, attr: Sym) -> Vec<ClassId> {
-        let Some(Some(bits)) = self.bits.get(attr.index()) else {
-            return Vec::new();
-        };
-        bits.intersection_iter(self.schema.ancestor_bits(class))
-            .map(|i| ClassId::from_raw(i as u32))
-            .collect()
     }
 }
 

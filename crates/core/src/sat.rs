@@ -35,7 +35,7 @@ use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, Range, Schema, Sym};
 use chc_obs::json::JsonValue;
 
 use crate::canon::{RangeId, RangeTable};
-use crate::check::{minimal_declarers, Declarers};
+use crate::check::minimal_declarers;
 
 /// Does some single value satisfy every constraint on `attr` inherited
 /// by (or declared on) `class`, with applicable excuses folded in?
@@ -247,7 +247,6 @@ pub fn common_value_witness_of(
 /// [`common_value_witness_of`], which stays the one decision procedure.
 pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
     let ranges = RangeTable::new(schema);
-    let declarers = Declarers::new(schema);
     // `subsumes` also lets a pure record type `[..]` cover a refined class
     // type `C [..]`. Their values are records and entities, which the
     // decision procedure keeps apart, so such a cover settles nothing.
@@ -262,7 +261,7 @@ pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
         let (attr, s) = (decl.name, ranges.decl(m, decl.name));
         let excused_here = |b| decl.spec.excuses.contains(&Excuse { attr, on: b });
         inhabited(&decl.spec.range)
-            && declarers.on(m, attr).into_iter().all(|b| {
+            && schema.declarers_on(m, attr).all(|b| {
                 b == m
                     || covers(ranges.decl(b, attr), s)
                     || excused_here(b)
@@ -292,7 +291,7 @@ pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
             if schema.declared_attr(class, attr).is_some() && settled(class, attr) {
                 continue;
             }
-            let on = declarers.on(class, attr);
+            let on: Vec<ClassId> = schema.declarers_on(class, attr).collect();
             let mut minimal = minimal_declarers(schema, &on);
             if let (Some(m), None) = (minimal.next(), minimal.next()) {
                 if settled(m, attr) {

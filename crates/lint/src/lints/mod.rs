@@ -42,15 +42,16 @@ impl<'s> LintCtx<'s> {
     /// whether an instance could ever belong to both classes at once.
     pub fn share_descendant(&self, a: ClassId, b: ClassId) -> bool {
         self.schema
-            .descendants_with_self(a)
-            .any(|x| self.schema.is_subclass(x, b))
+            .descendant_bits(a)
+            .intersects(self.schema.descendant_bits(b))
     }
 
     /// As [`share_descendant`](Self::share_descendant), but the shared
     /// descendant must also be coherent (able to have instances).
     pub fn share_coherent_descendant(&self, a: ClassId, b: ClassId) -> bool {
         self.schema
-            .descendants_with_self(a)
-            .any(|x| self.schema.is_subclass(x, b) && !self.incoherent[x.index()])
+            .descendant_bits(a)
+            .intersection_iter(self.schema.descendant_bits(b))
+            .any(|x| !self.incoherent[x])
     }
 }

@@ -5,13 +5,11 @@
 //! the structural checks at [`SchemaBuilder::build`]: name uniqueness,
 //! is-a acyclicity, and referential integrity of excuse clauses.
 
-use std::collections::HashMap;
-
 use crate::bitset::BitSet;
 use crate::class::{AttrDecl, Class, ClassId, ClassKind};
 use crate::error::ModelError;
 use crate::range::AttrSpec;
-use crate::schema::{ExcuserEntry, Schema};
+use crate::schema::{Declarers, Excused, ExcuserEntry, Schema};
 use crate::source::{SourceMap, Span};
 use crate::symbol::{Interner, Sym};
 
@@ -20,7 +18,8 @@ use crate::symbol::{Interner, Sym};
 pub struct SchemaBuilder {
     interner: Interner,
     classes: Vec<Class>,
-    by_name: HashMap<Sym, ClassId>,
+    /// Indexed by [`Sym`]: the class of that name.
+    by_name: Vec<Option<ClassId>>,
     source_map: SourceMap,
 }
 
@@ -112,12 +111,15 @@ impl SchemaBuilder {
 
     fn declare_kind(&mut self, name: &str, kind: ClassKind) -> Result<ClassId, ModelError> {
         let sym = self.interner.intern(name);
-        if self.by_name.contains_key(&sym) {
+        if self.by_name.get(sym.index()).is_some_and(Option::is_some) {
             return Err(ModelError::DuplicateClass(name.to_string()));
         }
         let id = ClassId::from_raw(u32::try_from(self.classes.len()).expect("class id overflow"));
         self.classes.push(Class { name: sym, supers: Vec::new(), attrs: Vec::new(), kind });
-        self.by_name.insert(sym, id);
+        if self.by_name.len() <= sym.index() {
+            self.by_name.resize(sym.index() + 1, None);
+        }
+        self.by_name[sym.index()] = Some(id);
         Ok(id)
     }
 
@@ -203,50 +205,57 @@ impl SchemaBuilder {
             }
         }
 
+        // Declarers of each attribute, in ascending class order.
+        let mut declarers: Vec<Option<Declarers>> = vec![None; self.interner.len()];
+        for (ci, class) in self.classes.iter().enumerate() {
+            for decl in &class.attrs {
+                let d = declarers[decl.name.index()]
+                    .get_or_insert_with(|| Declarers { classes: Vec::new(), bits: BitSet::new(n) });
+                d.classes.push(ClassId::from_raw(ci as u32));
+                d.bits.insert(ci);
+            }
+        }
+
         // Excuse index, with referential integrity: the excused attribute
-        // must be declared on or inherited by the excused class.
-        let mut excusers: HashMap<(ClassId, Sym), Vec<ExcuserEntry>> = HashMap::new();
+        // must be declared on or inherited by the excused class. Entries
+        // are pushed in ascending excuser order.
+        let mut excused: Vec<Vec<(Sym, ExcuserEntry)>> = vec![Vec::new(); n];
         for (ci, class) in self.classes.iter().enumerate() {
             for decl in &class.attrs {
                 for exc in &decl.spec.excuses {
-                    let declared = ancestors[exc.on.index()]
-                        .iter()
-                        .any(|a| self.classes[a].attr(exc.attr).is_some());
+                    let declared = declarers
+                        .get(exc.attr.index())
+                        .and_then(Option::as_ref)
+                        .is_some_and(|d| d.bits.intersects(&ancestors[exc.on.index()]));
                     if !declared {
                         return Err(ModelError::ExcusedAttrUndeclared {
                             on: self.name_of(exc.on),
                             attr: self.interner.resolve(exc.attr).to_string(),
                         });
                     }
-                    excusers
-                        .entry((exc.on, exc.attr))
-                        .or_default()
-                        .push(ExcuserEntry {
-                            excuser: ClassId::from_raw(ci as u32),
-                            attr: decl.name,
-                        });
+                    let excuser = ClassId::from_raw(ci as u32);
+                    let entry = ExcuserEntry { excuser, attr: decl.name };
+                    excused[exc.on.index()].push((exc.attr, entry));
                 }
             }
         }
-
-        for entries in excusers.values_mut() {
-            entries.sort_by_key(|e| e.excuser);
-        }
-        let mut excuser_bits: HashMap<(ClassId, Sym), BitSet> = HashMap::new();
-        for (&key, entries) in &excusers {
-            let mut bits = BitSet::new(n);
-            for e in entries {
-                bits.insert(e.excuser.index());
-            }
-            excuser_bits.insert(key, bits);
-        }
-
-        let mut declarers: HashMap<Sym, Vec<ClassId>> = HashMap::new();
-        for (ci, class) in self.classes.iter().enumerate() {
-            for decl in &class.attrs {
-                declarers.entry(decl.name).or_default().push(ClassId::from_raw(ci as u32));
-            }
-        }
+        let excused = excused
+            .into_iter()
+            .map(|mut on| {
+                // Stable: each constraint's entries stay in excuser order.
+                on.sort_by_key(|&(attr, _)| attr);
+                on.chunk_by(|a, b| a.0 == b.0)
+                    .map(|run| {
+                        let entries: Vec<ExcuserEntry> = run.iter().map(|&(_, e)| e).collect();
+                        let mut bits = BitSet::new(n);
+                        for e in &entries {
+                            bits.insert(e.excuser.index());
+                        }
+                        Excused { attr: run[0].0, entries, bits }
+                    })
+                    .collect()
+            })
+            .collect();
 
         Ok(Schema {
             interner: self.interner,
@@ -254,9 +263,8 @@ impl SchemaBuilder {
             by_name: self.by_name,
             ancestors,
             descendants,
-            excusers,
-            excuser_bits,
             declarers,
+            excused,
             source_map: self.source_map,
         })
     }

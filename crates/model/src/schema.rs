@@ -1,4 +1,4 @@
-//! The immutable schema: classes, the is-a DAG, and the excuse index.
+//! The immutable schema: classes, the is-a DAG, and the constraint index.
 //!
 //! A [`Schema`] is produced by [`SchemaBuilder`](crate::builder::SchemaBuilder)
 //! and is thereafter read-only. It precomputes the reflexive-transitive
@@ -7,8 +7,18 @@
 //! the paper's veracity property: "the only additional information we need
 //! is the definitions of attributes which contain the clause
 //! `excuses p on C`" (§6).
+//!
+//! This crate owns that index, built once by `SchemaBuilder::build` in
+//! vectors indexed by dense ids: the declarers of each attribute by
+//! [`Sym`], and the excusers of each constraint by the excused class,
+//! then by attribute. Every reader goes through the methods below — the
+//! checker and the coherence sweep in `chc-core` (through
+//! [`declarers_on`](Schema::declarers_on) and
+//! [`applicable_excusers`](Schema::applicable_excusers), the latter also
+//! behind `canon::RangeTable`), the type contexts of `chc-types`, the
+//! lints, and the load driver's insert recipes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use crate::bitset::BitSet;
 use crate::class::{AttrDecl, Class, ClassId};
@@ -27,24 +37,42 @@ pub struct ExcuserEntry {
     pub attr: Sym,
 }
 
+/// The classes declaring one attribute.
+#[derive(Debug, Clone)]
+pub(crate) struct Declarers {
+    /// In ascending id order.
+    pub(crate) classes: Vec<ClassId>,
+    /// The same classes, for intersecting with an ancestor closure.
+    pub(crate) bits: BitSet,
+}
+
+/// One excused constraint `(on, attr)` of a class `on`, which declares or
+/// inherits `attr`, with the declarations excusing it.
+#[derive(Debug, Clone)]
+pub(crate) struct Excused {
+    pub(crate) attr: Sym,
+    /// Sorted by excuser id; several entries may share an excuser.
+    pub(crate) entries: Vec<ExcuserEntry>,
+    /// The excuser classes, for intersecting with an ancestor closure.
+    pub(crate) bits: BitSet,
+}
+
 /// An immutable schema.
 #[derive(Debug, Clone)]
 pub struct Schema {
     pub(crate) interner: Interner,
     pub(crate) classes: Vec<Class>,
-    pub(crate) by_name: HashMap<Sym, ClassId>,
+    /// Indexed by [`Sym`]: the class of that name.
+    pub(crate) by_name: Vec<Option<ClassId>>,
     /// `ancestors[c]` is the reflexive-transitive closure of is-a from `c`.
     pub(crate) ancestors: Vec<BitSet>,
     /// `descendants[c]` is the reflexive set of classes with `c` as ancestor.
     pub(crate) descendants: Vec<BitSet>,
-    /// `(class, attr)` → classes excusing that constraint, sorted by
-    /// excuser id.
-    pub(crate) excusers: HashMap<(ClassId, Sym), Vec<ExcuserEntry>>,
-    /// `(class, attr)` → bitset of excuser class ids (fast intersection
-    /// with ancestor closures).
-    pub(crate) excuser_bits: HashMap<(ClassId, Sym), BitSet>,
-    /// attr → classes declaring it, in ascending id order.
-    pub(crate) declarers: HashMap<Sym, Vec<ClassId>>,
+    /// Indexed by [`Sym`]: the classes declaring that attribute (`None`
+    /// for a symbol no class declares as an attribute).
+    pub(crate) declarers: Vec<Option<Declarers>>,
+    /// Indexed by class: the constraints excused on it, sorted by `attr`.
+    pub(crate) excused: Vec<Vec<Excused>>,
     /// Source positions of classes/declarations/excuses/is-a edges, when
     /// the schema was compiled from SDL text (empty otherwise).
     pub(crate) source_map: SourceMap,
@@ -83,7 +111,8 @@ impl Schema {
 
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.interner.get(name).and_then(|s| self.by_name.get(&s).copied())
+        let sym = self.interner.get(name)?;
+        self.by_name.get(sym.index()).copied().flatten()
     }
 
     /// Whether `sub` is `sup` or a (transitive) subclass of it.
@@ -109,6 +138,12 @@ impl Schema {
     /// a time.
     pub fn ancestor_bits(&self, id: ClassId) -> &BitSet {
         &self.ancestors[id.index()]
+    }
+
+    /// The descendants of `id`, including `id` itself, as a bitset over
+    /// class indices.
+    pub fn descendant_bits(&self, id: ClassId) -> &BitSet {
+        &self.descendants[id.index()]
     }
 
     /// Strict ancestors of `id` (excluding `id`).
@@ -148,9 +183,25 @@ impl Schema {
         out
     }
 
+    fn declarers(&self, attr: Sym) -> Option<&Declarers> {
+        self.declarers.get(attr.index())?.as_ref()
+    }
+
     /// The classes declaring `attr`, in ascending id order.
     pub fn declarers_of(&self, attr: Sym) -> &[ClassId] {
-        self.declarers.get(&attr).map(Vec::as_slice).unwrap_or(&[])
+        self.declarers(attr).map_or(&[], |d| &d.classes)
+    }
+
+    /// The classes among `class` and its ancestors that declare `attr`,
+    /// in ascending id order: the constraints on `attr` that apply to
+    /// instances of `class`.
+    pub fn declarers_on(&self, class: ClassId, attr: Sym) -> impl Iterator<Item = ClassId> + '_ {
+        let ancestors = &self.ancestors[class.index()];
+        self.declarers(attr).into_iter().flat_map(move |d| {
+            d.bits
+                .intersection_iter(ancestors)
+                .map(|i| ClassId::from_raw(i as u32))
+        })
     }
 
     /// Every constraint applicable to instances of `class` for attribute
@@ -159,20 +210,14 @@ impl Schema {
     /// identifies the constraint — the pair the paper uses as the excuse
     /// target (§5.1).
     pub fn constraints_on(&self, class: ClassId, attr: Sym) -> Vec<(ClassId, &AttrSpec)> {
-        // Walk the (usually short) declarer list rather than the
-        // (possibly large) ancestor set.
-        self.declarers_of(attr)
-            .iter()
-            .filter(|&&d| self.is_subclass(class, d))
-            .map(|&d| (d, &self.classes[d.index()].attr(attr).expect("declarer").spec))
+        self.declarers_on(class, attr)
+            .map(|d| (d, &self.classes[d.index()].attr(attr).expect("declarer").spec))
             .collect()
     }
 
     /// Whether `class` declares or inherits attribute `attr`.
     pub fn has_attr(&self, class: ClassId, attr: Sym) -> bool {
-        self.declarers_of(attr)
-            .iter()
-            .any(|&d| self.is_subclass(class, d))
+        self.declarers_on(class, attr).next().is_some()
     }
 
     /// The local declaration of `attr` on exactly `class`, if any.
@@ -180,12 +225,16 @@ impl Schema {
         self.classes[class.index()].attr(attr)
     }
 
-    /// The classes whose declarations excuse the constraint `(class, attr)`.
+    fn excused(&self, on: ClassId, attr: Sym) -> Option<&Excused> {
+        let excused = &self.excused[on.index()];
+        let at = excused.binary_search_by_key(&attr, |e| e.attr).ok()?;
+        Some(&excused[at])
+    }
+
+    /// The classes whose declarations excuse the constraint `(class, attr)`,
+    /// in ascending excuser order.
     pub fn excusers_of(&self, class: ClassId, attr: Sym) -> &[ExcuserEntry] {
-        self.excusers
-            .get(&(class, attr))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.excused(class, attr).map_or(&[], |e| &e.entries)
     }
 
     /// The excusers of `(on, attr)` that `class` is a subclass of — the
@@ -198,34 +247,24 @@ impl Schema {
         on: ClassId,
         attr: Sym,
     ) -> impl Iterator<Item = &'s ExcuserEntry> + 's {
-        let entries = self.excusers_of(on, attr);
-        self.excuser_bits
-            .get(&(on, attr))
-            .into_iter()
-            .flat_map(move |bits| {
-                bits.intersection_iter(&self.ancestors[class.index()]).flat_map(move |i| {
-                    let target = ClassId::from_raw(i as u32);
-                    let at = entries
-                        .binary_search_by_key(&target, |e| e.excuser)
-                        .expect("bit implies entry");
-                    // Several entries may share an excuser class (distinct
-                    // carrying attributes); yield the whole run.
-                    let mut lo = at;
-                    while lo > 0 && entries[lo - 1].excuser == target {
-                        lo -= 1;
-                    }
-                    let mut hi = at + 1;
-                    while hi < entries.len() && entries[hi].excuser == target {
-                        hi += 1;
-                    }
-                    entries[lo..hi].iter()
-                })
+        let ancestors = &self.ancestors[class.index()];
+        self.excused(on, attr).into_iter().flat_map(move |excused| {
+            let entries = excused.entries.as_slice();
+            excused.bits.intersection_iter(ancestors).flat_map(move |i| {
+                // Several entries may share an excuser class (distinct
+                // carrying attributes); yield the whole run.
+                let lo = entries.partition_point(|e| e.excuser.index() < i);
+                let len = entries[lo..].partition_point(|e| e.excuser.index() == i);
+                &entries[lo..lo + len]
             })
+        })
     }
 
-    /// All excused constraints, for diagnostics and reporting.
+    /// All excused constraints `(on, attr)`, by class and then attribute.
     pub fn excused_constraints(&self) -> impl Iterator<Item = (ClassId, Sym)> + '_ {
-        self.excusers.keys().copied()
+        self.class_ids()
+            .zip(&self.excused)
+            .flat_map(|(on, excused)| excused.iter().map(move |e| (on, e.attr)))
     }
 
     /// The range an excuser imposes: the declared spec of its carrying

@@ -1307,22 +1307,35 @@ mod tests {
 
     #[test]
     fn slow_match_perturbs_only_matching_ops() {
-        let target = hospital_target(60, 0.1, 9);
-        let base_cfg = LoadConfig {
+        // Counts `run` calls per kind: a slowed op runs twice per recorded
+        // latency, every other op once, whatever the host's timing.
+        #[derive(Default)]
+        struct Counting([AtomicU64; 4]);
+        impl Target for Counting {
+            fn run(&self, op: &Operation) -> OpOutcome {
+                self.0[op.kind.index()].fetch_add(1, Ordering::Relaxed);
+                OpOutcome { ok: true, work: 0 }
+            }
+        }
+        let target = Counting::default();
+        let cfg = LoadConfig {
             id: "s".to_string(),
             stop: StopRule::Ops(300),
-            mix: MixSpec::parse("validate=1").unwrap(),
-            slow_match: None,
+            mix: MixSpec::parse("validate=1,query=1").unwrap(),
+            slow_match: Some("load/s/validate".to_string()),
             ..LoadConfig::default()
         };
-        let baseline = run_load(&target, &base_cfg);
-        let slowed = run_load(
-            &target,
-            &LoadConfig { slow_match: Some("load/s/validate".to_string()), ..base_cfg.clone() },
-        );
-        // Each op runs twice: the mean must move well beyond noise.
-        let (b, s) = (baseline.overall.mean, slowed.overall.mean);
-        assert!(s > b * 1.5, "slow-match did not slow: {b} -> {s}");
+        let summary = run_load(&target, &cfg);
+        assert_eq!(summary.total_ops, 300);
+        for kind in OpKind::ALL {
+            let ops = summary.per_op.iter().find(|o| o.kind == kind).map_or(0, |o| o.ops);
+            let per_op = if kind == OpKind::Validate { 2 } else { 1 };
+            let runs = target.0[kind.index()].load(Ordering::Relaxed);
+            assert_eq!(runs, per_op * ops, "{} ran {runs} times for {ops} ops", kind.name());
+            if matches!(kind, OpKind::Validate | OpKind::Query) {
+                assert!(ops > 0, "no {} ops in the mix", kind.name());
+            }
+        }
     }
 
     #[test]

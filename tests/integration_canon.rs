@@ -1,11 +1,14 @@
 //! Differential test of the checker's canonical range forms: on every
 //! pair of ranges a schema declares for the same attribute, the
 //! canonical `subsumes` / `overlaps` tests agree with the structural
-//! `Range::subsumes` / `Range::overlaps`, and the canonical excuser index
-//! agrees with `Schema::applicable_excusers`.
+//! `Range::subsumes` / `Range::overlaps`. The schema's declarer and
+//! excuser index, and the canonical excusers read through it, agree with
+//! a reference rebuilt by scanning every declaration's `excuses` clauses.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use excuses::core::canon::RangeTable;
-use excuses::model::{ClassId, Schema, Sym};
+use excuses::model::{ClassId, ExcuserEntry, Schema, Sym};
 use excuses::workloads::{generate, seed_contradictions, vignettes, HierarchyParams};
 
 /// Compares the canonical tests against the structural ones on `pairs`
@@ -39,40 +42,109 @@ fn assert_pairs_agree(schema: &Schema, table: &RangeTable<'_>, sites: &[(ClassId
     }
 }
 
-/// Every pair of ranges declared for the same attribute, plus the
-/// canonical excuser index at every inherited constraint.
+/// The declarer and excuser index, rebuilt from the declarations alone.
+struct Reference {
+    /// Each attribute's declaring classes, in ascending id order.
+    declarers: BTreeMap<Sym, Vec<ClassId>>,
+    /// Each excused constraint `(on, attr)`'s excusers, in ascending
+    /// excuser order and, within one excuser, in declaration order.
+    excusers: BTreeMap<(ClassId, Sym), Vec<ExcuserEntry>>,
+}
+
+impl Reference {
+    fn new(schema: &Schema) -> Self {
+        let mut declarers: BTreeMap<Sym, Vec<ClassId>> = BTreeMap::new();
+        let mut excusers: BTreeMap<(ClassId, Sym), Vec<ExcuserEntry>> = BTreeMap::new();
+        for class in schema.class_ids() {
+            for decl in &schema.class(class).attrs {
+                declarers.entry(decl.name).or_default().push(class);
+                for exc in &decl.spec.excuses {
+                    excusers
+                        .entry((exc.on, exc.attr))
+                        .or_default()
+                        .push(ExcuserEntry {
+                            excuser: class,
+                            attr: decl.name,
+                        });
+                }
+            }
+        }
+        Reference {
+            declarers,
+            excusers,
+        }
+    }
+
+    fn declarers_of(&self, attr: Sym) -> &[ClassId] {
+        self.declarers.get(&attr).map_or(&[], Vec::as_slice)
+    }
+
+    fn declarers_on(&self, schema: &Schema, class: ClassId, attr: Sym) -> Vec<ClassId> {
+        let all = self.declarers_of(attr).iter();
+        all.filter(|&&d| schema.is_subclass(class, d))
+            .copied()
+            .collect()
+    }
+
+    fn excusers_of(&self, on: ClassId, attr: Sym) -> &[ExcuserEntry] {
+        self.excusers.get(&(on, attr)).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Every pair of ranges declared for the same attribute; the schema's
+/// declarer and excuser index at every class, attribute and ancestor;
+/// and the canonical excusers read through that index.
 fn assert_canonical_agrees(schema: &Schema) {
     let table = RangeTable::new(schema);
-    let mut attrs: Vec<_> = schema
-        .class_ids()
-        .flat_map(|c| schema.class(c).attrs.iter().map(|d| d.name))
-        .collect();
-    attrs.sort();
-    attrs.dedup();
-    for &attr in &attrs {
-        let sites: Vec<_> = schema
-            .declarers_of(attr)
+    let reference = Reference::new(schema);
+    // Class names are symbols no class declares as an attribute.
+    let mut syms: BTreeSet<Sym> = reference.declarers.keys().copied().collect();
+    syms.extend(schema.class_ids().map(|c| schema.class(c).name));
+    for &attr in reference.declarers.keys() {
+        let sites: Vec<_> = reference.declarers[&attr]
             .iter()
             .map(|&c| (c, attr))
             .collect();
         assert_pairs_agree(schema, &table, &sites);
+    }
+    let excused: BTreeSet<_> = schema.excused_constraints().collect();
+    let expected: BTreeSet<_> = reference.excusers.keys().copied().collect();
+    assert_eq!(excused, expected, "excused constraints");
+    for &attr in &syms {
+        let all = reference.declarers_of(attr);
+        assert_eq!(schema.declarers_of(attr), all, "declarers of {attr:?}");
         for class in schema.class_ids() {
-            for &on in schema.declarers_of(attr) {
-                if !schema.is_subclass(class, on) {
-                    continue;
-                }
-                let canonical: Vec<_> = table.applicable_excusers(class, on, attr).collect();
-                let structural: Vec<_> = schema
-                    .applicable_excusers(class, on, attr)
+            let at = || format!("{}.{}", schema.class_name(class), schema.resolve(attr));
+            let on = reference.declarers_on(schema, class, attr);
+            let got: Vec<_> = schema.declarers_on(class, attr).collect();
+            assert_eq!(got, on, "declarers on {}", at());
+            let constraints = schema.constraints_on(class, attr);
+            let got: Vec<_> = constraints.iter().map(|&(d, _)| d).collect();
+            assert_eq!(got, on, "constraints on {}", at());
+            for (d, spec) in constraints {
+                assert_eq!(spec, &schema.declared_attr(d, attr).unwrap().spec);
+            }
+            assert_eq!(schema.has_attr(class, attr), !on.is_empty(), "has {}", at());
+            assert_eq!(
+                schema.excusers_of(class, attr),
+                reference.excusers_of(class, attr),
+                "excusers of {}",
+                at()
+            );
+            for sup in schema.ancestors_with_self(class) {
+                let expected: Vec<_> = reference
+                    .excusers_of(sup, attr)
+                    .iter()
+                    .filter(|e| schema.is_subclass(class, e.excuser))
+                    .collect();
+                let got: Vec<_> = schema.applicable_excusers(class, sup, attr).collect();
+                assert_eq!(got, expected, "{} under {}", at(), schema.class_name(sup));
+                let canonical: Vec<_> = table.applicable_excusers(class, sup, attr).collect();
+                let expected: Vec<_> = expected
+                    .iter()
                     .map(|e| (e.excuser, table.decl(e.excuser, e.attr)))
                     .collect();
-                assert_eq!(
-                    canonical,
-                    structural,
-                    "excusers of {}.{}",
-                    schema.class_name(on),
-                    schema.resolve(attr)
-                );
+                assert_eq!(canonical, expected, "canonical {}", at());
             }
         }
     }
@@ -127,6 +199,39 @@ fn paper_vignettes_agree() {
         let schema = excuses::sdl::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_canonical_agrees(&schema);
     }
+}
+
+/// Excuses that target a constraint the `on` class only inherits, and one
+/// excuser whose two declarations excuse the same constraint.
+#[test]
+fn excuses_on_inherited_constraints_agree() {
+    let schema = excuses::sdl::compile(
+        "
+        class Person with age: 1..120; years: 0..10;
+        class Patient is-a Person;
+        class Odd is-a Patient with
+            age: 0..500 excuses age on Patient;
+            years: 0..500 excuses age on Patient excuses years on Person;
+        class Odder is-a Odd with age: 0..600 excuses age on Patient excuses age on Person;
+        class Other is-a Person with age: 200..300 excuses age on Person;
+        class Join is-a Odder, Other;
+        ",
+    )
+    .unwrap();
+    assert_canonical_agrees(&schema);
+    let (patient, odd) = (
+        schema.class_by_name("Patient").unwrap(),
+        schema.class_by_name("Odd").unwrap(),
+    );
+    let age = schema.sym("age").unwrap();
+    assert!(schema.declared_attr(patient, age).is_none());
+    let excusers: Vec<_> = schema
+        .excusers_of(patient, age)
+        .iter()
+        .map(|e| e.excuser)
+        .collect();
+    assert_eq!(excusers, [odd, odd, schema.class_by_name("Odder").unwrap()]);
+    assert!(schema.excused_constraints().any(|c| c == (patient, age)));
 }
 
 /// The paper's edge cases, compared across *all* declared ranges (not
