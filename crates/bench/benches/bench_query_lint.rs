@@ -33,7 +33,7 @@ fn build_batch(v: &Virtualized) -> Vec<SpannedQuery> {
         if name.contains('@') {
             continue; // virtual classes are not scannable by name
         }
-        let Some(attr) = s.applicable_attrs(class).into_iter().next() else {
+        let Some(attr) = s.applicable_attrs(class).next() else {
             continue;
         };
         lines.push(format!("for x in {name} emit x.{};", s.resolve(attr)));

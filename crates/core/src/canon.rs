@@ -170,6 +170,28 @@ impl<'s> RangeTable<'s> {
         }
     }
 
+    /// Whether range `id` holds a value. [`Range::int`] and
+    /// [`Range::enumeration`] refuse reversed intervals and empty
+    /// enumerations, but the variants are public and can be built directly.
+    pub fn inhabited(&self, id: RangeId) -> bool {
+        match &self.forms[id as usize] {
+            Form::Int { lo, hi } => lo <= hi,
+            Form::Enum(bits) => !bits.is_empty(),
+            _ => true,
+        }
+    }
+
+    /// Whether both ranges or neither are pure record types. [`subsumes`]
+    /// also lets a pure record type `[..]` subsume a refined class type
+    /// `C [..]`, but the values of the two are records and entities, which
+    /// never meet: such a pair shares no value.
+    ///
+    /// [`subsumes`]: RangeTable::subsumes
+    pub fn same_record_kind(&self, a: RangeId, b: RangeId) -> bool {
+        let pure = |id: RangeId| matches!(self.forms[id as usize], Form::Record { base: None, .. });
+        pure(a) == pure(b)
+    }
+
     /// Can the two ranges share a value? Decides exactly what
     /// [`Range::overlaps`] decides on the original ranges.
     pub fn overlaps(&self, a: RangeId, b: RangeId) -> bool {

@@ -14,12 +14,45 @@
 //!
 //! A check pays only for distinct work. Ranges are compared through their
 //! canonical forms ([`crate::canon`]), the cross-class deduplication of
-//! error reports answers from an index of error sites kept beside the
-//! report, and the checker's counters reach the recorder once per class.
+//! error reports answers from a dense index of error sites kept beside
+//! the report, and the checker's counters reach the recorder once per
+//! class.
+//!
+//! # What is decided once
+//!
+//! Each declaration `(class, p: S)` is checked against every constraint
+//! `(B, p: R_B)` it inherits, once, and the checker records whether `S`
+//! is *covered* by it: `S` holds a value, and the declaration itself
+//! excuses `(B, p)`, or `R_B ⊇ S`, or an excuser `E` with `class ⊆ E` has
+//! `S_E ⊇ S` — in the last two cases without crossing between pure
+//! record types and refined class types
+//! ([`RangeTable::same_record_kind`]). An excuse on the declaration itself
+//! covers it outright (its excuser range is `S`, and a range subsumes
+//! itself), so the excuser scan only looks for the first other excuser
+//! covering `S`, which makes that excuse redundant.
+//!
+//! The joint-satisfiability pass then reuses those verdicts instead of
+//! deciding the same facts from the allowed sets again. Both reuses rest
+//! on §5.1's rule being transitive through the allowed sets: a covered
+//! declaration puts every value of `S` in the allowed set of `(B, p)` for
+//! instances of `class`, and `S` itself is in the allowed set of
+//! `(class, p)`.
+//!
+//! * A pair `(B, class)` whose declaration is covered by `B` shares the
+//!   values of `S`, and the pairwise test would find the overlap (every
+//!   canonical form that covers an inhabited `S` overlaps it), so the
+//!   pair is settled from the verdict. The k-way test never runs at a
+//!   declared site: `class` is its one minimal declarer.
+//! * At a join, a pair `(B1, B2)` from two lineages is settled when the
+//!   class's declaration is covered by both *and* is an enumeration or an
+//!   integer interval: then both covering ranges hold the tokens or
+//!   integers of `S`, and the pairwise test sees them meet. Class-typed
+//!   ranges are left to the test. `X` and `Y` both cover `Z` when
+//!   `Z is-a X, Y`, but the test treats unrelated classes as disjoint
+//!   (the first-order approximation of [`RangeTable::overlaps`]) and
+//!   reports the pair, and settling it would change the report.
 
-use std::collections::HashMap;
-
-use chc_model::{ClassId, Schema, Sym};
+use chc_model::{ClassId, Range, Schema, Sym};
 use chc_obs::names;
 use chc_obs::profile::SeenSet;
 
@@ -127,6 +160,42 @@ impl Work {
     }
 }
 
+/// The §5.1 verdicts of the class being checked, one row per attribute it
+/// declares, in `class.attrs` order: the declarers of the attribute among
+/// the class and its ancestors (ascending, as
+/// [`Schema::declarers_on`] yields them), and for each whether the class's
+/// declaration is *covered* by that declarer's constraint.
+#[derive(Default)]
+struct Verdicts {
+    /// Row `k` is `declarers[rows[k]..rows[k + 1]]`.
+    rows: Vec<usize>,
+    declarers: Vec<ClassId>,
+    covered: Vec<bool>,
+}
+
+impl Verdicts {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.rows.push(0);
+        self.declarers.clear();
+        self.covered.clear();
+    }
+
+    fn push(&mut self, declarer: ClassId, covered: bool) {
+        self.declarers.push(declarer);
+        self.covered.push(covered);
+    }
+
+    fn end_row(&mut self) {
+        self.rows.push(self.declarers.len());
+    }
+
+    fn row(&self, k: usize) -> (&[ClassId], &[bool]) {
+        let at = self.rows[k]..self.rows[k + 1];
+        (&self.declarers[at.clone()], &self.covered[at])
+    }
+}
+
 /// One check in progress: the report being built, the canonical forms of
 /// the schema's ranges, and the index of error sites in the report.
 ///
@@ -140,8 +209,11 @@ pub(crate) struct Checker<'s> {
     schema: &'s Schema,
     ranges: RangeTable<'s>,
     report: CheckReport,
-    /// `(class, attr)` → `SITE_*` bits of the diagnostics in `report`.
-    sites: HashMap<(ClassId, Sym), u8>,
+    /// Indexed by class: `(attr, SITE_* bits)` of the diagnostics in
+    /// `report` at that class, one entry per attribute.
+    sites: Vec<Vec<(Sym, u8)>>,
+    /// The verdicts of the class being checked (kept to reuse the buffers).
+    verdicts: Verdicts,
     work: Work,
 }
 
@@ -152,7 +224,8 @@ impl<'s> Checker<'s> {
             schema,
             ranges: RangeTable::new(schema),
             report: CheckReport::default(),
-            sites: HashMap::new(),
+            sites: vec![Vec::new(); schema.num_classes()],
+            verdicts: Verdicts::default(),
             work: Work::default(),
         }
     }
@@ -208,9 +281,13 @@ impl<'s> Checker<'s> {
 
     fn check_class_inner(&mut self, class: ClassId) {
         let schema = self.schema;
-        // Part 1: each locally declared attribute vs. each inherited constraint.
-        for decl in &schema.class(class).attrs {
-            self.check_declaration(class, decl.name);
+        let attrs = &schema.class(class).attrs;
+        // Part 1: each locally declared attribute vs. each inherited
+        // constraint, recording the verdicts.
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        verdicts.clear();
+        for decl in attrs {
+            self.check_declaration(class, decl.name, &mut verdicts);
         }
         // Part 2: joint satisfiability of inherited constraints (multiple
         // inheritance / diamond memberships). Single-parent classes inherit
@@ -218,14 +295,18 @@ impl<'s> Checker<'s> {
         // only locally declared attributes can introduce new pairs there;
         // join points must consider every applicable attribute.
         if schema.supers(class).len() < 2 {
-            for decl in &schema.class(class).attrs {
-                self.check_joint_satisfiability(class, decl.name);
+            for (row, decl) in attrs.iter().enumerate() {
+                self.check_declared_site(class, decl.name, verdicts.row(row));
             }
         } else {
             for attr in schema.applicable_attrs(class) {
-                self.check_joint_satisfiability(class, attr);
+                match attrs.binary_search_by_key(&attr, |d| d.name) {
+                    Ok(row) => self.check_declared_site(class, attr, verdicts.row(row)),
+                    Err(_) => self.check_joint_satisfiability(class, attr),
+                }
             }
         }
+        self.verdicts = verdicts;
         self.work.report(class);
     }
 
@@ -241,22 +322,32 @@ impl<'s> Checker<'s> {
             bits |= SITE_DECLARATION;
         }
         if bits != 0 {
-            *self.sites.entry((d.class, d.attr)).or_insert(0) |= bits;
+            let row = &mut self.sites[d.class.index()];
+            match row.iter_mut().find(|(attr, _)| *attr == d.attr) {
+                Some((_, b)) => *b |= bits,
+                None => row.push((d.attr, bits)),
+            }
         }
         self.report.diagnostics.push(d);
     }
 
     fn site_has(&self, class: ClassId, attr: Sym, bit: u8) -> bool {
-        self.sites.get(&(class, attr)).is_some_and(|b| b & bit != 0)
+        self.sites[class.index()]
+            .iter()
+            .any(|&(a, b)| a == attr && b & bit != 0)
     }
 
-    fn check_declaration(&mut self, class: ClassId, attr: Sym) {
+    /// Checks `class`'s declaration of `attr` against each constraint it
+    /// inherits, and records in `verdicts` which of them cover it.
+    fn check_declaration(&mut self, class: ClassId, attr: Sym, verdicts: &mut Verdicts) {
         let schema = self.schema;
         let spec = &schema.declared_attr(class, attr).expect("declared").spec;
         let s_range = self.ranges.decl(class, attr);
+        let inhabited = self.ranges.inhabited(s_range);
 
         for ancestor in schema.declarers_on(class, attr) {
             if ancestor == class {
+                verdicts.push(class, inhabited);
                 continue;
             }
             let r_range = self.ranges.decl(ancestor, attr);
@@ -283,6 +374,8 @@ impl<'s> Checker<'s> {
                 if has_local_excuse {
                     self.push(redundant());
                 }
+                let kind_kept = self.ranges.same_record_kind(r_range, s_range);
+                verdicts.push(ancestor, inhabited && (kind_kept || has_local_excuse));
                 continue;
             }
             self.work.contradictions += 1;
@@ -292,15 +385,18 @@ impl<'s> Checker<'s> {
             // excuser E it *belongs to* whose range S_E admits the value, so a
             // declaration is sound iff some excuser E with class ⊆ E has
             // S ⊆ S_E. (E = class itself when the local declaration carries
-            // the excuse; then S_E = S trivially.)
+            // the excuse; then S_E = S trivially, so the scan only asks
+            // whether another excuser covers S too.)
             let mut first_applicable = None;
-            let mut covered = false;
-            let mut covered_by_other = false;
+            let mut cover = None;
             for (excuser, range) in self.ranges.applicable_excusers(class, ancestor, attr) {
                 first_applicable.get_or_insert(excuser);
+                if has_local_excuse && excuser == class {
+                    continue;
+                }
                 if self.work.subsumes(&self.ranges, range, s_range) {
-                    covered = true;
-                    covered_by_other |= excuser != class;
+                    cover = Some(range);
+                    break;
                 }
             }
 
@@ -309,100 +405,102 @@ impl<'s> Checker<'s> {
                     contradicted: ancestor,
                 };
                 self.push(diag(Severity::Error, kind));
+                verdicts.push(ancestor, false);
                 continue;
             };
 
-            if !covered {
+            if !has_local_excuse && cover.is_none() {
                 let kind = DiagKind::ExcuseRangeEscape {
                     contradicted: ancestor,
                     excuser: first_applicable,
                 };
                 self.push(diag(Severity::Error, kind));
+                verdicts.push(ancestor, false);
                 continue;
             }
             self.work.excuses_resolved += 1;
-            if has_local_excuse && covered_by_other {
+            if has_local_excuse && cover.is_some() {
                 // Already excused by an ancestor (the SpecialAlc case, §5.3):
                 // "nothing wrong will happen if an excuse is added — it will
                 // simply be redundant."
                 self.push(redundant());
             }
+            let kind_kept = cover.is_some_and(|e| self.ranges.same_record_kind(e, s_range));
+            verdicts.push(ancestor, inhabited && (has_local_excuse || kind_kept));
         }
+        verdicts.end_row();
     }
 
-    /// For every pair of constraints on `attr` inherited by `class`, verify
-    /// that a common value can exist once applicable excuses are folded in.
-    /// The *allowed set* of a constraint for instances of `class` is its
-    /// range plus the ranges of excusers that `class` is a subclass of; two
-    /// constraints are jointly satisfiable (to first order) iff their
-    /// allowed sets overlap.
-    fn check_joint_satisfiability(&mut self, class: ClassId, attr: Sym) {
-        let schema = self.schema;
-        // A class with a single parent and no local declaration inherits
-        // exactly its parent's constraint set, whose joint satisfiability is
-        // checked at the parent — and the allowed sets only *grow* toward the
-        // leaves (more excusers become applicable), so the verdict carries
-        // down. Only join points and declarers need checking.
-        let declared = schema.declared_attr(class, attr).is_some();
-        if schema.supers(class).len() < 2 && !declared {
+    /// The joint-satisfiability check at a site `class` declares `attr`
+    /// at, given the declarers of the site and the verdicts of `class`'s
+    /// declaration against each. See [`Checker::check_joint_satisfiability`]
+    /// for the pairwise test; here a pair is settled without it when the
+    /// verdicts already imply that its allowed sets share a value.
+    fn check_declared_site(
+        &mut self,
+        class: ClassId,
+        attr: Sym,
+        (declarers, covered): (&[ClassId], &[bool]),
+    ) {
+        if declarers.len() < 2 {
             return;
         }
+        self.work.joint_sat_calls += 1;
+        let schema = self.schema;
+        // Two covers of one enumeration or interval share its values; two
+        // covers of one class need not share an instance (see the module
+        // docs).
+        let joins_by_value = matches!(
+            self.ranges.range(self.ranges.decl(class, attr)),
+            Range::Enum(_) | Range::Int { .. }
+        );
+        let mut heirs = None;
+        let mut allowed = AllowedSets::default();
+        for i in 0..declarers.len() {
+            for j in i + 1..declarers.len() {
+                let settled = if declarers[i] == class {
+                    covered[j]
+                } else if declarers[j] == class {
+                    covered[i]
+                } else {
+                    joins_by_value && covered[i] && covered[j]
+                };
+                if settled
+                    || heirs
+                        .get_or_insert_with(|| Heirs::new(schema, class, declarers))
+                        .share(i, j)
+                {
+                    continue;
+                }
+                self.check_pair(class, attr, declarers, &mut allowed, (i, j));
+            }
+        }
+        // `class` lies below every other declarer, so it is the site's one
+        // minimal declarer and its declaration check stands for the k-way
+        // test.
+    }
+
+    /// At a join `class` inherits `attr` at without declaring it: for every
+    /// pair of constraints on `attr`, verify that a common value can exist
+    /// once applicable excuses are folded in. The *allowed set* of a
+    /// constraint for instances of `class` is its range plus the ranges of
+    /// excusers that `class` is a subclass of; two constraints are jointly
+    /// satisfiable (to first order) iff their allowed sets overlap.
+    fn check_joint_satisfiability(&mut self, class: ClassId, attr: Sym) {
+        let schema = self.schema;
         let declarers: Vec<ClassId> = schema.declarers_on(class, attr).collect();
         if declarers.len() < 2 {
             return;
         }
         self.work.joint_sat_calls += 1;
-        let ranges: Vec<RangeId> = declarers
-            .iter()
-            .map(|&b| self.ranges.decl(b, attr))
-            .collect();
         let heirs = Heirs::new(schema, class, &declarers);
-        // The allowed set of each constraint — its range plus the ranges
-        // of excusers applicable to this class — built on first use; most
-        // pairs already pass on their raw ranges.
-        let mut allowed: Vec<Option<Vec<RangeId>>> = Vec::new();
-
+        let mut allowed = AllowedSets::default();
         for i in 0..declarers.len() {
             for j in i + 1..declarers.len() {
                 // Same downward-monotonicity argument per pair: if some direct
                 // parent already inherits both constraints, it owns the check.
-                if heirs.share(i, j) || self.ranges.overlaps(ranges[i], ranges[j]) {
-                    continue;
-                }
-                if allowed.is_empty() {
-                    allowed.resize(declarers.len(), None);
-                }
-                for k in [i, j] {
-                    allowed[k].get_or_insert_with(|| {
-                        let excused = self.ranges.applicable_excusers(class, declarers[k], attr);
-                        std::iter::once(ranges[k])
-                            .chain(excused.map(|(_, r)| r))
-                            .collect()
-                    });
-                }
-                let built = |k: usize| allowed[k].as_deref().expect("built above");
-                let (rs1, rs2) = (built(i), built(j));
-                if rs1
-                    .iter()
-                    .any(|&x| rs2.iter().any(|&y| self.ranges.overlaps(x, y)))
-                {
-                    continue;
-                }
-                let (b1, b2) = (declarers[i], declarers[j]);
-                // Avoid duplicating a contradiction already reported by the
-                // declaration check (sub contradicts super directly).
-                let related = schema.is_subclass(b1, b2) || schema.is_subclass(b2, b1);
-                let already_reported = related
-                    && [b1, b2, class]
-                        .into_iter()
-                        .any(|c| self.site_has(c, attr, SITE_DECLARATION));
-                if !already_reported {
-                    self.push(Diagnostic {
-                        severity: Severity::Error,
-                        kind: DiagKind::IncompatibleParents { a: b1, b: b2 },
-                        class,
-                        attr,
-                    });
+                if !heirs.share(i, j) {
+                    self.check_pair(class, attr, &declarers, &mut allowed, (i, j));
                 }
             }
         }
@@ -412,11 +510,9 @@ impl<'s> Checker<'s> {
         // the residual case where all pairs overlap but no single value
         // satisfies the whole set. Skip when this site already has an error
         // (the schema is known broken here; a second report is noise) or when
-        // the whole constraint set is co-inherited through one parent and
-        // nothing is declared locally (checked there).
-        let already_errored = self.site_has(class, attr, SITE_ERROR);
-        let all_covered = !declared && heirs.one_parent_inherits_all();
-        if already_errored || all_covered {
+        // the whole constraint set is co-inherited through one parent (checked
+        // there).
+        if self.site_has(class, attr, SITE_ERROR) || heirs.one_parent_inherits_all() {
             return;
         }
         let declaration_errored = declarers
@@ -450,6 +546,81 @@ impl<'s> Checker<'s> {
             class,
             attr,
         });
+    }
+
+    /// The pairwise test of constraints `i` and `j` of the site `(class,
+    /// attr)`: reports `IncompatibleParents` unless their raw ranges or
+    /// their allowed sets overlap, or the pair contradicts directly and the
+    /// declaration check already reported it.
+    fn check_pair(
+        &mut self,
+        class: ClassId,
+        attr: Sym,
+        declarers: &[ClassId],
+        allowed: &mut AllowedSets,
+        (i, j): (usize, usize),
+    ) {
+        let (b1, b2) = (declarers[i], declarers[j]);
+        let raw = |b| self.ranges.decl(b, attr);
+        if self.ranges.overlaps(raw(b1), raw(b2)) {
+            return;
+        }
+        let (rs1, rs2) = allowed.pair(&self.ranges, (class, attr), declarers, (i, j));
+        if rs1
+            .iter()
+            .any(|&x| rs2.iter().any(|&y| self.ranges.overlaps(x, y)))
+        {
+            return;
+        }
+        let schema = self.schema;
+        // Avoid duplicating a contradiction already reported by the
+        // declaration check (sub contradicts super directly).
+        let related = schema.is_subclass(b1, b2) || schema.is_subclass(b2, b1);
+        let already_reported = related
+            && [b1, b2, class]
+                .into_iter()
+                .any(|c| self.site_has(c, attr, SITE_DECLARATION));
+        if !already_reported {
+            self.push(Diagnostic {
+                severity: Severity::Error,
+                kind: DiagKind::IncompatibleParents { a: b1, b: b2 },
+                class,
+                attr,
+            });
+        }
+    }
+}
+
+/// The allowed sets of one site's constraints — each constraint's range
+/// plus the ranges of the excusers applicable to the checked class —
+/// built on first use; most pairs pass on their raw ranges.
+#[derive(Default)]
+struct AllowedSets(Vec<Option<Vec<RangeId>>>);
+
+impl AllowedSets {
+    /// The allowed sets of constraints `i` and `j` of the site
+    /// `(class, attr)`, whose declarers are `declarers`.
+    fn pair(
+        &mut self,
+        ranges: &RangeTable<'_>,
+        (class, attr): (ClassId, Sym),
+        declarers: &[ClassId],
+        (i, j): (usize, usize),
+    ) -> (&[RangeId], &[RangeId]) {
+        if self.0.is_empty() {
+            self.0.resize(declarers.len(), None);
+        }
+        for k in [i, j] {
+            self.0[k].get_or_insert_with(|| {
+                let b = declarers[k];
+                let excused = ranges.applicable_excusers(class, b, attr);
+                std::iter::once(ranges.decl(b, attr))
+                    .chain(excused.map(|(_, r)| r))
+                    .collect()
+            });
+        }
+        let built = |k: usize| self.0[k].as_deref().expect("built above");
+        (built(i), built(j))
     }
 }
 

@@ -247,20 +247,17 @@ pub fn common_value_witness_of(
 /// [`common_value_witness_of`], which stays the one decision procedure.
 pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
     let ranges = RangeTable::new(schema);
-    // `subsumes` also lets a pure record type `[..]` cover a refined class
-    // type `C [..]`. Their values are records and entities, which the
-    // decision procedure keeps apart, so such a cover settles nothing.
-    let covers = |sup: RangeId, sub: RangeId| {
-        let pure_record = |id| matches!(ranges.range(id), Range::Record { base: None, .. });
-        ranges.subsumes(sup, sub) && pure_record(sup) == pure_record(sub)
-    };
+    // A cover across record kinds settles nothing: see
+    // `RangeTable::same_record_kind`.
+    let covers =
+        |sup: RangeId, sub: RangeId| ranges.subsumes(sup, sub) && ranges.same_record_kind(sup, sub);
     // Does `m`'s declaration `decl` settle the sites it is the minimal
     // declarer of? `m` is itself an applicable excuser of every constraint
     // its declaration excuses, and `S_M ⊇ S_M`.
     let settles = |m: ClassId, decl: &AttrDecl| {
         let (attr, s) = (decl.name, ranges.decl(m, decl.name));
         let excused_here = |b| decl.spec.excuses.contains(&Excuse { attr, on: b });
-        inhabited(&decl.spec.range)
+        ranges.inhabited(s)
             && schema.declarers_on(m, attr).all(|b| {
                 b == m
                     || covers(ranges.decl(b, attr), s)
@@ -308,17 +305,6 @@ pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
         }
     }
     incoherent
-}
-
-/// Whether `range` holds any value. [`Range::int`] and
-/// [`Range::enumeration`] refuse reversed intervals and empty
-/// enumerations, but the variants are public and can be built directly.
-fn inhabited(range: &Range) -> bool {
-    match range {
-        Range::Int { lo, hi } => lo <= hi,
-        Range::Enum(set) => !set.is_empty(),
-        _ => true,
-    }
 }
 
 /// One excuse branch enlarging a constraint's allowed set for instances

@@ -46,7 +46,6 @@ pub(crate) fn run(
         let bad_attr = *incoherence.entry(scan).or_insert_with(|| {
             schema
                 .applicable_attrs(scan)
-                .into_iter()
                 .find(|&a| !admits_common_value(schema, scan, a))
         });
         if let Some(attr) = bad_attr {

@@ -257,12 +257,19 @@ impl SchemaBuilder {
             })
             .collect();
 
+        let attr_names = declarers
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_some())
+            .map(|(i, _)| Sym::from_raw(i as u32))
+            .collect();
         Ok(Schema {
             interner: self.interner,
             classes: self.classes,
             by_name: self.by_name,
             ancestors,
             descendants,
+            attr_names,
             declarers,
             excused,
             source_map: self.source_map,

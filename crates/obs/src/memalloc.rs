@@ -424,7 +424,9 @@ mod tests {
     /// atomics: pin it with the same style of smoke test the disabled
     /// recorder path uses. 200 ns per alloc+free pair is an order of
     /// magnitude above the expected cost, low enough to catch a lock
-    /// or recorder dispatch sneaking into `alloc`.
+    /// or recorder dispatch sneaking into `alloc`. The fastest of several
+    /// batches is judged, so one batch preempted on a busy host does not
+    /// fail the test; a slow fast path slows every batch.
     #[test]
     fn tracked_alloc_fast_path_is_cheap() {
         let iters: u32 = 200_000;
@@ -432,14 +434,17 @@ mod tests {
         for _ in 0..1_000 {
             black_box(Box::new(0u64));
         }
-        let start = Instant::now();
-        for i in 0..iters {
-            black_box(Box::new(u64::from(i)));
-        }
-        let per_pair = start.elapsed().as_nanos() / u128::from(iters);
+        let batch = || {
+            let start = Instant::now();
+            for i in 0..iters {
+                black_box(Box::new(u64::from(i)));
+            }
+            start.elapsed().as_nanos() / u128::from(iters)
+        };
+        let per_pair = (0..5).map(|_| batch()).min().expect("five batches");
         assert!(
             per_pair < 200,
-            "tracked alloc+free pair took {per_pair} ns (limit 200 ns)"
+            "tracked alloc+free pair took {per_pair} ns in the fastest of 5 batches (limit 200 ns)"
         );
     }
 }

@@ -33,12 +33,18 @@ trap 'rm -f "$ledger"' EXIT
 grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
     # `args` is shell-quoted in the file (a query string holds spaces).
     eval "set -- $args"
+    # A report with error diagnostics exits 1 and is pinned like any
+    # other; any other nonzero exit (usage, I/O, panic) fails.
+    code=0
     case "$what" in
-        stdout) got="$(./target/release/chc "$@" | cksum)" ;;
-        ledger) ./target/release/chc --audit-out "$ledger" "$@" >/dev/null
+        stdout) got="$(./target/release/chc "$@" | cksum; exit "${PIPESTATUS[0]}")" || code=$? ;;
+        ledger) ./target/release/chc --audit-out "$ledger" "$@" >/dev/null || code=$?
                 got="$(cksum < "$ledger")" ;;
         *) echo "FAIL: unknown output kind '$what' in scripts/stdout.cksum" >&2; exit 1 ;;
     esac
+    if [ "$code" -gt 1 ]; then
+        echo "FAIL: chc $args exited $code" >&2; exit 1
+    fi
     if [ "$got" != "$crc $bytes" ]; then
         echo "FAIL: chc $args $what is '$got', pinned '$crc $bytes'" >&2; exit 1
     fi

@@ -856,7 +856,7 @@ fn run_explain(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     };
     let attrs: Vec<_> = match args.pos.get(2) {
         Some(a) => vec![sym(a)?],
-        None => v.schema.applicable_attrs(class).into_iter().collect(),
+        None => v.schema.applicable_attrs(class).collect(),
     };
     for attr in attrs {
         out!(out, "{}", render_explain(&ctx, class, attr));
