@@ -1,18 +1,17 @@
-//! Schema-diff and incremental re-check cost vs. schema size (E16).
+//! Schema-diff cost vs. full-check cost by schema size (E16).
 //!
-//! The §6 locality desideratum asks that an edit's cost track the part
-//! of the hierarchy it touches, not the whole schema. The differ walks
-//! both schemas once (O(schema)), but the *re-check* after a single-class
-//! edit should be O(cone): `check_incremental` re-checks only the dirty
-//! set and carries the rest of the old verdict over. `full/{n}` re-runs
-//! the whole checker on the new schema for comparison — the gap between
-//! `full` and `incremental` at 3200 classes is the E16 headline.
+//! The §6 locality desideratum asks that an edit's consequences stay
+//! below the edited class. `diff/{n}` times [`diff_schemas`] plus
+//! [`impact_cone`] on a single-class edit: the differ walks both schemas
+//! once (O(schema)) and the cone is small. `full/{n}` times the whole
+//! checker on the new schema, which is what `chc check --since` runs
+//! after the diff.
 
 use chc_bench::harness::{BenchmarkId, Criterion, Throughput};
 use chc_bench::{criterion_group, criterion_main};
 
 use chc_bench::{evolved_pair, SCHEMA_SIZES};
-use chc_core::{check, check_incremental, diff_schemas, impact_cone};
+use chc_core::{check, diff_schemas, impact_cone};
 
 fn bench_diff_cone(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff_cone");
@@ -21,7 +20,6 @@ fn bench_diff_cone(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for &n in &SCHEMA_SIZES {
         let (old, new) = evolved_pair(n);
-        let old_report = check(&old);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("diff", n), &n, |b, _| {
             b.iter(|| {
@@ -29,13 +27,6 @@ fn bench_diff_cone(c: &mut Criterion) {
                 let dirty = impact_cone(&old, &new, &diff);
                 assert!(!diff.edits.is_empty());
                 dirty.classes.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
-            b.iter(|| {
-                let inc = check_incremental(&old, &old_report, &new);
-                assert!(inc.dirty.classes.len() < n);
-                inc.report.diagnostics.len()
             })
         });
         group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {

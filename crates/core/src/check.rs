@@ -199,13 +199,10 @@ impl Verdicts {
 /// One check in progress: the report being built, the canonical forms of
 /// the schema's ranges, and the index of error sites in the report.
 ///
-/// Classes are checked in id order (ancestors first), so the
+/// [`check`] checks every class in id order (ancestors first), so the
 /// deduplication in the joint-satisfiability check sees exactly the
-/// report prefix of the classes before it. Incremental re-checking
-/// (schema evolution) checks some classes and carries the diagnostics of
-/// the others over with [`Checker::carry_over`], which keeps the index
-/// in step with the report.
-pub(crate) struct Checker<'s> {
+/// report prefix of the classes before it.
+struct Checker<'s> {
     schema: &'s Schema,
     ranges: RangeTable<'s>,
     report: CheckReport,
@@ -219,7 +216,7 @@ pub(crate) struct Checker<'s> {
 
 impl<'s> Checker<'s> {
     /// A check of `schema` with an empty report.
-    pub(crate) fn new(schema: &'s Schema) -> Self {
+    fn new(schema: &'s Schema) -> Self {
         Checker {
             schema,
             ranges: RangeTable::new(schema),
@@ -231,22 +228,12 @@ impl<'s> Checker<'s> {
     }
 
     /// The report built so far.
-    pub(crate) fn finish(self) -> CheckReport {
+    fn finish(self) -> CheckReport {
         self.report
     }
 
-    /// Appends diagnostics computed elsewhere (an earlier check of the same
-    /// classes) as if this check had produced them.
-    pub(crate) fn carry_over(&mut self, diagnostics: impl IntoIterator<Item = Diagnostic>) {
-        for d in diagnostics {
-            self.push(d);
-        }
-    }
-
-    /// Checks one class, appending its diagnostics to the report. After
-    /// a local edit only the touched class and its descendants need
-    /// rechecking — the *locality* desideratum of §5.
-    pub(crate) fn check_class(&mut self, class: ClassId) {
+    /// Checks one class, appending its diagnostics to the report.
+    fn check_class(&mut self, class: ClassId) {
         chc_obs::counter(names::CHECK_CLASSES, 1);
         self.work.recording = chc_obs::enabled();
         // Attribution: while a recorder is on, everything this class's

@@ -8,36 +8,16 @@
 //! which the designer must address explicitly", §6).
 //!
 //! Each operation here copies the schema, applies one edit, rebuilds, and
-//! reports the diagnostics the edit introduces — class ids and symbols
-//! remain valid across the edit.
+//! checks the result in full — class ids and symbols remain valid across
+//! the edit. Which classes an edit can affect (its impact cone, the
+//! locality desideratum as an algorithm) is [`diff::impact_cone`].
 
 use chc_model::{AttrSpec, ClassId, ModelError, Range, Schema, SchemaBuilder, Sym};
 
-use crate::check::{check, Checker};
+use crate::check::check;
 use crate::diagnostics::CheckReport;
 
 pub mod diff;
-
-/// The classes whose diagnostics can change when `class`'s definition is
-/// edited: `class` itself and its descendants. Everything a declaration
-/// check or joint-satisfiability check consults — inherited constraints,
-/// *applicable* excusers (which must be ancestors of the checked class) —
-/// flows strictly downward, so an edit at `class` is invisible above and
-/// beside it. This is the paper's locality desideratum as an algorithm.
-pub fn affected_by_edit(schema: &Schema, class: ClassId) -> Vec<ClassId> {
-    schema.descendants_with_self(class).collect()
-}
-
-/// Re-checks only the classes affected by an edit at `class`. The report
-/// equals the full [`check`] restricted to those classes (a property the
-/// test suite verifies on random schemas and edits).
-pub fn recheck_incremental(schema: &Schema, class: ClassId) -> CheckReport {
-    let mut checker = Checker::new(schema);
-    for c in affected_by_edit(schema, class) {
-        checker.check_class(c);
-    }
-    checker.finish()
-}
 
 /// The result of an evolution step: the new schema plus its full check
 /// report.

@@ -155,57 +155,49 @@ fn checked(src: &str) -> (chc_model::Schema, chc_core::CheckReport) {
 }
 
 mod incremental {
-    use chc_core::{check, evolve, recheck_incremental};
-    use chc_model::Range;
+    use std::collections::BTreeMap;
+
+    use chc_core::{check, diff_schemas, evolve, impact_cone};
+    use chc_model::{Range, Schema};
     use chc_workloads::{generate, seed_contradictions, HierarchyParams};
 
-    /// Incremental re-check after an edit must equal the full check
-    /// restricted to the affected (descendant) classes, and the rest of
-    /// the full report must be untouched by the edit.
+    /// Each class's diagnostics in `check(schema)`, as messages naming
+    /// classes, by class name.
+    fn messages_by_class(schema: &Schema) -> BTreeMap<String, Vec<String>> {
+        let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for d in &check(schema).diagnostics {
+            let class = schema.class_name(d.class).to_string();
+            out.entry(class).or_default().push(d.message(schema).to_string());
+        }
+        out
+    }
+
+    /// Locality: after seeding a fault (dropping the excuses at one
+    /// site), every class outside the impact cone of the edit keeps its
+    /// diagnostics, in both directions of the edit.
     #[test]
-    fn incremental_recheck_equals_filtered_full_check() {
+    fn classes_outside_the_cone_keep_their_diagnostics() {
         for seed in 0..10u64 {
             let gen = generate(&HierarchyParams { classes: 50, seed, ..Default::default() });
             if gen.excused_sites.is_empty() {
                 continue;
             }
-            // Edit: drop the excuses at one site (guaranteed contradiction).
             let (mutated, faults) = seed_contradictions(&gen, 1, seed ^ 0xABCD);
             let Some(fault) = faults.first() else { continue };
-            let affected = evolve::affected_by_edit(&mutated, fault.class);
-
-            let full = check(&mutated);
-            let incremental = recheck_incremental(&mutated, fault.class);
-
-            let full_affected: Vec<_> = full
-                .diagnostics
-                .iter()
-                .filter(|d| affected.contains(&d.class))
-                .cloned()
-                .collect();
-            assert_eq!(incremental.diagnostics, full_affected, "seed {seed}");
-
-            // Outside the affected set, the edit changed nothing: those
-            // diagnostics match the pre-edit schema's.
-            let before = check(&gen.schema);
-            let outside_after: Vec<_> = full
-                .diagnostics
-                .iter()
-                .filter(|d| !affected.contains(&d.class))
-                .cloned()
-                .collect();
-            let outside_before: Vec<_> = before
-                .diagnostics
-                .iter()
-                .filter(|d| !affected.contains(&d.class))
-                .cloned()
-                .collect();
-            assert_eq!(outside_after, outside_before, "seed {seed}: locality violated");
+            for (old, new) in [(&gen.schema, &mutated), (&mutated, &gen.schema)] {
+                let cone = impact_cone(old, new, &diff_schemas(old, new));
+                assert!(cone.classes.contains(&fault.class), "seed {seed}: the edited class");
+                let (before, after) = (messages_by_class(old), messages_by_class(new));
+                for c in new.class_ids().filter(|c| !cone.classes.contains(c)) {
+                    let name = new.class_name(c);
+                    assert_eq!(after.get(name), before.get(name), "seed {seed}: `{name}`");
+                }
+            }
         }
     }
 
     #[test]
-    fn incremental_recheck_after_range_edit() {
+    fn a_range_edit_leaves_siblings_outside_the_cone() {
         let schema = chc_sdl::compile(
             "
             class Person with age: 1..120;
@@ -220,14 +212,13 @@ mod incremental {
         // Break Employee.age so it contradicts Person.age.
         let evolved =
             evolve::set_range(&schema, employee, age, Range::int(0, 200).unwrap()).unwrap();
-        let incr = recheck_incremental(&evolved.schema, employee);
-        assert_eq!(incr.errors().count(), 1);
-        // Patient is unaffected; the incremental report never mentions it.
-        let patient = evolved.schema.class_by_name("Patient").unwrap();
-        assert!(incr.diagnostics.iter().all(|d| d.class != patient));
-        // And matches the full check on the affected subtree.
-        let full = check(&evolved.schema);
-        assert_eq!(full.errors().count(), 1);
+        let cone = impact_cone(&schema, &evolved.schema, &diff_schemas(&schema, &evolved.schema));
+        let manager = evolved.schema.class_by_name("Manager").unwrap();
+        assert_eq!(cone.classes, [employee, manager].into());
+        // The one error lands inside the cone; Patient is untouched.
+        let errors: Vec<_> = evolved.report.errors().collect();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].class, employee);
     }
 }
 

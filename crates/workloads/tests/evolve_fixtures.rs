@@ -1,12 +1,16 @@
 //! Guards the committed `fixtures/evolve400-{old,new}.sdl` pair: a
 //! 400-class generated hierarchy and the same hierarchy after one
 //! [`single_class_edit`]. The pair feeds the `chc diff` /
-//! `chc check --incremental` smoke in `scripts/verify.sh` and experiment
-//! E16, so it must stay byte-identical to what the generator produces.
+//! `chc check --incremental --since` pins in `scripts/stdout.cksum` and
+//! experiment E16, so it must stay byte-identical to what the generator
+//! produces.
 //!
 //! To regenerate after changing the generator:
 //! `cargo test -p chc-workloads --test evolve_fixtures regenerate -- --ignored`
 
+use std::collections::BTreeMap;
+
+use chc_model::Schema;
 use chc_workloads::{generate, single_class_edit, HierarchyParams};
 
 const OLD: &str = include_str!("../fixtures/evolve400-old.sdl");
@@ -29,25 +33,38 @@ fn committed_fixtures_match_the_generator() {
     assert_eq!(NEW, new, "evolve400-new.sdl is stale; regenerate (see module docs)");
 }
 
+/// Each class's diagnostics in `check(schema)`, as messages naming
+/// classes, by class name.
+fn messages_by_class(schema: &Schema) -> BTreeMap<String, Vec<String>> {
+    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for d in &chc_core::check(schema).diagnostics {
+        let class = schema.class_name(d.class).to_string();
+        out.entry(class).or_default().push(d.message(schema).to_string());
+    }
+    out
+}
+
 #[test]
-fn incremental_check_matches_full_on_the_fixture_pair() {
+fn classes_outside_the_cone_keep_their_diagnostics_on_the_fixture_pair() {
     let old = chc_sdl::compile(OLD).unwrap();
     let new = chc_sdl::compile(NEW).unwrap();
-    let old_report = chc_core::check(&old);
-    let inc = chc_core::check_incremental(&old, &old_report, &new);
-    let full = chc_core::check(&new);
-    assert_eq!(
-        inc.report.diagnostics, full.diagnostics,
-        "incremental re-check must reproduce the full verdict"
-    );
-    assert!(!inc.diff.edits.is_empty(), "the pair differs by one edit");
-    assert!(
-        inc.dirty.classes.len() < new.num_classes() / 4,
-        "a single-class edit must dirty a small cone, not the schema \
-         ({} of {} classes dirty)",
-        inc.dirty.classes.len(),
-        new.num_classes()
-    );
+    for (from, to) in [(&old, &new), (&new, &old)] {
+        let diff = chc_core::diff_schemas(from, to);
+        assert!(!diff.edits.is_empty(), "the pair differs by one edit");
+        let cone = chc_core::impact_cone(from, to, &diff);
+        assert!(
+            cone.classes.len() < to.num_classes() / 4,
+            "a single-class edit must dirty a small cone, not the schema \
+             ({} of {} classes dirty)",
+            cone.classes.len(),
+            to.num_classes()
+        );
+        let (before, after) = (messages_by_class(from), messages_by_class(to));
+        for c in to.class_ids().filter(|c| !cone.classes.contains(c)) {
+            let name = to.class_name(c);
+            assert_eq!(after.get(name), before.get(name), "`{name}` is outside the cone");
+        }
+    }
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //!
 //! chc check <schema.sdl> [--explain] [--incremental --since <old.sdl>]
 //!         type-check (exit 1 on errors); --explain adds admissibility
-//!         derivations; --incremental re-checks only the edits' impact cone
+//!         derivations; --incremental --since also prints the impact cone
+//!         of the edits since <old.sdl> on stderr (the check stays full)
 //! chc lint <schema.sdl> [--format text|json] [--query <file.chq|"query">]
 //!     [--allow <code>] [--warn <code>] [--deny <code>] [--deny warnings]
 //!         static-analysis lints (docs/LINTS.md); --query adds Q001–Q005
@@ -75,8 +76,8 @@ use std::time::Duration;
 
 use chc_obs::names;
 use excuses::core::{
-    check, explain_admissibility, virtualize, MissingPolicy, Semantics, ValidationOptions,
-    Virtualized,
+    check, diff_schemas, explain_admissibility, impact_cone, virtualize, MissingPolicy, Semantics,
+    ValidationOptions, Virtualized,
 };
 use excuses::extent::{load_data, refresh_virtual_extents, validate_loaded, LoadedData};
 use excuses::lint::{render_report_sources, LintCode, LintConfig, LintLevel};
@@ -653,11 +654,10 @@ fn run(args: &Args, sinks: &Sinks, out: &mut dyn Write) -> Result<ExitCode, Stri
     }
 }
 
-/// `chc check`. With `--incremental --since <old.sdl>`, only classes in
-/// the impact cone of the edits are re-checked and the rest of the
-/// verdict is carried over from the old schema's report. The stdout
-/// report is identical to a full check (the incremental accounting goes
-/// to stderr), so the two modes can be diffed.
+/// `chc check`. With `--incremental --since <old.sdl>`, the old schema is
+/// compiled and diffed against this one, and the edit count and the size
+/// of their impact cone go to stderr; the check itself is the one full
+/// check either way, so stdout does not depend on the mode.
 fn run_check(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     let since = args.value("--since");
     if args.flag("--incremental") != since.is_some() {
@@ -666,22 +666,19 @@ fn run_check(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     let path = &args.pos[0];
     let (_, schema) = read_schema(path)?;
     let _span = chc_obs::span(names::SPAN_CLI_CHECK);
-    let report = match since {
-        Some(old_path) => {
-            let old_schema = compile_with_source(&read(old_path)?, old_path)
-                .map_err(|e| format!("{old_path}: {e}"))?;
-            let old_report = check(&old_schema);
-            let inc = excuses::core::check_incremental(&old_schema, &old_report, &schema);
-            eprintln!(
-                "incremental: {} edit(s) since {old_path}; re-checked {} of {} class(es)",
-                inc.diff.edits.len(),
-                inc.dirty.classes.len(),
-                schema.num_classes(),
-            );
-            inc.report
-        }
-        None => check(&schema),
-    };
+    if let Some(old_path) = since {
+        let old_schema = compile_with_source(&read(old_path)?, old_path)
+            .map_err(|e| format!("{old_path}: {e}"))?;
+        let diff = diff_schemas(&old_schema, &schema);
+        let cone = impact_cone(&old_schema, &schema, &diff);
+        eprintln!(
+            "incremental: {} edit(s) since {old_path}; impact cone {} of {} class(es)",
+            diff.edits.len(),
+            cone.classes.len(),
+            schema.num_classes(),
+        );
+    }
+    let report = check(&schema);
     if report.diagnostics.is_empty() {
         let (classes, decls) = (schema.num_classes(), schema.num_attr_decls());
         outln!(

@@ -7,13 +7,14 @@
 //! to hundreds of kilobytes). A change to the checker that alters any
 //! diagnostic, or their order, changes a digest.
 //!
-//! The same schemas also pin incremental re-checking: carrying the clean
-//! classes' diagnostics over must give exactly the full report.
+//! The same schemas also check the impact cone of each edit: a class
+//! outside it has the same diagnostics before and after the edit.
 //!
 //! Last, the checker's counter totals on `evolve400-old.sdl` are pinned,
 //! along with the recorder traffic they cost: the checker reports its
 //! counters once per class, not once per subtype query.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use excuses::core::{check, check_incremental, CheckReport, DiagKind};
@@ -65,9 +66,8 @@ fn faulty(classes: usize, seed: u64, contradiction_rate: f64, faults: usize) -> 
 /// `D` already failed its declaration check. `QR` and `T` inherit
 /// disjoint constraints (`IncompatibleParents`), which makes the k-way
 /// test redundant there. `X` contradicts `P` directly, so its pair is
-/// not reported twice. The edited version touches only `J`, so an
-/// incremental re-check carries `D`'s error over and must still skip
-/// `J`'s k-way test.
+/// not reported twice. The edited version touches only `J`, so the
+/// edit's cone is `J` alone and `D`'s error lies outside it.
 const DEDUP: &str = "
     class P with p: {'a, 'b, 'c};
     class D is-a P with p: {'a, 'b, 'x};
@@ -150,12 +150,30 @@ fn faulty_reports_exercise_every_dedup_branch() {
     assert!(declaration_errors > 0, "no failed declaration checks");
 }
 
+/// Each class's diagnostics in `check(schema)`, as messages naming
+/// classes, by class name.
+fn messages_by_class(schema: &Schema) -> BTreeMap<String, Vec<String>> {
+    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for d in &check(schema).diagnostics {
+        let class = schema.class_name(d.class).to_string();
+        out.entry(class).or_default().push(d.message(schema).to_string());
+    }
+    out
+}
+
+/// `check_incremental` reports the full check, and every class outside
+/// its impact cone keeps the diagnostics it had before the edit.
 #[test]
 fn incremental_reports_equal_full_reports() {
     for (name, old, new) in cases() {
         for (from, to) in [(&old, &new), (&new, &old)] {
             let inc = check_incremental(from, &check(from), to);
             assert_eq!(inc.report.diagnostics, check(to).diagnostics, "{name}");
+            let (before, after) = (messages_by_class(from), messages_by_class(to));
+            for c in to.class_ids().filter(|c| !inc.dirty.classes.contains(c)) {
+                let class = to.class_name(c);
+                assert_eq!(after.get(class), before.get(class), "{name}: `{class}`");
+            }
         }
     }
 }

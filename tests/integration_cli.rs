@@ -667,23 +667,45 @@ fn diff_json_wraps_the_lint_report_in_the_chc_diff_envelope() {
     assert!(stdout.contains("\"refining\":1"), "{stdout}");
 }
 
+/// A clean schema whose one contradiction is excused; dropping the
+/// excuse makes it an error.
+const EXCUSED: &str = "
+class Physician;
+class Psychologist;
+class Patient with treatedBy: Physician;
+class Alcoholic is-a Patient with treatedBy: Psychologist excuses treatedBy on Patient;
+";
+
 #[test]
 fn check_incremental_matches_the_full_check_byte_for_byte() {
-    let old = write_schema("inc-old.sdl", EVOLVED_OLD);
-    let new = write_schema("inc-new.sdl", EVOLVED_NEW);
-    let full = chc(&["check", new.to_str().unwrap()]);
-    let inc = chc(&[
-        "check",
-        new.to_str().unwrap(),
-        "--incremental",
-        "--since",
-        old.to_str().unwrap(),
-    ]);
-    assert_eq!(full.status.code(), inc.status.code());
-    assert_eq!(full.stdout, inc.stdout, "incremental stdout must be identical");
-    let stderr = String::from_utf8_lossy(&inc.stderr);
-    assert!(stderr.contains("incremental:"), "{stderr}");
+    let unexcused = EXCUSED.replace(" excuses treatedBy on Patient", "");
+    // (old, new, exit code, cone on stderr): each pair is one edit;
+    // narrowing `Person.age` dirties both
+    // classes; retiring the excuse dirties `Alcoholic` and its ancestor
+    // `Patient`, not the two unrelated roots.
+    let pairs = [
+        (EVOLVED_OLD, EVOLVED_NEW, 0, "impact cone 2 of 2 class(es)"),
+        (EXCUSED, unexcused.as_str(), 1, "impact cone 2 of 4 class(es)"),
+    ];
+    for (i, (old_src, new_src, code, cone)) in pairs.into_iter().enumerate() {
+        let old = write_schema(&format!("inc-old{i}.sdl"), old_src);
+        let new = write_schema(&format!("inc-new{i}.sdl"), new_src);
+        let full = chc(&["check", new.to_str().unwrap()]);
+        let inc = chc(&[
+            "check",
+            new.to_str().unwrap(),
+            "--incremental",
+            "--since",
+            old.to_str().unwrap(),
+        ]);
+        assert_eq!(full.status.code(), Some(code));
+        assert_eq!(inc.status.code(), Some(code));
+        assert_eq!(full.stdout, inc.stdout, "incremental stdout must be identical");
+        let stderr = String::from_utf8_lossy(&inc.stderr);
+        assert!(stderr.contains("1 edit(s) since") && stderr.contains(cone), "{stderr}");
+    }
     // --incremental without --since (and vice versa) is a usage error.
+    let new = write_schema("inc-new0.sdl", EVOLVED_NEW);
     let out = chc(&["check", new.to_str().unwrap(), "--incremental"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--since"));
