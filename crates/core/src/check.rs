@@ -12,8 +12,8 @@
 //! distinguish erroneous definitions from intentional ones — the property
 //! default inheritance destroys (§4.2.4).
 //!
-//! A check pays only for distinct work. Ranges are compared through their
-//! canonical forms ([`crate::canon`]), the cross-class deduplication of
+//! A check pays only for distinct work. Ranges are compared through the
+//! interned table of [`crate::canon`], the cross-class deduplication of
 //! error reports answers from a dense index of error sites kept beside
 //! the report, and the checker's counters reach the recorder once per
 //! class.
@@ -24,9 +24,10 @@
 //! `(B, p: R_B)` it inherits, once, and the checker records whether `S`
 //! is *covered* by it: `S` holds a value, and the declaration itself
 //! excuses `(B, p)`, or `R_B ⊇ S`, or an excuser `E` with `class ⊆ E` has
-//! `S_E ⊇ S` — in the last two cases without crossing between pure
-//! record types and refined class types
-//! ([`RangeTable::same_record_kind`]). An excuse on the declaration itself
+//! `S_E ⊇ S`. Subsumption never crosses value sorts
+//! ([`Range::sort`](chc_model::Range::sort)):
+//! a pure record type holds records and a refined class type entities,
+//! so neither covers the other. An excuse on the declaration itself
 //! covers it outright (its excuser range is `S`, and a range subsumes
 //! itself), so the excuser scan only looks for the first other excuser
 //! covering `S`, which makes that excuse redundant.
@@ -40,7 +41,7 @@
 //!
 //! * A pair `(B, class)` whose declaration is covered by `B` shares the
 //!   values of `S`, and the pairwise test would find the overlap (every
-//!   canonical form that covers an inhabited `S` overlaps it), so the
+//!   range that covers an inhabited `S` overlaps it), so the
 //!   pair is settled from the verdict. The k-way test never runs at a
 //!   declared site: `class` is its one minimal declarer.
 //! * At a join, a pair `(B1, B2)` from two lineages is settled when the
@@ -52,7 +53,7 @@
 //!   (the first-order approximation of [`RangeTable::overlaps`]) and
 //!   reports the pair, and settling it would change the report.
 
-use chc_model::{ClassId, Range, Schema, Sym};
+use chc_model::{ClassId, Schema, Sort, Sym};
 use chc_obs::names;
 use chc_obs::profile::SeenSet;
 
@@ -196,8 +197,8 @@ impl Verdicts {
     }
 }
 
-/// One check in progress: the report being built, the canonical forms of
-/// the schema's ranges, and the index of error sites in the report.
+/// One check in progress: the report being built, the interned ranges of
+/// the schema, and the index of error sites in the report.
 ///
 /// [`check`] checks every class in id order (ancestors first), so the
 /// deduplication in the joint-satisfiability check sees exactly the
@@ -361,8 +362,7 @@ impl<'s> Checker<'s> {
                 if has_local_excuse {
                     self.push(redundant());
                 }
-                let kind_kept = self.ranges.same_record_kind(r_range, s_range);
-                verdicts.push(ancestor, inhabited && (kind_kept || has_local_excuse));
+                verdicts.push(ancestor, inhabited);
                 continue;
             }
             self.work.contradictions += 1;
@@ -375,14 +375,14 @@ impl<'s> Checker<'s> {
             // the excuse; then S_E = S trivially, so the scan only asks
             // whether another excuser covers S too.)
             let mut first_applicable = None;
-            let mut cover = None;
+            let mut covered = false;
             for (excuser, range) in self.ranges.applicable_excusers(class, ancestor, attr) {
                 first_applicable.get_or_insert(excuser);
                 if has_local_excuse && excuser == class {
                     continue;
                 }
                 if self.work.subsumes(&self.ranges, range, s_range) {
-                    cover = Some(range);
+                    covered = true;
                     break;
                 }
             }
@@ -396,7 +396,7 @@ impl<'s> Checker<'s> {
                 continue;
             };
 
-            if !has_local_excuse && cover.is_none() {
+            if !has_local_excuse && !covered {
                 let kind = DiagKind::ExcuseRangeEscape {
                     contradicted: ancestor,
                     excuser: first_applicable,
@@ -406,14 +406,13 @@ impl<'s> Checker<'s> {
                 continue;
             }
             self.work.excuses_resolved += 1;
-            if has_local_excuse && cover.is_some() {
+            if has_local_excuse && covered {
                 // Already excused by an ancestor (the SpecialAlc case, §5.3):
                 // "nothing wrong will happen if an excuse is added — it will
                 // simply be redundant."
                 self.push(redundant());
             }
-            let kind_kept = cover.is_some_and(|e| self.ranges.same_record_kind(e, s_range));
-            verdicts.push(ancestor, inhabited && (has_local_excuse || kind_kept));
+            verdicts.push(ancestor, inhabited);
         }
         verdicts.end_row();
     }
@@ -438,8 +437,8 @@ impl<'s> Checker<'s> {
         // covers of one class need not share an instance (see the module
         // docs).
         let joins_by_value = matches!(
-            self.ranges.range(self.ranges.decl(class, attr)),
-            Range::Enum(_) | Range::Int { .. }
+            self.ranges.range(self.ranges.decl(class, attr)).sort(),
+            Sort::Token | Sort::Int
         );
         let mut heirs = None;
         let mut allowed = AllowedSets::default();

@@ -20,10 +20,13 @@
 //! --explain`), lint findings (L001–L003), and the validator's audit
 //! ledger all justify their verdicts from this one structure.
 //!
-//! Entity-valued ranges (`Class(_)`, `AnyEntity`, refined records) are
-//! treated as mutually overlapping — a first-order approximation matching
-//! [`Range::overlaps`]: whether two entity classes share an instance is a
-//! question about extents, not the schema.
+//! Values are first told apart by sort ([`Range::sort`]): integers,
+//! strings, tokens, entities, records and absence never meet. Ranges of
+//! the entity sort (classes, refined class types, `AnyEntity`) are then
+//! treated as mutually overlapping: whether two entity classes share an
+//! instance is a question about extents, not the schema. This is coarser
+//! than [`Range::overlaps`], which relates two class ranges only when the
+//! classes are related.
 //!
 //! [`incoherent_sites`] answers the question for every site of a schema
 //! at once. It settles most sites from their minimal declarer's §5.1
@@ -31,10 +34,10 @@
 
 use std::collections::BTreeSet;
 
-use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, Range, Schema, Sym};
+use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, Range, Schema, Sort, Sym};
 use chc_obs::json::JsonValue;
 
-use crate::canon::{RangeId, RangeTable};
+use crate::canon::RangeTable;
 use crate::check::minimal_declarers;
 
 /// Does some single value satisfy every constraint on `attr` inherited
@@ -137,23 +140,16 @@ pub fn common_value_witness_of(
             .all(|(b, spec)| admits(*b, &spec.range, pred))
     };
 
-    // Kind shortcuts (a common value of that kind certainly exists).
-    if all_admit(&|r| matches!(r, Range::None)) {
-        return Some(Witness::Absent);
-    }
-    if all_admit(&|r| matches!(r, Range::Str)) {
-        return Some(Witness::AnyString);
-    }
-    if all_admit(&|r| matches!(r, Range::Record { base: None, .. })) {
-        return Some(Witness::AnyRecord);
-    }
-    if all_admit(&|r| {
-        matches!(
-            r,
-            Range::Class(_) | Range::AnyEntity | Range::Record { base: Some(_), .. }
-        )
-    }) {
-        return Some(Witness::AnyEntity);
+    // Sort shortcuts (a common value of that sort certainly exists).
+    for (sort, witness) in [
+        (Sort::Absent, Witness::Absent),
+        (Sort::Str, Witness::AnyString),
+        (Sort::Record, Witness::AnyRecord),
+        (Sort::Entity, Witness::AnyEntity),
+    ] {
+        if all_admit(&|r| r.sort() == sort) {
+            return Some(witness);
+        }
     }
 
     // Tokens: materialize the first constraint's admitted tokens once
@@ -242,15 +238,11 @@ pub fn common_value_witness_of(
 /// excuser `E` with `M ⊆ E` has `S_E ⊇ S_M`. Then every value of `S_M`
 /// lies in every allowed set of the site, so the site is coherent as soon
 /// as `S_M` holds a value. That verdict is decided once per declaration,
-/// on canonical ranges. Every other site (two or more minimal declarers,
+/// on interned ranges. Every other site (two or more minimal declarers,
 /// a declaration that fails the rule, an empty `S_M`) goes to
 /// [`common_value_witness_of`], which stays the one decision procedure.
 pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
     let ranges = RangeTable::new(schema);
-    // A cover across record kinds settles nothing: see
-    // `RangeTable::same_record_kind`.
-    let covers =
-        |sup: RangeId, sub: RangeId| ranges.subsumes(sup, sub) && ranges.same_record_kind(sup, sub);
     // Does `m`'s declaration `decl` settle the sites it is the minimal
     // declarer of? `m` is itself an applicable excuser of every constraint
     // its declaration excuses, and `S_M ⊇ S_M`.
@@ -260,11 +252,11 @@ pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
         ranges.inhabited(s)
             && schema.declarers_on(m, attr).all(|b| {
                 b == m
-                    || covers(ranges.decl(b, attr), s)
+                    || ranges.subsumes(ranges.decl(b, attr), s)
                     || excused_here(b)
                     || ranges
                         .applicable_excusers(m, b, attr)
-                        .any(|(_, e)| covers(e, s))
+                        .any(|(_, e)| ranges.subsumes(e, s))
             })
     };
     // Indexed like `schema.class(m).attrs`.

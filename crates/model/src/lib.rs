@@ -39,7 +39,7 @@ pub use builder::SchemaBuilder;
 pub use class::{AttrDecl, Class, ClassId, ClassKind};
 pub use error::ModelError;
 pub use object::{Oid, OidAllocator};
-pub use range::{AttrSpec, Excuse, FieldSpec, Range};
+pub use range::{AttrSpec, Excuse, FieldSpec, Range, Sort};
 pub use schema::{ExcuserEntry, Schema};
 pub use source::{SourceMap, Span};
 pub use symbol::{Interner, Sym};

@@ -183,61 +183,70 @@ impl Range {
         h.finish()
     }
 
+    /// The sort of the values this range holds. Ranges of different
+    /// sorts share no value: a refined class type `C [..]` holds entities
+    /// of `C`, and a pure record type `[..]` holds record values (§2b,
+    /// §5.6).
+    pub fn sort(&self) -> Sort {
+        match self {
+            Range::Int { .. } => Sort::Int,
+            Range::Str => Sort::Str,
+            Range::Enum(_) => Sort::Token,
+            Range::Class(_) | Range::AnyEntity | Range::Record { base: Some(_), .. } => {
+                Sort::Entity
+            }
+            Range::Record { base: None, .. } => Sort::Record,
+            Range::None => Sort::Absent,
+        }
+    }
+
     /// The decision behind [`Range::subsumes`] without its per-query
     /// accounting, for callers that count their queries in batches (the
-    /// checker reports them once per class).
+    /// checker reports them once per class). Ranges of different sorts
+    /// never subsume each other; within a sort, one rule decides.
     pub fn subsumes_structurally(&self, schema: &Schema, sub: &Range) -> bool {
+        if self.sort() != sub.sort() {
+            return false;
+        }
         match (self, sub) {
             (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= l2 && h2 <= hi,
-            (Range::Str, Range::Str) => true,
             (Range::Enum(sup), Range::Enum(sub)) => sub.is_subset(sup),
-            (Range::Class(b), Range::Class(a)) => schema.is_subclass(*a, *b),
-            (Range::Class(b), Range::Record { base: Some(a), .. }) => schema.is_subclass(*a, *b),
-            (Range::AnyEntity, Range::Class(_))
-            | (Range::AnyEntity, Range::AnyEntity)
-            | (Range::AnyEntity, Range::Record { base: Some(_), .. }) => true,
-            (Range::None, Range::None) => true,
-            (
-                Range::Record {
-                    base: sup_base,
-                    fields: sup_fields,
-                },
-                Range::Record {
-                    base: sub_base,
-                    fields: sub_fields,
-                },
-            ) => {
+            (Range::Str | Range::None, _) => true,
+            (Range::AnyEntity, _) => true,
+            (_, Range::AnyEntity) => false,
+            // Entities of `a` refined by `sub_fields` lie in `b` refined by
+            // `sup_fields`, and records in records, à la Cardelli: the
+            // subtype must constrain every field the supertype constrains,
+            // at least as tightly. A field refined on a *class* base is
+            // also constrained by the base class's own declaration, but
+            // that check belongs to the core checker; structurally we
+            // require explicit coverage.
+            _ => {
+                let ((sup_base, sup_fields), (sub_base, sub_fields)) = (self.parts(), sub.parts());
                 let base_ok = match (sup_base, sub_base) {
-                    (None, _) => true,
-                    (Some(b), Some(a)) => schema.is_subclass(*a, *b),
-                    (Some(_), None) => false,
+                    (Some(b), Some(a)) => schema.is_subclass(a, b),
+                    _ => true,
                 };
-                // Record subtyping à la Cardelli: the subtype must constrain
-                // every field the supertype constrains, at least as tightly.
-                // A field refined on a *class* base is also constrained by the
-                // base class's own declaration, but that check belongs to the
-                // core checker; structurally we require explicit coverage.
                 base_ok
                     && sup_fields.iter().all(|sf| {
                         sub_fields
                             .iter()
                             .find(|f| f.name == sf.name)
-                            .map(|f| sf.spec.range.subsumes_structurally(schema, &f.spec.range))
-                            .unwrap_or(false)
+                            .is_some_and(|f| {
+                                sf.spec.range.subsumes_structurally(schema, &f.spec.range)
+                            })
                     })
             }
-            (
-                Range::Record {
-                    base: Some(b),
-                    fields,
-                },
-                Range::Class(a),
-            ) => {
-                // `C [..]` subsumes a plain class only if the refinement adds
-                // nothing, i.e. there are no refined fields.
-                fields.is_empty() && schema.is_subclass(*a, *b)
-            }
-            _ => false,
+        }
+    }
+
+    /// An entity or record range as its base class (a class range's is
+    /// itself; a pure record has none) and its refined fields.
+    fn parts(&self) -> (Option<ClassId>, &[FieldSpec]) {
+        match self {
+            Range::Class(c) => (Some(*c), &[]),
+            Range::Record { base, fields } => (*base, fields),
+            _ => (None, &[]),
         }
     }
 
@@ -275,34 +284,61 @@ impl Range {
     }
 
     /// Whether two ranges can possibly share a value (a cheap,
-    /// over-approximate disjointness test used in diagnostics).
+    /// over-approximate disjointness test used in diagnostics). Ranges of
+    /// different sorts never do; within a sort, one rule decides.
     pub fn overlaps(&self, schema: &Schema, other: &Range) -> bool {
+        if self.sort() != other.sort() {
+            return false;
+        }
         match (self, other) {
             (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= h2 && l2 <= hi,
-            (Range::Str, Range::Str) => true,
             (Range::Enum(a), Range::Enum(b)) => a.intersection(b).next().is_some(),
-            (Range::Class(a), Range::Class(b)) => {
-                // Two classes overlap unless provably disjoint; without
-                // disjointness declarations, related classes certainly
-                // overlap and unrelated ones may.
-                schema.is_subclass(*a, *b) || schema.is_subclass(*b, *a)
-            }
-            // Refined classes overlap like their bases (refinements can
-            // only shrink, never provably to empty).
-            (Range::Class(a), Range::Record { base: Some(b), .. })
-            | (Range::Record { base: Some(a), .. }, Range::Class(b))
-            | (Range::Record { base: Some(a), .. }, Range::Record { base: Some(b), .. }) => {
-                schema.is_subclass(*a, *b) || schema.is_subclass(*b, *a)
-            }
-            (Range::Record { base: None, .. }, Range::Record { base: None, .. }) => true,
-            (Range::AnyEntity, r) | (r, Range::AnyEntity) => matches!(
-                r,
-                Range::Class(_) | Range::AnyEntity | Range::Record { base: Some(_), .. }
-            ),
-            (Range::None, Range::None) => true,
-            _ => false,
+            (Range::Str | Range::None | Range::AnyEntity, _) | (_, Range::AnyEntity) => true,
+            // Two classes overlap unless provably disjoint; without
+            // disjointness declarations, related classes certainly overlap,
+            // and unrelated ones are treated as disjoint (first order).
+            // Refined classes overlap like their bases (refinements can only
+            // shrink, never provably to empty), and pure records always.
+            _ => match (self.parts().0, other.parts().0) {
+                (Some(a), Some(b)) => schema.is_subclass(a, b) || schema.is_subclass(b, a),
+                _ => true,
+            },
         }
     }
+
+    /// Whether the range holds a value. [`Range::int`] and
+    /// [`Range::enumeration`] refuse reversed intervals and empty
+    /// enumerations, but the variants are public and can be built
+    /// directly; a record or refined class type is empty when one of its
+    /// fields is.
+    pub fn inhabited(&self) -> bool {
+        match self {
+            Range::Int { lo, hi } => lo <= hi,
+            Range::Enum(set) => !set.is_empty(),
+            Range::Record { fields, .. } => fields.iter().all(|f| f.spec.range.inhabited()),
+            _ => true,
+        }
+    }
+}
+
+/// The sort of the values a [`Range`] holds (see [`Range::sort`]). Values
+/// of different sorts are never equal, so ranges of different sorts share
+/// no value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Sort {
+    /// Integers (`Int` ranges).
+    Int,
+    /// Character strings (`String`).
+    Str,
+    /// Enumeration tokens (`{'a, 'b}`).
+    Token,
+    /// Entities: class ranges, refined class types `C [..]` and
+    /// `AnyEntity`.
+    Entity,
+    /// Record values: pure record types `[..]`.
+    Record,
+    /// The absent value of an inapplicable attribute (`None`).
+    Absent,
 }
 
 /// The full specification an attribute declaration attaches: a range plus

@@ -133,13 +133,6 @@ impl Schema {
             .map(|i| ClassId::from_raw(i as u32))
     }
 
-    /// The ancestors of `id`, including `id` itself, as a bitset over
-    /// class indices — for intersecting with other class sets a word at
-    /// a time.
-    pub fn ancestor_bits(&self, id: ClassId) -> &BitSet {
-        &self.ancestors[id.index()]
-    }
-
     /// The descendants of `id`, including `id` itself, as a bitset over
     /// class indices.
     pub fn descendant_bits(&self, id: ClassId) -> &BitSet {

@@ -11,9 +11,9 @@
 //!   values with indistinguishable bit-string representations" would
 //!   otherwise collide.
 
-use chc_model::{Oid, Sym, Value};
+use chc_model::{Oid, Sort, Sym, Value};
 
-use crate::record::{FieldKind, RecordFormat};
+use crate::record::RecordFormat;
 
 /// A decoding failure (corrupt bytes or format mismatch).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ const ABSENT: u8 = 0;
 
 /// Encodes a row under a fixed format. `values` supplies the value per
 /// attribute (missing entries encode as absent). Fields of kind
-/// [`FieldKind::Missing`] store only a zero presence byte.
+/// [`Sort::Absent`] store only a zero presence byte.
 pub fn encode_fixed(
     format: &RecordFormat,
     mut lookup: impl FnMut(Sym) -> Option<Value>,
@@ -64,18 +64,18 @@ pub fn encode_fixed(
     Ok(())
 }
 
-fn encode_payload(kind: FieldKind, v: &Value, out: &mut Vec<u8>) -> Result<(), CodecError> {
+fn encode_payload(kind: Sort, v: &Value, out: &mut Vec<u8>) -> Result<(), CodecError> {
     match (kind, v) {
-        (FieldKind::Int, Value::Int(i)) => out.extend_from_slice(&i.to_le_bytes()),
-        (FieldKind::Tok, Value::Tok(s)) => {
+        (Sort::Int, Value::Int(i)) => out.extend_from_slice(&i.to_le_bytes()),
+        (Sort::Token, Value::Tok(s)) => {
             out.extend_from_slice(&(s.index() as u32).to_le_bytes())
         }
-        (FieldKind::Surrogate, Value::Obj(o)) => out.extend_from_slice(&o.raw().to_le_bytes()),
-        (FieldKind::Str, Value::Str(s)) => {
+        (Sort::Entity, Value::Obj(o)) => out.extend_from_slice(&o.raw().to_le_bytes()),
+        (Sort::Str, Value::Str(s)) => {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
-        (FieldKind::Tuple, Value::Record(fields)) => {
+        (Sort::Record, Value::Record(fields)) => {
             out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
             for (name, value) in fields.iter() {
                 out.extend_from_slice(&(name.index() as u32).to_le_bytes());
@@ -112,25 +112,25 @@ pub fn decode_fixed(
 }
 
 fn decode_payload(
-    kind: FieldKind,
+    kind: Sort,
     bytes: &[u8],
     at: &mut usize,
     resolve_sym: impl Fn(u32) -> Sym + Copy,
 ) -> Result<Value, CodecError> {
     match kind {
-        FieldKind::Int => Ok(Value::Int(i64::from_le_bytes(take(bytes, at)?))),
-        FieldKind::Tok => {
+        Sort::Int => Ok(Value::Int(i64::from_le_bytes(take(bytes, at)?))),
+        Sort::Token => {
             let raw = u32::from_le_bytes(take(bytes, at)?);
             Ok(Value::Tok(resolve_sym(raw)))
         }
-        FieldKind::Surrogate => Ok(Value::Obj(Oid::from_raw(u64::from_le_bytes(take(bytes, at)?)))),
-        FieldKind::Str => {
+        Sort::Entity => Ok(Value::Obj(Oid::from_raw(u64::from_le_bytes(take(bytes, at)?)))),
+        Sort::Str => {
             let len = u32::from_le_bytes(take(bytes, at)?) as usize;
             let s = bytes.get(*at..*at + len).ok_or(CodecError::Truncated)?;
             *at += len;
             Ok(Value::Str(String::from_utf8_lossy(s).into_owned().into()))
         }
-        FieldKind::Tuple => {
+        Sort::Record => {
             let n = u32::from_le_bytes(take(bytes, at)?) as usize;
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
@@ -140,7 +140,7 @@ fn decode_payload(
             }
             Ok(Value::record(fields))
         }
-        FieldKind::Missing => Err(CodecError::KindMismatch),
+        Sort::Absent => Err(CodecError::KindMismatch),
     }
 }
 
@@ -270,12 +270,12 @@ mod tests {
         let format = RecordFormat {
             fields: {
                 let mut f = vec![
-                    (s[0], FieldKind::Int),
-                    (s[1], FieldKind::Tok),
-                    (s[2], FieldKind::Str),
-                    (s[3], FieldKind::Surrogate),
-                    (s[4], FieldKind::Missing),
-                    (s[5], FieldKind::Tuple),
+                    (s[0], Sort::Int),
+                    (s[1], Sort::Token),
+                    (s[2], Sort::Str),
+                    (s[3], Sort::Entity),
+                    (s[4], Sort::Absent),
+                    (s[5], Sort::Record),
                 ];
                 f.sort_by_key(|(a, _)| *a);
                 f
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn kind_mismatch_rejected_at_encode() {
         let (_, s) = syms(1);
-        let format = RecordFormat { fields: vec![(s[0], FieldKind::Int)] };
+        let format = RecordFormat { fields: vec![(s[0], Sort::Int)] };
         let mut out = Vec::new();
         let err = encode_fixed(&format, |_| Some(Value::str("oops")), &mut out);
         assert_eq!(err, Err(CodecError::KindMismatch));
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn truncated_and_trailing_bytes_detected() {
         let (_, s) = syms(1);
-        let format = RecordFormat { fields: vec![(s[0], FieldKind::Int)] };
+        let format = RecordFormat { fields: vec![(s[0], Sort::Int)] };
         let mut bytes = Vec::new();
         encode_fixed(&format, |_| Some(Value::Int(7)), &mut bytes).unwrap();
         let resolve = |raw: u32| s[raw as usize];
@@ -403,7 +403,7 @@ mod tests {
             let mut b = SchemaBuilder::new();
             let syms: Vec<Sym> = (0..vals.len()).map(|k| b.intern(&format!("f{k}"))).collect();
             let format = RecordFormat {
-                fields: syms.iter().map(|&s| (s, FieldKind::Int)).collect(),
+                fields: syms.iter().map(|&s| (s, Sort::Int)).collect(),
             };
             let mut bytes = Vec::new();
             encode_fixed(

@@ -90,26 +90,6 @@ impl PartitionedStore {
         self.fragments.len()
     }
 
-    /// An empty store with the given partitioning classes (used by the
-    /// persistence loader).
-    pub(crate) fn empty(exceptional: Vec<ClassId>) -> PartitionedStore {
-        PartitionedStore { exceptional, fragments: Vec::new(), directory: HashMap::new() }
-    }
-
-    /// Appends a loaded fragment, indexing its rows in the directory.
-    pub(crate) fn push_fragment(&mut self, signature: Vec<ClassId>, frag: Fragment) {
-        let idx = self.fragments.len();
-        for (oid, _) in frag.scan(Sym::from_raw) {
-            self.directory.insert(oid, idx);
-        }
-        self.fragments.push((signature, frag));
-    }
-
-    /// The fragments with their signatures (persistence support).
-    pub(crate) fn fragments_for_persist(&self) -> &[(Vec<ClassId>, Fragment)] {
-        &self.fragments
-    }
-
     /// Rows per fragment, for reporting.
     pub fn fragment_sizes(&self) -> Vec<(usize, usize)> {
         self.fragments

@@ -83,7 +83,7 @@ impl Fragment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FieldKind;
+    use chc_model::Sort;
     use chc_model::SchemaBuilder;
 
     #[test]
@@ -91,7 +91,7 @@ mod tests {
         let mut b = SchemaBuilder::new();
         let age = b.intern("age");
         let name = b.intern("name");
-        let mut fields = vec![(age, FieldKind::Int), (name, FieldKind::Str)];
+        let mut fields = vec![(age, Sort::Int), (name, Sort::Str)];
         fields.sort_by_key(|(a, _)| *a);
         let mut frag = Fragment::new(RecordFormat { fields });
         let syms = [age, name];

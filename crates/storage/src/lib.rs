@@ -14,11 +14,9 @@
 pub mod codec;
 pub mod engine;
 pub mod fragment;
-pub mod persist;
 pub mod record;
 
 pub use codec::CodecError;
 pub use engine::{Fetched, PartitionedStore, VariantStore};
 pub use fragment::Fragment;
-pub use persist::PersistError;
-pub use record::{kind_of_range, FieldKind, RecordFormat};
+pub use record::RecordFormat;

@@ -3,53 +3,22 @@
 //! "A standard technique for storing information about objects is to
 //! create logical records which have as fields the attributes defined on
 //! some class." A [`RecordFormat`] lists, per attribute, the *kind* of
-//! value stored. Kinds matter because §5.5's difficulty is precisely
+//! value stored: the sort of the declared range ([`Sort`]; an entity is
+//! stored as its 64-bit surrogate, a token as its symbol index, an
+//! inapplicable attribute not at all). Kinds matter because §5.5's difficulty is precisely
 //! "some attribute may be filled by values from incompatible types
 //! (INTEGER vs. ENTITY vs. String vs. various enumerations …), where we
 //! run the problem of having different values with indistinguishable
 //! bit-string representations, or widely differing storage requirements."
 
-use chc_model::{ClassId, Range, Schema, Sym};
-
-/// The physical kind of an attribute's values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FieldKind {
-    /// 64-bit integer.
-    Int,
-    /// Enumeration token (stored as a 32-bit symbol index).
-    Tok,
-    /// Variable-length string.
-    Str,
-    /// Entity reference (64-bit surrogate) — §5.5: "entities are assigned
-    /// internal identifiers (surrogates) by the system and these do not
-    /// normally vary structurally from class to class."
-    Surrogate,
-    /// Record value (nested tuple structure), encoded recursively.
-    Tuple,
-    /// The attribute is inapplicable (`None` range): zero storage.
-    Missing,
-}
-
-/// The kind a range stores.
-pub fn kind_of_range(range: &Range) -> FieldKind {
-    match range {
-        Range::Int { .. } => FieldKind::Int,
-        Range::Enum(_) => FieldKind::Tok,
-        Range::Str => FieldKind::Str,
-        Range::Class(_) | Range::AnyEntity | Range::Record { base: Some(_), .. } => {
-            FieldKind::Surrogate
-        }
-        Range::Record { base: None, .. } => FieldKind::Tuple,
-        Range::None => FieldKind::Missing,
-    }
-}
+use chc_model::{ClassId, Schema, Sort, Sym};
 
 /// A record format: the attributes stored for instances of a class
 /// signature, with their kinds, sorted by attribute symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordFormat {
     /// `(attribute, kind)` pairs, sorted by attribute.
-    pub fields: Vec<(Sym, FieldKind)>,
+    pub fields: Vec<(Sym, Sort)>,
 }
 
 impl RecordFormat {
@@ -59,7 +28,7 @@ impl RecordFormat {
     /// incompatible kinds, the excuser's (more specific class's) kind
     /// wins; the §5.2 semantics guarantees stored values obey one of them.
     pub fn for_classes(schema: &Schema, classes: &[ClassId]) -> RecordFormat {
-        let mut fields: Vec<(Sym, FieldKind)> = Vec::new();
+        let mut fields: Vec<(Sym, Sort)> = Vec::new();
         for &class in classes {
             for attr in schema.applicable_attrs(class) {
                 // Most specific declaration along this class's ancestry: a
@@ -72,15 +41,15 @@ impl RecordFormat {
                             .iter()
                             .any(|(other, _)| other != b && schema.is_strict_subclass(*other, *b))
                     })
-                    .map(|(_, spec)| kind_of_range(&spec.range))
+                    .map(|(_, spec)| spec.range.sort())
                     .expect("applicable attr has a declaration");
                 match fields.iter_mut().find(|(a, _)| *a == attr) {
                     Some((_, existing)) => {
                         // Prefer the more specific (later class) kind; a
                         // Missing kind (excused None) always wins — the
                         // attribute is simply not stored.
-                        if kind == FieldKind::Missing || *existing == FieldKind::Missing {
-                            *existing = FieldKind::Missing;
+                        if kind == Sort::Absent || *existing == Sort::Absent {
+                            *existing = Sort::Absent;
                         } else {
                             *existing = kind;
                         }
@@ -94,7 +63,7 @@ impl RecordFormat {
     }
 
     /// The kind stored for `attr`, if the format has the field.
-    pub fn kind_of(&self, attr: Sym) -> Option<FieldKind> {
+    pub fn kind_of(&self, attr: Sym) -> Option<Sort> {
         self.fields
             .binary_search_by_key(&attr, |(a, _)| *a)
             .ok()
@@ -129,10 +98,10 @@ mod tests {
         .unwrap();
         let patient = s.class_by_name("Patient").unwrap();
         let f = RecordFormat::for_classes(&s, &[patient]);
-        assert_eq!(f.kind_of(s.sym("name").unwrap()), Some(FieldKind::Str));
-        assert_eq!(f.kind_of(s.sym("age").unwrap()), Some(FieldKind::Int));
-        assert_eq!(f.kind_of(s.sym("treatedAt").unwrap()), Some(FieldKind::Surrogate));
-        assert_eq!(f.kind_of(s.sym("acuity").unwrap()), Some(FieldKind::Tok));
+        assert_eq!(f.kind_of(s.sym("name").unwrap()), Some(Sort::Str));
+        assert_eq!(f.kind_of(s.sym("age").unwrap()), Some(Sort::Int));
+        assert_eq!(f.kind_of(s.sym("treatedAt").unwrap()), Some(Sort::Entity));
+        assert_eq!(f.kind_of(s.sym("acuity").unwrap()), Some(Sort::Token));
         assert_eq!(f.fields.len(), 4);
     }
 
@@ -152,8 +121,8 @@ mod tests {
         let salary = s.sym("salary").unwrap();
         let femp = RecordFormat::for_classes(&s, &[employee]);
         let ftemp = RecordFormat::for_classes(&s, &[temp]);
-        assert_eq!(femp.kind_of(salary), Some(FieldKind::Int));
-        assert_eq!(ftemp.kind_of(salary), Some(FieldKind::Missing));
+        assert_eq!(femp.kind_of(salary), Some(Sort::Int));
+        assert_eq!(ftemp.kind_of(salary), Some(Sort::Absent));
         // Int vs Missing on the same attribute ⇒ incompatible formats ⇒
         // horizontal partitioning required (§5.5).
         assert!(!femp.compatible_with(&ftemp));
@@ -179,10 +148,7 @@ mod tests {
         let fp = RecordFormat::for_classes(&s, &[patient]);
         let fa = RecordFormat::for_classes(&s, &[alcoholic]);
         assert!(fp.compatible_with(&fa));
-        assert_eq!(
-            fa.kind_of(s.sym("treatedBy").unwrap()),
-            Some(FieldKind::Surrogate)
-        );
+        assert_eq!(fa.kind_of(s.sym("treatedBy").unwrap()), Some(Sort::Entity));
     }
 
     #[test]

@@ -34,8 +34,8 @@ const SHAPES: &[(usize, usize, usize, f64, f64, u64, usize)] = &[
 
 /// Joins whose constraints overlap pair by pair but share no value (the
 /// checker's `JointlyUnsatisfiable`), one restored by an excuse, and a
-/// pure record type over a refined class type, which `subsumes` relates
-/// but no value satisfies both.
+/// pure record type over a refined class type: records and entities, so
+/// no value satisfies both.
 const VIGNETTES: &str = "
     class P1 with p: {'a, 'b}; q: 1..10;
     class P2 with p: {'b, 'c}; q: 8..20;
