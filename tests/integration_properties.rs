@@ -6,9 +6,9 @@ use excuses::core::{
     check, evolve, validate_object, MissingPolicy, Semantics, ValidationOptions,
 };
 use excuses::extent::ExtentStore;
-use excuses::model::{ClassId, Range};
+use excuses::model::{ClassId, Range, Sort};
 use excuses::sdl::{compile, print_schema};
-use excuses::types::{subtype, CondTy, Prim, Ty};
+use excuses::types::{subtype, ty_of_range, CondTy, Prim, Ty};
 use excuses::workloads::rng::SplitMix64;
 use excuses::workloads::{
     detection_score, generate, populate, seed_contradictions, HierarchyParams, PopulateParams,
@@ -217,33 +217,70 @@ fn subtype_is_reflexive_and_transitive_on_samples() {
     }
 }
 
-#[test]
-fn range_subsumption_is_a_preorder() {
-    let schema = compile(
-        "
-        class A; class B is-a A; class C is-a B;
-        ",
-    )
-    .unwrap();
-    let a = schema.class_by_name("A").unwrap();
-    let b = schema.class_by_name("B").unwrap();
-    let c = schema.class_by_name("C").unwrap();
-    let mut b2 = excuses::model::SchemaBuilder::new();
-    let t1 = b2.intern("x");
-    let t2 = b2.intern("y");
-    let ranges = vec![
+/// Ranges for the range laws: every scalar form (with a reversed interval
+/// and an empty enumeration, which only direct construction builds),
+/// `None`, `AnyEntity`, class ranges over a chain `A ⊒ B ⊒ C` and an
+/// unrelated `D`, then generated pure and refined records nested two
+/// deep whose fields draw on the same forms.
+fn law_ranges() -> (excuses::model::Schema, Vec<Range>) {
+    let mut b = excuses::model::SchemaBuilder::new();
+    let classes = ["A", "B", "C", "D"].map(|name| b.declare(name).unwrap());
+    b.add_super(classes[1], classes[0]).unwrap();
+    b.add_super(classes[2], classes[1]).unwrap();
+    let t1 = b.intern("x");
+    let t2 = b.intern("y");
+    let fields = [b.intern("f"), b.intern("g")];
+    let schema = b.build().unwrap();
+    let mut ranges = vec![
         Range::int(1, 10).unwrap(),
         Range::int(2, 5).unwrap(),
         Range::int(1, 100).unwrap(),
+        Range::Int { lo: 5, hi: 1 },
         Range::Str,
         Range::None,
         Range::AnyEntity,
-        Range::Class(a),
-        Range::Class(b),
-        Range::Class(c),
         Range::enumeration([t1]).unwrap(),
         Range::enumeration([t1, t2]).unwrap(),
+        Range::Enum(Default::default()),
     ];
+    ranges.extend(classes.map(Range::Class));
+    let leaves = ranges.clone();
+    fn record(
+        rng: &mut SplitMix64,
+        depth: usize,
+        leaves: &[Range],
+        classes: &[ClassId],
+        names: &[excuses::model::Sym],
+    ) -> Range {
+        let base = rng
+            .gen_bool(0.5)
+            .then(|| classes[rng.gen_range(0, classes.len() - 1)]);
+        let mut fields = Vec::new();
+        for &name in names {
+            if rng.gen_bool(0.6) {
+                let range = if depth > 1 && rng.gen_bool(0.5) {
+                    record(rng, depth - 1, leaves, classes, names)
+                } else {
+                    leaves[rng.gen_range(0, leaves.len() - 1)].clone()
+                };
+                let spec = excuses::model::AttrSpec::plain(range);
+                fields.push(excuses::model::FieldSpec { name, spec });
+            }
+        }
+        Range::record(&|s| format!("{s:?}"), base, fields).unwrap()
+    }
+    let mut rng = SplitMix64::new(0x4A7E);
+    for depth in [1, 2] {
+        for _ in 0..24 {
+            ranges.push(record(&mut rng, depth, &leaves, &classes, &fields));
+        }
+    }
+    (schema, ranges)
+}
+
+#[test]
+fn range_subsumption_is_a_preorder() {
+    let (schema, ranges) = law_ranges();
     for r in &ranges {
         assert!(r.subsumes(&schema, r), "reflexivity failed for {r:?}");
     }
@@ -256,6 +293,81 @@ fn range_subsumption_is_a_preorder() {
             }
         }
     }
+}
+
+/// A range that holds every value of an inhabited range shares a value
+/// with it, and sharing a value is symmetric. Before subsumption compared
+/// value sorts, the pure record `[w: 1..10]` subsumed the refined class
+/// type `Box [w: 2..5]` and shared no value with it.
+#[test]
+fn range_subsumption_implies_overlap_and_overlap_is_symmetric() {
+    let (schema, ranges) = law_ranges();
+    for a in &ranges {
+        for b in &ranges {
+            let (ra, rb) = (a.render(&schema), b.render(&schema));
+            assert_eq!(
+                a.overlaps(&schema, b),
+                b.overlaps(&schema, a),
+                "overlap is not symmetric on {ra} and {rb}"
+            );
+            if a.subsumes(&schema, b) && b.inhabited() {
+                assert!(a.overlaps(&schema, b), "{ra} subsumes {rb} but shares no value");
+            }
+        }
+    }
+}
+
+/// Whether `ty_of_range` states the values of both ranges exactly, as far
+/// as `subtype` compares them: no refined class type, which it widens to
+/// its base, and no pure record type against an entity range, since the
+/// §5.4 type theory reads a class as a record of its attributes
+/// (`Patient < [treatedBy: …]`) while a pure record range holds record
+/// values only.
+fn exactly_translated(a: &Range, b: &Range) -> bool {
+    match (a, b) {
+        (Range::Record { base: Some(_), .. }, _) | (_, Range::Record { base: Some(_), .. }) => {
+            false
+        }
+        (Range::Record { fields: fa, .. }, Range::Record { fields: fb, .. }) => fa.iter().all(|f| {
+            let mut shared = fb.iter().filter(|g| g.name == f.name);
+            shared.all(|g| exactly_translated(&f.spec.range, &g.spec.range))
+        }),
+        (Range::Record { .. }, r) | (r, Range::Record { .. }) => r.sort() != Sort::Entity,
+        _ => true,
+    }
+}
+
+/// Range subsumption and §5.4 subtyping agree wherever the translation
+/// between them is exact.
+#[test]
+fn range_subsumption_agrees_with_subtyping() {
+    let (schema, ranges) = law_ranges();
+    // Distinct pairs of nested pure records that subsume, so the law
+    // reaches the record rule and not only the scalar ones.
+    let mut nested = 0;
+    for a in &ranges {
+        for b in &ranges {
+            if !exactly_translated(a, b) {
+                continue;
+            }
+            let subsumes = a.subsumes(&schema, b);
+            assert_eq!(
+                subsumes,
+                subtype(&schema, &ty_of_range(b), &ty_of_range(a)),
+                "{} vs {}",
+                a.render(&schema),
+                b.render(&schema)
+            );
+            let depth2 = |r: &Range| match r {
+                Range::Record { fields, .. } => {
+                    fields.iter().any(|f| f.spec.range.sort() == Sort::Record)
+                }
+                _ => false,
+            };
+            nested += usize::from(subsumes && a != b && (depth2(a) || depth2(b)));
+        }
+    }
+    assert!(nested > 0, "no nested record pair subsumes");
 }
 
 /// Checker soundness w.r.t. satisfiability: on a checker-clean schema,
