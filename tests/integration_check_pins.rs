@@ -17,10 +17,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use excuses::core::{check, check_incremental, CheckReport, DiagKind};
+use excuses::core::{
+    check, check_incremental, diff_schemas, CheckReport, DiagKind, EditDetail,
+};
 use excuses::model::Schema;
 use excuses::obs::{self, names, FlightRecorder, ProfileRecorder, StatsRecorder};
-use excuses::workloads::{generate, seed_contradictions, HierarchyParams};
+use excuses::workloads::{generate, interior_class_edits, seed_contradictions, HierarchyParams};
 
 const EVOLVE_OLD: &str = include_str!("../crates/workloads/fixtures/evolve400-old.sdl");
 const EVOLVE_NEW: &str = include_str!("../crates/workloads/fixtures/evolve400-new.sdl");
@@ -161,11 +163,68 @@ fn messages_by_class(schema: &Schema) -> BTreeMap<String, Vec<String>> {
     out
 }
 
+/// One edit of each kind at an interior class of generated hierarchies
+/// (`interior_class_edits`), each as an `(original, edited)` pair.
+fn interior_edit_cases() -> Vec<(String, Schema, Schema)> {
+    let mut out = Vec::new();
+    for (seed, pick) in [(41, 0), (42, 3)] {
+        let gen = generate(&HierarchyParams {
+            classes: 120,
+            max_supers: 2,
+            redefine_rate: 0.6,
+            contradiction_rate: 0.5,
+            seed,
+            ..Default::default()
+        });
+        for (k, edited) in interior_class_edits(&gen, pick).into_iter().enumerate() {
+            out.push((format!("interior{seed}-{k}"), gen.schema.clone(), edited));
+        }
+    }
+    out
+}
+
+/// Read both ways, the interior edits reach every kind of edit but adding
+/// or retiring a class, one edit per pair.
+#[test]
+fn interior_edits_reach_every_edit_kind() {
+    let mut kinds = std::collections::BTreeSet::new();
+    for (name, old, new) in interior_edit_cases() {
+        for (from, to) in [(&old, &new), (&new, &old)] {
+            let diff = diff_schemas(from, to);
+            assert_eq!(diff.edits.len(), 1, "{name}: {:?}", diff.edits);
+            kinds.insert(match diff.edits[0].detail {
+                EditDetail::ClassAdded | EditDetail::ClassRetired => "class",
+                EditDetail::EdgeAdded { .. } => "edge added",
+                EditDetail::EdgeRemoved { .. } => "edge removed",
+                EditDetail::AttrAdded { .. } => "attribute added",
+                EditDetail::AttrRemoved { .. } => "attribute removed",
+                EditDetail::RangeNarrowed { .. } => "range narrowed",
+                EditDetail::RangeWidened { .. } => "range widened",
+                EditDetail::RangeChanged { .. } => "range changed",
+                EditDetail::ExcuseAdded { .. } => "excuse added",
+                EditDetail::ExcuseRetired { .. } => "excuse retired",
+            });
+        }
+    }
+    let want = [
+        "attribute added",
+        "attribute removed",
+        "edge added",
+        "edge removed",
+        "excuse added",
+        "excuse retired",
+        "range changed",
+        "range narrowed",
+        "range widened",
+    ];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), want);
+}
+
 /// `check_incremental` reports the full check, and every class outside
 /// its impact cone keeps the diagnostics it had before the edit.
 #[test]
 fn incremental_reports_equal_full_reports() {
-    for (name, old, new) in cases() {
+    for (name, old, new) in cases().into_iter().chain(interior_edit_cases()) {
         for (from, to) in [(&old, &new), (&new, &old)] {
             let inc = check_incremental(from, &check(from), to);
             assert_eq!(inc.report.diagnostics, check(to).diagnostics, "{name}");
