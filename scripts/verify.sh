@@ -174,19 +174,6 @@ grep -q '"schema":"chc-diff/1"' "$diff_json"
 grep -q '"schema":"chc-lint/1"' "$diff_json"        # nested lint envelope
 grep -q '"kind":"diff"' "$diff_json"
 
-echo "==> chc check --incremental smoke: verdict identical to the full check"
-full_out="$(mktemp "${TMPDIR:-/tmp}/chc-check.XXXXXX.full")"
-inc_out="$(mktemp "${TMPDIR:-/tmp}/chc-check.XXXXXX.inc")"
-trap 'rm -f "$diff_json" "$full_out" "$inc_out" "$report" "$prof" "$flame" "$pout" "$mem_err"' EXIT
-full_rc=0; inc_rc=0
-./target/release/chc check crates/workloads/fixtures/evolve400-new.sdl \
-    >"$full_out" || full_rc=$?
-./target/release/chc check crates/workloads/fixtures/evolve400-new.sdl \
-    --incremental --since crates/workloads/fixtures/evolve400-old.sdl \
-    >"$inc_out" 2>/dev/null || inc_rc=$?
-test "$full_rc" -eq "$inc_rc"
-cmp -s "$full_out" "$inc_out"                       # byte-identical stdout
-
 echo "==> crash smoke: induced panic writes chc-crash/1, doctor renders it"
 crash_dir="$(mktemp -d "${TMPDIR:-/tmp}/chc-crash.XXXXXX")"
 dout="$(mktemp "${TMPDIR:-/tmp}/chc-doctor.XXXXXX.stdout")"
