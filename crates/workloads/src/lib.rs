@@ -28,6 +28,6 @@ pub use driver::{
 pub use hospital::{build as build_hospital, HospitalDb, HospitalIds, HospitalParams};
 pub use populate::{populate, PopulateParams};
 pub use randhier::{
-    detection_score, generate, interior_class_edits, seed_contradictions, single_class_edit,
-    GeneratedHierarchy, HierarchyParams, SeededFault,
+    detection_score, generate, seed_contradictions, single_class_edit, GeneratedHierarchy,
+    HierarchyParams, SeededFault,
 };

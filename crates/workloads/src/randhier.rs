@@ -7,8 +7,6 @@
 //! experiment E1 can measure the checker's detection precision/recall.
 
 use chc_core::{check, DiagKind, Severity};
-use std::collections::BTreeSet;
-
 use chc_model::{
     AttrSpec, ClassId, Range, Schema, SchemaBuilder, Sym,
 };
@@ -283,105 +281,6 @@ pub fn single_class_edit(
     }
     b.set_attr_spec(class, attr, spec).unwrap();
     (b.build().expect("edit preserves structure"), (class, attr))
-}
-
-/// One semantic edit per kind at an *interior* class (one with strict
-/// descendants) of a generated hierarchy, each applied to the original
-/// on its own, in this order: an is-a edge added to an unrelated class
-/// with a smaller id; an attribute `p: {first token}` added where a
-/// strict descendant declares `p`; a declared enumeration narrowed to
-/// half its tokens; one replaced by its complement (an incomparable
-/// change); and one excuse clause retired. Read from edited to original,
-/// the same pairs remove the edge and the attribute, widen the range and
-/// add the excuse, so both directions reach every kind of edit but
-/// adding or retiring a class. Narrowing, changing and adding sit where
-/// a strict descendant declares the same attribute, so the edit can
-/// change the descendant's verdicts. `pick` selects among the
-/// candidates of each kind (wrapping), deterministically; a kind with no
-/// candidate is left out.
-pub fn interior_class_edits(gen: &GeneratedHierarchy, pick: usize) -> Vec<Schema> {
-    let schema = &gen.schema;
-    let interior = |c: ClassId| schema.descendants_with_self(c).nth(1).is_some();
-    let below = |c: ClassId, attr: Sym| {
-        schema
-            .descendants_with_self(c)
-            .any(|d| d != c && schema.declared_attr(d, attr).is_some())
-    };
-    let tokens = |(c, a): (ClassId, Sym)| {
-        match &schema.declared_attr(c, a).expect("declared").spec.range {
-            Range::Enum(toks) => toks.clone(),
-            _ => BTreeSet::new(),
-        }
-    };
-    let edit = |f: &dyn Fn(&mut SchemaBuilder)| {
-        let mut b = SchemaBuilder::from_schema(schema);
-        f(&mut b);
-        b.build().expect("edit preserves structure")
-    };
-    let declared: Vec<(ClassId, Sym)> = schema
-        .class_ids()
-        .flat_map(|c| schema.class(c).attrs.iter().map(move |d| (c, d.name)))
-        .filter(|&(c, a)| below(c, a))
-        .collect();
-    let mut out = Vec::new();
-
-    let edges = schema.class_ids().filter(|&c| interior(c)).filter_map(|c| {
-        let mut earlier = schema.class_ids().take(c.index());
-        let unrelated = earlier.find(|&x| !schema.is_subclass(c, x) && !schema.is_subclass(x, c));
-        unrelated.map(|x| (c, x))
-    });
-    if let Some((c, x)) = smallest_cone(schema, edges.collect(), pick) {
-        out.push(edit(&|b| b.add_super(c, x).expect("a new edge")));
-    }
-
-    let undeclared = schema
-        .class_ids()
-        .flat_map(|c| gen.attr_syms.iter().map(move |&a| (c, a)))
-        .filter(|&(c, a)| schema.declared_attr(c, a).is_none() && below(c, a));
-    if let Some((c, a)) = smallest_cone(schema, undeclared.collect(), pick) {
-        let first = Range::enumeration(gen.token_syms.iter().copied().take(1)).expect("a token");
-        let name = schema.resolve(a);
-        out.push(edit(&|b| {
-            b.add_attr(c, name, AttrSpec::plain(first.clone())).expect("a new attribute");
-        }));
-    }
-
-    let set_tokens = |(c, a): (ClassId, Sym), toks: Vec<Sym>| {
-        let mut spec = schema.declared_attr(c, a).expect("declared").spec.clone();
-        spec.range = Range::enumeration(toks).expect("nonempty");
-        edit(&|b| b.set_attr_spec(c, a, spec.clone()).expect("declared"))
-    };
-    let wide = declared.iter().copied().filter(|&s| tokens(s).len() >= 2);
-    if let Some(site) = smallest_cone(schema, wide.collect(), pick) {
-        let toks = tokens(site);
-        out.push(set_tokens(site, toks.iter().copied().take(toks.len() / 2).collect()));
-    }
-    let all = &gen.token_syms;
-    let partial = declared.iter().copied().filter(|&s| (1..all.len()).contains(&tokens(s).len()));
-    if let Some(site) = smallest_cone(schema, partial.collect(), pick) {
-        let toks = tokens(site);
-        out.push(set_tokens(site, all.iter().copied().filter(|t| !toks.contains(t)).collect()));
-    }
-
-    let excused = gen.excused_sites.iter().copied().filter(|&(c, _)| interior(c));
-    if let Some((c, a)) = smallest_cone(schema, excused.collect(), pick) {
-        let on = schema.declared_attr(c, a).expect("declared").spec.excuses[0].on;
-        out.push(edit(&|b| {
-            b.remove_excuse(c, a, on);
-        }));
-    }
-    out
-}
-
-/// The `pick`-th (wrapping) of `sites`, ordered by the size of their
-/// class's cone, smallest first.
-fn smallest_cone<T: Copy + Ord>(
-    schema: &Schema,
-    mut sites: Vec<(ClassId, T)>,
-    pick: usize,
-) -> Option<(ClassId, T)> {
-    sites.sort_by_key(|&(c, t)| (schema.descendants_with_self(c).count(), c, t));
-    (!sites.is_empty()).then(|| sites[pick % sites.len()])
 }
 
 /// A mutation that removed one excuse, making the contradiction at
