@@ -25,9 +25,9 @@
 //! is *covered* by it: `S` holds a value, and the declaration itself
 //! excuses `(B, p)`, or `R_B ⊇ S`, or an excuser `E` with `class ⊆ E` has
 //! `S_E ⊇ S`. Subsumption never crosses value sorts
-//! ([`Range::sort`](chc_model::Range::sort)):
-//! a pure record type holds records and a refined class type entities,
-//! so neither covers the other. An excuse on the declaration itself
+//! ([`Range::sort`](chc_model::Range::sort)): a pure record type holds
+//! records and a refined class type entities, so neither covers the
+//! other. An excuse on the declaration itself
 //! covers it outright (its excuser range is `S`, and a range subsumes
 //! itself), so the excuser scan only looks for the first other excuser
 //! covering `S`, which makes that excuse redundant.

@@ -211,8 +211,7 @@ impl Range {
         match (self, sub) {
             (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= l2 && h2 <= hi,
             (Range::Enum(sup), Range::Enum(sub)) => sub.is_subset(sup),
-            (Range::Str | Range::None, _) => true,
-            (Range::AnyEntity, _) => true,
+            (Range::Str | Range::None | Range::AnyEntity, _) => true,
             (_, Range::AnyEntity) => false,
             // Entities of `a` refined by `sub_fields` lie in `b` refined by
             // `sup_fields`, and records in records, à la Cardelli: the

@@ -296,9 +296,9 @@ fn range_subsumption_is_a_preorder() {
 }
 
 /// A range that holds every value of an inhabited range shares a value
-/// with it, and sharing a value is symmetric. Before subsumption compared
-/// value sorts, the pure record `[w: 1..10]` subsumed the refined class
-/// type `Box [w: 2..5]` and shared no value with it.
+/// with it, and sharing a value is symmetric. The generated records
+/// include pure record types over refined class types of the same
+/// fields, which share no value, so neither may subsume the other.
 #[test]
 fn range_subsumption_implies_overlap_and_overlap_is_symmetric() {
     let (schema, ranges) = law_ranges();
