@@ -3,9 +3,11 @@
 //! every object before storing any. The reference lives only here.
 //!
 //! Inputs are seeded SplitMix64 data files (forward references, multi-line
-//! entries, comments inside and outside strings, escapes, records,
-//! multi-class entries, blank lines, and injected faults) and byte edits
-//! and truncations of `examples/data/{hospital,quaker}.chd`. On success
+//! entries, a `{` on the line after its head, comments inside and outside
+//! strings, escapes and brackets inside strings, records, multi-class
+//! entries, blank lines, CRLF line ends, tabs and U+00A0 around
+//! separators, non-ASCII object names, and injected faults) and byte
+//! edits and truncations of `examples/data/{hospital,quaker}.chd`. On success
 //! the two must agree on `names`, every object's classes, every extent in
 //! order and every attribute value; on failure, on the `DataError` and its
 //! message. The only allowed differences are the loader's two fixes: a
@@ -382,16 +384,37 @@ const STRINGS: &[&str] = &[
     "a, b; [c]",
     "{brace}",
     "x = y : z",
+    "}",
+    "a]b",
+    "--",
+    "\\\"",
     "",
 ];
 
+/// Whitespace around separators: `trim` strips any Unicode whitespace,
+/// so tabs and no-break spaces count as much as spaces do.
+fn gap(rng: &mut Rng) -> &'static str {
+    rng.pick(&[" ", " ", " ", "\t", "\u{a0}", " \t", ""])
+}
+
+/// Object `i`'s name: ASCII, or led by a non-ASCII letter, which the
+/// name check (`char::is_alphanumeric`) admits.
+fn object_name(i: usize, unicode: bool) -> String {
+    match i % 4 {
+        1 if unicode => format!("é{i}"),
+        2 if unicode => format!("名{i}"),
+        3 if unicode => format!("Ωß{i}"),
+        _ => format!("o{i}"),
+    }
+}
+
 /// One value of a generated entry: `depth` bounds record nesting.
-fn gen_value(rng: &mut Rng, objects: usize, depth: usize) -> String {
+fn gen_value(rng: &mut Rng, names: &[String], depth: usize) -> String {
     match rng.below(if depth < 3 { 6 } else { 5 }) {
         0 => format!("{}", rng.below(200) as i64 - 20),
         1 => format!("\"{}\"", rng.pick(STRINGS)),
         2 => format!("'{}", rng.pick(TOKENS)),
-        3 | 4 => format!("@o{}", rng.below(objects)),
+        3 | 4 => format!("@{}", names[rng.below(names.len())]),
         _ => {
             let fields = ["street", "zip", "geo", "lat", "lon"];
             let n = rng.below(4);
@@ -402,10 +425,12 @@ fn gen_value(rng: &mut Rng, objects: usize, depth: usize) -> String {
                     // only the new loader reports.
                     let f = fields[start % fields.len()];
                     start += 1;
-                    format!("{f} = {}", gen_value(rng, objects, depth + 1))
+                    let eq = format!("{}={}", gap(rng), gap(rng));
+                    format!("{f}{eq}{}", gen_value(rng, names, depth + 1))
                 })
                 .collect();
-            format!("[{}]", parts.join(if rng.chance(50) { ", " } else { "; " }))
+            let sep = format!("{}{}", rng.pick(&[",", ";"]), gap(rng));
+            format!("[{}]", parts.join(&sep))
         }
     }
 }
@@ -414,13 +439,17 @@ fn gen_value(rng: &mut Rng, objects: usize, depth: usize) -> String {
 /// case a few entries carry a fault each.
 fn gen_file(rng: &mut Rng, faults: bool) -> String {
     let objects = 1 + rng.below(40);
+    let unicode = rng.chance(30);
+    let nl = if rng.chance(25) { "\r\n" } else { "\n" };
+    let names: Vec<String> = (0..objects).map(|i| object_name(i, unicode)).collect();
     let mut out = String::new();
-    for i in 0..objects {
+    for own in &names {
         if rng.chance(15) {
-            out.push_str("-- a comment line, with \"quotes\" and {braces}\n");
+            out.push_str("-- a comment line, with \"quotes\" and {braces}");
+            out.push_str(nl);
         }
         if rng.chance(15) {
-            out.push('\n');
+            out.push_str(nl);
         }
         let fault = if faults && rng.chance(12) {
             rng.below(11)
@@ -428,19 +457,22 @@ fn gen_file(rng: &mut Rng, faults: bool) -> String {
             usize::MAX
         };
         let name = match fault {
-            0 => format!("o{}", rng.below(objects)), // possibly a duplicate
-            1 => format!("o{i}!"),
-            _ => format!("o{i}"),
+            0 => names[rng.below(objects)].clone(), // possibly a duplicate
+            1 => format!("{own}{}", rng.pick(&["!", "€", " x"])),
+            _ => own.clone(),
         };
         let mut classes: Vec<&str> = (0..1 + rng.below(2)).map(|_| rng.pick(CLASSES)).collect();
         if fault == 2 {
             classes.push("Ghost");
         }
         let mut fields: Vec<String> = (0..rng.below(5))
-            .map(|_| format!("{} = {}", rng.pick(ATTRS), gen_value(rng, objects, 0)))
+            .map(|_| {
+                let eq = format!("{}={}", gap(rng), gap(rng));
+                format!("{}{eq}{}", rng.pick(ATTRS), gen_value(rng, &names, 0))
+            })
             .collect();
         match fault {
-            3 => fields.push(format!("bogus = {}", gen_value(rng, objects, 0))),
+            3 => fields.push(format!("bogus = {}", gen_value(rng, &names, 0))),
             4 => fields.push("mood = 'Grumpy".to_string()),
             5 => fields.push("friend = @nobody".to_string()),
             6 => fields.push("age = 12x".to_string()),
@@ -450,30 +482,39 @@ fn gen_file(rng: &mut Rng, faults: bool) -> String {
             10 => fields.push("name = \"bad \\q escape\"".to_string()),
             _ => {}
         }
-        let sep = if rng.chance(50) { ", " } else { "; " };
-        let head = format!("{name} : {}", classes.join(", "));
+        let sep = format!("{}{}", rng.pick(&[",", ";"]), gap(rng));
+        let comma = format!("{},{}", gap(rng), gap(rng));
+        let head = format!("{name}{}:{}{}", gap(rng), gap(rng), classes.join(&comma));
+        // A `{` on the line after the head, or on the head's line.
+        let open = if rng.chance(20) {
+            format!("{nl}{}{{", gap(rng))
+        } else {
+            format!("{}{{", gap(rng))
+        };
         if rng.chance(25) && !fields.is_empty() {
             // A multi-line entry, with trailing comments and blank lines.
-            out.push_str(&format!("{head} {{ -- opens here\n"));
+            out.push_str(&format!("{head}{open} -- opens here{nl}"));
             for f in &fields {
-                out.push_str(&format!("    {f}{sep} -- trailing\n"));
+                out.push_str(&format!("    {f}{sep} -- trailing{nl}"));
                 if rng.chance(20) {
-                    out.push('\n');
+                    out.push_str(nl);
                 }
             }
-            out.push_str("}\n");
+            out.push('}');
+            out.push_str(nl);
         } else if fields.is_empty() && rng.chance(5) {
-            out.push_str(&format!("{head}\n"));
+            out.push_str(&format!("{head}{nl}"));
         } else {
-            out.push_str(&format!("{head} {{ {} }}", fields.join(sep)));
+            out.push_str(&format!("{head}{open} {}{}}}", fields.join(&sep), gap(rng)));
             if rng.chance(20) {
                 out.push_str(" -- trailing comment");
             }
-            out.push('\n');
+            out.push_str(nl);
         }
     }
     if faults && rng.chance(10) {
-        out.push_str("last : Person { name = \"open\"\n");
+        out.push_str("last : Person { name = \"open\"");
+        out.push_str(nl);
     }
     out
 }
@@ -572,23 +613,29 @@ fn generated_files_load_as_the_reference_loads_them() {
     );
 }
 
-/// Byte edits the mutator makes: every one keeps the text UTF-8.
-const EDIT_BYTES: &[u8] = b"{}[]\"\\:,;=@'- \nxZ_09";
+/// Byte edits the mutator makes: every one is ASCII.
+const EDIT_BYTES: &[u8] = b"{}[]\"\\:,;=@'- \nxZ_09\r\t";
 
+/// One to three edits of `src`: each truncates, replaces or removes one
+/// character, or inserts an edit byte, at a character boundary, so the
+/// text stays UTF-8.
 fn mutate(rng: &mut Rng, src: &str) -> String {
-    let mut bytes = src.as_bytes().to_vec();
+    let mut text = src.to_string();
     for _ in 0..1 + rng.below(3) {
-        let at = rng.below(bytes.len().max(1));
+        let mut at = rng.below(text.len().max(1)).min(text.len());
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let byte = char::from(EDIT_BYTES[rng.below(EDIT_BYTES.len())]);
+        let next = text[at..].chars().next().map_or(at, |c| at + c.len_utf8());
         match rng.below(4) {
-            0 => bytes.truncate(at),
-            1 if at < bytes.len() => bytes[at] = EDIT_BYTES[rng.below(EDIT_BYTES.len())],
-            2 if at < bytes.len() => {
-                bytes.remove(at);
-            }
-            _ => bytes.insert(at.min(bytes.len()), EDIT_BYTES[rng.below(EDIT_BYTES.len())]),
+            0 => text.truncate(at),
+            1 if at < text.len() => text.replace_range(at..next, byte.encode_utf8(&mut [0; 4])),
+            2 if at < text.len() => text.replace_range(at..next, ""),
+            _ => text.insert(at, byte),
         }
     }
-    String::from_utf8(bytes).expect("the examples and the edit bytes are ASCII")
+    text
 }
 
 #[test]
