@@ -26,6 +26,7 @@ pub mod bitset;
 pub mod builder;
 pub mod class;
 pub mod error;
+pub mod hash;
 pub mod object;
 pub mod range;
 pub mod schema;
@@ -38,6 +39,7 @@ pub use bitset::BitSet;
 pub use builder::SchemaBuilder;
 pub use class::{AttrDecl, Class, ClassId, ClassKind};
 pub use error::ModelError;
+pub use hash::{FxBuildHasher, FxHasher};
 pub use object::{Oid, OidAllocator};
 pub use range::{AttrSpec, Excuse, FieldSpec, Range, Sort};
 pub use schema::{ExcuserEntry, Schema};

@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::FxBuildHasher;
+
 /// An interned string handle.
 ///
 /// `Sym`s are only meaningful relative to the [`Interner`] that produced
@@ -43,7 +45,7 @@ impl fmt::Debug for Sym {
 #[derive(Default, Clone)]
 pub struct Interner {
     strings: Vec<Box<str>>,
-    index: HashMap<Box<str>, Sym>,
+    index: HashMap<Box<str>, Sym, FxBuildHasher>,
 }
 
 impl Interner {

@@ -17,6 +17,8 @@
 
 use std::collections::HashMap;
 
+use chc_model::FxBuildHasher;
+
 use crate::ast::{AttrAst, ClassAst, ExcuseAst, Name, RangeAst, SchemaAst, SuperAst};
 use crate::error::SdlError;
 use crate::lexer::Lexer;
@@ -35,7 +37,7 @@ pub fn parse(src: &str) -> Result<SchemaAst<'_>, SdlError> {
         lexer,
         cur,
         lex_err: None,
-        index: HashMap::new(),
+        index: HashMap::default(),
         names: Vec::new(),
         excuses: Vec::new(),
         depth: 0,
@@ -58,7 +60,7 @@ struct Parser<'a> {
     /// The current token; [`Tok::Eof`] once the lexer has failed.
     cur: Spanned<'a>,
     lex_err: Option<SdlError>,
-    index: HashMap<&'a str, Name>,
+    index: HashMap<&'a str, Name, FxBuildHasher>,
     names: Vec<&'a str>,
     /// Scratch for one declaration's clauses, so each list is allocated once.
     excuses: Vec<ExcuseAst>,
