@@ -667,3 +667,69 @@ fn edited_generated_files_load_as_the_reference_loads_them() {
         assert_same(&schema, &src, &format!("edited seed {seed}"));
     }
 }
+
+/// Pieces a token-soup entry's body is strung from: fields, records,
+/// keys holding a quote, strings, comments, escapes and line breaks, so
+/// that strings and brackets open in one place and close in another.
+const SOUP: &[&str] = &[
+    "home = [", "zip = ", "geo = [lat = ", "age = 1", "[", "]", "a]", "=", ", ", "; ", "1", "@x", "@y",
+    "'Happy", "\"", "\"k = ", "\"a\"", "name = \"", "\\", "-- c", "-", "\n", " ", "\t",
+    "\u{a0}", "{", "}", "é",
+];
+
+/// One to three entries with random heads, random bodies strung from
+/// [`SOUP`], and random ends.
+fn soup(rng: &mut Rng) -> String {
+    let mut out = String::new();
+    for _ in 0..1 + rng.below(3) {
+        out.push_str(rng.pick(&["x", "y", "é", "x y", "", "\"x"]));
+        out.push_str(rng.pick(&[" : Person", " : Place", " : Person, Place", ":", " : \"P", ""]));
+        out.push_str(rng.pick(&[" { ", "{", " [ ", "\n{ ", ""]));
+        for _ in 0..rng.below(12) {
+            out.push_str(rng.pick(SOUP));
+        }
+        out.push_str(rng.pick(&[" }", "}", "] }", "", " } }", "\n}"]));
+        out.push_str(rng.pick(&["\n", "\r\n", " -- c\n", "", "\n\n"]));
+    }
+    out
+}
+
+#[test]
+fn token_soup_loads_as_the_reference_loads_it() {
+    let schema = chc_sdl::compile(SCHEMA).unwrap();
+    let (mut loaded, mut failed) = (0, 0);
+    for seed in 0..20_000u64 {
+        let mut rng = Rng(seed ^ 0x50_0b);
+        let src = soup(&mut rng);
+        if load_data(&schema, &src).is_ok() {
+            loaded += 1;
+        } else {
+            failed += 1;
+        }
+        assert_same(&schema, &src, &format!("soup {seed}"));
+    }
+    assert!(loaded > 30 && failed > 1000, "{loaded} loaded, {failed} failed");
+}
+
+/// Inputs where the readings of one entry part ways: a string open
+/// across a line break (comments are found line by line), a key holding
+/// a quote before a record value, a record closed by `}`, a head with no
+/// class and no closing `}`, and class names and strings that span lines.
+const HANDPICKED: &[&str] = &[
+    "x : Person { name = \"abc\n\", friend = @y -- c\n}\ny : Person {}\n",
+    "x : Person { name = \"abc\n\", friend = @y\n}\ny : Person {}\n",
+    "x : Person { \"k = [zip = 1], home = \"c\"] }\n",
+    "x : Person { home = [zip = 1} }\n",
+    "x : { age = 1 } y\n",
+    "x : Per\n\n  son -- c\n {}\n",
+    "x : Person { name = \"a  -- b\n   c]}\" }\n",
+    "x : Person\n{ home = [street = \"a\\\"\n\"] }\n",
+];
+
+#[test]
+fn handpicked_inputs_load_as_the_reference_loads_them() {
+    let schema = chc_sdl::compile(SCHEMA).unwrap();
+    for (i, src) in HANDPICKED.iter().enumerate() {
+        assert_same(&schema, src, &format!("handpicked {i}"));
+    }
+}
