@@ -672,9 +672,34 @@ fn edited_generated_files_load_as_the_reference_loads_them() {
 /// keys holding a quote, strings, comments, escapes and line breaks, so
 /// that strings and brackets open in one place and close in another.
 const SOUP: &[&str] = &[
-    "home = [", "zip = ", "geo = [lat = ", "age = 1", "[", "]", "a]", "=", ", ", "; ", "1", "@x", "@y",
-    "'Happy", "\"", "\"k = ", "\"a\"", "name = \"", "\\", "-- c", "-", "\n", " ", "\t",
-    "\u{a0}", "{", "}", "é",
+    "home = [",
+    "zip = ",
+    "geo = [lat = ",
+    "age = 1",
+    "[",
+    "]",
+    "a]",
+    "=",
+    ", ",
+    "; ",
+    "1",
+    "@x",
+    "@y",
+    "'Happy",
+    "\"",
+    "\"k = ",
+    "\"a\"",
+    "name = \"",
+    "\\",
+    "-- c",
+    "-",
+    "\n",
+    " ",
+    "\t",
+    "\u{a0}",
+    "{",
+    "}",
+    "é",
 ];
 
 /// One to three entries with random heads, random bodies strung from
@@ -683,7 +708,14 @@ fn soup(rng: &mut Rng) -> String {
     let mut out = String::new();
     for _ in 0..1 + rng.below(3) {
         out.push_str(rng.pick(&["x", "y", "é", "x y", "", "\"x"]));
-        out.push_str(rng.pick(&[" : Person", " : Place", " : Person, Place", ":", " : \"P", ""]));
+        out.push_str(rng.pick(&[
+            " : Person",
+            " : Place",
+            " : Person, Place",
+            ":",
+            " : \"P",
+            "",
+        ]));
         out.push_str(rng.pick(&[" { ", "{", " [ ", "\n{ ", ""]));
         for _ in 0..rng.below(12) {
             out.push_str(rng.pick(SOUP));
@@ -708,13 +740,17 @@ fn token_soup_loads_as_the_reference_loads_it() {
         }
         assert_same(&schema, &src, &format!("soup {seed}"));
     }
-    assert!(loaded > 30 && failed > 1000, "{loaded} loaded, {failed} failed");
+    assert!(
+        loaded > 30 && failed > 1000,
+        "{loaded} loaded, {failed} failed"
+    );
 }
 
 /// Inputs where the readings of one entry part ways: a string open
 /// across a line break (comments are found line by line), a key holding
 /// a quote before a record value, a record closed by `}`, a head with no
-/// class and no closing `}`, and class names and strings that span lines.
+/// class and no closing `}`, class names and strings that span lines, and
+/// a string holding `--` read again behind a forward reference.
 const HANDPICKED: &[&str] = &[
     "x : Person { name = \"abc\n\", friend = @y -- c\n}\ny : Person {}\n",
     "x : Person { name = \"abc\n\", friend = @y\n}\ny : Person {}\n",
@@ -724,6 +760,7 @@ const HANDPICKED: &[&str] = &[
     "x : Per\n\n  son -- c\n {}\n",
     "x : Person { name = \"a  -- b\n   c]}\" }\n",
     "x : Person\n{ home = [street = \"a\\\"\n\"] }\n",
+    "x : Person { name = @y; name = \"--\" }\ny : Person {}\n",
 ];
 
 #[test]
