@@ -60,22 +60,28 @@ impl Value {
     }
 
     /// A compact, single-line rendering with symbols resolved, for
-    /// diagnostics and the audit ledger.
-    pub fn render(&self, schema: &crate::schema::Schema) -> String {
-        match self {
-            Value::Int(i) => i.to_string(),
-            Value::Str(s) => format!("{s:?}"),
-            Value::Tok(t) => format!("'{}", schema.resolve(*t)),
-            Value::Obj(o) => format!("{o}"),
+    /// diagnostics, the audit ledger and `chc query` rows, written
+    /// straight into the formatter.
+    pub fn display<'a>(&'a self, schema: &'a crate::schema::Schema) -> impl std::fmt::Display + 'a {
+        chc_obs::display_with(move |f| match self {
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Tok(t) => write!(f, "'{}", schema.resolve(*t)),
+            Value::Obj(o) => write!(f, "{o}"),
             Value::Record(fields) => {
-                let rendered: Vec<String> = fields
-                    .iter()
-                    .map(|(name, v)| format!("{} = {}", schema.resolve(*name), v.render(schema)))
-                    .collect();
-                format!("[{}]", rendered.join(", "))
+                for (i, (name, v)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "[" } else { ", " };
+                    write!(f, "{sep}{} = {}", schema.resolve(*name), v.display(schema))?;
+                }
+                f.write_str(if fields.is_empty() { "[]" } else { "]" })
             }
-            Value::Absent => "absent".to_string(),
-        }
+            Value::Absent => f.write_str("absent"),
+        })
+    }
+
+    /// [`Value::display`] as a `String`.
+    pub fn render(&self, schema: &crate::schema::Schema) -> String {
+        self.display(schema).to_string()
     }
 
     /// Whether this value is [`Value::Absent`].

@@ -881,7 +881,7 @@ fn run_query(args: &Args, out: &mut dyn Write) -> Result<ExitCode, String> {
     };
     let result = execute(&v.schema, &data.store, &plan);
     for val in &result.values {
-        outln!(out, "{}", val.render(&v.schema));
+        outln!(out, "{}", val.display(&v.schema));
     }
     let stats = &result.stats;
     eprintln!(
