@@ -227,6 +227,27 @@ enum Phase {
     Value,
 }
 
+/// An object name as the key of the name index: a name of up to 7 bytes
+/// is packed with its length into one word, so looking it up compares
+/// words instead of reading the name's text elsewhere in the file.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum NameKey<'a> {
+    Word(u64),
+    Text(&'a str),
+}
+
+impl<'a> NameKey<'a> {
+    fn of(name: &'a str) -> Self {
+        if name.len() > 7 {
+            return NameKey::Text(name);
+        }
+        let mut word = [0u8; 8];
+        word[..name.len()].copy_from_slice(name.as_bytes());
+        word[7] = name.len() as u8;
+        NameKey::Word(u64::from_le_bytes(word))
+    }
+}
+
 /// A top-level attribute value that refers forward, by its byte span and
 /// the comment reading at its start.
 struct Deferred {
@@ -295,7 +316,7 @@ struct Loader<'a, 's> {
     schema: &'s Schema,
     store: ExtentStore,
     names: Vec<(String, Oid)>,
-    by_name: HashMap<&'a str, Oid, FxBuildHasher>,
+    by_name: HashMap<NameKey<'a>, Oid, FxBuildHasher>,
     deferred: Vec<Deferred>,
     /// The first duplicate-object or unknown-class error.
     class_error: Option<DataError>,
@@ -513,7 +534,7 @@ impl<'a> Loader<'a, '_> {
             return;
         }
         c.name = name;
-        if self.class_error.is_none() && self.by_name.contains_key(name) {
+        if self.class_error.is_none() && self.by_name.contains_key(&NameKey::of(name)) {
             self.class_error = Some(DataError::DuplicateObject(name.to_string()));
         }
         c.phase = Phase::Classes;
@@ -567,7 +588,7 @@ impl<'a> Loader<'a, '_> {
         let (oid, fanout) = self.store.create_counted(self.schema, &c.classes);
         (c.fanout, c.oid) = (fanout, Some(oid));
         self.fanout += fanout;
-        self.by_name.insert(c.name, oid);
+        self.by_name.insert(NameKey::of(c.name), oid);
         self.names.push((c.name.to_string(), oid));
     }
 
@@ -879,7 +900,7 @@ impl<'a> Loader<'a, '_> {
                 return Ok(None);
             }
             let name = rest.trim();
-            if let Some(&oid) = self.by_name.get(name) {
+            if let Some(&oid) = self.by_name.get(&NameKey::of(name)) {
                 return Ok(Some(Value::Obj(oid)));
             }
             if self.all_defined {
