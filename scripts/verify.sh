@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temporary file lives in one directory, removed by the one EXIT
+# trap (a later `trap … EXIT` would replace an earlier one).
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/chc-verify.XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -28,8 +33,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> output byte-compare: every line of scripts/stdout.cksum"
-ledger="$(mktemp "${TMPDIR:-/tmp}/chc-ledger.XXXXXX.jsonl")"
-trap 'rm -f "$ledger"' EXIT
+ledger="$tmp/ledger.jsonl"
 grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
     # `args` is shell-quoted in the file (a query string holds spaces).
     eval "set -- $args"
@@ -49,11 +53,9 @@ grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
         echo "FAIL: chc $args $what is '$got', pinned '$crc $bytes'" >&2; exit 1
     fi
 done
-rm -f "$ledger"
 
 echo "==> malformed .chd sweep: positioned syntax errors (exit 2), never a crash"
-deep="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.chd")"
-trap 'rm -f "$deep"' EXIT
+deep="$tmp/deep.chd"
 # A record value nested 20,000 deep: past the loader's nesting limit, and
 # deep enough to overflow the stack of a recursive parser.
 {
@@ -70,11 +72,9 @@ for chd in tests/fixtures/malformed/*.chd "$deep"; do
         echo "FAIL: chc validate on $chd exited $rc with: $err" >&2; exit 1
     fi
 done
-rm -f "$deep"
 
 echo "==> malformed .sdl sweep: positioned errors (exit 2), never a crash"
-deep_sdl="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.sdl")"
-trap 'rm -f "$deep_sdl"' EXIT
+deep_sdl="$tmp/deep.sdl"
 # A record type nested 20,000 deep: past the parser's nesting limit, and
 # deep enough to overflow the stack of a recursive parser.
 {
@@ -91,12 +91,10 @@ for sdl in tests/fixtures/malformed/*.sdl "$deep_sdl"; do
         echo "FAIL: chc check on $sdl exited $rc with: $err" >&2; exit 1
     fi
 done
-rm -f "$deep_sdl"
 
 echo "==> malformed JSON sweep: chc doctor gives positioned errors (exit 2), never a crash"
-deep_json="$(mktemp "${TMPDIR:-/tmp}/chc-deep.XXXXXX.json")"
-cut_json="$(mktemp "${TMPDIR:-/tmp}/chc-cut.XXXXXX.json")"
-trap 'rm -f "$deep_json" "$cut_json"' EXIT
+deep_json="$tmp/deep.json"
+cut_json="$tmp/cut.json"
 # 50,000 unclosed arrays: past the reader's nesting limit, and deep
 # enough to overflow the stack of a recursive parser.
 printf '[%.0s' $(seq 50000) >"$deep_json"
@@ -109,7 +107,6 @@ for json in "$deep_json" "$cut_json"; do
         echo "FAIL: chc doctor on $json exited $rc with: $err" >&2; exit 1
     fi
 done
-rm -f "$deep_json" "$cut_json"
 
 echo "==> chc lint --deny warnings over examples/*.sdl"
 for sdl in examples/data/*.sdl; do
@@ -123,10 +120,9 @@ for chq in examples/data/*_queries.chq; do
 done
 
 echo "==> chc profile smoke: folded stacks + chc-profile/1 JSON, stdout pure"
-prof="$(mktemp "${TMPDIR:-/tmp}/chc-profile.XXXXXX.json")"
-flame="$(mktemp "${TMPDIR:-/tmp}/chc-profile.XXXXXX.folded")"
-pout="$(mktemp "${TMPDIR:-/tmp}/chc-profile.XXXXXX.stdout")"
-trap 'rm -f "$prof" "$flame" "$pout"' EXIT
+prof="$tmp/profile.json"
+flame="$tmp/profile.folded"
+pout="$tmp/profile.stdout"
 ./target/release/chc profile check --hier classes=800,seed=1025 \
     --interval 100us --profile-out "$prof" --flame-out "$flame" \
     >"$pout" 2>/dev/null
@@ -140,16 +136,14 @@ test "$(wc -l < "$pout")" -eq 1                     # stdout: one summary line
 grep -q '^profile: check' "$pout"
 
 echo "==> chc profile --mem smoke: per-class memory columns reconcile"
-mem_err="$(mktemp "${TMPDIR:-/tmp}/chc-profile-mem.XXXXXX.stderr")"
-trap 'rm -f "$prof" "$flame" "$pout" "$mem_err"' EXIT
+mem_err="$tmp/profile-mem.stderr"
 ./target/release/chc profile check --hier classes=800,seed=1025 --mem \
     >/dev/null 2>"$mem_err"
 grep -q ' alloc ' "$mem_err"                        # memory columns present
 grep -q 'mem: global .*% of global.*max class peak' "$mem_err"
 
 echo "==> chc load smoke: HTML report emitted and well-formed"
-report="$(mktemp "${TMPDIR:-/tmp}/chc-load-report.XXXXXX.html")"
-trap 'rm -f "$report" "$prof" "$flame" "$pout" "$mem_err"' EXIT
+report="$tmp/load-report.html"
 ./target/release/chc load examples/data/hospital.sdl examples/data/hospital.chd \
     --ops 500 --threads 2 --seed 42 --report "$report" >/dev/null
 test -s "$report"
@@ -166,8 +160,7 @@ if ./target/release/chc diff examples/data/hospital-evolved.sdl \
     examples/data/hospital.sdl --deny warnings >/dev/null; then
     echo "FAIL: reverse hospital diff passed --deny warnings (D001 missing)" >&2; exit 1
 fi
-diff_json="$(mktemp "${TMPDIR:-/tmp}/chc-diff.XXXXXX.json")"
-trap 'rm -f "$diff_json" "$report" "$prof" "$flame" "$pout" "$mem_err"' EXIT
+diff_json="$tmp/diff.json"
 ./target/release/chc diff examples/data/hospital.sdl \
     examples/data/hospital-evolved.sdl --format json >"$diff_json"
 grep -q '"schema":"chc-diff/1"' "$diff_json"
@@ -175,9 +168,9 @@ grep -q '"schema":"chc-lint/1"' "$diff_json"        # nested lint envelope
 grep -q '"kind":"diff"' "$diff_json"
 
 echo "==> crash smoke: induced panic writes chc-crash/1, doctor renders it"
-crash_dir="$(mktemp -d "${TMPDIR:-/tmp}/chc-crash.XXXXXX")"
-dout="$(mktemp "${TMPDIR:-/tmp}/chc-doctor.XXXXXX.stdout")"
-trap 'rm -rf "$crash_dir"; rm -f "$report" "$prof" "$flame" "$pout" "$mem_err" "$dout"' EXIT
+crash_dir="$tmp/crash"
+mkdir "$crash_dir"
+dout="$tmp/doctor.stdout"
 if CHC_CRASH_INJECT=32 ./target/release/chc \
     --stats-out "$crash_dir/stats.json" \
     load --hier classes=60,seed=7 --ops 64 --threads 2 \
