@@ -17,15 +17,16 @@
 //! that line and the next ones, read as if joined by single spaces; `--`
 //! starts a comment outside a string.
 //!
-//! One byte cursor reads the file once. A table-driven loop passes over
+//! One byte cursor walks the file once. A table-driven loop passes over
 //! blanks and plain content, noting only where content ends; quotes,
 //! brackets, separators, `=`, `:`, line breaks and non-ASCII bytes are
 //! looked at one by one. Names, classes and every value kind are parsed
-//! in place, and each object is created and its values lowered as its
-//! entry is read. A field, and a record value's closing `]`, end where
-//! the field around them ends, so the cursor keeps each open field list's
-//! string and bracket state. A value with an `@ref` to an object defined
-//! further down keeps its byte span and is read again at the end.
+//! in place, from the spans the cursor finds, and each object is created
+//! and its values lowered as its entry is read. A field, and a record
+//! value's closing `]`, end where the field around them ends, so the
+//! cursor keeps each open field list's string and bracket state. A value
+//! with an `@ref` to an object defined further down keeps its byte span
+//! and is read again at the end.
 //!
 //! Errors are reported in a fixed order: the first syntax error in file
 //! order, else the first duplicate-object or unknown-class error, else the
