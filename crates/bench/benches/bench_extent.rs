@@ -130,7 +130,10 @@ fn chd_text(schema: &Schema, store: &ExtentStore) -> String {
             .filter(|&&c| !concrete.iter().any(|&d| d != c && schema.is_subclass(d, c)))
             .map(|&c| schema.class_name(c))
             .collect();
-        let mut attrs: Vec<Sym> = concrete.iter().flat_map(|&c| schema.applicable_attrs(c)).collect();
+        let mut attrs: Vec<Sym> = concrete
+            .iter()
+            .flat_map(|&c| schema.applicable_attrs(c))
+            .collect();
         attrs.sort_unstable();
         attrs.dedup();
         let fields: Vec<String> = attrs
@@ -140,7 +143,12 @@ fn chd_text(schema: &Schema, store: &ExtentStore) -> String {
                 Some(format!("{} = {}", schema.resolve(a), value(schema, v)))
             })
             .collect();
-        out.push_str(&format!("o{} : {} {{ {} }}\n", oid.raw(), leaves.join(", "), fields.join(", ")));
+        out.push_str(&format!(
+            "o{} : {} {{ {} }}\n",
+            oid.raw(),
+            leaves.join(", "),
+            fields.join(", ")
+        ));
     }
     out
 }
@@ -156,7 +164,10 @@ fn bench_load(c: &mut Criterion) {
     });
     let schema = &db.virtualized.schema;
     let text = chd_text(schema, &db.store);
-    let objects = load_data(schema, &text).expect("the written text loads").names.len();
+    let objects = load_data(schema, &text)
+        .expect("the written text loads")
+        .names
+        .len();
     group.throughput(Throughput::Elements(objects as u64));
     group.bench_function("hospital_10000", |b| {
         b.iter(|| load_data(schema, &text).expect("the written text loads"))
