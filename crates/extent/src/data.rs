@@ -228,27 +228,6 @@ enum Phase {
     Value,
 }
 
-/// An object name as the key of the name index: a name of up to 7 bytes
-/// is packed with its length into one word, so looking it up compares
-/// words instead of reading the name's text elsewhere in the file.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum NameKey<'a> {
-    Word(u64),
-    Text(&'a str),
-}
-
-impl<'a> NameKey<'a> {
-    fn of(name: &'a str) -> Self {
-        if name.len() > 7 {
-            return NameKey::Text(name);
-        }
-        let mut word = [0u8; 8];
-        word[..name.len()].copy_from_slice(name.as_bytes());
-        word[7] = name.len() as u8;
-        NameKey::Word(u64::from_le_bytes(word))
-    }
-}
-
 /// A top-level attribute value that refers forward, by its byte span and
 /// the comment reading at its start.
 struct Deferred {
@@ -317,7 +296,7 @@ struct Loader<'a, 's> {
     schema: &'s Schema,
     store: ExtentStore,
     names: Vec<(String, Oid)>,
-    by_name: HashMap<NameKey<'a>, Oid, FxBuildHasher>,
+    by_name: HashMap<&'a str, Oid, FxBuildHasher>,
     deferred: Vec<Deferred>,
     /// The first duplicate-object or unknown-class error.
     class_error: Option<DataError>,
@@ -535,7 +514,7 @@ impl<'a> Loader<'a, '_> {
             return;
         }
         c.name = name;
-        if self.class_error.is_none() && self.by_name.contains_key(&NameKey::of(name)) {
+        if self.class_error.is_none() && self.by_name.contains_key(name) {
             self.class_error = Some(DataError::DuplicateObject(name.to_string()));
         }
         c.phase = Phase::Classes;
@@ -584,28 +563,12 @@ impl<'a> Loader<'a, '_> {
         if self.class_error.is_some() {
             return;
         }
-        self.reserve();
         let c = &mut self.cur;
         let (oid, fanout) = self.store.create_counted(self.schema, &c.classes);
         (c.fanout, c.oid) = (fanout, Some(oid));
         self.fanout += fanout;
-        self.by_name.insert(NameKey::of(c.name), oid);
+        self.by_name.insert(c.name, oid);
         self.names.push((c.name.to_string(), oid));
-    }
-
-    /// Once the first 1,024 objects show how densely the file holds
-    /// them, sizes the object tables for the whole file (and again if
-    /// that falls short), rather than regrowing them at every doubling.
-    fn reserve(&mut self) {
-        let n = self.names.len();
-        if n < 1024 || n < self.names.capacity() {
-            return;
-        }
-        let expected = (n as u64 * self.cur.src.len() as u64 / self.cur.pos as u64) as usize;
-        let more = (expected + expected / 16).saturating_sub(n).max(n / 8);
-        self.names.reserve_exact(more);
-        self.by_name.reserve(more);
-        self.store.reserve(more);
     }
 
     /// At a `,` or `;`: ends the field of the outermost level it
@@ -901,7 +864,7 @@ impl<'a> Loader<'a, '_> {
                 return Ok(None);
             }
             let name = rest.trim();
-            if let Some(&oid) = self.by_name.get(&NameKey::of(name)) {
+            if let Some(&oid) = self.by_name.get(name) {
                 return Ok(Some(Value::Obj(oid)));
             }
             if self.all_defined {

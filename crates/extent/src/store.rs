@@ -218,12 +218,6 @@ impl ExtentStore {
         }
     }
 
-    /// Makes room for `objects` more objects.
-    pub(crate) fn reserve(&mut self, objects: usize) {
-        self.objects.reserve_exact(objects);
-        self.membership.reserve_exact(objects * self.stride);
-    }
-
     /// Replaces all of an object's attribute values; `values` names each
     /// attribute at most once.
     pub(crate) fn set_attrs(&mut self, oid: Oid, values: Vec<(Sym, Value)>) {
