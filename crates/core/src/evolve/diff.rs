@@ -17,9 +17,9 @@
 //! Checking stays one full [`check`] of the new schema; `chc check
 //! --since` reports the cone beside it on stderr.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use chc_model::{ClassId, Range, Schema, Span, Sym};
+use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, FieldSpec, Range, Schema, Span, Sym};
 
 use crate::check::check;
 use crate::diagnostics::CheckReport;
@@ -223,108 +223,143 @@ pub enum RangeRel {
     Changed,
 }
 
-/// Translates a range from `old`'s id space into `new`'s, matching classes
-/// by name and enum tokens / field names by spelling. `None` when some
-/// referenced class or token has no counterpart in `new`.
-fn translate_range(old: &Schema, range: &Range, new: &Schema) -> Option<Range> {
-    match range {
-        Range::Int { lo, hi } => Some(Range::Int { lo: *lo, hi: *hi }),
-        Range::Str => Some(Range::Str),
-        Range::AnyEntity => Some(Range::AnyEntity),
-        Range::None => Some(Range::None),
-        Range::Enum(set) => set
-            .iter()
-            .map(|t| new.sym(old.resolve(*t)))
-            .collect::<Option<BTreeSet<Sym>>>()
-            .map(Range::Enum),
-        Range::Class(c) => new.class_by_name(old.class_name(*c)).map(Range::Class),
-        Range::Record { base, fields } => {
-            let base = match base {
-                Some(c) => Some(new.class_by_name(old.class_name(*c))?),
-                None => None,
-            };
-            let fields = fields
-                .iter()
-                .map(|f| {
-                    let name = new.sym(old.resolve(f.name))?;
-                    let range = translate_range(old, &f.spec.range, new)?;
-                    // Excuse clauses inside field specs do not affect
-                    // subsumption; drop them rather than translating.
-                    Some(chc_model::FieldSpec {
-                        name,
-                        spec: chc_model::AttrSpec::plain(range),
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(Range::Record { base, fields })
-        }
-    }
+/// Old ids in the new schema's id space: a symbol matched by spelling,
+/// a class by name. Built once per diff, with one lookup per old symbol.
+struct IdMap<'s> {
+    old: &'s Schema,
+    new: &'s Schema,
+    /// Indexed by old [`Sym`]: the new symbol of the same spelling.
+    new_syms: Vec<Option<Sym>>,
+    /// Indexed by new [`Sym`]: the old symbol of the same spelling.
+    old_syms: Vec<Option<Sym>>,
 }
 
-/// Compares an old range against its replacement across schemas.
-///
-/// Enumerations are compared by resolved token spelling (a token the new
-/// schema never interns is still a plain narrowing, not a [`Changed`]);
-/// everything else is translated into the new schema and compared with
-/// [`Range::subsumes`] both ways.
-pub fn compare_ranges(old: &Schema, old_range: &Range, new: &Schema, new_range: &Range) -> RangeRel {
-    if let (Range::Enum(os), Range::Enum(ns)) = (old_range, new_range) {
-        let on: BTreeSet<&str> = os.iter().map(|t| old.resolve(*t)).collect();
-        let nn: BTreeSet<&str> = ns.iter().map(|t| new.resolve(*t)).collect();
-        return match (nn.is_subset(&on), on.is_subset(&nn)) {
+impl<'s> IdMap<'s> {
+    fn new(old: &'s Schema, new: &'s Schema) -> Self {
+        let mut ids = IdMap {
+            old,
+            new,
+            new_syms: vec![None; old.num_syms()],
+            old_syms: vec![None; new.num_syms()],
+        };
+        for (i, slot) in ids.new_syms.iter_mut().enumerate() {
+            let os = Sym::from_raw(i as u32);
+            *slot = new.sym(old.resolve(os));
+            if let Some(ns) = *slot {
+                ids.old_syms[ns.index()] = Some(os);
+            }
+        }
+        ids
+    }
+
+    fn new_sym(&self, old: Sym) -> Option<Sym> {
+        self.new_syms[old.index()]
+    }
+
+    fn old_sym(&self, new: Sym) -> Option<Sym> {
+        self.old_syms[new.index()]
+    }
+
+    fn new_class(&self, old: ClassId) -> Option<ClassId> {
+        self.new.class_by_sym(self.new_sym(self.old.class(old).name)?)
+    }
+
+    fn old_class(&self, new: ClassId) -> Option<ClassId> {
+        self.old.class_by_sym(self.old_sym(self.new.class(new).name)?)
+    }
+
+    /// An old `excuses attr on C` clause as a new `(attr, C)` pair.
+    fn new_clause(&self, e: &Excuse) -> Option<(Sym, ClassId)> {
+        Some((self.new_sym(e.attr)?, self.new_class(e.on)?))
+    }
+
+    /// Translates an old range into the new id space. `None` when some
+    /// referenced class or token has no counterpart in the new schema.
+    fn translate(&self, range: &Range) -> Option<Range> {
+        match range {
+            Range::Int { .. } | Range::Str | Range::AnyEntity | Range::None => Some(range.clone()),
+            Range::Enum(set) => set
+                .iter()
+                .map(|&t| self.new_sym(t))
+                .collect::<Option<BTreeSet<Sym>>>()
+                .map(Range::Enum),
+            Range::Class(c) => self.new_class(*c).map(Range::Class),
+            Range::Record { base, fields } => {
+                let base = match base {
+                    Some(c) => Some(self.new_class(*c)?),
+                    None => None,
+                };
+                let fields = fields
+                    .iter()
+                    .map(|f| {
+                        let name = self.new_sym(f.name)?;
+                        let range = self.translate(&f.spec.range)?;
+                        // Excuse clauses inside field specs do not affect
+                        // subsumption; drop them rather than translating.
+                        Some(FieldSpec { name, spec: AttrSpec::plain(range) })
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                Some(Range::Record { base, fields })
+            }
+        }
+    }
+
+    /// Compares an old range against its replacement.
+    ///
+    /// Enumerations are compared by token spelling (a token the new
+    /// schema never interns is still a plain narrowing, not a
+    /// [`RangeRel::Changed`]); everything else is translated into the new
+    /// schema and compared with [`Range::subsumes`] both ways.
+    fn compare_ranges(&self, old_range: &Range, new_range: &Range) -> RangeRel {
+        let (new_within_old, old_within_new) = match (old_range, new_range) {
+            (Range::Enum(os), Range::Enum(ns)) => {
+                let kept = os
+                    .iter()
+                    .filter(|&&t| self.new_sym(t).is_some_and(|n| ns.contains(&n)))
+                    .count();
+                (kept == ns.len(), kept == os.len())
+            }
+            _ => match self.translate(old_range) {
+                Some(old) => {
+                    (old.subsumes(self.new, new_range), new_range.subsumes(self.new, &old))
+                }
+                None => return RangeRel::Changed,
+            },
+        };
+        match (new_within_old, old_within_new) {
             (true, true) => RangeRel::Equal,
             (true, false) => RangeRel::Narrowed,
             (false, true) => RangeRel::Widened,
             (false, false) => RangeRel::Changed,
-        };
-    }
-    let Some(translated) = translate_range(old, old_range, new) else {
-        return RangeRel::Changed;
-    };
-    let old_subsumes_new = translated.subsumes(new, new_range);
-    let new_subsumes_old = new_range.subsumes(new, &translated);
-    match (old_subsumes_new, new_subsumes_old) {
-        (true, true) => RangeRel::Equal,
-        (true, false) => RangeRel::Narrowed,
-        (false, true) => RangeRel::Widened,
-        (false, false) => RangeRel::Changed,
+        }
     }
 }
 
-/// The `(excused-attr, on-class)` clauses of a declaration, by name.
-fn excuse_names(schema: &Schema, class: ClassId, attr: Sym) -> BTreeSet<(String, String)> {
-    match schema.declared_attr(class, attr) {
-        Some(decl) => decl
-            .spec
-            .excuses
-            .iter()
-            .map(|e| {
-                (
-                    schema.resolve(e.attr).to_string(),
-                    schema.class_name(e.on).to_string(),
-                )
-            })
-            .collect(),
-        None => BTreeSet::new(),
-    }
+/// Sorts clauses by (attribute name, class name), the order edits are
+/// reported in, and drops repeats.
+fn by_names(schema: &Schema, clauses: &mut Vec<Excuse>) {
+    let names = |e: &Excuse| (schema.resolve(e.attr), schema.class_name(e.on));
+    clauses.sort_unstable_by(|a, b| names(a).cmp(&names(b)));
+    clauses.dedup();
 }
 
 /// Computes the semantic diff between two independently compiled schemas.
 ///
 /// Classes, attributes, is-a edges, and excuse clauses are matched by
-/// *name* — ids and interned symbols are schema-private. A renamed class
-/// therefore reports as retire + add, which is the honest answer: nothing
-/// ties the two definitions together once the name is gone.
+/// *name* — ids and interned symbols are schema-private, so each old one
+/// is translated into the new schema once. A renamed class therefore
+/// reports as retire + add, which is the honest answer: nothing ties the
+/// two definitions together once the name is gone.
 pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDiff {
+    let ids = IdMap::new(old, new);
     let mut edits = Vec::new();
 
     for nc in new.class_ids() {
-        let name = new.class_name(nc);
-        let Some(oc) = old.class_by_name(name) else {
+        let Some(oc) = ids.old_class(nc) else {
             edits.push(SchemaEdit {
                 kind: EditKind::Additive,
                 detail: EditDetail::ClassAdded,
-                class: name.to_string(),
+                class: new.class_name(nc).to_string(),
                 attr: None,
                 old_class: None,
                 new_class: Some(nc),
@@ -333,16 +368,15 @@ pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDiff {
             });
             continue;
         };
-        diff_class(old, oc, new, nc, &mut edits);
+        diff_class(&ids, oc, nc, &mut edits);
     }
 
     for oc in old.class_ids() {
-        let name = old.class_name(oc);
-        if new.class_by_name(name).is_none() {
+        if ids.new_class(oc).is_none() {
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
                 detail: EditDetail::ClassRetired,
-                class: name.to_string(),
+                class: old.class_name(oc).to_string(),
                 attr: None,
                 old_class: Some(oc),
                 new_class: None,
@@ -356,46 +390,55 @@ pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDiff {
 }
 
 /// Diffs one matched class pair: edges, then attributes, then excuses.
-fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut Vec<SchemaEdit>) {
+fn diff_class(ids: &IdMap<'_>, oc: ClassId, nc: ClassId, edits: &mut Vec<SchemaEdit>) {
+    let (old, new) = (ids.old, ids.new);
     let name = new.class_name(nc).to_string();
 
-    let old_supers: BTreeSet<&str> = old.supers(oc).iter().map(|&s| old.class_name(s)).collect();
-    let new_supers: BTreeSet<&str> = new.supers(nc).iter().map(|&s| new.class_name(s)).collect();
-    for &sup in new_supers.difference(&old_supers) {
-        let sup_id = new.class_by_name(sup).expect("direct super resolves");
+    let mut added: Vec<ClassId> = new
+        .supers(nc)
+        .iter()
+        .copied()
+        .filter(|&s| !old.supers(oc).iter().any(|&o| ids.new_class(o) == Some(s)))
+        .collect();
+    added.sort_unstable_by_key(|&s| new.class_name(s));
+    for sup in added {
         edits.push(SchemaEdit {
             kind: EditKind::Breaking,
-            detail: EditDetail::EdgeAdded { sup: sup.to_string() },
+            detail: EditDetail::EdgeAdded { sup: new.class_name(sup).to_string() },
             class: name.clone(),
             attr: None,
             old_class: Some(oc),
             new_class: Some(nc),
             old_span: old.source_map().class_span(oc),
-            new_span: new.source_map().super_span(nc, sup_id),
+            new_span: new.source_map().super_span(nc, sup),
         });
     }
-    for &sup in old_supers.difference(&new_supers) {
-        let sup_id = old.class_by_name(sup).expect("direct super resolves");
+    let mut removed: Vec<ClassId> = old
+        .supers(oc)
+        .iter()
+        .copied()
+        .filter(|&o| ids.new_class(o).is_none_or(|s| !new.supers(nc).contains(&s)))
+        .collect();
+    removed.sort_unstable_by_key(|&s| old.class_name(s));
+    for sup in removed {
         edits.push(SchemaEdit {
             kind: EditKind::Breaking,
-            detail: EditDetail::EdgeRemoved { sup: sup.to_string() },
+            detail: EditDetail::EdgeRemoved { sup: old.class_name(sup).to_string() },
             class: name.clone(),
             attr: None,
             old_class: Some(oc),
             new_class: Some(nc),
-            old_span: old.source_map().super_span(oc, sup_id),
+            old_span: old.source_map().super_span(oc, sup),
             new_span: new.source_map().class_span(nc),
         });
     }
 
-    let old_attrs: BTreeMap<&str, Sym> =
-        old.class(oc).attrs.iter().map(|d| (old.resolve(d.name), d.name)).collect();
-    let new_attrs: BTreeMap<&str, Sym> =
-        new.class(nc).attrs.iter().map(|d| (new.resolve(d.name), d.name)).collect();
-
-    for (&attr_name, &na) in &new_attrs {
-        let n_spec = &new.declared_attr(nc, na).expect("declared").spec;
-        let Some(&oa) = old_attrs.get(attr_name) else {
+    let mut new_attrs: Vec<&AttrDecl> = new.class(nc).attrs.iter().collect();
+    new_attrs.sort_unstable_by_key(|d| new.resolve(d.name));
+    for nd in new_attrs {
+        let (na, n_spec) = (nd.name, &nd.spec);
+        let attr_name = new.resolve(na);
+        let Some(od) = ids.old_sym(na).and_then(|oa| old.declared_attr(oc, oa)) else {
             edits.push(SchemaEdit {
                 kind: EditKind::Additive,
                 detail: EditDetail::AttrAdded { range: n_spec.range.render(new).to_string() },
@@ -408,32 +451,20 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             });
             continue;
         };
-        let o_spec = &old.declared_attr(oc, oa).expect("declared").spec;
+        let (oa, o_spec) = (od.name, &od.spec);
 
-        let rel = compare_ranges(old, &o_spec.range, new, &n_spec.range);
+        let rel = ids.compare_ranges(&o_spec.range, &n_spec.range);
         if rel != RangeRel::Equal {
+            let old_r = o_spec.range.render(old).to_string();
+            let new_r = n_spec.range.render(new).to_string();
             let (kind, detail) = match rel {
-                RangeRel::Narrowed => (
-                    EditKind::Refining,
-                    EditDetail::RangeNarrowed {
-                        old: o_spec.range.render(old).to_string(),
-                        new: n_spec.range.render(new).to_string(),
-                    },
-                ),
-                RangeRel::Widened => (
-                    EditKind::Breaking,
-                    EditDetail::RangeWidened {
-                        old: o_spec.range.render(old).to_string(),
-                        new: n_spec.range.render(new).to_string(),
-                    },
-                ),
-                _ => (
-                    EditKind::Breaking,
-                    EditDetail::RangeChanged {
-                        old: o_spec.range.render(old).to_string(),
-                        new: n_spec.range.render(new).to_string(),
-                    },
-                ),
+                RangeRel::Narrowed => {
+                    (EditKind::Refining, EditDetail::RangeNarrowed { old: old_r, new: new_r })
+                }
+                RangeRel::Widened => {
+                    (EditKind::Breaking, EditDetail::RangeWidened { old: old_r, new: new_r })
+                }
+                _ => (EditKind::Breaking, EditDetail::RangeChanged { old: old_r, new: new_r }),
             };
             edits.push(SchemaEdit {
                 kind,
@@ -447,56 +478,84 @@ fn diff_class(old: &Schema, oc: ClassId, new: &Schema, nc: ClassId, edits: &mut 
             });
         }
 
-        let old_exc = excuse_names(old, oc, oa);
-        let new_exc = excuse_names(new, nc, na);
-        for (excused, on) in new_exc.difference(&old_exc) {
-            let span = new
-                .sym(excused)
-                .zip(new.class_by_name(on))
-                .and_then(|(e, on_id)| new.source_map().excuse_span(nc, e, on_id));
+        // Both clause lists as sorted `(attr, on)` pairs in the new id
+        // space; names are resolved only for the clauses that differ.
+        let mut new_exc: Vec<(Sym, ClassId)> =
+            n_spec.excuses.iter().map(|e| (e.attr, e.on)).collect();
+        let mut old_exc: Vec<(Sym, ClassId)> =
+            o_spec.excuses.iter().filter_map(|e| ids.new_clause(e)).collect();
+        new_exc.sort_unstable();
+        old_exc.sort_unstable();
+        let mut gained: Vec<Excuse> = n_spec
+            .excuses
+            .iter()
+            .copied()
+            .filter(|e| old_exc.binary_search(&(e.attr, e.on)).is_err())
+            .collect();
+        let mut lost: Vec<Excuse> = o_spec
+            .excuses
+            .iter()
+            .copied()
+            .filter(|e| ids.new_clause(e).is_none_or(|c| new_exc.binary_search(&c).is_err()))
+            .collect();
+        by_names(new, &mut gained);
+        by_names(old, &mut lost);
+        for e in gained {
             edits.push(SchemaEdit {
                 kind: EditKind::Refining,
-                detail: EditDetail::ExcuseAdded { excused: excused.clone(), on: on.clone() },
+                detail: EditDetail::ExcuseAdded {
+                    excused: new.resolve(e.attr).to_string(),
+                    on: new.class_name(e.on).to_string(),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
                 new_class: Some(nc),
                 old_span: old.source_map().attr_span(oc, oa),
-                new_span: span.or_else(|| new.source_map().attr_span(nc, na)),
+                new_span: new
+                    .source_map()
+                    .excuse_span(nc, e.attr, e.on)
+                    .or_else(|| new.source_map().attr_span(nc, na)),
             });
         }
-        for (excused, on) in old_exc.difference(&new_exc) {
-            let span = old
-                .sym(excused)
-                .zip(old.class_by_name(on))
-                .and_then(|(e, on_id)| old.source_map().excuse_span(oc, e, on_id));
+        for e in lost {
             edits.push(SchemaEdit {
                 kind: EditKind::Breaking,
-                detail: EditDetail::ExcuseRetired { excused: excused.clone(), on: on.clone() },
+                detail: EditDetail::ExcuseRetired {
+                    excused: old.resolve(e.attr).to_string(),
+                    on: old.class_name(e.on).to_string(),
+                },
                 class: name.clone(),
                 attr: Some(attr_name.to_string()),
                 old_class: Some(oc),
                 new_class: Some(nc),
-                old_span: span.or_else(|| old.source_map().attr_span(oc, oa)),
+                old_span: old
+                    .source_map()
+                    .excuse_span(oc, e.attr, e.on)
+                    .or_else(|| old.source_map().attr_span(oc, oa)),
                 new_span: new.source_map().attr_span(nc, na),
             });
         }
     }
 
-    for (&attr_name, &oa) in &old_attrs {
-        if !new_attrs.contains_key(attr_name) {
-            let o_spec = &old.declared_attr(oc, oa).expect("declared").spec;
-            edits.push(SchemaEdit {
-                kind: EditKind::Breaking,
-                detail: EditDetail::AttrRemoved { range: o_spec.range.render(old).to_string() },
-                class: name.clone(),
-                attr: Some(attr_name.to_string()),
-                old_class: Some(oc),
-                new_class: Some(nc),
-                old_span: old.source_map().attr_span(oc, oa),
-                new_span: new.source_map().class_span(nc),
-            });
-        }
+    let mut removed: Vec<&AttrDecl> = old
+        .class(oc)
+        .attrs
+        .iter()
+        .filter(|od| ids.new_sym(od.name).and_then(|na| new.declared_attr(nc, na)).is_none())
+        .collect();
+    removed.sort_unstable_by_key(|d| old.resolve(d.name));
+    for od in removed {
+        edits.push(SchemaEdit {
+            kind: EditKind::Breaking,
+            detail: EditDetail::AttrRemoved { range: od.spec.range.render(old).to_string() },
+            class: name.clone(),
+            attr: Some(old.resolve(od.name).to_string()),
+            old_class: Some(oc),
+            new_class: Some(nc),
+            old_span: old.source_map().attr_span(oc, od.name),
+            new_span: new.source_map().class_span(nc),
+        });
     }
 }
 
@@ -604,6 +663,7 @@ pub fn check_incremental(old: &Schema, _old_report: &CheckReport, new: &Schema) 
 mod tests {
     use super::*;
     use chc_sdl::compile;
+    use std::collections::BTreeMap;
 
     const HOSPITAL_OLD: &str = "
         class Physician;

@@ -109,10 +109,20 @@ impl Schema {
         self.interner.get(s)
     }
 
+    /// Number of interned symbols: every [`Sym`] of this schema has an
+    /// index below it.
+    pub fn num_syms(&self) -> usize {
+        self.interner.len()
+    }
+
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        let sym = self.interner.get(name)?;
-        self.by_name.get(sym.index()).copied().flatten()
+        self.class_by_sym(self.interner.get(name)?)
+    }
+
+    /// Finds a class by its interned name.
+    pub fn class_by_sym(&self, name: Sym) -> Option<ClassId> {
+        self.by_name.get(name.index()).copied().flatten()
     }
 
     /// Whether `sub` is `sup` or a (transitive) subclass of it.

@@ -14,8 +14,6 @@
 //! preserves class ids, so positions recorded for the original text stay
 //! valid for unchanged entities after a rebuild.
 
-use std::collections::HashMap;
-
 use crate::class::ClassId;
 use crate::symbol::Sym;
 
@@ -39,22 +37,82 @@ impl std::fmt::Display for Span {
 /// from. Empty for schemas assembled directly through [`SchemaBuilder`]
 /// (every lookup returns `None`).
 ///
+/// Every table is dense by class id, so a lookup is an index or a binary
+/// search within one class's run, and recording classes in id order (as
+/// lowering does) appends.
+///
 /// [`SchemaBuilder`]: crate::builder::SchemaBuilder
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
     /// The file the source came from, when known (used as the diagnostic
     /// path prefix).
     file: Option<String>,
-    /// class → position of its `class` keyword.
-    classes: HashMap<ClassId, Span>,
-    /// (class, attr) → position of the attribute name in the declaration.
-    attrs: HashMap<(ClassId, Sym), Span>,
-    /// (excuser class, excused attr, excused class) → position of the
-    /// `excuses` keyword of that clause.
-    excuses: HashMap<(ClassId, Sym, ClassId), Span>,
-    /// (class, direct super) → position of the superclass name in the
-    /// `is-a` list.
-    supers: HashMap<(ClassId, ClassId), Span>,
+    /// Indexed by class: the position of its `class` keyword.
+    classes: Vec<Option<Span>>,
+    /// attr → position of the attribute name in the declaration.
+    attrs: Runs<Sym>,
+    /// (excused attr, excused class) → position of the `excuses` keyword
+    /// of that clause in one of the class's declarations.
+    excuses: Runs<(Sym, ClassId)>,
+    /// direct super → position of the superclass name in the `is-a` list.
+    supers: Runs<ClassId>,
+}
+
+/// Spans keyed by `(class, key)`, kept as one run of rows per class in
+/// class-id order, each run sorted by key.
+#[derive(Debug, Clone)]
+struct Runs<K> {
+    /// `ends[c]` is one past class `c`'s last row, which start at
+    /// `ends[c - 1]` (0 for the first class). Classes past the end have
+    /// no rows.
+    ends: Vec<usize>,
+    rows: Vec<(K, Span)>,
+}
+
+impl<K> Default for Runs<K> {
+    fn default() -> Self {
+        Runs { ends: Vec::new(), rows: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy> Runs<K> {
+    fn start(&self, c: usize) -> usize {
+        if c == 0 {
+            0
+        } else {
+            self.ends[c - 1]
+        }
+    }
+
+    fn run(&self, class: ClassId) -> &[(K, Span)] {
+        let c = class.index();
+        match self.ends.get(c) {
+            Some(&end) => &self.rows[self.start(c)..end],
+            None => &[],
+        }
+    }
+
+    /// Inserts after every row of `class` with a key up to `key`, so the
+    /// run stays sorted and a repeated key finds the later span. For the
+    /// last class recorded so far and a key no smaller than its run's
+    /// last, that is a push.
+    fn record(&mut self, class: ClassId, key: K, span: Span) {
+        let c = class.index();
+        if self.ends.len() <= c {
+            self.ends.resize(c + 1, self.rows.len());
+        }
+        let at = self.start(c) + self.run(class).partition_point(|&(k, _)| k <= key);
+        self.rows.insert(at, (key, span));
+        for end in &mut self.ends[c..] {
+            *end += 1;
+        }
+    }
+
+    fn get(&self, class: ClassId, key: K) -> Option<Span> {
+        let run = self.run(class);
+        let after = run.partition_point(|&(k, _)| k <= key);
+        run[..after].last().filter(|&&(k, _)| k == key).map(|&(_, span)| span)
+    }
 }
 
 impl SourceMap {
@@ -66,9 +124,9 @@ impl SourceMap {
     /// Whether any span was recorded at all.
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
-            && self.attrs.is_empty()
-            && self.excuses.is_empty()
-            && self.supers.is_empty()
+            && self.attrs.rows.is_empty()
+            && self.excuses.rows.is_empty()
+            && self.supers.rows.is_empty()
     }
 
     /// The source file name, if one was recorded.
@@ -83,43 +141,47 @@ impl SourceMap {
 
     /// Records the position of a class definition.
     pub fn record_class(&mut self, class: ClassId, span: Span) {
-        self.classes.insert(class, span);
+        let c = class.index();
+        if self.classes.len() <= c {
+            self.classes.resize(c + 1, None);
+        }
+        self.classes[c] = Some(span);
     }
 
     /// Records the position of an attribute declaration.
     pub fn record_attr(&mut self, class: ClassId, attr: Sym, span: Span) {
-        self.attrs.insert((class, attr), span);
+        self.attrs.record(class, attr, span);
     }
 
     /// Records the position of an `excuses attr on C` clause carried by
     /// `class`'s declaration of `attr`.
     pub fn record_excuse(&mut self, class: ClassId, attr: Sym, on: ClassId, span: Span) {
-        self.excuses.insert((class, attr, on), span);
+        self.excuses.record(class, (attr, on), span);
     }
 
     /// Records the position of the direct is-a edge `class is-a sup`.
     pub fn record_super(&mut self, class: ClassId, sup: ClassId, span: Span) {
-        self.supers.insert((class, sup), span);
+        self.supers.record(class, sup, span);
     }
 
     /// The position of a class definition.
     pub fn class_span(&self, class: ClassId) -> Option<Span> {
-        self.classes.get(&class).copied()
+        self.classes.get(class.index()).copied().flatten()
     }
 
     /// The position of an attribute declaration.
     pub fn attr_span(&self, class: ClassId, attr: Sym) -> Option<Span> {
-        self.attrs.get(&(class, attr)).copied()
+        self.attrs.get(class, attr)
     }
 
     /// The position of an excuse clause.
     pub fn excuse_span(&self, class: ClassId, attr: Sym, on: ClassId) -> Option<Span> {
-        self.excuses.get(&(class, attr, on)).copied()
+        self.excuses.get(class, (attr, on))
     }
 
     /// The position of a direct is-a edge.
     pub fn super_span(&self, class: ClassId, sup: ClassId) -> Option<Span> {
-        self.supers.get(&(class, sup)).copied()
+        self.supers.get(class, sup)
     }
 
     /// The best position for a diagnostic at `(class, attr)`: the
@@ -189,6 +251,24 @@ mod tests {
         assert_eq!(m.super_span(sub, b), Some(Span { line: 3, col: 22 }));
         // The edge is directed: the reverse pair was never recorded.
         assert_eq!(m.super_span(a, sub), None);
+    }
+
+    #[test]
+    fn classes_may_be_recorded_in_any_order() {
+        let mut m = SourceMap::new();
+        let at = |line, col| Some(Span { line, col });
+        let (a, b, c) = (ClassId::from_raw(0), ClassId::from_raw(2), ClassId::from_raw(5));
+        m.record_super(c, b, Span { line: 9, col: 5 });
+        m.record_super(b, a, Span { line: 4, col: 1 });
+        m.record_super(c, a, Span { line: 9, col: 1 });
+        // A repeated key answers with the later span.
+        m.record_super(b, a, Span { line: 4, col: 7 });
+        assert_eq!(m.super_span(b, a), at(4, 7));
+        assert_eq!(m.super_span(c, a), at(9, 1));
+        assert_eq!(m.super_span(c, b), at(9, 5));
+        for class in [a, ClassId::from_raw(3), ClassId::from_raw(9)] {
+            assert_eq!(m.super_span(class, a), None);
+        }
     }
 
     #[test]
