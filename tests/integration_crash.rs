@@ -17,10 +17,28 @@ fn chc(args: &[&str], envs: &[(&str, &str)]) -> Output {
     cmd.output().expect("chc runs")
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chc-crash-tests-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A directory of one test's own, removed when the test ends, failed or
+/// not.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> TempDir {
+        let dir = std::env::temp_dir()
+            .join(format!("chc-crash-tests-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        // Drop must not panic: a directory left behind is only litter.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn num(doc: &JsonValue, key: &str) -> f64 {
@@ -30,10 +48,11 @@ fn num(doc: &JsonValue, key: &str) -> f64 {
 /// The heart of the tentpole: panic mid-load, get every artifact anyway.
 #[test]
 fn induced_panic_flushes_sinks_and_writes_crash_report() {
-    let crash = tmp("crash.json");
-    let stats = tmp("crash-stats.json");
-    let audit = tmp("crash-audit.jsonl");
-    let trace = tmp("crash-trace.json");
+    let tmp = TempDir::new("induced-panic");
+    let crash = tmp.join("crash.json");
+    let stats = tmp.join("crash-stats.json");
+    let audit = tmp.join("crash-audit.jsonl");
+    let trace = tmp.join("crash-trace.json");
     let out = chc(
         &[
             "--stats-out",
@@ -139,8 +158,8 @@ fn induced_panic_flushes_sinks_and_writes_crash_report() {
 
 #[test]
 fn crash_dir_env_var_names_the_report() {
-    let dir = tmp("crashdir");
-    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = TempDir::new("crash-dir");
+    let dir = &tmp.0;
     let out = chc(
         &[
             "load",
@@ -154,7 +173,7 @@ fn crash_dir_env_var_names_the_report() {
         &[("CHC_CRASH_INJECT", "5"), ("CHC_CRASH_DIR", dir.to_str().unwrap())],
     );
     assert!(!out.status.success());
-    let report = std::fs::read_dir(&dir)
+    let report = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .find(|e| {
@@ -171,13 +190,14 @@ fn crash_dir_env_var_names_the_report() {
 
 #[test]
 fn doctor_rejects_non_crash_input() {
-    let bad = tmp("bad.json");
+    let tmp = TempDir::new("doctor-rejects");
+    let bad = tmp.join("bad.json");
     std::fs::write(&bad, "this is not json").unwrap();
     let out = chc(&["doctor", bad.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("not valid JSON"));
 
-    let wrong = tmp("wrong-schema.json");
+    let wrong = tmp.join("wrong-schema.json");
     std::fs::write(&wrong, r#"{"schema":"chc-load/1"}"#).unwrap();
     let out = chc(&["doctor", wrong.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(2));
@@ -188,9 +208,10 @@ fn doctor_rejects_non_crash_input() {
 /// or an unpositioned complaint.
 #[test]
 fn doctor_reports_malformed_json_with_a_position() {
-    let deep = tmp("deep.json");
+    let tmp = TempDir::new("doctor-malformed");
+    let deep = tmp.join("deep.json");
     std::fs::write(&deep, "[".repeat(50_000)).unwrap();
-    let cut = tmp("cut.json");
+    let cut = tmp.join("cut.json");
     let report = include_str!("fixtures/crash/load-panic.json");
     std::fs::write(&cut, &report[..100]).unwrap();
     let too_deep = "not valid JSON: 1:1001: arrays and objects nest deeper than 1000 levels";
@@ -207,7 +228,8 @@ fn doctor_reports_malformed_json_with_a_position() {
 /// artifact, not a log file.
 #[test]
 fn no_crash_report_on_clean_exit() {
-    let crash = tmp("no-crash.json");
+    let tmp = TempDir::new("no-crash");
+    let crash = tmp.join("no-crash.json");
     let out = chc(
         &[
             "load",
