@@ -838,10 +838,17 @@ fn e16() {
          --incremental --since old.sdl new.sdl` runs both: the diff for the cone \
          it prints on stderr, and the full check for the report.\n"
     );
-    println!("| classes | cone | diff (µs) | full check (µs) |");
-    println!("|---:|---:|---:|---:|");
+    println!(
+        "| classes | excuse clauses | cone | diff (µs) | diff (µs/clause) | full check (µs) |"
+    );
+    println!("|---:|---:|---:|---:|---:|---:|");
     for &n in &SCHEMA_SIZES {
         let (old, new) = evolved_pair(n);
+        let clauses: usize = new
+            .class_ids()
+            .flat_map(|c| &new.class(c).attrs)
+            .map(|d| d.spec.excuses.len())
+            .sum();
         let diff = diff_schemas(&old, &new);
         let cone = impact_cone(&old, &new, &diff).classes.len();
         let iters = (2_000 / n).max(5);
@@ -852,7 +859,8 @@ fn e16() {
         let t_full = time_us(iters, || {
             std::hint::black_box(check(&new));
         });
-        println!("| {n} | {cone} | {t_diff:.1} | {t_full:.1} |");
+        let per_clause = t_diff / clauses.max(1) as f64;
+        println!("| {n} | {clauses} | {cone} | {t_diff:.1} | {per_clause:.3} | {t_full:.1} |");
     }
     println!(
         "\nThe cone of a leaf-ish edit stays at one class as the schema grows: §6's \
