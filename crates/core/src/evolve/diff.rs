@@ -224,7 +224,8 @@ pub enum RangeRel {
 }
 
 /// Old ids in the new schema's id space: a symbol matched by spelling,
-/// a class by name. Built once per diff, with one lookup per old symbol.
+/// a class by name. Built once per diff, with one lookup per old symbol
+/// and per old class.
 struct IdMap<'s> {
     old: &'s Schema,
     new: &'s Schema,
@@ -232,24 +233,33 @@ struct IdMap<'s> {
     new_syms: Vec<Option<Sym>>,
     /// Indexed by new [`Sym`]: the old symbol of the same spelling.
     old_syms: Vec<Option<Sym>>,
+    /// Indexed by old class: the new class of the same name.
+    new_classes: Vec<Option<ClassId>>,
+    /// Indexed by new class: the old class of the same name.
+    old_classes: Vec<Option<ClassId>>,
 }
 
 impl<'s> IdMap<'s> {
     fn new(old: &'s Schema, new: &'s Schema) -> Self {
-        let mut ids = IdMap {
-            old,
-            new,
-            new_syms: vec![None; old.num_syms()],
-            old_syms: vec![None; new.num_syms()],
-        };
-        for (i, slot) in ids.new_syms.iter_mut().enumerate() {
-            let os = Sym::from_raw(i as u32);
-            *slot = new.sym(old.resolve(os));
-            if let Some(ns) = *slot {
-                ids.old_syms[ns.index()] = Some(os);
-            }
-        }
-        ids
+        let mut old_syms = vec![None; new.num_syms()];
+        let new_syms = (0..old.num_syms() as u32)
+            .map(|i| {
+                let os = Sym::from_raw(i);
+                let ns = new.sym(old.resolve(os))?;
+                old_syms[ns.index()] = Some(os);
+                Some(ns)
+            })
+            .collect();
+        let mut old_classes = vec![None; new.num_classes()];
+        let new_classes = old
+            .class_ids()
+            .map(|oc| {
+                let nc = new.class_by_name(old.class_name(oc))?;
+                old_classes[nc.index()] = Some(oc);
+                Some(nc)
+            })
+            .collect();
+        IdMap { old, new, new_syms, old_syms, new_classes, old_classes }
     }
 
     fn new_sym(&self, old: Sym) -> Option<Sym> {
@@ -261,11 +271,11 @@ impl<'s> IdMap<'s> {
     }
 
     fn new_class(&self, old: ClassId) -> Option<ClassId> {
-        self.new.class_by_sym(self.new_sym(self.old.class(old).name)?)
+        self.new_classes[old.index()]
     }
 
     fn old_class(&self, new: ClassId) -> Option<ClassId> {
-        self.old.class_by_sym(self.old_sym(self.new.class(new).name)?)
+        self.old_classes[new.index()]
     }
 
     /// An old `excuses attr on C` clause as a new `(attr, C)` pair.

@@ -117,12 +117,8 @@ impl Schema {
 
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.class_by_sym(self.interner.get(name)?)
-    }
-
-    /// Finds a class by its interned name.
-    pub fn class_by_sym(&self, name: Sym) -> Option<ClassId> {
-        self.by_name.get(name.index()).copied().flatten()
+        let sym = self.interner.get(name)?;
+        self.by_name.get(sym.index()).copied().flatten()
     }
 
     /// Whether `sub` is `sup` or a (transitive) subclass of it.
