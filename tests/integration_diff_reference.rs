@@ -358,8 +358,12 @@ impl Editor<'_> {
         ClassId::from_raw(rng.gen_range(0, self.old.num_classes() - 1) as u32)
     }
 
-    /// A random declaration, preferring ones `pick` accepts.
-    fn decl(&self, rng: &mut SplitMix64, pick: impl Fn(&AttrSpec) -> bool) -> Option<(ClassId, Sym)> {
+    /// A random declaration among those `pick` accepts.
+    fn decl(
+        &self,
+        rng: &mut SplitMix64,
+        pick: impl Fn(&AttrSpec) -> bool,
+    ) -> Option<(ClassId, Sym)> {
         let decls: Vec<(ClassId, Sym)> = self
             .old
             .class_ids()
@@ -372,25 +376,36 @@ impl Editor<'_> {
 
     /// A class other than those in `not` that declares or inherits `attr`.
     fn host(&self, rng: &mut SplitMix64, attr: Sym, not: &[ClassId]) -> Option<ClassId> {
-        let hosts: Vec<ClassId> =
-            self.old.class_ids().filter(|&c| self.old.has_attr(c, attr) && !not.contains(&c)).collect();
+        let hosts: Vec<ClassId> = self
+            .old
+            .class_ids()
+            .filter(|&c| self.old.has_attr(c, attr) && !not.contains(&c))
+            .collect();
         rng.choose(&hosts).copied()
     }
 
     fn tokens(&self) -> Vec<Sym> {
-        (0..8).filter_map(|i| self.old.sym(&format!("tok{i}"))).collect()
+        (0..8)
+            .filter_map(|i| self.old.sym(&format!("tok{i}")))
+            .collect()
     }
 
     fn set_range(&mut self, c: ClassId, a: Sym, range: Range) {
         if let Some(spec) = self.b.attr_spec(c, a) {
-            let spec = AttrSpec { range, excuses: spec.excuses.clone() };
+            let spec = AttrSpec {
+                range,
+                excuses: spec.excuses.clone(),
+            };
             self.b.set_attr_spec(c, a, spec).unwrap();
         }
     }
 
     fn set_excuses(&mut self, c: ClassId, a: Sym, excuses: Vec<Excuse>) {
         if let Some(spec) = self.b.attr_spec(c, a) {
-            let spec = AttrSpec { range: spec.range.clone(), excuses };
+            let spec = AttrSpec {
+                range: spec.range.clone(),
+                excuses,
+            };
             self.b.set_attr_spec(c, a, spec).unwrap();
         }
     }
@@ -404,7 +419,9 @@ impl Editor<'_> {
                 let id = self.b.declare(&format!("Fresh{n}")).unwrap();
                 let sup = self.class(rng);
                 self.b.add_super(id, sup).unwrap();
-                self.b.add_attr(id, "extra", AttrSpec::plain(Range::Str)).unwrap();
+                self.b
+                    .add_attr(id, "extra", AttrSpec::plain(Range::Str))
+                    .unwrap();
             }
             Edit::RenameClass => {
                 let name = old.class_name(self.class(rng)).to_string();
@@ -413,22 +430,31 @@ impl Editor<'_> {
             Edit::AddEdge => {
                 let c = self.class(rng);
                 let sup = ClassId::from_raw(rng.gen_range(0, c.index()) as u32);
-                if sup != c && !old.supers(c).contains(&sup) {
-                    self.b.add_super(c, sup).unwrap();
+                if sup != c {
+                    // A repeated edge is refused, which leaves no edit.
+                    let _ = self.b.add_super(c, sup);
                 }
             }
             Edit::RemoveEdge => {
                 let c = self.class(rng);
                 if let Some(&sup) = rng.choose(old.supers(c)) {
-                    let edge = (old.class_name(c).to_string(), old.class_name(sup).to_string());
+                    let edge = (
+                        old.class_name(c).to_string(),
+                        old.class_name(sup).to_string(),
+                    );
                     self.dropped_edges.push(edge);
                 }
             }
             Edit::AddAttr => {
                 let c = self.class(rng);
                 let name = format!("attr{}", rng.gen_range(0, 9));
-                if old.sym(&name).is_none_or(|a| old.declared_attr(c, a).is_none()) {
-                    let _ = self.b.add_attr(c, &name, AttrSpec::plain(Range::int(1, 9).unwrap()));
+                if old
+                    .sym(&name)
+                    .is_none_or(|a| old.declared_attr(c, a).is_none())
+                {
+                    let _ = self
+                        .b
+                        .add_attr(c, &name, AttrSpec::plain(Range::int(1, 9).unwrap()));
                 }
             }
             Edit::RemoveAttr => {
@@ -437,13 +463,18 @@ impl Editor<'_> {
                 }
             }
             Edit::NarrowRange | Edit::WidenRange | Edit::AddToken => {
-                let Some((c, a)) = self.decl(rng, is_enum) else { return };
-                let Some(Range::Enum(mut set)) = self.b.attr_spec(c, a).map(|s| s.range.clone()) else {
+                let Some((c, a)) = self.decl(rng, is_enum) else {
+                    return;
+                };
+                let Some(Range::Enum(mut set)) = self.b.attr_spec(c, a).map(|s| s.range.clone())
+                else {
                     return;
                 };
                 match edit {
                     Edit::NarrowRange if set.len() > 1 => {
-                        let drop = *rng.choose(&set.iter().copied().collect::<Vec<_>>()).unwrap();
+                        let drop = *rng
+                            .choose(&set.iter().copied().collect::<Vec<_>>())
+                            .unwrap();
                         set.remove(&drop);
                     }
                     Edit::WidenRange => set.extend(rng.choose(&self.tokens()).copied()),
@@ -455,35 +486,49 @@ impl Editor<'_> {
                 self.set_range(c, a, Range::Enum(set));
             }
             Edit::ChangeRange => {
-                let Some((c, a)) = self.decl(rng, |_| true) else { return };
+                let Some((c, a)) = self.decl(rng, |_| true) else {
+                    return;
+                };
                 let range = match rng.gen_range(0, 3) {
                     0 => Range::Str,
                     1 => Range::Class(self.class(rng)),
                     2 => Range::Record {
                         base: Some(self.class(rng)),
-                        fields: vec![FieldSpec { name: a, spec: AttrSpec::plain(Range::int(0, 5).unwrap()) }],
+                        fields: vec![FieldSpec {
+                            name: a,
+                            spec: AttrSpec::plain(Range::int(0, 5).unwrap()),
+                        }],
                     },
                     _ => Range::int(0, 9).unwrap(),
                 };
                 self.set_range(c, a, range);
             }
             Edit::RetireToken => {
-                let Some(tok) = rng.choose(&self.tokens()).copied() else { return };
+                let Some(tok) = rng.choose(&self.tokens()).copied() else {
+                    return;
+                };
                 for c in old.class_ids() {
                     for d in &old.class(c).attrs {
-                        let Some(Range::Enum(mut set)) = self.b.attr_spec(c, d.name).map(|s| s.range.clone())
+                        let Some(Range::Enum(mut set)) =
+                            self.b.attr_spec(c, d.name).map(|s| s.range.clone())
                         else {
                             continue;
                         };
                         if set.remove(&tok) {
-                            let range = if set.is_empty() { Range::Str } else { Range::Enum(set) };
+                            let range = if set.is_empty() {
+                                Range::Str
+                            } else {
+                                Range::Enum(set)
+                            };
                             self.set_range(c, d.name, range);
                         }
                     }
                 }
             }
             Edit::AddExcuse => {
-                let Some((c, a)) = self.decl(rng, |_| true) else { return };
+                let Some((c, a)) = self.decl(rng, |_| true) else {
+                    return;
+                };
                 let mut excuses = self.b.attr_spec(c, a).unwrap().excuses.clone();
                 let listed: Vec<ClassId> = excuses.iter().map(|e| e.on).collect();
                 if let Some(on) = self.host(rng, a, &listed) {
@@ -492,16 +537,28 @@ impl Editor<'_> {
                 }
             }
             Edit::RetireExcuse => {
-                let Some((c, a)) = self.decl(rng, |s| !s.excuses.is_empty()) else { return };
-                if let Some(e) = self.b.attr_spec(c, a).and_then(|s| s.excuses.first().copied()) {
+                let Some((c, a)) = self.decl(rng, |s| !s.excuses.is_empty()) else {
+                    return;
+                };
+                if let Some(e) = self
+                    .b
+                    .attr_spec(c, a)
+                    .and_then(|s| s.excuses.first().copied())
+                {
                     self.b.remove_excuse(c, a, e.on);
                 }
             }
             Edit::SwapExcuseOn => {
-                let Some((c, a)) = self.decl(rng, |s| !s.excuses.is_empty()) else { return };
-                let Some(mut excuses) = self.b.attr_spec(c, a).map(|s| s.excuses.clone()) else { return };
+                let Some((c, a)) = self.decl(rng, |s| !s.excuses.is_empty()) else {
+                    return;
+                };
+                let Some(mut excuses) = self.b.attr_spec(c, a).map(|s| s.excuses.clone()) else {
+                    return;
+                };
                 let at = rng.gen_range(0, excuses.len().saturating_sub(1));
-                let Some(e) = excuses.get(at).copied() else { return };
+                let Some(e) = excuses.get(at).copied() else {
+                    return;
+                };
                 let listed: Vec<ClassId> = excuses.iter().map(|e| e.on).collect();
                 if let Some(on) = self.host(rng, e.attr, &listed) {
                     excuses[at] = Excuse { attr: e.attr, on };
@@ -544,7 +601,9 @@ fn drop_edge(class: &str, sub: &str, sup: &str) -> String {
     let Some(list) = head.strip_prefix(&format!("class {sub} is-a ")) else {
         return class.to_string();
     };
-    let (list, with) = list.strip_suffix(" with").map_or((list, ""), |l| (l, " with"));
+    let (list, with) = list
+        .strip_suffix(" with")
+        .map_or((list, ""), |l| (l, " with"));
     let supers: Vec<&str> = list.split(", ").filter(|&s| s != sup).collect();
     let head = if supers.is_empty() {
         format!("class {sub}{with}")
@@ -561,7 +620,9 @@ fn rename(src: &str, from: &str, to: &str) -> String {
     let mut out = String::with_capacity(src.len());
     let mut rest = src;
     while let Some(start) = rest.find(|c: char| ident(c)) {
-        let end = rest[start..].find(|c: char| !ident(c)).map_or(rest.len(), |n| start + n);
+        let end = rest[start..]
+            .find(|c: char| !ident(c))
+            .map_or(rest.len(), |n| start + n);
         out.push_str(&rest[..start]);
         let word = &rest[start..end];
         let quoted = rest[..start].ends_with('\'');
@@ -642,15 +703,21 @@ fn generated_pairs_agree_with_the_reference() {
             for &edit in plan {
                 ed.apply(edit, &mut rng);
             }
-            let Some(new_src) = ed.finish(&mut rng) else { continue };
+            let Some(new_src) = ed.finish(&mut rng) else {
+                continue;
+            };
             let new = compile(&new_src).unwrap();
             compared += 1;
             let what = format!("seed {seed} plan {i} {plan:?}");
             for diff in assert_agrees(&what, &old, &new) {
                 seen.extend(diff.edits.iter().map(|e| variant(&e.detail)));
                 let at = |e: &SchemaEdit| (e.class.clone(), e.attr.clone());
-                let added: BTreeSet<_> =
-                    diff.edits.iter().filter(|e| matches!(e.detail, EditDetail::ExcuseAdded { .. })).map(at).collect();
+                let added: BTreeSet<_> = diff
+                    .edits
+                    .iter()
+                    .filter(|e| matches!(e.detail, EditDetail::ExcuseAdded { .. }))
+                    .map(at)
+                    .collect();
                 swapped += diff
                     .edits
                     .iter()
@@ -674,9 +741,15 @@ fn generated_pairs_agree_with_the_reference() {
         "ExcuseRetired",
     ]
     .into();
-    assert!(compared >= 100, "only {compared} of 120 edited schemas were valid");
+    assert!(
+        compared >= 100,
+        "only {compared} of 120 edited schemas were valid"
+    );
     assert_eq!(seen, all, "every edit kind is reached");
-    assert!(swapped > 0, "some declaration swaps an excuse clause for another");
+    assert!(
+        swapped > 0,
+        "some declaration swaps an excuse clause for another"
+    );
 }
 
 #[test]
@@ -690,11 +763,21 @@ fn fixture_pairs_and_reprinted_vignettes_agree_with_the_reference() {
             include_str!("../examples/data/hospital.sdl"),
             include_str!("../examples/data/hospital-evolved.sdl"),
         ),
-        (include_str!("fixtures/record-kind-old.sdl"), include_str!("fixtures/record-kind-new.sdl")),
-        (include_str!("fixtures/excuse-edits-old.sdl"), include_str!("fixtures/excuse-edits-new.sdl")),
+        (
+            include_str!("fixtures/record-kind-old.sdl"),
+            include_str!("fixtures/record-kind-new.sdl"),
+        ),
+        (
+            include_str!("fixtures/excuse-edits-old.sdl"),
+            include_str!("fixtures/excuse-edits-new.sdl"),
+        ),
     ];
     for (i, (a, b)) in pairs.iter().enumerate() {
-        assert_agrees(&format!("fixture pair {i}"), &compile(a).unwrap(), &compile(b).unwrap());
+        assert_agrees(
+            &format!("fixture pair {i}"),
+            &compile(a).unwrap(),
+            &compile(b).unwrap(),
+        );
     }
     let mut rng = SplitMix64::new(7);
     for (name, src) in vignettes::all() {

@@ -26,7 +26,10 @@ struct Expected<'a> {
 
 fn expected(src: &str) -> Expected<'_> {
     let ast = parse(src).unwrap();
-    let span = |p: Pos| Span { line: p.line, col: p.col };
+    let span = |p: Pos| Span {
+        line: p.line,
+        col: p.col,
+    };
     let mut e = Expected::default();
     for class in &ast.classes {
         let c = ast.name(class.name);
@@ -37,7 +40,8 @@ fn expected(src: &str) -> Expected<'_> {
         for attr in &class.attrs {
             e.attrs.insert((c, ast.name(attr.name)), span(attr.pos));
             for exc in &attr.excuses {
-                e.excuses.insert((c, ast.name(exc.attr), ast.name(exc.on)), span(exc.pos));
+                e.excuses
+                    .insert((c, ast.name(exc.attr), ast.name(exc.on)), span(exc.pos));
             }
         }
     }
@@ -51,14 +55,26 @@ fn assert_law(what: &str, src: &str, schema: &Schema) {
     let m = schema.source_map();
     for c in schema.class_ids() {
         let name = schema.class_name(c);
-        assert_eq!(m.class_span(c), e.classes.get(name).copied(), "{what}: class {name}");
+        assert_eq!(
+            m.class_span(c),
+            e.classes.get(name).copied(),
+            "{what}: class {name}"
+        );
         for &sup in schema.supers(c) {
             let key = (name, schema.class_name(sup));
-            assert_eq!(m.super_span(c, sup), Some(e.supers[&key]), "{what}: edge {key:?}");
+            assert_eq!(
+                m.super_span(c, sup),
+                Some(e.supers[&key]),
+                "{what}: edge {key:?}"
+            );
         }
         for decl in &schema.class(c).attrs {
             let key = (name, schema.resolve(decl.name));
-            assert_eq!(m.attr_span(c, decl.name), Some(e.attrs[&key]), "{what}: attr {key:?}");
+            assert_eq!(
+                m.attr_span(c, decl.name),
+                Some(e.attrs[&key]),
+                "{what}: attr {key:?}"
+            );
             for exc in &decl.spec.excuses {
                 let key = (name, schema.resolve(exc.attr), schema.class_name(exc.on));
                 let got = m.excuse_span(c, exc.attr, exc.on);
@@ -97,12 +113,19 @@ fn a_repeated_excuse_clause_keeps_the_later_span() {
         schema.class_by_name("B").unwrap(),
         schema.sym("x").unwrap(),
     );
-    assert_eq!(schema.source_map().excuse_span(b, x, a), Some(Span { line: 3, col: 30 }));
+    assert_eq!(
+        schema.source_map().excuse_span(b, x, a),
+        Some(Span { line: 3, col: 30 })
+    );
 }
 
 #[test]
 fn an_api_built_schema_has_no_spans() {
-    let schema = generate(&HierarchyParams { classes: 60, ..Default::default() }).schema;
+    let schema = generate(&HierarchyParams {
+        classes: 60,
+        ..Default::default()
+    })
+    .schema;
     let m = schema.source_map();
     assert!(m.is_empty());
     for c in schema.class_ids() {
