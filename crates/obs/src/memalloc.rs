@@ -43,11 +43,26 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
-static BYTES_LIVE: AtomicU64 = AtomicU64::new(0);
-static BYTES_PEAK: AtomicU64 = AtomicU64::new(0);
+/// The process-wide counters. Every allocation and free on every thread
+/// updates them, so they get a cache line of their own: another static
+/// on it (the recorder's lock, read on every counter call) would be
+/// slowed by every other thread's allocations.
+#[repr(align(64))]
+struct Totals {
+    allocs: AtomicU64,
+    frees: AtomicU64,
+    bytes_total: AtomicU64,
+    bytes_live: AtomicU64,
+    bytes_peak: AtomicU64,
+}
+
+static TOTALS: Totals = Totals {
+    allocs: AtomicU64::new(0),
+    frees: AtomicU64::new(0),
+    bytes_total: AtomicU64::new(0),
+    bytes_live: AtomicU64::new(0),
+    bytes_peak: AtomicU64::new(0),
+};
 
 thread_local! {
     /// Cumulative bytes allocated by this thread (monotone).
@@ -63,12 +78,17 @@ thread_local! {
 
 #[inline]
 fn note_alloc(size: u64) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES_TOTAL.fetch_add(size, Ordering::Relaxed);
-    let live = BYTES_LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    let mut peak = BYTES_PEAK.load(Ordering::Relaxed);
+    TOTALS.allocs.fetch_add(1, Ordering::Relaxed);
+    TOTALS.bytes_total.fetch_add(size, Ordering::Relaxed);
+    let live = TOTALS.bytes_live.fetch_add(size, Ordering::Relaxed) + size;
+    let mut peak = TOTALS.bytes_peak.load(Ordering::Relaxed);
     while live > peak {
-        match BYTES_PEAK.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
+        match TOTALS.bytes_peak.compare_exchange_weak(
+            peak,
+            live,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
             Ok(_) => break,
             Err(seen) => peak = seen,
         }
@@ -94,8 +114,8 @@ fn note_alloc(size: u64) {
 
 #[inline]
 fn note_free(size: u64) {
-    FREES.fetch_add(1, Ordering::Relaxed);
-    BYTES_LIVE.fetch_sub(size, Ordering::Relaxed);
+    TOTALS.frees.fetch_add(1, Ordering::Relaxed);
+    TOTALS.bytes_live.fetch_sub(size, Ordering::Relaxed);
     let _ = TL_PROBES.try_with(|probes| {
         if probes.get() > 0 {
             let _ = TL_LIVE.try_with(|c| c.set(c.get() - size as i64));
@@ -143,7 +163,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 /// as its `#[global_allocator]`. (Rust allocates before `main`, so by
 /// the time anyone asks, an installed wrapper has always fired.)
 pub fn installed() -> bool {
-    ALLOCS.load(Ordering::Relaxed) > 0
+    TOTALS.allocs.load(Ordering::Relaxed) > 0
 }
 
 /// A point-in-time copy of the global allocator counters.
@@ -165,11 +185,11 @@ pub struct MemSnapshot {
 /// allocator is not installed.
 pub fn snapshot() -> MemSnapshot {
     MemSnapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        frees: FREES.load(Ordering::Relaxed),
-        bytes_total: BYTES_TOTAL.load(Ordering::Relaxed),
-        bytes_live: BYTES_LIVE.load(Ordering::Relaxed),
-        bytes_peak: BYTES_PEAK.load(Ordering::Relaxed),
+        allocs: TOTALS.allocs.load(Ordering::Relaxed),
+        frees: TOTALS.frees.load(Ordering::Relaxed),
+        bytes_total: TOTALS.bytes_total.load(Ordering::Relaxed),
+        bytes_live: TOTALS.bytes_live.load(Ordering::Relaxed),
+        bytes_peak: TOTALS.bytes_peak.load(Ordering::Relaxed),
     }
 }
 
