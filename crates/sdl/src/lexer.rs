@@ -60,11 +60,8 @@ impl<'a> Lexer<'a> {
                 }
                 Tok::Quoted(word)
             }
-            b'-' if self.byte(1).is_some_and(|d| d.is_ascii_digit()) => {
-                self.at += 1;
-                Tok::Int(-self.take_int(pos)?)
-            }
-            c if c.is_ascii_digit() => Tok::Int(self.take_int(pos)?),
+            b'-' if self.byte(1).is_some_and(|d| d.is_ascii_digit()) => self.take_int(pos)?,
+            c if c.is_ascii_digit() => self.take_int(pos)?,
             c if ident_start(c) => match self.take_word() {
                 "class" => Tok::KwClass,
                 "with" => Tok::KwWith,
@@ -140,13 +137,17 @@ impl<'a> Lexer<'a> {
         &self.src[start..self.at]
     }
 
-    fn take_int(&mut self, pos: Pos) -> Result<i64, SdlError> {
+    /// Reads an integer literal with its sign, if any, so `i64::MIN`
+    /// reads back as it prints.
+    fn take_int(&mut self, pos: Pos) -> Result<Tok<'a>, SdlError> {
         let start = self.at;
+        self.at += 1;
         while self.byte(0).is_some_and(|d| d.is_ascii_digit()) {
             self.at += 1;
         }
         let n = self.src[start..self.at].parse();
-        n.map_err(|_| lex_error(pos, "integer literal overflows i64"))
+        n.map(Tok::Int)
+            .map_err(|_| lex_error(pos, "integer literal overflows i64"))
     }
 }
 
@@ -247,6 +248,15 @@ mod tests {
         assert_eq!(
             toks("-40..120"),
             vec![Tok::Int(-40), Tok::DotDot, Tok::Int(120), Tok::Eof]
+        );
+        assert_eq!(
+            toks("-9223372036854775808..9223372036854775807"),
+            vec![
+                Tok::Int(i64::MIN),
+                Tok::DotDot,
+                Tok::Int(i64::MAX),
+                Tok::Eof
+            ]
         );
     }
 

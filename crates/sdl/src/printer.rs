@@ -149,6 +149,24 @@ mod tests {
     }
 
     #[test]
+    fn the_smallest_integer_round_trips() {
+        let mut b = chc_model::SchemaBuilder::new();
+        let t = b.declare("T").unwrap();
+        let range = Range::Int {
+            lo: i64::MIN,
+            hi: 0,
+        };
+        b.add_attr(t, "x", AttrSpec::plain(range.clone())).unwrap();
+        let text = print_schema(&b.build().unwrap());
+        assert!(text.contains("x : -9223372036854775808..0"), "{text}");
+        let schema = compile(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
+        let x = schema.sym("x").unwrap();
+        let t = schema.class_by_name("T").unwrap();
+        assert_eq!(schema.declared_attr(t, x).unwrap().spec.range, range);
+        assert_eq!(print_schema(&schema), text);
+    }
+
+    #[test]
     fn empty_class_prints_without_with() {
         let schema = compile("class Empty").unwrap();
         let text = print_schema(&schema);

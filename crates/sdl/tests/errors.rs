@@ -23,9 +23,10 @@ const CASES: &[(&str, &str)] = &[
     // An empty `'`.
     ("class A with x: {' }", "1:18: lexical error: empty enumeration token after `'`"),
     ("class A with x: {'a, '}", "1:22: lexical error: empty enumeration token after `'`"),
-    // `i64` overflow; a literal is read unsigned, so `i64::MIN` overflows too.
+    // `i64` overflow, either sign; a literal is read with its sign, so
+    // `i64::MIN` itself is accepted (below).
     ("class A with x: 1..99999999999999999999", "1:20: lexical error: integer literal overflows i64"),
-    ("class A with x: -9223372036854775808..0", "1:17: lexical error: integer literal overflows i64"),
+    ("class A with x: -9223372036854775809..0", "1:17: lexical error: integer literal overflows i64"),
     // Stray characters; a multi-byte character is named by its first byte.
     ("class A with x: 1 . 2", "1:19: lexical error: stray `.` (did you mean `..`?)"),
     ("class A with x: é", "1:17: lexical error: unexpected character `Ã`"),
@@ -160,6 +161,7 @@ fn every_error_message_and_position_is_pinned() {
 fn inputs_near_the_edges_still_compile() {
     for src in [
         "class A with x: 9223372036854775807..9223372036854775807",
+        "class A with x: -9223372036854775808..0",
         "class A with x: 1..2\n\n   class B is-a A with x: {'a, 'b, 'a}",
         // Nested clauses are not checked against their class at compile time.
         "class H with loc: [s: 1..2];\nclass P with at: H;\nclass Q is-a P with at: [s: [t: 1..2 excuses t on H]]",

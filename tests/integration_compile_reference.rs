@@ -17,7 +17,8 @@
 use std::collections::BTreeMap;
 
 use excuses::model::{AttrSpec, ClassId, Excuse, ExcuserEntry, ModelError, Schema, SchemaBuilder, Span, Sym};
-use excuses::sdl::{compile, print_schema};
+use excuses::sdl::token::Pos;
+use excuses::sdl::{compile, print_schema, SdlError};
 use excuses::workloads::rng::SplitMix64;
 use excuses::workloads::{generate, vignettes, HierarchyParams};
 
@@ -815,6 +816,17 @@ fn expected<'a>(ast: &reference::ast::SchemaAst<'a>) -> Expected<'a> {
 fn assert_agrees(what: &str, src: &str) -> bool {
     let got = compile(src);
     let want = reference::resolve::compile(src);
+    if let Err(SdlError::Lex { pos, .. }) = &want {
+        if reads_i64_min(src, *pos) {
+            // The one intended change: the reference reads a literal's
+            // digits unsigned, so it rejected `i64::MIN`.
+            assert!(
+                !matches!(&got, Err(SdlError::Lex { pos: at, .. }) if at == pos),
+                "{what}: i64::MIN"
+            );
+            return false;
+        }
+    }
     let (got, want) = match (got, want) {
         (Ok(got), Ok(want)) => (got, want),
         (Err(got), Err(want)) => {
@@ -871,6 +883,14 @@ fn assert_agrees(what: &str, src: &str) -> bool {
     assert_eq!((supers, attrs), (e.supers.len(), e.attrs.len()), "{what}: edges, attrs");
     assert!(excuses >= e.excuses.len(), "{what}: excuse clauses");
     true
+}
+
+/// Whether the literal at `pos` in `src` is `-9223372036854775808`.
+fn reads_i64_min(src: &str, pos: Pos) -> bool {
+    let line = src.split('\n').nth(pos.line as usize - 1).unwrap_or("");
+    let rest = line.as_bytes().get(pos.col as usize - 1..).unwrap_or(&[]);
+    let literal = b"-9223372036854775808";
+    rest.starts_with(literal) && !rest.get(literal.len()).is_some_and(u8::is_ascii_digit)
 }
 
 /// One of `choices`, picked by `rng`.
@@ -1044,6 +1064,16 @@ fn vignettes_and_fixtures_agree_with_the_reference() {
             assert_agrees(&format!("{name}, mutant {i}"), m);
         }
     }
+}
+
+#[test]
+fn the_smallest_integer_is_the_one_intended_change() {
+    let src = "class A with x: -9223372036854775808..0;\nclass B with y: -9223372036854775809..0";
+    assert!(!assert_agrees("i64::MIN", src));
+    let err = compile(src).unwrap_err().to_string();
+    assert_eq!(err, "2:17: lexical error: integer literal overflows i64");
+    let err = reference::resolve::compile(src).unwrap_err().to_string();
+    assert_eq!(err, "1:17: lexical error: integer literal overflows i64");
 }
 
 #[test]
