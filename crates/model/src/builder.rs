@@ -143,14 +143,20 @@ impl SchemaBuilder {
         spec: AttrSpec,
     ) -> Result<Sym, ModelError> {
         let sym = self.interner.intern(name);
-        if self.classes[class.index()].attrs.iter().any(|d| d.name == sym) {
+        self.add_attr_sym(class, sym, spec).map(|()| sym)
+    }
+
+    /// [`add_attr`](Self::add_attr) for a name this builder has already
+    /// interned.
+    pub fn add_attr_sym(&mut self, class: ClassId, attr: Sym, spec: AttrSpec) -> Result<(), ModelError> {
+        if self.classes[class.index()].attrs.iter().any(|d| d.name == attr) {
             return Err(ModelError::DuplicateAttr {
                 class: self.name_of(class),
-                attr: name.to_string(),
+                attr: self.interner.resolve(attr).to_string(),
             });
         }
-        self.classes[class.index()].attrs.push(AttrDecl { name: sym, spec });
-        Ok(sym)
+        self.classes[class.index()].attrs.push(AttrDecl { name: attr, spec });
+        Ok(())
     }
 
     /// Number of classes declared so far.
@@ -185,13 +191,13 @@ impl SchemaBuilder {
 
         let topo = self.toposort()?;
 
-        // Ancestor closure in topological order (supers before subs).
+        // Ancestor closure in topological order (supers before subs): a
+        // class's set is filled in place from its supers' finished sets.
         let mut ancestors: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
         for &c in &topo {
-            let supers = self.classes[c].supers.clone();
-            let mut set = BitSet::new(n);
+            let mut set = std::mem::replace(&mut ancestors[c], BitSet::new(0));
             set.insert(c);
-            for s in supers {
+            for s in &self.classes[c].supers {
                 set.union_with(&ancestors[s.index()]);
             }
             ancestors[c] = set;
@@ -215,47 +221,71 @@ impl SchemaBuilder {
                 d.bits.insert(ci);
             }
         }
+        // Referential integrity: the excused attribute must be declared on
+        // or inherited by the excused class.
+        let declared = |attr: Sym, on: ClassId| {
+            declarers
+                .get(attr.index())
+                .and_then(Option::as_ref)
+                .is_some_and(|d| d.bits.intersects(&ancestors[on.index()]))
+        };
 
-        // Excuse index, with referential integrity: the excused attribute
-        // must be declared on or inherited by the excused class. Entries
-        // are pushed in ascending excuser order.
-        let mut excused: Vec<Vec<(Sym, ExcuserEntry)>> = vec![Vec::new(); n];
-        for (ci, class) in self.classes.iter().enumerate() {
-            for decl in &class.attrs {
-                for exc in &decl.spec.excuses {
-                    let declared = declarers
-                        .get(exc.attr.index())
-                        .and_then(Option::as_ref)
-                        .is_some_and(|d| d.bits.intersects(&ancestors[exc.on.index()]));
-                    if !declared {
-                        return Err(ModelError::ExcusedAttrUndeclared {
-                            on: self.name_of(exc.on),
-                            attr: self.interner.resolve(exc.attr).to_string(),
-                        });
-                    }
-                    let excuser = ClassId::from_raw(ci as u32);
-                    let entry = ExcuserEntry { excuser, attr: decl.name };
-                    excused[exc.on.index()].push((exc.attr, entry));
-                }
-            }
-        }
-        let excused = excused
-            .into_iter()
-            .map(|mut on| {
-                // Stable: each constraint's entries stay in excuser order.
-                on.sort_by_key(|&(attr, _)| attr);
-                on.chunk_by(|a, b| a.0 == b.0)
-                    .map(|run| {
-                        let entries: Vec<ExcuserEntry> = run.iter().map(|&(_, e)| e).collect();
-                        let mut bits = BitSet::new(n);
-                        for e in &entries {
-                            bits.insert(e.excuser.index());
-                        }
-                        Excused { attr: run[0].0, entries, bits }
-                    })
-                    .collect()
+        // Excuse index: one counting sort of every clause by excused class
+        // keeps each class's clauses in scan order (excuser, declaration,
+        // clause); a stable sort by attribute then groups each constraint,
+        // its entries still in ascending excuser order.
+        let clauses = || {
+            self.classes.iter().enumerate().flat_map(|(ci, class)| {
+                class.attrs.iter().flat_map(move |decl| {
+                    let entry = ExcuserEntry { excuser: ClassId::from_raw(ci as u32), attr: decl.name };
+                    decl.spec.excuses.iter().map(move |exc| (exc, entry))
+                })
             })
-            .collect();
+        };
+        let mut starts = vec![0usize; n + 1];
+        for (exc, _) in clauses() {
+            starts[exc.on.index() + 1] += 1;
+        }
+        for c in 0..n {
+            starts[c + 1] += starts[c];
+        }
+        let placeholder = ExcuserEntry { excuser: ClassId::from_raw(0), attr: Sym::from_raw(0) };
+        let mut rows = vec![(Sym::from_raw(0), placeholder); starts[n]];
+        let mut next = starts.clone();
+        for (exc, entry) in clauses() {
+            rows[next[exc.on.index()]] = (exc.attr, entry);
+            next[exc.on.index()] += 1;
+        }
+        let mut excused = Vec::new();
+        let mut excused_starts = Vec::with_capacity(n + 1);
+        excused_starts.push(0);
+        for (c, bounds) in starts.windows(2).enumerate() {
+            let on = ClassId::from_raw(c as u32);
+            let class_rows = &mut rows[bounds[0]..bounds[1]];
+            class_rows.sort_by_key(|&(attr, _)| attr);
+            let mut at = bounds[0];
+            for run in class_rows.chunk_by(|a, b| a.0 == b.0) {
+                if !declared(run[0].0, on) {
+                    // Name the clause a scan in class order meets first.
+                    let (exc, _) = clauses()
+                        .find(|(exc, _)| !declared(exc.attr, exc.on))
+                        .expect("a failing constraint has a failing clause");
+                    return Err(ModelError::ExcusedAttrUndeclared {
+                        on: self.name_of(exc.on),
+                        attr: self.interner.resolve(exc.attr).to_string(),
+                    });
+                }
+                let mut bits = BitSet::new(n);
+                for (_, e) in run {
+                    bits.insert(e.excuser.index());
+                }
+                let end = at + run.len();
+                excused.push(Excused { on, attr: run[0].0, entries: at as u32..end as u32, bits });
+                at = end;
+            }
+            excused_starts.push(excused.len() as u32);
+        }
+        let excusers = rows.into_iter().map(|(_, e)| e).collect();
 
         let attr_names = declarers
             .iter()
@@ -271,7 +301,9 @@ impl SchemaBuilder {
             descendants,
             attr_names,
             declarers,
+            excusers,
             excused,
+            excused_starts,
             source_map: self.source_map,
         })
     }

@@ -48,9 +48,11 @@ pub(crate) struct Declarers {
 /// inherits `attr`, with the declarations excusing it.
 #[derive(Debug, Clone)]
 pub(crate) struct Excused {
+    pub(crate) on: ClassId,
     pub(crate) attr: Sym,
-    /// Sorted by excuser id; several entries may share an excuser.
-    pub(crate) entries: Vec<ExcuserEntry>,
+    /// This constraint's rows of [`Schema::excusers`], sorted by excuser
+    /// id; several rows may share an excuser.
+    pub(crate) entries: std::ops::Range<u32>,
     /// The excuser classes, for intersecting with an ancestor closure.
     pub(crate) bits: BitSet,
 }
@@ -71,8 +73,13 @@ pub struct Schema {
     /// Indexed by [`Sym`]: the classes declaring that attribute (`None`
     /// for a symbol no class declares as an attribute).
     pub(crate) declarers: Vec<Option<Declarers>>,
-    /// Indexed by class: the constraints excused on it, sorted by `attr`.
-    pub(crate) excused: Vec<Vec<Excused>>,
+    /// Every excuse clause, as the entry of the constraint it excuses:
+    /// grouped by constraint, in the order of `excused`.
+    pub(crate) excusers: Vec<ExcuserEntry>,
+    /// The excused constraints, sorted by class and then attribute.
+    pub(crate) excused: Vec<Excused>,
+    /// Class `c`'s constraints are `excused[excused_starts[c]..excused_starts[c + 1]]`.
+    pub(crate) excused_starts: Vec<u32>,
     /// Source positions of classes/declarations/excuses/is-a edges, when
     /// the schema was compiled from SDL text (empty otherwise).
     pub(crate) source_map: SourceMap,
@@ -225,15 +232,20 @@ impl Schema {
     }
 
     fn excused(&self, on: ClassId, attr: Sym) -> Option<&Excused> {
-        let excused = &self.excused[on.index()];
+        let c = on.index();
+        let excused = &self.excused[self.excused_starts[c] as usize..self.excused_starts[c + 1] as usize];
         let at = excused.binary_search_by_key(&attr, |e| e.attr).ok()?;
         Some(&excused[at])
+    }
+
+    fn entries(&self, excused: &Excused) -> &[ExcuserEntry] {
+        &self.excusers[excused.entries.start as usize..excused.entries.end as usize]
     }
 
     /// The classes whose declarations excuse the constraint `(class, attr)`,
     /// in ascending excuser order.
     pub fn excusers_of(&self, class: ClassId, attr: Sym) -> &[ExcuserEntry] {
-        self.excused(class, attr).map_or(&[], |e| &e.entries)
+        self.excused(class, attr).map_or(&[], |e| self.entries(e))
     }
 
     /// The excusers of `(on, attr)` that `class` is a subclass of — the
@@ -248,7 +260,7 @@ impl Schema {
     ) -> impl Iterator<Item = &'s ExcuserEntry> + 's {
         let ancestors = &self.ancestors[class.index()];
         self.excused(on, attr).into_iter().flat_map(move |excused| {
-            let entries = excused.entries.as_slice();
+            let entries = self.entries(excused);
             excused.bits.intersection_iter(ancestors).flat_map(move |i| {
                 // Several entries may share an excuser class (distinct
                 // carrying attributes); yield the whole run.
@@ -261,9 +273,7 @@ impl Schema {
 
     /// All excused constraints `(on, attr)`, by class and then attribute.
     pub fn excused_constraints(&self) -> impl Iterator<Item = (ClassId, Sym)> + '_ {
-        self.class_ids()
-            .zip(&self.excused)
-            .flat_map(|(on, excused)| excused.iter().map(move |e| (on, e.attr)))
+        self.excused.iter().map(|e| (e.on, e.attr))
     }
 
     /// The range an excuser imposes: the declared spec of its carrying

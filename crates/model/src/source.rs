@@ -37,9 +37,8 @@ impl std::fmt::Display for Span {
 /// from. Empty for schemas assembled directly through [`SchemaBuilder`]
 /// (every lookup returns `None`).
 ///
-/// Every table is dense by class id, so a lookup is an index or a binary
-/// search within one class's run, and recording classes in id order (as
-/// lowering does) appends.
+/// Every table is dense by class id: recording classes in id order (as
+/// lowering does) is a push, and a lookup scans one class's run.
 ///
 /// [`SchemaBuilder`]: crate::builder::SchemaBuilder
 #[derive(Debug, Clone, Default)]
@@ -59,7 +58,7 @@ pub struct SourceMap {
 }
 
 /// Spans keyed by `(class, key)`, kept as one run of rows per class in
-/// class-id order, each run sorted by key.
+/// class-id order, each run in recording order.
 #[derive(Debug, Clone)]
 struct Runs<K> {
     /// `ends[c]` is one past class `c`'s last row, which start at
@@ -75,43 +74,36 @@ impl<K> Default for Runs<K> {
     }
 }
 
-impl<K: Ord + Copy> Runs<K> {
-    fn start(&self, c: usize) -> usize {
-        if c == 0 {
-            0
-        } else {
-            self.ends[c - 1]
-        }
-    }
-
+impl<K: PartialEq + Copy> Runs<K> {
     fn run(&self, class: ClassId) -> &[(K, Span)] {
         let c = class.index();
         match self.ends.get(c) {
-            Some(&end) => &self.rows[self.start(c)..end],
+            Some(&end) => &self.rows[if c == 0 { 0 } else { self.ends[c - 1] }..end],
             None => &[],
         }
     }
 
-    /// Inserts after every row of `class` with a key up to `key`, so the
-    /// run stays sorted and a repeated key finds the later span. For the
-    /// last class recorded so far and a key no smaller than its run's
-    /// last, that is a push.
+    fn reserve(&mut self, classes: usize, rows: usize) {
+        self.ends.reserve(classes);
+        self.rows.reserve(rows);
+    }
+
+    /// Appends to `class`'s run: a push when no later class has rows
+    /// yet, as when classes are recorded in id order.
     fn record(&mut self, class: ClassId, key: K, span: Span) {
         let c = class.index();
         if self.ends.len() <= c {
             self.ends.resize(c + 1, self.rows.len());
         }
-        let at = self.start(c) + self.run(class).partition_point(|&(k, _)| k <= key);
-        self.rows.insert(at, (key, span));
+        self.rows.insert(self.ends[c], (key, span));
         for end in &mut self.ends[c..] {
             *end += 1;
         }
     }
 
+    /// The span recorded last for `key` in `class`'s run.
     fn get(&self, class: ClassId, key: K) -> Option<Span> {
-        let run = self.run(class);
-        let after = run.partition_point(|&(k, _)| k <= key);
-        run[..after].last().filter(|&&(k, _)| k == key).map(|&(_, span)| span)
+        self.run(class).iter().rev().find(|&&(k, _)| k == key).map(|&(_, span)| span)
     }
 }
 
@@ -137,6 +129,16 @@ impl SourceMap {
     /// Records the source file name.
     pub fn set_file(&mut self, file: &str) {
         self.file = Some(file.to_string());
+    }
+
+    /// Makes room for the spans of `classes` classes, `attrs` attribute
+    /// declarations, `excuses` excuse clauses and `supers` is-a edges,
+    /// so recording that many allocates once per table.
+    pub fn reserve(&mut self, classes: usize, attrs: usize, excuses: usize, supers: usize) {
+        self.classes.reserve(classes);
+        self.attrs.reserve(classes, attrs);
+        self.excuses.reserve(classes, excuses);
+        self.supers.reserve(classes, supers);
     }
 
     /// Records the position of a class definition.

@@ -1,4 +1,11 @@
 //! The abstract syntax of SDL schemas, with names unresolved.
+//!
+//! The tree is flat: [`SchemaAst`] holds one table per node kind, and a
+//! node's children are a [`List`], a run of consecutive rows in their
+//! kind's table. The parser pushes each list as one block when it closes,
+//! so a parse grows a handful of vectors rather than allocating one per
+//! list; a record's fields close, and are pushed, before the declaration
+//! that holds them.
 
 use crate::token::Pos;
 
@@ -14,11 +21,52 @@ impl Name {
     }
 }
 
-/// A parsed schema: a sequence of class definitions.
+/// A run of consecutive rows in one of [`SchemaAst`]'s tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct List {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl List {
+    /// The rows from `start` up to the end of `table`.
+    pub(crate) fn since<T>(start: usize, table: &[T]) -> List {
+        let index = |i: usize| u32::try_from(i).expect("syntax tree overflow");
+        List {
+            start: index(start),
+            end: index(table.len()),
+        }
+    }
+
+    /// The number of rows.
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the list has no rows.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    fn of<T>(self, table: &[T]) -> &[T] {
+        &table[self.start as usize..self.end as usize]
+    }
+}
+
+/// A parsed schema: class definitions and the tables their parts live in.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SchemaAst<'a> {
     /// The class definitions in source order.
     pub classes: Vec<ClassAst>,
+    /// Every superclass reference; see [`SchemaAst::supers_of`].
+    pub supers: Vec<SuperAst>,
+    /// Every attribute declaration and record field; see
+    /// [`SchemaAst::attrs_of`] and [`SchemaAst::fields`].
+    pub attrs: Vec<AttrAst>,
+    /// Every excuse clause; see [`SchemaAst::excuses_of`].
+    pub excuses: Vec<ExcuseAst>,
+    /// Every enumeration token; see [`SchemaAst::tokens`].
+    pub tokens: Vec<Name>,
     /// The text of every [`Name`], sliced from the source.
     pub names: Vec<&'a str>,
 }
@@ -28,23 +76,48 @@ impl<'a> SchemaAst<'a> {
     pub fn name(&self, name: Name) -> &'a str {
         self.names[name.index()]
     }
+
+    /// A class's direct superclasses, in source order.
+    pub fn supers_of(&self, class: &ClassAst) -> &[SuperAst] {
+        class.supers.of(&self.supers)
+    }
+
+    /// A class's attribute declarations, in source order.
+    pub fn attrs_of(&self, class: &ClassAst) -> &[AttrAst] {
+        class.attrs.of(&self.attrs)
+    }
+
+    /// A record's fields, in source order.
+    pub fn fields(&self, fields: List) -> &[AttrAst] {
+        fields.of(&self.attrs)
+    }
+
+    /// A declaration's excuse clauses, in source order.
+    pub fn excuses_of(&self, attr: &AttrAst) -> &[ExcuseAst] {
+        attr.excuses.of(&self.excuses)
+    }
+
+    /// An enumeration's tokens, in source order.
+    pub fn tokens(&self, tokens: List) -> &[Name] {
+        tokens.of(&self.tokens)
+    }
 }
 
 /// One `class C is-a S1, S2 with …` definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassAst {
     /// The class name.
     pub name: Name,
-    /// Direct superclasses, in source order.
-    pub supers: Vec<SuperAst>,
-    /// Attribute declarations.
-    pub attrs: Vec<AttrAst>,
+    /// Direct superclasses, rows of [`SchemaAst::supers`].
+    pub supers: List,
+    /// Attribute declarations, rows of [`SchemaAst::attrs`].
+    pub attrs: List,
     /// Source position of the `class` keyword.
     pub pos: Pos,
 }
 
 /// One superclass reference in an `is-a` list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperAst {
     /// The superclass name.
     pub name: Name,
@@ -53,20 +126,21 @@ pub struct SuperAst {
 }
 
 /// One attribute declaration `p : R excuses p on C; …`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttrAst {
     /// The attribute name.
     pub name: Name,
     /// Its range.
     pub range: RangeAst,
-    /// Excuse clauses attached to the declaration.
-    pub excuses: Vec<ExcuseAst>,
+    /// Excuse clauses attached to the declaration, rows of
+    /// [`SchemaAst::excuses`].
+    pub excuses: List,
     /// Source position of the attribute name.
     pub pos: Pos,
 }
 
 /// An `excuses p on C` clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExcuseAst {
     /// The excused attribute's name.
     pub attr: Name,
@@ -76,8 +150,9 @@ pub struct ExcuseAst {
     pub pos: Pos,
 }
 
-/// A parsed range.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A parsed range. Lists of tokens and fields are rows of
+/// [`SchemaAst::tokens`] and [`SchemaAst::attrs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeAst {
     /// `16..65`
     Int(i64, i64),
@@ -87,7 +162,7 @@ pub enum RangeAst {
     /// `[salary : Integer + None / Temporary_Employee]`.
     Integer,
     /// `{'Hawk, 'Dove}`
-    Enum(Vec<Name>),
+    Enum(List),
     /// `None` — the attribute is inapplicable.
     None,
     /// `AnyEntity` — the entity top of §5.5.
@@ -95,7 +170,7 @@ pub enum RangeAst {
     /// A class reference such as `Physician`.
     Named(Name),
     /// A refined class such as `Physician [certifiedBy : {'ABO}]`.
-    Refined(Name, Vec<AttrAst>),
+    Refined(Name, List),
     /// An anonymous in-line record such as `[street: String; city: String]`.
-    Record(Vec<AttrAst>),
+    Record(List),
 }

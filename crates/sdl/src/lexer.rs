@@ -40,6 +40,26 @@ impl<'a> Lexer<'a> {
             return Ok(Spanned { tok: Tok::Eof, pos });
         };
         let tok = match c {
+            // Identifiers and keywords first: they are most tokens.
+            c if ident_start(c) => match self.take_word() {
+                "class" => Tok::KwClass,
+                "with" => Tok::KwWith,
+                "excuses" => Tok::KwExcuses,
+                "on" => Tok::KwOn,
+                "is-a" | "is_a" | "isa" => Tok::KwIsA,
+                // "is" followed by "a" is the paper's spaced spelling.
+                "is" => {
+                    self.skip_trivia();
+                    let save = self.at;
+                    if self.take_word() == "a" {
+                        Tok::KwIsA
+                    } else {
+                        self.at = save;
+                        Tok::Ident("is")
+                    }
+                }
+                word => Tok::Ident(word),
+            },
             b':' => self.one(Tok::Colon),
             b';' => self.one(Tok::Semi),
             b',' => self.one(Tok::Comma),
@@ -62,25 +82,6 @@ impl<'a> Lexer<'a> {
             }
             b'-' if self.byte(1).is_some_and(|d| d.is_ascii_digit()) => self.take_int(pos)?,
             c if c.is_ascii_digit() => self.take_int(pos)?,
-            c if ident_start(c) => match self.take_word() {
-                "class" => Tok::KwClass,
-                "with" => Tok::KwWith,
-                "excuses" => Tok::KwExcuses,
-                "on" => Tok::KwOn,
-                "is-a" | "is_a" | "isa" => Tok::KwIsA,
-                // "is" followed by "a" is the paper's spaced spelling.
-                "is" => {
-                    self.skip_trivia();
-                    let save = self.at;
-                    if self.take_word() == "a" {
-                        Tok::KwIsA
-                    } else {
-                        self.at = save;
-                        Tok::Ident("is")
-                    }
-                }
-                word => Tok::Ident(word),
-            },
             other => {
                 return Err(lex_error(
                     pos,
@@ -103,38 +104,43 @@ impl<'a> Lexer<'a> {
 
     /// Skips whitespace and comments, the only input that spans lines.
     fn skip_trivia(&mut self) {
-        loop {
-            match (self.byte(0), self.byte(1)) {
-                (Some(b'\n'), _) => {
-                    self.at += 1;
+        let bytes = self.src.as_bytes();
+        let mut at = self.at;
+        while let Some(&c) = bytes.get(at) {
+            match c {
+                b'\n' => {
+                    at += 1;
                     self.line += 1;
-                    self.line_start = self.at;
+                    self.line_start = at;
                 }
-                (Some(c), _) if c.is_ascii_whitespace() => self.at += 1,
-                (Some(b'-'), Some(b'-')) | (Some(b'/'), Some(b'/')) => {
+                b'-' | b'/' if bytes.get(at + 1) == Some(&c) => {
                     // Up to, not past, the newline, which the next turn counts.
-                    self.at = self.src[self.at..]
-                        .find('\n')
-                        .map_or(self.src.len(), |i| self.at + i);
+                    at = self.src[at..].find('\n').map_or(bytes.len(), |i| at + i);
                 }
-                _ => return,
+                c if c.is_ascii_whitespace() => at += 1,
+                _ => break,
             }
         }
+        self.at = at;
     }
 
     /// Reads an identifier; it is all ASCII, so slicing the source is safe.
     fn take_word(&mut self) -> &'a str {
+        let src = self.src;
+        let bytes = src.as_bytes();
         let start = self.at;
-        while let Some(c) = self.byte(0) {
-            if ident_continue(c) {
-                self.at += 1;
-            } else if c == b'-' && self.byte(1).is_some_and(|d| d.is_ascii_alphabetic()) {
-                self.at += 2;
+        let mut at = start;
+        while let Some(&c) = bytes.get(at) {
+            if IDENT_CONTINUE[usize::from(c)] {
+                at += 1;
+            } else if c == b'-' && bytes.get(at + 1).is_some_and(u8::is_ascii_alphabetic) {
+                at += 2;
             } else {
                 break;
             }
         }
-        &self.src[start..self.at]
+        self.at = at;
+        &src[start..at]
     }
 
     /// Reads an integer literal with its sign, if any, so `i64::MIN`
@@ -155,9 +161,18 @@ fn ident_start(c: u8) -> bool {
     c.is_ascii_alphabetic() || c == b'_'
 }
 
-fn ident_continue(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_' || c == b'#'
-}
+/// The bytes that continue an identifier: ASCII letters and digits, `_`
+/// and `#`.
+const IDENT_CONTINUE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut c = 0;
+    while c < 256 {
+        let b = c as u8;
+        table[c] = b.is_ascii_alphanumeric() || b == b'_' || b == b'#';
+        c += 1;
+    }
+    table
+};
 
 fn lex_error(pos: Pos, what: impl Into<String>) -> SdlError {
     SdlError::Lex {

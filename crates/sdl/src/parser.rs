@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use chc_model::FxBuildHasher;
 
-use crate::ast::{AttrAst, ClassAst, ExcuseAst, Name, RangeAst, SchemaAst, SuperAst};
+use crate::ast::{AttrAst, ClassAst, ExcuseAst, List, Name, RangeAst, SchemaAst, SuperAst};
 use crate::error::SdlError;
 use crate::lexer::Lexer;
 use crate::token::{Spanned, Tok};
@@ -38,11 +38,11 @@ pub fn parse(src: &str) -> Result<SchemaAst<'_>, SdlError> {
         cur,
         lex_err: None,
         index: HashMap::default(),
-        names: Vec::new(),
-        excuses: Vec::new(),
+        ast: SchemaAst::default(),
+        open: Vec::new(),
         depth: 0,
     };
-    let classes = p.classes();
+    let parsed = p.classes();
     // Read on past a syntax error: the first lexical error in the source
     // is the one reported, wherever it is.
     while p.cur.tok != Tok::Eof {
@@ -51,8 +51,7 @@ pub fn parse(src: &str) -> Result<SchemaAst<'_>, SdlError> {
     if let Some(e) = p.lex_err {
         return Err(e);
     }
-    let (classes, names) = (classes?, p.names);
-    Ok(SchemaAst { classes, names })
+    parsed.map(|()| p.ast)
 }
 
 struct Parser<'a> {
@@ -61,9 +60,11 @@ struct Parser<'a> {
     cur: Spanned<'a>,
     lex_err: Option<SdlError>,
     index: HashMap<&'a str, Name, FxBuildHasher>,
-    names: Vec<&'a str>,
-    /// Scratch for one declaration's clauses, so each list is allocated once.
-    excuses: Vec<ExcuseAst>,
+    /// The tables parsed so far.
+    ast: SchemaAst<'a>,
+    /// The declarations of the attribute lists still open, innermost
+    /// last; each list moves into `ast.attrs` as one block when it closes.
+    open: Vec<AttrAst>,
     depth: usize,
 }
 
@@ -107,9 +108,10 @@ impl<'a> Parser<'a> {
 
     /// The id of `text`, numbering names in order of first occurrence.
     fn name(&mut self, text: &'a str) -> Name {
-        let next = Name(u32::try_from(self.names.len()).expect("name id overflow"));
+        let names = &mut self.ast.names;
+        let next = Name(u32::try_from(names.len()).expect("name id overflow"));
         *self.index.entry(text).or_insert_with(|| {
-            self.names.push(text);
+            names.push(text);
             next
         })
     }
@@ -122,30 +124,31 @@ impl<'a> Parser<'a> {
         Ok(self.name(s))
     }
 
-    fn classes(&mut self) -> Result<Vec<ClassAst>, SdlError> {
-        let mut classes = Vec::new();
+    fn classes(&mut self) -> Result<(), SdlError> {
         while self.cur.tok != Tok::Eof {
-            classes.push(self.class()?);
+            let class = self.class()?;
+            self.ast.classes.push(class);
         }
-        Ok(classes)
+        Ok(())
     }
 
     fn class(&mut self) -> Result<ClassAst, SdlError> {
         let pos = self.cur.pos;
         self.expect(Tok::KwClass, "`class`")?;
         let name = self.ident("a class name")?;
-        let mut supers = Vec::new();
+        let start = self.ast.supers.len();
         if self.eat(Tok::KwIsA) {
             loop {
                 let pos = self.cur.pos;
                 let name = self.ident("a superclass name")?;
-                supers.push(SuperAst { name, pos });
+                self.ast.supers.push(SuperAst { name, pos });
                 if !self.eat(Tok::Comma) {
                     break;
                 }
             }
         }
-        let mut attrs = Vec::new();
+        let supers = List::since(start, &self.ast.supers);
+        let mut attrs = List::default();
         if self.eat(Tok::KwWith) {
             attrs = self.attrs(&[Tok::KwClass, Tok::Eof])?;
         }
@@ -160,22 +163,26 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `attr (; attr)* ;?` until one of `stops` (not consumed).
-    fn attrs(&mut self, stops: &[Tok<'_>]) -> Result<Vec<AttrAst>, SdlError> {
-        let mut out = Vec::new();
+    fn attrs(&mut self, stops: &[Tok<'_>]) -> Result<List, SdlError> {
+        let base = self.open.len();
         loop {
             if stops.contains(&self.cur.tok) {
-                return Ok(out);
+                break;
             }
-            out.push(self.attr()?);
+            let attr = self.attr()?;
+            self.open.push(attr);
             // Attributes are separated by `;`; a stop token also ends the list.
             if self.eat(Tok::Semi) {
                 continue;
             }
             if stops.contains(&self.cur.tok) {
-                return Ok(out);
+                break;
             }
             return Err(self.unexpected("`;` or the end of the attribute list"));
         }
+        let start = self.ast.attrs.len();
+        self.ast.attrs.extend(self.open.drain(base..));
+        Ok(List::since(start, &self.ast.attrs))
     }
 
     fn attr(&mut self) -> Result<AttrAst, SdlError> {
@@ -183,20 +190,19 @@ impl<'a> Parser<'a> {
         let name = self.ident("an attribute name")?;
         self.expect(Tok::Colon, "`:` after attribute name")?;
         let range = self.range()?;
-        self.excuses.clear();
+        let start = self.ast.excuses.len();
         while self.cur.tok == Tok::KwExcuses {
             let pos = self.cur.pos;
             self.bump();
             let attr = self.ident("the excused attribute's name")?;
             self.expect(Tok::KwOn, "`on`")?;
             let on = self.ident("the excused class's name")?;
-            self.excuses.push(ExcuseAst { attr, on, pos });
+            self.ast.excuses.push(ExcuseAst { attr, on, pos });
         }
-        let excuses = self.excuses.as_slice().into();
         Ok(AttrAst {
             name,
             range,
-            excuses,
+            excuses: List::since(start, &self.ast.excuses),
             pos,
         })
     }
@@ -213,10 +219,13 @@ impl<'a> Parser<'a> {
             }
             Tok::LBrace => {
                 self.bump();
-                let mut toks = Vec::new();
+                let start = self.ast.tokens.len();
                 loop {
                     match self.bump() {
-                        Tok::Quoted(t) => toks.push(self.name(t)),
+                        Tok::Quoted(t) => {
+                            let token = self.name(t);
+                            self.ast.tokens.push(token);
+                        }
                         _ => return Err(self.unexpected("an enumeration token like `'Dove`")),
                     }
                     match self.bump() {
@@ -225,7 +234,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.unexpected("`,` or `}`")),
                     }
                 }
-                Ok(RangeAst::Enum(toks))
+                Ok(RangeAst::Enum(List::since(start, &self.ast.tokens)))
             }
             Tok::LBracket => Ok(RangeAst::Record(self.record()?)),
             Tok::Ident(name) => {
@@ -246,7 +255,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `[ attrs ]`, at most [`MAX_RECORD_DEPTH`] deep.
-    fn record(&mut self) -> Result<Vec<AttrAst>, SdlError> {
+    fn record(&mut self) -> Result<List, SdlError> {
         if self.depth == MAX_RECORD_DEPTH {
             return Err(self.unexpected(&format!("records nested at most {MAX_RECORD_DEPTH} deep")));
         }
@@ -282,14 +291,15 @@ mod tests {
         let ast = parse(src).unwrap();
         assert_eq!(ast.classes.len(), 3);
         assert_eq!(ast.name(ast.classes[0].name), "Address");
-        let supers: Vec<&str> = ast.classes[2]
-            .supers
+        let supers: Vec<&str> = ast
+            .supers_of(&ast.classes[2])
             .iter()
             .map(|s| ast.name(s.name))
             .collect();
         assert_eq!(supers, vec!["Person"]);
-        assert_eq!(ast.classes[2].attrs.len(), 3);
-        assert_eq!(ast.classes[2].attrs[0].range, RangeAst::Int(16, 65));
+        let attrs = ast.attrs_of(&ast.classes[2]);
+        assert_eq!(attrs.len(), 3);
+        assert_eq!(attrs[0].range, RangeAst::Int(16, 65));
     }
 
     #[test]
@@ -299,10 +309,11 @@ mod tests {
                 treatedBy: Psychologist excuses treatedBy on Patient;
         ";
         let ast = parse(src).unwrap();
-        let attr = &ast.classes[0].attrs[0];
-        assert_eq!(attr.excuses.len(), 1);
-        assert_eq!(ast.name(attr.excuses[0].attr), "treatedBy");
-        assert_eq!(ast.name(attr.excuses[0].on), "Patient");
+        let attr = &ast.attrs_of(&ast.classes[0])[0];
+        let excuses = ast.excuses_of(attr);
+        assert_eq!(excuses.len(), 1);
+        assert_eq!(ast.name(excuses[0].attr), "treatedBy");
+        assert_eq!(ast.name(excuses[0].on), "Patient");
     }
 
     #[test]
@@ -318,44 +329,48 @@ mod tests {
                 ];
         ";
         let ast = parse(src).unwrap();
-        let attr = &ast.classes[0].attrs[0];
-        let RangeAst::Refined(base, fields) = &attr.range else {
+        let attr = &ast.attrs_of(&ast.classes[0])[0];
+        let RangeAst::Refined(base, fields) = attr.range else {
             panic!("expected refined class range");
         };
-        assert_eq!(ast.name(*base), "Hospital");
+        assert_eq!(ast.name(base), "Hospital");
+        let fields = ast.fields(fields);
         assert_eq!(fields.len(), 2);
-        assert_eq!(ast.name(fields[0].excuses[0].on), "Hospital");
-        let RangeAst::Refined(base2, inner) = &fields[1].range else {
+        assert_eq!(ast.name(ast.excuses_of(&fields[0])[0].on), "Hospital");
+        let RangeAst::Refined(base2, inner) = fields[1].range else {
             panic!("expected nested refined range");
         };
-        assert_eq!(ast.name(*base2), "Address");
-        let RangeAst::Enum(toks) = &inner[1].range else {
+        assert_eq!(ast.name(base2), "Address");
+        let RangeAst::Enum(toks) = ast.fields(inner)[1].range else {
             panic!("expected an enumeration");
         };
         assert_eq!(
-            toks.iter().map(|&t| ast.name(t)).collect::<Vec<_>>(),
+            ast.tokens(toks)
+                .iter()
+                .map(|&t| ast.name(t))
+                .collect::<Vec<_>>(),
             ["Switzerland"]
         );
+        // The nested fields were pushed before the declarations holding them.
+        assert_eq!(ast.attrs.len(), 5);
+        assert_eq!(ast.name(ast.attrs[4].name), "treatedAt");
     }
 
     #[test]
     fn parses_multiple_supers() {
         let ast = parse("class Dick is-a Quaker, Republican").unwrap();
-        let supers: Vec<&str> = ast.classes[0]
-            .supers
-            .iter()
-            .map(|s| ast.name(s.name))
-            .collect();
-        assert_eq!(supers, vec!["Quaker", "Republican"]);
+        let supers = ast.supers_of(&ast.classes[0]);
+        let names: Vec<&str> = supers.iter().map(|s| ast.name(s.name)).collect();
+        assert_eq!(names, vec!["Quaker", "Republican"]);
         // Each superclass reference carries its own position.
-        assert_eq!(ast.classes[0].supers[0].pos.col, 17);
-        assert_eq!(ast.classes[0].supers[1].pos.col, 25);
+        assert_eq!(supers[0].pos.col, 17);
+        assert_eq!(supers[1].pos.col, 25);
     }
 
     #[test]
     fn parses_anonymous_record() {
         let ast = parse("class Person with home: [street: String; city: String]").unwrap();
-        let RangeAst::Record(fields) = &ast.classes[0].attrs[0].range else {
+        let RangeAst::Record(fields) = ast.attrs_of(&ast.classes[0])[0].range else {
             panic!("expected record range");
         };
         assert_eq!(fields.len(), 2);
@@ -388,10 +403,19 @@ mod tests {
     #[test]
     fn special_type_names() {
         let ast = parse("class T with a: Integer; b: None; c: AnyEntity; d: String").unwrap();
-        let rs: Vec<&RangeAst> = ast.classes[0].attrs.iter().map(|a| &a.range).collect();
-        assert_eq!(rs[0], &RangeAst::Integer);
-        assert_eq!(rs[1], &RangeAst::None);
-        assert_eq!(rs[2], &RangeAst::AnyEntity);
-        assert_eq!(rs[3], &RangeAst::Str);
+        let rs: Vec<RangeAst> = ast
+            .attrs_of(&ast.classes[0])
+            .iter()
+            .map(|a| a.range)
+            .collect();
+        assert_eq!(
+            rs,
+            [
+                RangeAst::Integer,
+                RangeAst::None,
+                RangeAst::AnyEntity,
+                RangeAst::Str
+            ]
+        );
     }
 }

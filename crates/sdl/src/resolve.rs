@@ -15,7 +15,7 @@ use chc_model::{
     AttrSpec, ClassId, Excuse, FieldSpec, ModelError, Range, Schema, SchemaBuilder, Sym,
 };
 
-use crate::ast::{AttrAst, ExcuseAst, Name, RangeAst, SchemaAst};
+use crate::ast::{AttrAst, Name, RangeAst, SchemaAst};
 use crate::error::SdlError;
 use crate::parser::parse;
 use crate::token::Pos;
@@ -62,9 +62,18 @@ pub fn lower(ast: &SchemaAst<'_>, file: Option<&str>) -> Result<Schema, SdlError
         syms: vec![None; ast.names.len()],
         classes: vec![None; ast.names.len()],
     };
+    let map = l.b.source_map_mut();
     if let Some(f) = file {
-        l.b.source_map_mut().set_file(f);
+        map.set_file(f);
     }
+    // Nested clauses are counted too, but never recorded.
+    let attrs = ast.classes.iter().map(|c| c.attrs.len()).sum();
+    map.reserve(
+        ast.classes.len(),
+        attrs,
+        ast.excuses.len(),
+        ast.supers.len(),
+    );
     // Pass 1: declare every class name.
     for class in &ast.classes {
         // On a duplicate, `class.pos` is the second occurrence.
@@ -75,22 +84,22 @@ pub fn lower(ast: &SchemaAst<'_>, file: Option<&str>) -> Result<Schema, SdlError
     for class in &ast.classes {
         let id = l.classes[class.name.index()].expect("declared in pass 1");
         l.b.record_class_span(id, span(class.pos));
-        for sup in &class.supers {
+        for sup in ast.supers_of(class) {
             let sup_id = l.class(sup.name, sup.pos)?;
             model_at(l.b.add_super(id, sup_id), sup.pos)?;
             l.b.source_map_mut().record_super(id, sup_id, span(sup.pos));
         }
-        for attr in &class.attrs {
+        for attr in ast.attrs_of(class) {
             // A declaration's range and excused names are interned before
             // its own name: `Sym` order is pinned, as it orders attributes.
             let spec = l.attr_spec(attr)?;
             let attr_sym = l.sym(attr.name);
             let map = l.b.source_map_mut();
             map.record_attr(id, attr_sym, span(attr.pos));
-            for (exc, at) in spec.excuses.iter().zip(&attr.excuses) {
+            for (exc, at) in spec.excuses.iter().zip(ast.excuses_of(attr)) {
                 map.record_excuse(id, exc.attr, exc.on, span(at.pos));
             }
-            model_at(l.b.add_attr(id, ast.name(attr.name), spec), attr.pos)?;
+            model_at(l.b.add_attr_sym(id, attr_sym, spec), attr.pos)?;
         }
     }
     l.b.build().map_err(|err| SdlError::Model {
@@ -122,9 +131,10 @@ impl Lower<'_, '_> {
     }
 
     fn attr_spec(&mut self, attr: &AttrAst) -> Result<AttrSpec, SdlError> {
-        let range = self.range(&attr.range, attr.pos)?;
-        let mut excuses = Vec::with_capacity(attr.excuses.len());
-        for exc in &attr.excuses {
+        let range = self.range(attr.range, attr.pos)?;
+        let clauses = self.ast.excuses_of(attr);
+        let mut excuses = Vec::with_capacity(clauses.len());
+        for exc in clauses {
             let on = self.class(exc.on, exc.pos)?;
             let attr = self.sym(exc.attr);
             excuses.push(Excuse { attr, on });
@@ -132,9 +142,10 @@ impl Lower<'_, '_> {
         Ok(AttrSpec { range, excuses })
     }
 
-    fn range(&mut self, range: &RangeAst, pos: Pos) -> Result<Range, SdlError> {
+    fn range(&mut self, range: RangeAst, pos: Pos) -> Result<Range, SdlError> {
+        let ast = self.ast;
         Ok(match range {
-            RangeAst::Int(lo, hi) => model_at(Range::int(*lo, *hi), pos)?,
+            RangeAst::Int(lo, hi) => model_at(Range::int(lo, hi), pos)?,
             RangeAst::Str => Range::Str,
             RangeAst::Integer => Range::Int {
                 lo: i64::MIN,
@@ -142,15 +153,16 @@ impl Lower<'_, '_> {
             },
             RangeAst::None => Range::None,
             RangeAst::AnyEntity => Range::AnyEntity,
-            RangeAst::Enum(toks) => {
-                model_at(Range::enumeration(toks.iter().map(|&t| self.sym(t))), pos)?
-            }
-            RangeAst::Named(name) => Range::Class(self.class(*name, pos)?),
+            RangeAst::Enum(toks) => model_at(
+                Range::enumeration(ast.tokens(toks).iter().map(|&t| self.sym(t))),
+                pos,
+            )?,
+            RangeAst::Named(name) => Range::Class(self.class(name, pos)?),
             RangeAst::Refined(name, fields) => {
-                let base = self.class(*name, pos)?;
-                self.record(Some(base), fields, pos)?
+                let base = self.class(name, pos)?;
+                self.record(Some(base), ast.fields(fields), pos)?
             }
-            RangeAst::Record(fields) => self.record(None, fields, pos)?,
+            RangeAst::Record(fields) => self.record(None, ast.fields(fields), pos)?,
         })
     }
 
@@ -207,12 +219,15 @@ fn build_error_pos(ast: &SchemaAst<'_>, err: &ModelError) -> Option<Pos> {
 fn excuse_pos(ast: &SchemaAst<'_>, on: &str, attr: &str) -> Option<Pos> {
     fn scan(ast: &SchemaAst<'_>, attrs: &[AttrAst], on: &str, attr: &str) -> Option<Pos> {
         for a in attrs {
-            let named = |e: &&ExcuseAst| ast.name(e.on) == on && ast.name(e.attr) == attr;
-            if let Some(e) = a.excuses.iter().find(named) {
+            let clauses = ast.excuses_of(a);
+            let named = clauses
+                .iter()
+                .find(|e| ast.name(e.on) == on && ast.name(e.attr) == attr);
+            if let Some(e) = named {
                 return Some(e.pos);
             }
-            if let RangeAst::Refined(_, fields) | RangeAst::Record(fields) = &a.range {
-                if let Some(p) = scan(ast, fields, on, attr) {
+            if let RangeAst::Refined(_, fields) | RangeAst::Record(fields) = a.range {
+                if let Some(p) = scan(ast, ast.fields(fields), on, attr) {
                     return Some(p);
                 }
             }
@@ -221,7 +236,7 @@ fn excuse_pos(ast: &SchemaAst<'_>, on: &str, attr: &str) -> Option<Pos> {
     }
     ast.classes
         .iter()
-        .find_map(|c| scan(ast, &c.attrs, on, attr))
+        .find_map(|c| scan(ast, ast.attrs_of(c), on, attr))
 }
 
 #[cfg(test)]

@@ -34,12 +34,12 @@ fn expected(src: &str) -> Expected<'_> {
     for class in &ast.classes {
         let c = ast.name(class.name);
         e.classes.insert(c, span(class.pos));
-        for sup in &class.supers {
+        for sup in ast.supers_of(class) {
             e.supers.insert((c, ast.name(sup.name)), span(sup.pos));
         }
-        for attr in &class.attrs {
+        for attr in ast.attrs_of(class) {
             e.attrs.insert((c, ast.name(attr.name)), span(attr.pos));
-            for exc in &attr.excuses {
+            for exc in ast.excuses_of(attr) {
                 e.excuses
                     .insert((c, ast.name(exc.attr), ast.name(exc.on)), span(exc.pos));
             }
