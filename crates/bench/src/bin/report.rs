@@ -1,4 +1,4 @@
-//! Regenerates every experiment (E1–E15) as markdown tables.
+//! Regenerates every experiment (E1–E17) as markdown tables.
 //!
 //! ```text
 //! cargo run --release -p chc-bench --bin report            # all experiments
@@ -97,6 +97,9 @@ fn main() {
     }
     if want("E16") {
         e16();
+    }
+    if want("E17") {
+        e17();
     }
     if want("A1") {
         a1();
@@ -870,6 +873,93 @@ fn e16() {
          check; `--since` still reports the cone and checks in full, since a \
          cone-only check would need the old schema's report for every other \
          class.\n"
+    );
+}
+
+/// The median of `runs` timings of `f` on a fresh `setup()`, in
+/// milliseconds: making the input and dropping the output are not timed.
+fn median_ms<S, T>(runs: usize, mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> T) -> f64 {
+    let mut ms: Vec<f64> = (0..runs)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            let out = f(input);
+            let elapsed = start.elapsed();
+            drop(out);
+            elapsed.as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[runs / 2]
+}
+
+fn e17() {
+    use chc_obs::memalloc;
+    use chc_sdl::lexer::Lexer;
+    use chc_sdl::token::Tok;
+
+    println!("## E17 — SDL compile cost per source byte
+");
+    println!(
+        "Each hierarchy is the schema-ci generator's (`HierarchyParams::default()` \
+         with n classes) printed as SDL. `compile` is `compile_with_source` end to \
+         end; the split times each phase on its own: `lex` drives the lexer to the \
+         end of input, `parse` is the parse less its lexing, `lower` resolves \
+         names, builds the specs and records the source map, and `build` is \
+         `SchemaBuilder::build` (closures, declarer and excuse index, \
+         integrity checks), timed on a builder rebuilt from the schema. Times \
+         are medians; allocations are counted by the tracking allocator over \
+         one compile.\n"
+    );
+    println!(
+        "| classes | bytes | clauses | compile (ms) | ns/byte | allocs | alloc bytes/byte | \
+         lex (ms) | parse (ms) | lower (ms) | build (ms) |"
+    );
+    println!("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
+    for n in [800, 1600, 3200, 6400] {
+        let text = chc_sdl::print_schema(
+            &generate(&HierarchyParams { classes: n, ..HierarchyParams::default() }).schema,
+        );
+        let compile = || chc_sdl::compile_with_source(&text, "bench.sdl").unwrap();
+        let schema = compile();
+        let clauses: usize = schema
+            .class_ids()
+            .flat_map(|c| &schema.class(c).attrs)
+            .map(|d| d.spec.excuses.len())
+            .sum();
+        let allocs_before = memalloc::snapshot().allocs;
+        let probe = memalloc::probe();
+        drop(compile());
+        let bytes = probe.stats().bytes_allocated;
+        drop(probe);
+        let allocs = memalloc::snapshot().allocs - allocs_before;
+
+        let runs = (48_000 / n).clamp(5, 31);
+        let t_compile = median_ms(runs, || (), |()| compile());
+        let t_lex = median_ms(runs, || Lexer::new(&text), |mut lexer| {
+            while lexer.next_token().unwrap().tok != Tok::Eof {}
+        });
+        let t_parse = median_ms(runs, || (), |()| chc_sdl::parse(&text).unwrap());
+        let ast = chc_sdl::parse(&text).unwrap();
+        let t_lower = median_ms(runs, || (), |()| chc_sdl::lower(&ast, Some("bench.sdl")).unwrap());
+        let t_build = median_ms(runs, || chc_model::SchemaBuilder::from_schema(&schema), |b| b.build().unwrap());
+        let len = text.len() as f64;
+        println!(
+            "| {n} | {} | {clauses} | {t_compile:.1} | {:.1} | {allocs} | {:.2} | {t_lex:.1} | {:.1} | {:.1} | \
+             {t_build:.1} |",
+            text.len(),
+            t_compile * 1e6 / len,
+            bytes as f64 / len,
+            t_parse - t_lex,
+            t_lower - t_build,
+        );
+    }
+    println!(
+        "\nPer byte, lexing and parsing cost about the same at every size; \
+         `build` grows faster than the text, because each class's ancestor and \
+         descendant closures are n-bit sets. `lex` calls the lexer from outside \
+         its crate, where the parser's calls are inlined, so it overstates the \
+         lexer's share and `parse` understates the parser's.\n"
     );
 }
 
