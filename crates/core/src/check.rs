@@ -15,8 +15,10 @@
 //! A check pays only for distinct work. Ranges are compared through the
 //! interned table of [`crate::canon`], the cross-class deduplication of
 //! error reports answers from a dense index of error sites kept beside
-//! the report, and the checker's counters reach the recorder once per
-//! class.
+//! the report, and the checker's counter totals reach the recorder once
+//! per check. Per-class attribution (label scope, timing, memory probe,
+//! labeled twins) and distinct-pair keys are prepared only while an
+//! installed recorder keeps them (`chc_obs::keeps`).
 //!
 //! # What is decided once
 //!
@@ -54,8 +56,8 @@
 //!   reports the pair, and settling it would change the report.
 
 use chc_model::{ClassId, Schema, Sort, Sym};
-use chc_obs::names;
 use chc_obs::profile::SeenSet;
+use chc_obs::{names, Kind};
 
 use crate::canon::{RangeId, RangeTable};
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic, Severity};
@@ -92,7 +94,8 @@ pub fn check(schema: &Schema) -> CheckReport {
     for class in schema.class_ids() {
         checker.check_class(class);
     }
-    checker.finish()
+    checker.work.report();
+    checker.report
 }
 
 /// An error diagnostic sits at this `(class, attr)` site.
@@ -101,18 +104,21 @@ const SITE_ERROR: u8 = 1;
 /// declaration check — sits at this site.
 const SITE_DECLARATION: u8 = 2;
 
-/// The checker's work on the class being checked, reported to the
-/// recorder in one batch when the class is done.
+/// The checker's work so far, reported to the recorder in one batch
+/// when the check is done: the same totals as one call per event.
 #[derive(Default)]
 struct Work {
+    classes: u64,
     contradictions: u64,
     excuses_resolved: u64,
     subtype_queries: u64,
     joint_sat_calls: u64,
-    /// Whether a recorder was live when the class's check began.
-    recording: bool,
+    sat_calls: u64,
+    /// Whether an installed recorder kept distinct keys when the check
+    /// began.
+    distinct: bool,
     /// `(sup, sub)` range-id pairs already reported as distinct subtype
-    /// queries during this check (kept across classes).
+    /// queries during this check.
     seen_pairs: SeenSet,
 }
 
@@ -122,7 +128,7 @@ impl Work {
     /// [`chc_model::Range::subsumes`] reports it with.
     fn subsumes(&mut self, ranges: &RangeTable<'_>, sup: RangeId, sub: RangeId) -> bool {
         self.subtype_queries += 1;
-        if self.recording
+        if self.distinct
             && self
                 .seen_pairs
                 .insert((u64::from(sup) << 32) | u64::from(sub))
@@ -133,31 +139,41 @@ impl Work {
         ranges.subsumes(sup, sub)
     }
 
-    /// Sends the class's counters to the recorder — the same totals, and
-    /// per-class labeled twins, as one call per event — and resets them.
-    fn report(&mut self, class: ClassId) {
+    /// The counts with a class-labeled twin: `(contradictions, subtype
+    /// queries)`.
+    fn labeled_counts(&self) -> (u64, u64) {
+        (self.contradictions, self.subtype_queries)
+    }
+
+    /// Sends the class-labeled twins of the work done since `before`
+    /// ([`Work::labeled_counts`]) under `class`.
+    fn report_class(&self, class: ClassId, before: (u64, u64)) {
         let label = class.index() as u64;
-        let emit = |name, delta: &mut u64, labeled| {
-            let delta = std::mem::take(delta);
+        let (contradictions, queries) = self.labeled_counts();
+        for (name, delta) in [
+            (names::CHECK_CONTRADICTIONS, contradictions - before.0),
+            (names::SUBTYPE_QUERIES, queries - before.1),
+        ] {
             if delta > 0 {
-                chc_obs::counter(name, delta);
-                if labeled {
-                    chc_obs::labeled_counter(name, label, delta);
-                }
+                chc_obs::labeled_counter(name, label, delta);
             }
-        };
-        emit(names::CHECK_CONTRADICTIONS, &mut self.contradictions, true);
-        emit(
-            names::CHECK_EXCUSES_RESOLVED,
-            &mut self.excuses_resolved,
-            false,
-        );
-        emit(names::SUBTYPE_QUERIES, &mut self.subtype_queries, true);
-        emit(
-            names::CHECK_JOINT_SAT_CALLS,
-            &mut self.joint_sat_calls,
-            false,
-        );
+        }
+    }
+
+    /// Sends the check's totals to the recorder, one call per counter.
+    fn report(&self) {
+        for (name, total) in [
+            (names::CHECK_CLASSES, self.classes),
+            (names::CHECK_CONTRADICTIONS, self.contradictions),
+            (names::CHECK_EXCUSES_RESOLVED, self.excuses_resolved),
+            (names::SUBTYPE_QUERIES, self.subtype_queries),
+            (names::CHECK_JOINT_SAT_CALLS, self.joint_sat_calls),
+            (names::SAT_CALLS, self.sat_calls),
+        ] {
+            if total > 0 {
+                chc_obs::counter(name, total);
+            }
+        }
     }
 }
 
@@ -224,33 +240,33 @@ impl<'s> Checker<'s> {
             report: CheckReport::default(),
             sites: vec![Vec::new(); schema.num_classes()],
             verdicts: Verdicts::default(),
-            work: Work::default(),
+            work: Work {
+                distinct: chc_obs::keeps(Kind::Distinct),
+                ..Work::default()
+            },
         }
-    }
-
-    /// The report built so far.
-    fn finish(self) -> CheckReport {
-        self.report
     }
 
     /// Checks one class, appending its diagnostics to the report.
     fn check_class(&mut self, class: ClassId) {
-        chc_obs::counter(names::CHECK_CLASSES, 1);
-        self.work.recording = chc_obs::enabled();
-        // Attribution: while a recorder is on, everything this class's
-        // check does downstream (sat calls) is labeled with the class id,
-        // and its wall time feeds the per-class histogram behind `chc
-        // profile`'s time-share column.
-        if self.work.recording {
+        self.work.classes += 1;
+        // Attribution: while a recorder keeps labeled metrics, everything
+        // this class's check does downstream (sat calls) is labeled with
+        // the class id, its counts get class-labeled twins, and its wall
+        // time feeds the per-class histogram behind `chc profile`'s
+        // time-share column.
+        if chc_obs::keeps(Kind::Labeled) {
             let label = class.index() as u64;
             let _label = chc_obs::label_scope(label);
             // Memory attribution rides the same scope when the tracking
             // allocator is live: bytes allocated and peak net-live growth
             // while checking this class, keyed by the class id.
             let mem = chc_obs::memalloc::installed().then(chc_obs::memalloc::probe);
+            let before = self.work.labeled_counts();
             let start = std::time::Instant::now();
             self.check_class_inner(class);
             let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.work.report_class(class, before);
             chc_obs::labeled_histogram(names::CHECK_CLASS_NANOS, label, nanos);
             if let Some(mem) = mem {
                 let stats = mem.stats();
@@ -295,7 +311,6 @@ impl<'s> Checker<'s> {
             }
         }
         self.verdicts = verdicts;
-        self.work.report(class);
     }
 
     fn push(&mut self, d: Diagnostic) {
@@ -522,7 +537,8 @@ impl<'s> Checker<'s> {
             .iter()
             .map(|&b| (b, &schema.declared_attr(b, attr).expect("declarer").spec))
             .collect();
-        if crate::sat::admits_common_value_of(schema, class, attr, &constraints) {
+        self.work.sat_calls += 1;
+        if crate::sat::common_value_witness_counted(schema, class, attr, &constraints).is_some() {
             return;
         }
 

@@ -45,5 +45,8 @@ pub use sat::{
     Derivation, Witness,
 };
 pub use semantics::{constraint_holds, constraint_verdict, CheckVerdict, Semantics};
-pub use validate::{object_is_valid, validate_object, MissingPolicy, ValidationOptions, Violation};
+pub use validate::{
+    object_is_valid, validate_object, validate_object_counted, MissingPolicy, ValidationCounts,
+    ValidationOptions, Violation,
+};
 pub use virtualize::{virtualize, VirtualClassInfo, Virtualized};

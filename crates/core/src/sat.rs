@@ -51,8 +51,7 @@ pub fn admits_common_value(schema: &Schema, class: ClassId, attr: Sym) -> bool {
     admits_common_value_of(schema, class, attr, &constraints)
 }
 
-/// As [`admits_common_value`], over an already-collected constraint set
-/// (the checker reuses the set it fetched for pairwise reporting).
+/// As [`admits_common_value`], over an already-collected constraint set.
 pub fn admits_common_value_of(
     schema: &Schema,
     class: ClassId,
@@ -111,12 +110,23 @@ pub fn common_value_witness_of(
     attr: Sym,
     constraints: &[(ClassId, &AttrSpec)],
 ) -> Option<Witness> {
-    // Counted at the decision procedure itself (every caller funnels
-    // through here): the total, the per-class attribution, and the
-    // distinct `(class, attr)` pairs for the duplicate-work ratio.
     chc_obs::counter(chc_obs::names::SAT_CALLS, 1);
-    if chc_obs::enabled() {
-        chc_obs::labeled_counter(chc_obs::names::SAT_CALLS, class.index() as u64, 1);
+    common_value_witness_counted(schema, class, attr, constraints)
+}
+
+/// [`common_value_witness_of`], leaving the `sat.calls` total to the
+/// caller: the checker sums its calls and reports them once per check.
+pub(crate) fn common_value_witness_counted(
+    schema: &Schema,
+    class: ClassId,
+    attr: Sym,
+    constraints: &[(ClassId, &AttrSpec)],
+) -> Option<Witness> {
+    // Counted at the decision procedure itself (every caller funnels
+    // through here): the per-class attribution, and the distinct
+    // `(class, attr)` pairs for the duplicate-work ratio.
+    chc_obs::labeled_counter(chc_obs::names::SAT_CALLS, class.index() as u64, 1);
+    if chc_obs::keeps(chc_obs::Kind::Distinct) {
         let key = ((class.index() as u64) << 32) | attr.index() as u64;
         chc_obs::distinct(chc_obs::names::SAT_CALLS_DISTINCT, key);
     }

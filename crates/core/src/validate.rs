@@ -67,6 +67,28 @@ impl Violation {
     }
 }
 
+/// Executed and admitted run-time checks, summed over a run of
+/// validations and reported once ([`ValidationCounts::report`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ValidationCounts {
+    /// Checks executed: the `validate.checks` counter.
+    pub checks: u64,
+    /// Checks admitted by an excuse: the `validate.admitted` counter.
+    pub admitted: u64,
+}
+
+impl ValidationCounts {
+    /// Sends the sums to the recorder, one call per non-zero counter.
+    pub fn report(&self) {
+        if self.checks > 0 {
+            chc_obs::counter(names::VALIDATE_CHECKS, self.checks);
+        }
+        if self.admitted > 0 {
+            chc_obs::counter(names::VALIDATE_ADMITTED, self.admitted);
+        }
+    }
+}
+
 /// Validates object `x` against every constraint of every class in
 /// `memberships` *and their ancestors*. Returns all violations.
 ///
@@ -80,6 +102,23 @@ pub fn validate_object(
     x: Oid,
     memberships: &[ClassId],
 ) -> Vec<Violation> {
+    let mut counts = ValidationCounts::default();
+    let out = validate_object_counted(schema, view, opts, x, memberships, &mut counts);
+    counts.report();
+    out
+}
+
+/// [`validate_object`], leaving the `validate.checks` and
+/// `validate.admitted` counters to the caller: adds the object's checks
+/// to `counts`, so a loop over many objects can report the sums once.
+pub fn validate_object_counted(
+    schema: &Schema,
+    view: &dyn InstanceView,
+    opts: ValidationOptions,
+    x: Oid,
+    memberships: &[ClassId],
+    counts: &mut ValidationCounts,
+) -> Vec<Violation> {
     let mut closed: Vec<ClassId> = Vec::new();
     for &m in memberships {
         for a in schema.ancestors_with_self(m) {
@@ -91,8 +130,6 @@ pub fn validate_object(
     closed.sort();
 
     let mut out = Vec::new();
-    // Executed and admitted checks, reported once per object below.
-    let (mut checks, mut admitted) = (0u64, 0u64);
     for &class in &closed {
         for decl in &schema.class(class).attrs {
             let stored = view.attr_value(x, decl.name);
@@ -115,8 +152,8 @@ pub fn validate_object(
             // ledger record; the E11 acceptance check asserts these
             // totals agree. The record's fields are rendered only while
             // an audit sink reads them.
-            checks += 1;
-            admitted += u64::from(matches!(verdict, CheckVerdict::Excused { .. }));
+            counts.checks += 1;
+            counts.admitted += u64::from(matches!(verdict, CheckVerdict::Excused { .. }));
             chc_obs::event_with(EventLevel::Audit, names::EVENT_VALIDATE_CHECK, |ev| {
                 let ev = ev
                     .field("object", x.raw())
@@ -140,12 +177,6 @@ pub fn validate_object(
                 });
             }
         }
-    }
-    if checks > 0 {
-        chc_obs::counter(names::VALIDATE_CHECKS, checks);
-    }
-    if admitted > 0 {
-        chc_obs::counter(names::VALIDATE_ADMITTED, admitted);
     }
     out
 }

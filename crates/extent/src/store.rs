@@ -133,9 +133,7 @@ impl ExtentStore {
     /// automatically, of all their superclasses).
     pub fn create(&mut self, schema: &Schema, classes: &[ClassId]) -> Oid {
         let (oid, fanout) = self.create_counted(schema, classes);
-        if chc_obs::enabled() {
-            chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
-        }
+        chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
         oid
     }
 
@@ -167,10 +165,8 @@ impl ExtentStore {
         for a in schema.ancestors_with_self(class) {
             fanout += u64::from(self.join(i, a));
         }
-        if chc_obs::enabled() {
-            chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
-            chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
-        }
+        chc_obs::counter(chc_obs::names::EXTENT_ADD_FANOUT, fanout);
+        chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
     }
 
     /// Removes an object from a class and every *subclass* (membership
@@ -182,10 +178,8 @@ impl ExtentStore {
         for d in schema.descendants_with_self(class) {
             fanout += u64::from(self.leave(i, d.index()));
         }
-        if chc_obs::enabled() {
-            chc_obs::counter(chc_obs::names::EXTENT_REMOVE_FANOUT, fanout);
-            chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
-        }
+        chc_obs::counter(chc_obs::names::EXTENT_REMOVE_FANOUT, fanout);
+        chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
     }
 
     /// Destroys an object entirely, in time proportional to its classes.

@@ -1,6 +1,8 @@
 //! Store-integrated instance validation.
 
-use chc_core::{validate_object, ValidationOptions, Violation};
+use chc_core::{
+    validate_object, validate_object_counted, ValidationCounts, ValidationOptions, Violation,
+};
 use chc_model::{Oid, Schema};
 use chc_obs::{names, EventLevel};
 
@@ -18,8 +20,21 @@ pub fn validate_stored(
     validate_object(schema, store, opts, oid, &store.classes_of(oid))
 }
 
+/// [`validate_stored`], adding the object's checks to `counts` for the
+/// caller to report.
+fn validate_stored_counted(
+    schema: &Schema,
+    store: &ExtentStore,
+    opts: ValidationOptions,
+    oid: Oid,
+    counts: &mut ValidationCounts,
+) -> Vec<Violation> {
+    validate_object_counted(schema, store, opts, oid, &store.classes_of(oid), counts)
+}
+
 /// Validates the whole store; returns `(oid, violations)` for each invalid
-/// object.
+/// object. The `validate.checks` and `validate.admitted` counters arrive
+/// once, summed over the store.
 pub fn validate_all(
     schema: &Schema,
     store: &ExtentStore,
@@ -28,14 +43,17 @@ pub fn validate_all(
 ) -> Vec<(Oid, Vec<Violation>)> {
     let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
     let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
-    store
+    let mut counts = ValidationCounts::default();
+    let invalid = store
         .extent(root)
         .filter_map(|o| {
             crumb.set(o.raw());
-            let v = validate_stored(schema, store, opts, o);
+            let v = validate_stored_counted(schema, store, opts, o, &mut counts);
             (!v.is_empty()).then_some((o, v))
         })
-        .collect()
+        .collect();
+    counts.report();
+    invalid
 }
 
 /// Validates every object of a loaded data file, in definition order,
@@ -43,7 +61,9 @@ pub fn validate_all(
 /// first error `judge` returns. This is `chc validate`'s loop.
 ///
 /// The recorders see one `validate.all` phase span, not one span per
-/// object. Per object, the audit ledger gets a `validate.object` record
+/// object, and the `validate.checks` and `validate.admitted` counters
+/// once, summed over the objects judged (also when `judge` stops the
+/// loop). Per object, the audit ledger gets a `validate.object` record
 /// joining the name to its surrogate (built only while a sink keeps
 /// `Info` events), and the flight recorder's breadcrumb names the
 /// surrogate being judged, so a crash report says which object it was.
@@ -55,14 +75,19 @@ pub fn validate_loaded<E>(
 ) -> Result<(), E> {
     let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
     let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
-    for (name, oid) in &data.names {
+    let mut counts = ValidationCounts::default();
+    let judged = data.names.iter().try_for_each(|(name, oid)| {
         crumb.set(oid.raw());
         chc_obs::event_with(EventLevel::Info, names::EVENT_VALIDATE_OBJECT, |ev| {
             ev.field("name", name.as_str()).field("object", oid.raw())
         });
-        judge(name, validate_stored(schema, &data.store, opts, *oid))?;
-    }
-    Ok(())
+        judge(
+            name,
+            validate_stored_counted(schema, &data.store, opts, *oid, &mut counts),
+        )
+    });
+    counts.report();
+    judged
 }
 
 #[cfg(test)]

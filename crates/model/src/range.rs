@@ -160,8 +160,8 @@ impl Range {
         // through `subsumes_structurally` so nested fields don't inflate
         // E3/E8.
         chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-        if chc_obs::enabled() {
-            chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+        chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+        if chc_obs::keeps(chc_obs::Kind::Distinct) {
             chc_obs::distinct(
                 chc_obs::names::SUBTYPE_QUERIES_DISTINCT,
                 self.subsumption_key(sub),
@@ -202,7 +202,7 @@ impl Range {
 
     /// The decision behind [`Range::subsumes`] without its per-query
     /// accounting, for callers that count their queries in batches (the
-    /// checker reports them once per class). Ranges of different sorts
+    /// checker reports them once per check). Ranges of different sorts
     /// never subsume each other; within a sort, one rule decides.
     pub fn subsumes_structurally(&self, schema: &Schema, sub: &Range) -> bool {
         if self.sort() != sub.sort() {

@@ -14,7 +14,7 @@
 //! ignore the stream), and [`AuditRecorder`] is the batteries-included
 //! sink: a bounded ring that keeps the most recent events and renders
 //! them as JSON lines via [`crate::json`]. It is also the one in-tree
-//! sink that keeps events ([`Recorder::keeps_events`]), so
+//! sink that keeps events ([`crate::Kind::Event`]), so
 //! [`crate::event_with`] delivers an event, and builds its fields, only
 //! while an `AuditRecorder` keeping its level is installed.
 //!
@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::json::JsonValue;
-use crate::Recorder;
+use crate::{Kind, Recorder};
 
 /// How important a structured event is. Ordered: `Debug < Info < Audit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -339,8 +339,8 @@ impl Default for AuditRecorder {
 }
 
 impl Recorder for AuditRecorder {
-    fn keeps_events(&self, level: EventLevel) -> bool {
-        level >= self.min_level
+    fn keeps(&self, kind: Kind) -> bool {
+        matches!(kind, Kind::Event(level) if level >= self.min_level)
     }
 
     fn event(&self, event: &Event) {

@@ -20,13 +20,19 @@
 //!   [`FlightRecorder::counters`], …) merge the buffers; the merged tail
 //!   is the last `capacity` transitions by sequence number, exactly what
 //!   one shared ring of that capacity would hold.
-//! * **Phases, not items.** The flight recorder keeps no structured
-//!   events ([`Recorder::keeps_events`] stays `false`: the audit ledger
-//!   owns them), so an event nobody else keeps costs one relaxed load.
-//!   Instrumented code marks phases with spans; which item a phase is
-//!   on is a [`crate::breadcrumb`]: one "current item" slot per thread
-//!   buffer, set with a relaxed store and no ring entry, read only by
-//!   [`crash_report`].
+//! * **Spans and counters only.** The flight recorder declares those
+//!   two [`Kind`]s and no other ([`Recorder::keeps`]). Histograms,
+//!   labeled metrics, distinct keys and structured events (the audit
+//!   ledger owns those) are left to the sinks that keep them, so while
+//!   the flight recorder is the only one installed, as under plain
+//!   `chc`, each of them costs one relaxed load, and instrumented code
+//!   prepares none of them: no key hashing, label scope or per-class
+//!   timing.
+//! * **Phases, not items.** Instrumented code marks phases with spans
+//!   and sums counters per phase; which item a phase is on is a
+//!   [`crate::breadcrumb`]: one "current item" slot per thread buffer,
+//!   set with a relaxed store and no ring entry, read by [`crash_report`]
+//!   and, as progress, by the [`Watchdog`].
 //!
 //! `tests/flight_model.rs` checks the merged views against a one-ring
 //! reference model and pins the per-call cost on two threads
@@ -43,8 +49,9 @@
 //! * a panic hook (the host wires [`CrashWriter::dump`] into
 //!   `std::panic::set_hook`), or
 //! * a [`Watchdog`]: a background thread that declares a stall when
-//!   the flight sequence number stops advancing while spans are still
-//!   open, and dumps the same report with `"reason":"stall"`.
+//!   neither the flight sequence number nor any thread's breadcrumb
+//!   item changes while spans are still open, and dumps the same report
+//!   with `"reason":"stall"`.
 //!
 //! [`render_crash_report`] renders the resulting file human-readably
 //! (`chc doctor`).
@@ -59,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::{self, JsonValue};
 use crate::threads::{lock, thread_index, SpanStack, Ticker};
-use crate::{memalloc, Recorder};
+use crate::{memalloc, Kind, Recorder};
 
 /// Default ring capacity: enough for a few thousand recent transitions
 /// without the tail dominating the crash report.
@@ -183,10 +190,17 @@ impl FlightRecorder {
         }
     }
 
-    /// Transitions recorded so far (including dropped ones). The
-    /// watchdog uses this as its liveness signal.
+    /// Transitions recorded so far (including dropped ones).
     pub fn seq(&self) -> u64 {
         self.seq.0.load(Ordering::Relaxed)
+    }
+
+    /// The watchdog's liveness signal: the sequence number, and each
+    /// thread's current item. A loop that sums its counters per phase
+    /// records no transition per item, but moves its breadcrumb.
+    fn progress(&self) -> (u64, Vec<Option<(&'static str, u64)>>) {
+        let items = self.thread_states().into_iter().map(|(_, _, item)| item);
+        (self.seq(), items.collect())
     }
 
     /// Calls `f` with every thread's log, in order of first use, while
@@ -354,6 +368,15 @@ impl Default for FlightRecorder {
 }
 
 impl Recorder for FlightRecorder {
+    /// Spans and counters only: the ring holds no events (the audit
+    /// ledger owns them; the breadcrumb says which item a phase is on).
+    /// Histograms (they ride hot loops), labeled metrics and distinct
+    /// keys are the stats and profile recorders' job, so under the
+    /// flight recorder alone instrumented code skips preparing them.
+    fn keeps(&self, kind: Kind) -> bool {
+        matches!(kind, Kind::Counter | Kind::Span)
+    }
+
     fn counter(&self, name: &'static str, delta: u64) {
         self.record(FlightKind::Counter, name, delta);
     }
@@ -374,12 +397,6 @@ impl Recorder for FlightRecorder {
         drop(log);
         slots.push(ItemSlot { buffer, outer });
     }
-
-    // `event` and `keeps_events` keep their defaults: the ring holds no
-    // events (the audit ledger owns them; the breadcrumb says which item
-    // a phase is on). Histograms (they ride hot loops), labeled metrics
-    // and distinct keep the default no-op too: per-label attribution is
-    // the profiler's job.
 }
 
 // --- breadcrumbs ----------------------------------------------------
@@ -746,9 +763,9 @@ impl CrashWriter {
 // --- stall watchdog -------------------------------------------------
 
 /// A background thread that dumps a `"reason":"stall"` crash report
-/// when the flight sequence number stops advancing for `timeout` while
-/// spans are still open. Stop it with [`Watchdog::stop`]; dropping the
-/// handle stops it too.
+/// when neither the flight sequence number nor any thread's breadcrumb
+/// item changes for `timeout` while spans are still open. Stop it with
+/// [`Watchdog::stop`]; dropping the handle stops it too.
 pub struct Watchdog(Ticker);
 
 impl Watchdog {
@@ -756,12 +773,12 @@ impl Watchdog {
     pub fn start(writer: Arc<CrashWriter>, timeout: Duration) -> Watchdog {
         let timeout = timeout.max(Duration::from_millis(10));
         let tick = (timeout / 4).max(Duration::from_millis(5));
-        let mut last_seq = writer.flight().seq();
+        let mut last = writer.flight().progress();
         let mut last_change = Instant::now();
         Watchdog(Ticker::start("chc-watchdog", tick, move || {
-            let seq = writer.flight().seq();
-            if seq != last_seq {
-                last_seq = seq;
+            let progress = writer.flight().progress();
+            if progress != last {
+                last = progress;
                 last_change = Instant::now();
                 return true;
             }
@@ -833,7 +850,7 @@ mod tests {
         {
             let _scope = crate::scoped(flight.clone());
             for level in crate::EventLevel::ALL {
-                assert!(!flight.keeps_events(level), "{level:?}");
+                assert!(!flight.keeps(Kind::Event(level)), "{level:?}");
                 crate::event_with(level, "t.event", |ev| {
                     built.set(built.get() + 1);
                     ev.field("k", "v")
@@ -976,5 +993,25 @@ mod tests {
         }
         dog.stop();
         assert!(!path.exists(), "no stall report while the seq advances");
+    }
+
+    #[test]
+    fn watchdog_stays_quiet_while_the_breadcrumb_moves() {
+        let flight = Arc::new(FlightRecorder::new());
+        let _scope = crate::scoped(flight.clone());
+        let _span = crate::span("t.busy");
+        let crumb = crate::breadcrumb("t.item");
+        let path = tmp("no-stall-items.json");
+        let _ = std::fs::remove_file(&path);
+        let writer = Arc::new(CrashWriter::new(flight.clone(), Some(path.clone())));
+        let mut dog = Watchdog::start(writer, Duration::from_millis(60));
+        let seq = flight.seq();
+        for item in 0..12 {
+            crumb.set(item);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        dog.stop();
+        assert_eq!(flight.seq(), seq, "no transition while the item moves");
+        assert!(!path.exists(), "no stall report while the item moves");
     }
 }

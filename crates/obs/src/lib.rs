@@ -18,9 +18,16 @@
 //!   attribution ([`labeled_counter`], [`labeled_histogram`],
 //!   [`distinct`], [`label_scope`]) — see [`profile`],
 //!
-//! behind a cheap [`Recorder`] trait. When no recorder is installed
-//! (the default), every instrumentation call is a single relaxed atomic
-//! load and a predictable branch — instrumented hot paths cost ~nothing.
+//! behind a cheap [`Recorder`] trait. Each recorder declares the
+//! [`Kind`]s of observation it keeps ([`Recorder::keeps`]), and the
+//! declarations are counted into one keep-table when it is installed.
+//! While no installed recorder keeps a kind, emitting it is a single
+//! relaxed atomic load and a predictable branch, and instrumented code
+//! skips preparing it ([`keeps`]). That holds whether nothing is
+//! installed (a library caller's default) or the `chc` CLI's always-on
+//! [`FlightRecorder`] is, which keeps spans and counters only: under
+//! plain `chc`, histograms, labeled metrics, distinct keys and events
+//! cost one load each.
 //!
 //! ## Installing a recorder
 //!
@@ -91,16 +98,76 @@ pub use trace::{FanoutRecorder, TraceEvent, TraceEventKind, TraceRecorder};
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// A sink for instrumentation events. Every method defaults to
-/// discarding its observation, so a sink implements only what it keeps.
+/// One kind of observation a [`Recorder`] can receive, for
+/// [`Recorder::keeps`]: each emit function reaches sinks only through
+/// the kind it emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kind {
+    /// [`counter`].
+    Counter,
+    /// [`span`] enters and exits.
+    Span,
+    /// [`histogram`].
+    Histogram,
+    /// [`labeled_counter`], [`labeled_histogram`] and
+    /// [`labeled_counter_scoped`].
+    Labeled,
+    /// [`distinct`].
+    Distinct,
+    /// [`event`] and [`event_with`] at this level.
+    Event(EventLevel),
+}
+
+/// The number of [`Kind`]s, events counted once per level.
+const KINDS: usize = 5 + EventLevel::ALL.len();
+
+impl Kind {
+    /// Every kind, events lowest level first.
+    pub const ALL: [Kind; KINDS] = [
+        Kind::Counter,
+        Kind::Span,
+        Kind::Histogram,
+        Kind::Labeled,
+        Kind::Distinct,
+        Kind::Event(EventLevel::Debug),
+        Kind::Event(EventLevel::Info),
+        Kind::Event(EventLevel::Audit),
+    ];
+
+    /// This kind's slot in the keep-table.
+    #[inline]
+    const fn index(self) -> usize {
+        match self {
+            Kind::Counter => 0,
+            Kind::Span => 1,
+            Kind::Histogram => 2,
+            Kind::Labeled => 3,
+            Kind::Distinct => 4,
+            Kind::Event(level) => 5 + level as usize,
+        }
+    }
+}
+
+/// A sink for instrumentation events. Every observation method defaults
+/// to discarding it, so a sink implements what it keeps and declares
+/// those kinds in [`Recorder::keeps`].
 ///
 /// Implementations must be cheap to call re-entrantly; the instrumented
 /// crates call these from hot loops whenever a recorder is installed.
 pub trait Recorder: Send + Sync {
+    /// Whether this sink keeps observations of `kind`. An emit function
+    /// reaches the sinks only while some installed recorder keeps its
+    /// kind, and instrumented code prepares an observation (hashes a
+    /// key, opens a label scope, times a class) only then. The answers
+    /// are read when the recorder is installed ([`set_global`],
+    /// [`scoped`]) and when it is removed, so they must not change in
+    /// between. While no installed recorder keeps a kind, emitting it
+    /// costs one relaxed atomic load.
+    fn keeps(&self, kind: Kind) -> bool;
     /// Add `delta` to the named counter.
     fn counter(&self, _name: &'static str, _delta: u64) {}
     /// Record one observation of `value` in the named histogram.
@@ -113,21 +180,10 @@ pub trait Recorder: Send + Sync {
     /// on the thread, and ignores an exit with no such span open.
     fn span_exit(&self, _name: &'static str, _nanos: u64) {}
     /// A structured event was emitted at a level this sink keeps
-    /// ([`Recorder::keeps_events`]), payload included. Recorders that
-    /// aggregate numeric work (stats, traces, the flight recorder) keep
-    /// no level; [`AuditRecorder`] retains the stream.
+    /// ([`Kind::Event`]), payload included. Recorders that aggregate
+    /// numeric work (stats, traces, the flight recorder) keep no level;
+    /// [`AuditRecorder`] retains the stream.
     fn event(&self, _event: &events::Event) {}
-    /// Whether this sink keeps events at `level`. Events reach a sink
-    /// only at the levels it keeps, and [`event_with`] builds a payload
-    /// only when the active recorder keeps its level. The answer is read
-    /// when the recorder is installed ([`set_global`], [`scoped`]), so
-    /// it must not change afterwards; while no installed recorder keeps
-    /// a level, emitting at it costs one relaxed atomic load. Defaults to
-    /// `false`; a sink that overrides [`Recorder::event`] must override
-    /// this too.
-    fn keeps_events(&self, _level: EventLevel) -> bool {
-        false
-    }
     /// Hands over the calling thread's "current item" slot for the
     /// breadcrumb `name`, if this sink keeps one; see [`breadcrumb`].
     /// Only the flight recorder does.
@@ -149,51 +205,62 @@ pub trait Recorder: Send + Sync {
     fn distinct(&self, _name: &'static str, _key: u64) {}
 }
 
-/// Number of live recorder installations (global plus scoped). While
-/// zero, instrumentation calls return after one relaxed load.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+/// The keep-table: the live recorder installations (global plus scoped,
+/// on any thread), and per [`Kind`] how many of them keep it. Every emit
+/// function reads one of these counts with one relaxed load. The table
+/// has its cache line to itself, so the `GLOBAL` lock's state, which
+/// every dispatch writes, never shares it.
+#[repr(align(64))]
+struct KeepTable {
+    installed: AtomicU32,
+    keeping: [AtomicU32; KINDS],
+}
 
-/// Per [`EventLevel`], the number of live installations that keep
-/// events at that level: the installed recorders' answers to
-/// [`Recorder::keeps_events`], cached. While zero, [`event`] and
-/// [`event_with`] at that level return after one relaxed load.
-static KEEPING: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+static KEEP: KeepTable = KeepTable {
+    installed: AtomicU32::new(0),
+    keeping: [const { AtomicU32::new(0) }; KINDS],
+};
 
-/// Counts `recorder`'s kept levels in (`installed`) or out of [`KEEPING`].
-fn count_kept_levels(recorder: &dyn Recorder, installed: bool) {
-    for level in EventLevel::ALL {
-        if recorder.keeps_events(level) {
-            let count = &KEEPING[level as usize];
-            if installed {
-                count.fetch_add(1, Ordering::Relaxed);
-            } else {
-                count.fetch_sub(1, Ordering::Relaxed);
-            }
+/// Counts `recorder` and the kinds it keeps into (`installed`) or out of
+/// the keep-table.
+fn count_installation(recorder: &dyn Recorder, installed: bool) {
+    let step = |count: &AtomicU32| {
+        if installed {
+            count.fetch_add(1, Ordering::Relaxed);
+        } else {
+            count.fetch_sub(1, Ordering::Relaxed);
+        }
+    };
+    step(&KEEP.installed);
+    for kind in Kind::ALL {
+        if recorder.keeps(kind) {
+            step(&KEEP.keeping[kind.index()]);
         }
     }
 }
 
-/// True if some installed recorder (on any thread) keeps events at
-/// `level`.
+/// True if some installed recorder (global, or scoped on any thread)
+/// keeps observations of `kind`.
+///
+/// Gate the *preparation* of an observation on this (a hashed key, a
+/// label scope, a timed region); the emit functions already test their
+/// own kind, and [`event_with`] builds a payload only for a sink that
+/// keeps it.
 #[inline]
-fn kept(level: EventLevel) -> bool {
-    KEEPING[level as usize].load(Ordering::Relaxed) != 0
+pub fn keeps(kind: Kind) -> bool {
+    KEEP.keeping[kind.index()].load(Ordering::Relaxed) != 0
+}
+
+/// True if any recorder (global or scoped, on any thread) is installed.
+#[inline]
+fn enabled() -> bool {
+    KEEP.installed.load(Ordering::Relaxed) != 0
 }
 
 static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
 thread_local! {
     static LOCAL: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// True if any recorder (global or scoped-on-this-thread) may be live.
-///
-/// Use this to skip *preparing* expensive observations (a counter's
-/// value, a label); the emit functions already check it internally, and
-/// [`event_with`] builds a payload only for a sink that keeps it.
-#[inline]
-pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
 }
 
 /// Calls `f` with the active recorder: the innermost scoped one, else
@@ -217,12 +284,9 @@ fn dispatch(f: impl FnOnce(&dyn Recorder)) {
 /// [`scoped`] guard keeps reporting to its own recorder.
 pub fn set_global(recorder: Arc<dyn Recorder>) {
     let mut g = GLOBAL.write().expect("obs global lock");
-    count_kept_levels(&*recorder, true);
-    match g.replace(recorder) {
-        Some(old) => count_kept_levels(&*old, false),
-        None => {
-            ACTIVE.fetch_add(1, Ordering::Relaxed);
-        }
+    count_installation(&*recorder, true);
+    if let Some(old) = g.replace(recorder) {
+        count_installation(&*old, false);
     }
 }
 
@@ -230,8 +294,7 @@ pub fn set_global(recorder: Arc<dyn Recorder>) {
 pub fn clear_global() {
     let mut g = GLOBAL.write().expect("obs global lock");
     if let Some(old) = g.take() {
-        count_kept_levels(&*old, false);
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
+        count_installation(&*old, false);
     }
 }
 
@@ -247,9 +310,8 @@ pub struct ScopeGuard {
 /// wins), so a test can meter exactly one region of code regardless of
 /// what the process or enclosing scopes are doing.
 pub fn scoped(recorder: Arc<dyn Recorder>) -> ScopeGuard {
-    count_kept_levels(&*recorder, true);
+    count_installation(&*recorder, true);
     LOCAL.with(|l| l.borrow_mut().push(recorder));
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
     ScopeGuard {
         _not_send: std::marker::PhantomData,
     }
@@ -258,16 +320,15 @@ pub fn scoped(recorder: Arc<dyn Recorder>) -> ScopeGuard {
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         if let Some(recorder) = LOCAL.with(|l| l.borrow_mut().pop()) {
-            count_kept_levels(&*recorder, false);
+            count_installation(&*recorder, false);
         }
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Adds `delta` to the named counter on the active recorder, if any.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
-    if enabled() {
+    if keeps(Kind::Counter) {
         dispatch(|r| r.counter(name, delta));
     }
 }
@@ -275,35 +336,38 @@ pub fn counter(name: &'static str, delta: u64) {
 /// Records `value` into the named histogram on the active recorder.
 #[inline]
 pub fn histogram(name: &'static str, value: u64) {
-    if enabled() {
+    if keeps(Kind::Histogram) {
         dispatch(|r| r.histogram(name, value));
     }
 }
 
 /// Adds `delta` to the named counter under `label` (class id, query id,
-/// pair hash, …) on the active recorder. One relaxed load when disabled.
+/// pair hash, …) on the active recorder. One relaxed load while no
+/// installed recorder keeps labeled metrics.
 #[inline]
 pub fn labeled_counter(name: &'static str, label: u64, delta: u64) {
-    if enabled() {
+    if keeps(Kind::Labeled) {
         dispatch(|r| r.labeled_counter(name, label, delta));
     }
 }
 
 /// Records `value` into the named histogram under `label` on the active
-/// recorder. One relaxed load when disabled.
+/// recorder. One relaxed load while no installed recorder keeps labeled
+/// metrics.
 #[inline]
 pub fn labeled_histogram(name: &'static str, label: u64, value: u64) {
-    if enabled() {
+    if keeps(Kind::Labeled) {
         dispatch(|r| r.labeled_histogram(name, label, value));
     }
 }
 
 /// Reports a distinct-work observation: recorders that track duplicate
 /// work bump the counter `name` only the first time they see `key`.
-/// One relaxed load when disabled.
+/// One relaxed load while no installed recorder keeps distinct keys;
+/// gate computing `key` on [`keeps`]`(`[`Kind::Distinct`]`)`.
 #[inline]
 pub fn distinct(name: &'static str, key: u64) {
-    if enabled() {
+    if keeps(Kind::Distinct) {
         dispatch(|r| r.distinct(name, key));
     }
 }
@@ -323,8 +387,9 @@ pub struct LabelGuard {
 /// drops. Deep instrumentation sites that cannot see what they work
 /// *for* (the subtype decision, the sat procedure) read the innermost
 /// label via [`current_label`] so their counters attribute to the class
-/// (or query) being processed. Callers should gate on [`enabled`] — the
-/// stack is maintained unconditionally.
+/// (or query) being processed. Callers should gate on
+/// [`keeps`]`(`[`Kind::Labeled`]`)` — the stack is maintained
+/// unconditionally.
 pub fn label_scope(label: u64) -> LabelGuard {
     LABELS.with(|l| l.borrow_mut().push(label));
     LabelGuard {
@@ -345,11 +410,11 @@ pub fn current_label() -> Option<u64> {
 }
 
 /// Adds `delta` to the labeled series of `name` under the innermost
-/// [`label_scope`] label; a no-op when no label scope is active (or no
-/// recorder is installed). One relaxed load when disabled.
+/// [`label_scope`] label; a no-op when no label scope is active. One
+/// relaxed load while no installed recorder keeps labeled metrics.
 #[inline]
 pub fn labeled_counter_scoped(name: &'static str, delta: u64) {
-    if enabled() {
+    if keeps(Kind::Labeled) {
         if let Some(label) = current_label() {
             dispatch(|r| r.labeled_counter(name, label, delta));
         }
@@ -360,9 +425,10 @@ pub fn labeled_counter_scoped(name: &'static str, delta: u64) {
 /// event's level. One relaxed load while no installed recorder does.
 #[inline]
 pub fn event(event: Event) {
-    if kept(event.level) {
+    let kind = Kind::Event(event.level);
+    if keeps(kind) {
         dispatch(|r| {
-            if r.keeps_events(event.level) {
+            if r.keeps(kind) {
                 r.event(&event);
             }
         });
@@ -372,14 +438,15 @@ pub fn event(event: Event) {
 /// Emits the event `name` at `level` with a lazily built payload:
 /// `fields` adds the key-value fields to the bare event. Both run only
 /// when the active recorder keeps events at `level`
-/// ([`Recorder::keeps_events`]); while no installed recorder does, this
+/// ([`Kind::Event`]); while no installed recorder does, this
 /// is one relaxed load, so hot paths pay for resolving names or
 /// rendering values only while an audit sink is listening.
 #[inline]
 pub fn event_with(level: EventLevel, name: &'static str, fields: impl FnOnce(Event) -> Event) {
-    if kept(level) {
+    let kind = Kind::Event(level);
+    if keeps(kind) {
         dispatch(|r| {
-            if r.keeps_events(level) {
+            if r.keeps(kind) {
                 r.event(&fields(Event::new(level, name)));
             }
         });
@@ -403,8 +470,8 @@ pub fn breadcrumb(name: &'static str) -> Breadcrumb {
 
 /// RAII guard for a timed span; created by [`span`].
 ///
-/// When no recorder is active at creation the guard is fully inert — it
-/// holds no `Instant` and its drop is a no-op branch.
+/// When no installed recorder keeps spans at creation the guard is
+/// fully inert — it holds no `Instant` and its drop is a no-op branch.
 #[must_use = "a span measures the scope it is bound to; bind it to a variable"]
 pub struct SpanGuard {
     name: &'static str,
@@ -415,7 +482,7 @@ pub struct SpanGuard {
 /// when the returned guard drops.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if enabled() {
+    if keeps(Kind::Span) {
         dispatch(|r| r.span_enter(name));
         SpanGuard {
             name,

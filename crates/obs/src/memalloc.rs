@@ -24,9 +24,10 @@
 //! * [`span_mem`] is the fire-and-forget variant for instrumented
 //!   spans (`sdl.compile`, `extent.load`, `query.execute`, ...): it
 //!   probes while the guard lives and emits a counter/histogram pair
-//!   at drop — but only when a recorder is installed *and* the
-//!   tracking allocator is live, so binaries without the wrapper never
-//!   grow spurious zero-valued `mem.*` rows in their snapshots.
+//!   at drop — but only when an installed recorder keeps counters or
+//!   histograms *and* the tracking allocator is live, so binaries
+//!   without the wrapper never grow spurious zero-valued `mem.*` rows in
+//!   their snapshots.
 //!
 //! Reallocation is accounted as a free of the old size plus an
 //! allocation of the new size. Per-thread "peak live" is the maximum
@@ -42,6 +43,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::Kind;
 
 /// The process-wide counters. Every allocation and free on every thread
 /// updates them, so they get a cache line of their own: another static
@@ -292,8 +295,9 @@ impl Drop for ThreadProbe {
 /// allocated as a counter under `bytes_name` and the peak net-live
 /// growth as a histogram observation under `peak_name`.
 ///
-/// Inert (no probe, no emission) unless a recorder is installed *and*
-/// the tracking allocator is live — see the module docs.
+/// Inert (no probe, no emission) unless an installed recorder keeps
+/// counters or histograms *and* the tracking allocator is live — see
+/// the module docs.
 pub struct SpanMemGuard {
     probe: Option<ThreadProbe>,
     bytes_name: &'static str,
@@ -304,7 +308,8 @@ pub struct SpanMemGuard {
 /// (after the [`crate::span`] guard) so its drop-time emissions are
 /// attributed to that span.
 pub fn span_mem(bytes_name: &'static str, peak_name: &'static str) -> SpanMemGuard {
-    let probe = if crate::enabled() && installed() {
+    let kept = crate::keeps(Kind::Counter) || crate::keeps(Kind::Histogram);
+    let probe = if kept && installed() {
         Some(probe())
     } else {
         None

@@ -565,6 +565,11 @@ impl ProfileRecorder {
 }
 
 impl crate::Recorder for ProfileRecorder {
+    fn keeps(&self, kind: crate::Kind) -> bool {
+        use crate::Kind;
+        matches!(kind, Kind::Counter | Kind::Labeled | Kind::Distinct)
+    }
+
     fn counter(&self, name: &'static str, delta: u64) {
         let mut inner = self.inner.lock().expect("profile lock");
         *inner.counters.entry(name).or_insert(0) += delta;

@@ -122,6 +122,10 @@ impl SpanSampler {
 }
 
 impl crate::Recorder for SpanSampler {
+    fn keeps(&self, kind: crate::Kind) -> bool {
+        kind == crate::Kind::Span
+    }
+
     fn span_enter(&self, name: &'static str) {
         lock(&self.inner).stacks.mine().1.enter(name, ());
     }

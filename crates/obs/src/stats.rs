@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use crate::json::JsonValue;
 use crate::threads::{lock, PerThread, SpanStack};
-use crate::Recorder;
+use crate::{Kind, Recorder};
 
 /// One completed (or still-open) span in the recorded tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,6 +423,13 @@ fn json_spans(out: &mut String, node: &SpanNode, prefix: &str) {
 }
 
 impl Recorder for StatsRecorder {
+    fn keeps(&self, kind: Kind) -> bool {
+        matches!(
+            kind,
+            Kind::Counter | Kind::Span | Kind::Histogram | Kind::Distinct
+        )
+    }
+
     fn counter(&self, name: &'static str, delta: u64) {
         lock(&self.inner).add(name, delta);
     }

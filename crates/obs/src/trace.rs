@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use crate::json::JsonValue;
 use crate::threads::{lock, render_folded, PerThread, SpanStack};
-use crate::{EventLevel, Recorder};
+use crate::{Kind, Recorder};
 
 /// Default event capacity: plenty for a whole CLI run over the example
 /// schemas, ~a few MB at worst.
@@ -244,6 +244,10 @@ impl TraceRecorder {
 }
 
 impl Recorder for TraceRecorder {
+    fn keeps(&self, kind: Kind) -> bool {
+        matches!(kind, Kind::Counter | Kind::Span | Kind::Histogram)
+    }
+
     fn counter(&self, name: &'static str, delta: u64) {
         let mut guard = lock(&self.inner);
         let inner = &mut *guard;
@@ -300,19 +304,22 @@ impl Recorder for TraceRecorder {
 
 /// Forwards every observation to each of a set of recorders, so
 /// `--trace` (aggregated) and `--trace-out` (event-level) can observe
-/// one run. It keeps the event levels any of its sinks keeps; an
+/// one run. It keeps every [`Kind`] any of its sinks keeps; an
 /// [`crate::event_with`] payload is then built once and reaches only
 /// the sinks that keep its level.
 pub struct FanoutRecorder {
     sinks: Vec<std::sync::Arc<dyn Recorder>>,
-    /// Per [`EventLevel`], whether any sink keeps it.
-    keeps: [bool; 3],
+    /// The kinds any sink keeps, in [`Kind::ALL`] order.
+    keeps: Vec<Kind>,
 }
 
 impl FanoutRecorder {
     /// A recorder fanning out to `sinks`, in order.
     pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        let keeps = EventLevel::ALL.map(|level| sinks.iter().any(|s| s.keeps_events(level)));
+        let keeps = Kind::ALL
+            .into_iter()
+            .filter(|&kind| sinks.iter().any(|s| s.keeps(kind)))
+            .collect();
         FanoutRecorder { sinks, keeps }
     }
 
@@ -322,6 +329,10 @@ impl FanoutRecorder {
 }
 
 impl Recorder for FanoutRecorder {
+    fn keeps(&self, kind: Kind) -> bool {
+        self.keeps.contains(&kind)
+    }
+
     fn counter(&self, name: &'static str, delta: u64) {
         self.each(|s| s.counter(name, delta));
     }
@@ -339,15 +350,12 @@ impl Recorder for FanoutRecorder {
     }
 
     fn event(&self, event: &crate::events::Event) {
+        let kind = Kind::Event(event.level);
         self.each(|s| {
-            if s.keeps_events(event.level) {
+            if s.keeps(kind) {
                 s.event(event);
             }
         });
-    }
-
-    fn keeps_events(&self, level: EventLevel) -> bool {
-        self.keeps[level as usize]
     }
 
     fn breadcrumb_slots(&self, name: &'static str, slots: &mut Vec<crate::flight::ItemSlot>) {
@@ -552,5 +560,26 @@ mod tests {
         assert_eq!(stats.histogram_summary("h").unwrap().count, 1);
         assert_eq!(trace.events().len(), 2);
         assert_eq!(trace.events()[1].counters.get("c"), Some(&2));
+    }
+
+    #[test]
+    fn fanout_keeps_the_union_of_its_sinks() {
+        use crate::{AuditRecorder, EventLevel, FlightRecorder, ProfileRecorder};
+        use std::sync::Arc;
+        let kept = |r: &dyn Recorder| Kind::ALL.map(|kind| r.keeps(kind));
+        let sinks: Vec<Arc<dyn Recorder>> = vec![
+            Arc::new(FlightRecorder::new()),
+            Arc::new(ProfileRecorder::new()),
+            Arc::new(AuditRecorder::with_capacity_and_level(4, EventLevel::Info)),
+        ];
+        let fan = FanoutRecorder::new(sinks.clone());
+        for (k, kind) in Kind::ALL.into_iter().enumerate() {
+            let any = sinks.iter().any(|s| kept(&**s)[k]);
+            assert_eq!(fan.keeps(kind), any, "{kind:?}");
+        }
+        assert!(!fan.keeps(Kind::Histogram) && !fan.keeps(Kind::Event(EventLevel::Debug)));
+        assert!(fan.keeps(Kind::Labeled) && fan.keeps(Kind::Event(EventLevel::Audit)));
+        // No sinks keep nothing.
+        assert_eq!(kept(&FanoutRecorder::new(Vec::new())), [false; 8]);
     }
 }

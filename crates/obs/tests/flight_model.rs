@@ -28,7 +28,7 @@ use std::time::Instant;
 use chc_obs::flight::crash_report;
 use chc_obs::json::{self, JsonValue};
 use chc_obs::{
-    Event, EventLevel, FlightKind, FlightRecorder, Recorder, SpanNode, StatsRecorder,
+    Event, EventLevel, FlightKind, FlightRecorder, Kind, Recorder, SpanNode, StatsRecorder,
     TraceEventKind, TraceRecorder,
 };
 
@@ -76,7 +76,7 @@ impl Call {
             // sink that keeps the level, which none of these does.
             Call::Event(name) => {
                 let event = Event::new(EventLevel::Audit, name);
-                if recorder.keeps_events(event.level) {
+                if recorder.keeps(Kind::Event(event.level)) {
                     recorder.event(&event);
                 }
             }

@@ -17,6 +17,7 @@
 use chc_core::{constraint_holds, Semantics};
 use chc_extent::ExtentStore;
 use chc_model::{Oid, Schema, Value};
+use chc_obs::{names, Kind};
 
 use crate::ast::Pred;
 use crate::plan::Plan;
@@ -54,15 +55,16 @@ pub struct ExecResult {
 /// that attribute (the §5.2 rule), since nothing was proven statically.
 /// Checks the type-guided compiler eliminates are exactly this work saved.
 pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult {
-    let _span = chc_obs::span(chc_obs::names::SPAN_QUERY_EXECUTE);
+    let _span = chc_obs::span(names::SPAN_QUERY_EXECUTE);
     let _mem = chc_obs::memalloc::span_mem(
-        chc_obs::names::MEM_QUERY_EXECUTE_BYTES,
-        chc_obs::names::MEM_QUERY_EXECUTE_PEAK,
+        names::MEM_QUERY_EXECUTE_BYTES,
+        names::MEM_QUERY_EXECUTE_PEAK,
     );
     // Attribute everything this execution does (its own counters below,
     // plus the subtype queries the runtime safety checks trigger) to the
     // scanned class — `chc profile query` groups cost by that label.
-    let _label = chc_obs::enabled().then(|| chc_obs::label_scope(plan.class.index() as u64));
+    let label = plan.class.index() as u64;
+    let _label = chc_obs::keeps(Kind::Labeled).then(|| chc_obs::label_scope(label));
     let mut stats = ExecStats::default();
     let mut values = Vec::new();
     'row: for oid in store.extent(plan.class) {
@@ -107,29 +109,22 @@ pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult 
         stats.rows_emitted += 1;
         values.push(cur);
     }
-    if chc_obs::enabled() {
-        use chc_obs::names;
-        chc_obs::counter(names::QUERY_ROWS_SCANNED, stats.rows_scanned as u64);
-        chc_obs::counter(names::QUERY_ROWS_EMITTED, stats.rows_emitted as u64);
-        chc_obs::counter(names::QUERY_CHECKS_EXECUTED, stats.checks_executed as u64);
-        chc_obs::labeled_counter(
-            names::QUERY_ROWS_SCANNED,
-            plan.class.index() as u64,
-            stats.rows_scanned as u64,
-        );
-        chc_obs::labeled_counter(
-            names::QUERY_CHECKS_EXECUTED,
-            plan.class.index() as u64,
-            stats.checks_executed as u64,
-        );
-        // Checks a check-everything compiler would have run but this plan
-        // statically proved away: one per eliminated step, per scanned row.
-        let eliminated_per_row = plan.emit.len().saturating_sub(plan.checks_per_row());
-        chc_obs::counter(
-            names::QUERY_CHECKS_ELIMINATED,
-            (stats.rows_scanned * eliminated_per_row) as u64,
-        );
-    }
+    chc_obs::counter(names::QUERY_ROWS_SCANNED, stats.rows_scanned as u64);
+    chc_obs::counter(names::QUERY_ROWS_EMITTED, stats.rows_emitted as u64);
+    chc_obs::counter(names::QUERY_CHECKS_EXECUTED, stats.checks_executed as u64);
+    chc_obs::labeled_counter(names::QUERY_ROWS_SCANNED, label, stats.rows_scanned as u64);
+    chc_obs::labeled_counter(
+        names::QUERY_CHECKS_EXECUTED,
+        label,
+        stats.checks_executed as u64,
+    );
+    // Checks a check-everything compiler would have run but this plan
+    // statically proved away: one per eliminated step, per scanned row.
+    let eliminated_per_row = plan.emit.len().saturating_sub(plan.checks_per_row());
+    chc_obs::counter(
+        names::QUERY_CHECKS_ELIMINATED,
+        (stats.rows_scanned * eliminated_per_row) as u64,
+    );
     ExecResult { values, stats }
 }
 
@@ -151,7 +146,11 @@ fn runtime_safety_check(
         if !store.is_member(owner, declarer) {
             continue;
         }
-        let range = &schema.declared_attr(declarer, attr).expect("declarer").spec.range;
+        let range = &schema
+            .declared_attr(declarer, attr)
+            .expect("declarer")
+            .spec
+            .range;
         if !constraint_holds(
             schema,
             store,
@@ -176,9 +175,7 @@ fn eval_pred(store: &ExtentStore, oid: Oid, pred: &Pred) -> bool {
             Some(Value::Obj(o)) => store.is_member(o, *c),
             _ => false,
         },
-        Pred::TokEq(path, tok) => {
-            store.follow_path(oid, path) == Some(Value::Tok(*tok))
-        }
+        Pred::TokEq(path, tok) => store.follow_path(oid, path) == Some(Value::Tok(*tok)),
         Pred::IntLe(path, n) => match store.follow_path(oid, path) {
             Some(Value::Int(v)) => v <= *n,
             _ => false,
@@ -207,11 +204,8 @@ mod tests {
         let db = db();
         let ctx = TypeContext::with_virtuals(&db.virtualized);
         let s = &db.virtualized.schema;
-        let q = Query::over(db.ids.patient).emit(vec![
-            db.ids.treated_at,
-            db.ids.location,
-            db.ids.city,
-        ]);
+        let q =
+            Query::over(db.ids.patient).emit(vec![db.ids.treated_at, db.ids.location, db.ids.city]);
         let plan = compile(&ctx, &q, CheckMode::Eliminate).unwrap();
         let result = execute(&db.virtualized.schema, &db.store, &plan);
         assert_eq!(result.stats.rows_scanned, 400);
@@ -311,8 +305,16 @@ mod tests {
             db.ids.location,
             db.ids.state,
         ]);
-        let always = execute(&db.virtualized.schema, &db.store, &compile(&ctx, &q, CheckMode::Always).unwrap());
-        let elim = execute(&db.virtualized.schema, &db.store, &compile(&ctx, &q, CheckMode::Eliminate).unwrap());
+        let always = execute(
+            &db.virtualized.schema,
+            &db.store,
+            &compile(&ctx, &q, CheckMode::Always).unwrap(),
+        );
+        let elim = execute(
+            &db.virtualized.schema,
+            &db.store,
+            &compile(&ctx, &q, CheckMode::Eliminate).unwrap(),
+        );
         assert_eq!(always.values, elim.values);
         assert!(elim.stats.checks_executed < always.stats.checks_executed);
         assert_eq!(elim.stats.unchecked_failures, 0);

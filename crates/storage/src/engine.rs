@@ -148,17 +148,13 @@ impl PartitionedStore {
             }
             probes += 1;
             if frag.contains(oid) {
-                if chc_obs::enabled() {
-                    chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_PROBED, probes as u64);
-                    chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_SKIPPED, skipped);
-                }
+                chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_PROBED, probes as u64);
+                chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_SKIPPED, skipped);
                 return Fetched { value: self.read(frag, oid, attr), probes };
             }
         }
-        if chc_obs::enabled() {
-            chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_PROBED, probes as u64);
-            chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_SKIPPED, skipped);
-        }
+        chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_PROBED, probes as u64);
+        chc_obs::counter(chc_obs::names::STORAGE_FRAGMENTS_SKIPPED, skipped);
         Fetched { value: None, probes }
     }
 

@@ -105,8 +105,8 @@ pub fn subtype(schema: &Schema, a: &Ty, b: &Ty) -> bool {
     // One query per top-level decision; structural recursion goes through
     // `subtype_inner` so deep record types count once.
     chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-    if chc_obs::enabled() {
-        chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+    chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+    if chc_obs::keeps(chc_obs::Kind::Distinct) {
         chc_obs::distinct(chc_obs::names::SUBTYPE_QUERIES_DISTINCT, pair_hash(0x54, a, b));
     }
     subtype_inner(schema, a, b)
@@ -114,7 +114,7 @@ pub fn subtype(schema: &Schema, a: &Ty, b: &Ty) -> bool {
 
 /// Structural hash of a `(sub, sup)` query, tagged by decision kind so
 /// `subtype` and `cond_subtype` pairs never collide. Only computed while
-/// a recorder is installed; it keys the `subtype.queries.distinct`
+/// a recorder keeps distinct keys; it keys the `subtype.queries.distinct`
 /// duplicate-work counter.
 fn pair_hash<T: std::hash::Hash>(tag: u8, a: &T, b: &T) -> u64 {
     use std::hash::{Hash as _, Hasher as _};
@@ -152,8 +152,8 @@ fn subtype_inner(schema: &Schema, a: &Ty, b: &Ty) -> bool {
 /// must fit the base or a pointwise-stronger arm.
 pub fn cond_subtype(schema: &Schema, a: &CondTy, b: &CondTy) -> bool {
     chc_obs::counter(chc_obs::names::SUBTYPE_QUERIES, 1);
-    if chc_obs::enabled() {
-        chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+    chc_obs::labeled_counter_scoped(chc_obs::names::SUBTYPE_QUERIES, 1);
+    if chc_obs::keeps(chc_obs::Kind::Distinct) {
         chc_obs::distinct(chc_obs::names::SUBTYPE_QUERIES_DISTINCT, pair_hash(0x43, a, b));
     }
     cond_subtype_inner(schema, a, b)

@@ -32,7 +32,7 @@ rustfmt --edition 2021 --check src/bin/chc.rs
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> output byte-compare: every line of scripts/stdout.cksum"
+echo "==> output byte-compare: every line of scripts/stdout.cksum, stdout lines also under --stats"
 ledger="$tmp/ledger.jsonl"
 grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
     # `args` is shell-quoted in the file (a query string holds spaces).
@@ -51,6 +51,17 @@ grep -v '^#' scripts/stdout.cksum | while read -r crc bytes what args; do
     fi
     if [ "$got" != "$crc $bytes" ]; then
         echo "FAIL: chc $args $what is '$got', pinned '$crc $bytes'" >&2; exit 1
+    fi
+    # The same stdout under `--stats`, whose recorder keeps every kind of
+    # observation the flight recorder alone leaves unprepared: recording
+    # must change no output byte.
+    if [ "$what" = stdout ]; then
+        code=0
+        got="$(./target/release/chc --stats "$@" 2>/dev/null | cksum; exit "${PIPESTATUS[0]}")" || code=$?
+        if [ "$code" -gt 1 ] || [ "$got" != "$crc $bytes" ]; then
+            echo "FAIL: chc --stats $args stdout is '$got' (exit $code), pinned '$crc $bytes'" >&2
+            exit 1
+        fi
     fi
 done
 

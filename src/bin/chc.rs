@@ -63,7 +63,10 @@
 //! Always on: the [`chc_obs::memalloc`] tracking allocator and a
 //! [`chc_obs::FlightRecorder`], whose `chc-crash/1` report a panic (or a
 //! stall, under `--watchdog`) writes to `--crash-out` or `$CHC_CRASH_DIR`.
-//! It keeps no events and about one record per validated object; under
+//! It keeps spans and counters only, so a run with no other recorder
+//! (no `--stats`, `--trace`, `--trace-out`, `--audit-out` or
+//! `--profile-out`) prepares no histogram, attribution label, distinct
+//! key or audit event, and records a few transitions per phase; under
 //! `chc validate` its breadcrumb names the object being validated, so
 //! the report (and `chc doctor`) says which one it was.
 

@@ -14,7 +14,7 @@
 //!
 //! Last, the checker's counter totals on `evolve400-old.sdl` are pinned,
 //! along with the recorder traffic they cost: the checker reports its
-//! counters once per class, not once per subtype query.
+//! counter totals once per check, not once per class or subtype query.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -383,8 +383,8 @@ fn counter_totals_and_recorder_traffic_are_pinned() {
         assert_eq!(labeled, profile.counter_value(name), "labeled {name}");
     }
 
-    // The always-on flight recorder sees a few transitions per class,
-    // not a few per subtype query.
+    // The always-on flight recorder sees a few transitions per check
+    // (well inside this bound), not a few per subtype query.
     let flight = Arc::new(FlightRecorder::new());
     let traffic = {
         let _scope = obs::scoped(flight.clone());

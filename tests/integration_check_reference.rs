@@ -154,7 +154,8 @@ mod reference {
         /// rechecking — the *locality* desideratum of §5.
         fn check_class(&mut self, class: ClassId) {
             chc_obs::counter(names::CHECK_CLASSES, 1);
-            self.work.recording = chc_obs::enabled();
+            self.work.recording =
+                chc_obs::keeps(chc_obs::Kind::Labeled) || chc_obs::keeps(chc_obs::Kind::Distinct);
             // Attribution: while a recorder is on, everything this class's
             // check does downstream (sat calls) is labeled with the class id,
             // and its wall time feeds the per-class histogram behind `chc

@@ -1,8 +1,8 @@
 //! Pins `chc validate` under the always-on flight recorder: the audit
 //! outputs stay byte-identical, events reach only the sinks that keep
 //! their level (so the flight recorder never makes the validator build
-//! an audit payload), its traffic is one phase plus at most one record
-//! per validated object, a crash mid-validate names the object, and the
+//! an audit payload), its traffic is a constant per validate phase,
+//! a crash mid-validate names the object, and the
 //! E11 invariant (`validate.checks` equals the number of
 //! `validate.check` ledger records) holds on a generated patients file.
 
@@ -15,14 +15,14 @@ use std::sync::{Arc, Mutex};
 
 use excuses::core::{check, virtualize, MissingPolicy, Semantics, ValidationOptions};
 use excuses::extent::{
-    load_data, refresh_virtual_extents, validate_loaded, validate_stored, LoadedData,
+    load_data, refresh_virtual_extents, validate_loaded, LoadedData,
 };
 use excuses::model::Schema;
 use excuses::obs::flight::{crash_report, render_crash_report};
 use excuses::obs::json::{self, JsonValue};
 use excuses::obs::{
-    self as obs, names, AuditRecorder, Event, EventLevel, FanoutRecorder, FlightRecorder, Recorder,
-    StatsRecorder,
+    self as obs, names, AuditRecorder, Event, EventLevel, FanoutRecorder, FlightRecorder, Kind,
+    Recorder, StatsRecorder,
 };
 use excuses::sdl::compile;
 
@@ -301,8 +301,8 @@ impl Recorder for PayloadProbe {
             self.with_fields.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fn keeps_events(&self, _level: EventLevel) -> bool {
-        self.keeps
+    fn keeps(&self, kind: Kind) -> bool {
+        self.keeps && matches!(kind, Kind::Event(_))
     }
 }
 
@@ -427,18 +427,15 @@ fn flight_traffic_per_validated_object_is_bounded() {
     let checks = stats.counter_value(names::VALIDATE_CHECKS);
     let admitted = stats.counter_value(names::VALIDATE_ADMITTED);
     let transitions = flight.seq();
-    // A constant per phase (the `validate.all` span's enter and exit),
-    // then per object one `validate.checks` update, plus a
-    // `validate.admitted` update for an object with admitted checks. No
-    // span per object, and no record per check or per event.
-    assert!(
-        transitions <= 64 + objects + admitted,
-        "{transitions} flight transitions for {objects} objects and {admitted} admitted checks"
+    // The `validate.all` span's enter and exit, and one update each of
+    // `validate.checks` and `validate.admitted`, summed over the run. No
+    // span, counter update or event per object or per check.
+    assert_eq!(
+        transitions, 4,
+        "flight transitions for {objects} objects and {admitted} admitted checks"
     );
-    // One record per check would blow the bound: there are several
-    // checks per object, and far fewer admitted ones.
     assert!(
-        checks > 2 * objects && admitted < objects,
+        checks > 2 * objects && admitted > 0,
         "{checks} checks and {admitted} admitted for {objects} objects"
     );
     assert_eq!(
@@ -451,23 +448,28 @@ fn flight_traffic_per_validated_object_is_bounded() {
     );
 }
 
-/// Panics on the `n`th `validate.checks` update, first taking the crash
+/// Panics on the `n`th `validate.object` event, first taking the crash
 /// report of `flight`, as `chc`'s panic hook does when a panic starts
 /// and before the stack unwinds.
-struct PanicOnNthCheck {
+struct PanicOnNthObject {
     flight: Arc<FlightRecorder>,
     n: u64,
     seen: AtomicU64,
     report: Mutex<Option<JsonValue>>,
 }
 
-impl Recorder for PanicOnNthCheck {
-    fn counter(&self, name: &'static str, _delta: u64) {
-        if name == names::VALIDATE_CHECKS && self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.n
+impl Recorder for PanicOnNthObject {
+    fn keeps(&self, kind: Kind) -> bool {
+        kind == Kind::Event(EventLevel::Info)
+    }
+
+    fn event(&self, event: &Event) {
+        if event.name == names::EVENT_VALIDATE_OBJECT
+            && self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.n
         {
             let report = crash_report("panic", "injected", &self.flight);
             *self.report.lock().unwrap() = Some(report);
-            panic!("injected at validate.checks update {}", self.n);
+            panic!("injected at validate.object event {}", self.n);
         }
     }
 }
@@ -476,23 +478,13 @@ impl Recorder for PanicOnNthCheck {
 fn a_crash_mid_validate_names_the_object_being_validated() {
     const N: u64 = 250;
     let (schema, data) = generated_data(PATIENTS);
-    // The object whose check total is the `N`th `validate.checks` update:
-    // the `N`th object, in file order, with at least one check.
-    let checks_of = |oid| {
-        let stats = Arc::new(StatsRecorder::new());
-        let _scope = obs::scoped(stats.clone());
-        validate_stored(&schema, &data.store, FILE_VALIDATION, oid);
-        stats.counter_value(names::VALIDATE_CHECKS)
-    };
-    let (name, oid) = data
-        .names
-        .iter()
-        .filter(|(_, oid)| checks_of(*oid) > 0)
-        .nth(N as usize - 1)
-        .expect("enough objects with checks");
+    // The `validate.object` event follows the breadcrumb's `set`, so the
+    // `N`th event is emitted while the breadcrumb names the `N`th
+    // object in file order, before that object is judged.
+    let (name, oid) = &data.names[N as usize - 1];
 
     let flight = Arc::new(FlightRecorder::new());
-    let panicker = Arc::new(PanicOnNthCheck {
+    let panicker = Arc::new(PanicOnNthObject {
         flight: flight.clone(),
         n: N,
         seen: AtomicU64::new(0),
