@@ -101,11 +101,27 @@ impl<'s> RangeTable<'s> {
     /// # Panics
     /// Panics if `class` does not declare `attr`.
     pub fn decl(&self, class: ClassId, attr: Sym) -> RangeId {
-        let decls = &self.decls[self.starts[class.index()]..self.starts[class.index() + 1]];
+        self.decls[self.decl_index(class, attr)].1
+    }
+
+    /// The position of `class`'s declaration of `attr` among all
+    /// declarations, numbered class by class in id order and, within a
+    /// class, in `schema.class(class).attrs` order.
+    ///
+    /// # Panics
+    /// Panics if `class` does not declare `attr`.
+    pub(crate) fn decl_index(&self, class: ClassId, attr: Sym) -> usize {
+        let start = self.starts[class.index()];
+        let decls = &self.decls[start..self.starts[class.index() + 1]];
         let at = decls
             .binary_search_by_key(&attr, |&(name, _)| name)
             .expect("declared attribute");
-        decls[at].1
+        start + at
+    }
+
+    /// The schema whose ranges the table interns.
+    pub(crate) fn schema(&self) -> &'s Schema {
+        self.schema
     }
 
     /// The excusers of the constraint `(on, attr)` that `class` is a
@@ -157,7 +173,7 @@ impl<'s> RangeTable<'s> {
     pub fn overlaps(&self, a: RangeId, b: RangeId) -> bool {
         match self.enums(a, b) {
             Some((x, y)) => x.intersects(y),
-            None => self.range(a).overlaps(self.schema, self.range(b)),
+            None => self.range(a).overlaps(self.range(b)),
         }
     }
 }

@@ -23,43 +23,29 @@
 //! # What is decided once
 //!
 //! Each declaration `(class, p: S)` is checked against every constraint
-//! `(B, p: R_B)` it inherits, once, and the checker records whether `S`
-//! is *covered* by it: `S` holds a value, and the declaration itself
-//! excuses `(B, p)`, or `R_B ⊇ S`, or an excuser `E` with `class ⊆ E` has
-//! `S_E ⊇ S`. Subsumption never crosses value sorts
-//! ([`Range::sort`](chc_model::Range::sort)): a pure record type holds
-//! records and a refined class type entities, so neither covers the
-//! other. An excuse on the declaration itself
-//! covers it outright (its excuser range is `S`, and a range subsumes
-//! itself), so the excuser scan only looks for the first other excuser
-//! covering `S`, which makes that excuse redundant.
+//! `(B, p: R_B)` it inherits, once, by `cover::Covers::push`, which records
+//! whether the constraint *covers* it (see `crate::cover`). Subsumption
+//! never crosses value sorts ([`Range::sort`](chc_model::Range::sort)): a
+//! pure record type holds records and a refined class type entities, so
+//! neither covers the other.
 //!
-//! The joint-satisfiability pass then reuses those verdicts instead of
-//! deciding the same facts from the allowed sets again. Both reuses rest
-//! on §5.1's rule being transitive through the allowed sets: a covered
-//! declaration puts every value of `S` in the allowed set of `(B, p)` for
-//! instances of `class`, and `S` itself is in the allowed set of
-//! `(class, p)`.
-//!
-//! * A pair `(B, class)` whose declaration is covered by `B` shares the
-//!   values of `S`, and the pairwise test would find the overlap (every
-//!   range that covers an inhabited `S` overlaps it), so the
-//!   pair is settled from the verdict. The k-way test never runs at a
-//!   declared site: `class` is its one minimal declarer.
-//! * At a join, a pair `(B1, B2)` from two lineages is settled when the
-//!   class's declaration is covered by both *and* is an enumeration or an
-//!   integer interval: then both covering ranges hold the tokens or
-//!   integers of `S`, and the pairwise test sees them meet. Class-typed
-//!   ranges are left to the test. `X` and `Y` both cover `Z` when
-//!   `Z is-a X, Y`, but the test treats unrelated classes as disjoint
-//!   (the first-order approximation of [`RangeTable::overlaps`]) and
-//!   reports the pair, and settling it would change the report.
+//! The joint-satisfiability pass at a declared site reads those covers
+//! instead of deciding the same facts from the allowed sets again. A pair
+//! whose constraints both cover the declaration (`class`'s own covers it
+//! when `S` holds a value) shares the values of `S`, and the pairwise
+//! test would find them (every range that covers an inhabited `S`
+//! overlaps it), so the pair is settled whatever the sort of `S`. The
+//! k-way test never runs at a declared site: `class` is its one minimal
+//! declarer. At a join that declares nothing, a declaration below two
+//! constraints lies below a parent that inherits both and owns the pair,
+//! so there the pairwise test decides every pair it is asked about.
 
-use chc_model::{ClassId, Schema, Sort, Sym};
+use chc_model::{ClassId, Schema, Sym};
 use chc_obs::profile::SeenSet;
 use chc_obs::{names, Kind};
 
 use crate::canon::{RangeId, RangeTable};
+use crate::cover::{Covers, Standing};
 use crate::diagnostics::{CheckReport, DiagKind, Diagnostic, Severity};
 
 /// Checks a whole schema against the specialization-or-excuse rule.
@@ -177,42 +163,6 @@ impl Work {
     }
 }
 
-/// The §5.1 verdicts of the class being checked, one row per attribute it
-/// declares, in `class.attrs` order: the declarers of the attribute among
-/// the class and its ancestors (ascending, as
-/// [`Schema::declarers_on`] yields them), and for each whether the class's
-/// declaration is *covered* by that declarer's constraint.
-#[derive(Default)]
-struct Verdicts {
-    /// Row `k` is `declarers[rows[k]..rows[k + 1]]`.
-    rows: Vec<usize>,
-    declarers: Vec<ClassId>,
-    covered: Vec<bool>,
-}
-
-impl Verdicts {
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.rows.push(0);
-        self.declarers.clear();
-        self.covered.clear();
-    }
-
-    fn push(&mut self, declarer: ClassId, covered: bool) {
-        self.declarers.push(declarer);
-        self.covered.push(covered);
-    }
-
-    fn end_row(&mut self) {
-        self.rows.push(self.declarers.len());
-    }
-
-    fn row(&self, k: usize) -> (&[ClassId], &[bool]) {
-        let at = self.rows[k]..self.rows[k + 1];
-        (&self.declarers[at.clone()], &self.covered[at])
-    }
-}
-
 /// One check in progress: the report being built, the interned ranges of
 /// the schema, and the index of error sites in the report.
 ///
@@ -226,8 +176,11 @@ struct Checker<'s> {
     /// Indexed by class: `(attr, SITE_* bits)` of the diagnostics in
     /// `report` at that class, one entry per attribute.
     sites: Vec<Vec<(Sym, u8)>>,
-    /// The verdicts of the class being checked (kept to reuse the buffers).
-    verdicts: Verdicts,
+    /// The covers of every declaration checked so far.
+    covers: Covers,
+    /// The standings of the declaration being checked (kept to reuse the
+    /// buffer).
+    standings: Vec<(ClassId, Standing)>,
     work: Work,
 }
 
@@ -239,7 +192,8 @@ impl<'s> Checker<'s> {
             ranges: RangeTable::new(schema),
             report: CheckReport::default(),
             sites: vec![Vec::new(); schema.num_classes()],
-            verdicts: Verdicts::default(),
+            covers: Covers::default(),
+            standings: Vec::new(),
             work: Work {
                 distinct: chc_obs::keeps(Kind::Distinct),
                 ..Work::default()
@@ -287,11 +241,9 @@ impl<'s> Checker<'s> {
         let schema = self.schema;
         let attrs = &schema.class(class).attrs;
         // Part 1: each locally declared attribute vs. each inherited
-        // constraint, recording the verdicts.
-        let mut verdicts = std::mem::take(&mut self.verdicts);
-        verdicts.clear();
+        // constraint, recording the covers.
         for decl in attrs {
-            self.check_declaration(class, decl.name, &mut verdicts);
+            self.check_declaration(class, decl.name);
         }
         // Part 2: joint satisfiability of inherited constraints (multiple
         // inheritance / diamond memberships). Single-parent classes inherit
@@ -299,18 +251,17 @@ impl<'s> Checker<'s> {
         // only locally declared attributes can introduce new pairs there;
         // join points must consider every applicable attribute.
         if schema.supers(class).len() < 2 {
-            for (row, decl) in attrs.iter().enumerate() {
-                self.check_declared_site(class, decl.name, verdicts.row(row));
+            for decl in attrs {
+                self.check_declared_site(class, decl.name);
             }
         } else {
             for attr in schema.applicable_attrs(class) {
                 match attrs.binary_search_by_key(&attr, |d| d.name) {
-                    Ok(row) => self.check_declared_site(class, attr, verdicts.row(row)),
+                    Ok(_) => self.check_declared_site(class, attr),
                     Err(_) => self.check_joint_satisfiability(class, attr),
                 }
             }
         }
-        self.verdicts = verdicts;
     }
 
     fn push(&mut self, d: Diagnostic) {
@@ -341,144 +292,70 @@ impl<'s> Checker<'s> {
     }
 
     /// Checks `class`'s declaration of `attr` against each constraint it
-    /// inherits, and records in `verdicts` which of them cover it.
-    fn check_declaration(&mut self, class: ClassId, attr: Sym, verdicts: &mut Verdicts) {
-        let schema = self.schema;
-        let spec = &schema.declared_attr(class, attr).expect("declared").spec;
-        let s_range = self.ranges.decl(class, attr);
-        let inhabited = self.ranges.inhabited(s_range);
-
-        for ancestor in schema.declarers_on(class, attr) {
-            if ancestor == class {
-                verdicts.push(class, inhabited);
-                continue;
-            }
-            let r_range = self.ranges.decl(ancestor, attr);
-            let contradiction = !self.work.subsumes(&self.ranges, r_range, s_range);
-            let has_local_excuse = spec
-                .excuses
-                .iter()
-                .any(|e| e.on == ancestor && e.attr == attr);
-            let diag = |severity, kind| Diagnostic {
+    /// inherits, and records which of them cover it.
+    fn check_declaration(&mut self, class: ClassId, attr: Sym) {
+        let mut standings = std::mem::take(&mut self.standings);
+        let (ranges, work) = (&self.ranges, &mut self.work);
+        let subsumes = |sup, sub| work.subsumes(ranges, sup, sub);
+        standings.clear();
+        self.covers
+            .push(ranges, class, attr, subsumes, Some(&mut standings));
+        for &(on, standing) in &standings {
+            let contradicts = !matches!(standing, Standing::Own | Standing::Specializes { .. });
+            self.work.contradictions += u64::from(contradicts);
+            let kind = match standing {
+                Standing::Own | Standing::Specializes { excused: false } => continue,
+                // A local excuse for a proper specialization is redundant.
+                Standing::Specializes { excused: true } => DiagKind::RedundantExcuse { on },
+                Standing::Unexcused => DiagKind::UnexcusedContradiction { contradicted: on },
+                Standing::Escapes { excuser } => DiagKind::ExcuseRangeEscape {
+                    contradicted: on,
+                    excuser,
+                },
+                Standing::Excused { redundantly } => {
+                    self.work.excuses_resolved += 1;
+                    // Already excused by an ancestor (the SpecialAlc case,
+                    // §5.3): "nothing wrong will happen if an excuse is
+                    // added — it will simply be redundant."
+                    if !redundantly {
+                        continue;
+                    }
+                    DiagKind::RedundantExcuse { on }
+                }
+            };
+            let severity = match kind {
+                DiagKind::RedundantExcuse { .. } => Severity::Warning,
+                _ => Severity::Error,
+            };
+            self.push(Diagnostic {
                 severity,
                 kind,
                 class,
                 attr,
-            };
-            let redundant = || {
-                diag(
-                    Severity::Warning,
-                    DiagKind::RedundantExcuse { on: ancestor },
-                )
-            };
-
-            if !contradiction {
-                // Proper specialization; a local excuse for it is redundant.
-                if has_local_excuse {
-                    self.push(redundant());
-                }
-                verdicts.push(ancestor, inhabited);
-                continue;
-            }
-            self.work.contradictions += 1;
-
-            // The constraint (ancestor, attr) is contradicted. Under the §5.2
-            // semantics an instance of `class` escapes it only through an
-            // excuser E it *belongs to* whose range S_E admits the value, so a
-            // declaration is sound iff some excuser E with class ⊆ E has
-            // S ⊆ S_E. (E = class itself when the local declaration carries
-            // the excuse; then S_E = S trivially, so the scan only asks
-            // whether another excuser covers S too.)
-            let mut first_applicable = None;
-            let mut covered = false;
-            for (excuser, range) in self.ranges.applicable_excusers(class, ancestor, attr) {
-                first_applicable.get_or_insert(excuser);
-                if has_local_excuse && excuser == class {
-                    continue;
-                }
-                if self.work.subsumes(&self.ranges, range, s_range) {
-                    covered = true;
-                    break;
-                }
-            }
-
-            let Some(first_applicable) = first_applicable else {
-                let kind = DiagKind::UnexcusedContradiction {
-                    contradicted: ancestor,
-                };
-                self.push(diag(Severity::Error, kind));
-                verdicts.push(ancestor, false);
-                continue;
-            };
-
-            if !has_local_excuse && !covered {
-                let kind = DiagKind::ExcuseRangeEscape {
-                    contradicted: ancestor,
-                    excuser: first_applicable,
-                };
-                self.push(diag(Severity::Error, kind));
-                verdicts.push(ancestor, false);
-                continue;
-            }
-            self.work.excuses_resolved += 1;
-            if has_local_excuse && covered {
-                // Already excused by an ancestor (the SpecialAlc case, §5.3):
-                // "nothing wrong will happen if an excuse is added — it will
-                // simply be redundant."
-                self.push(redundant());
-            }
-            verdicts.push(ancestor, inhabited);
+            });
         }
-        verdicts.end_row();
+        self.standings = standings;
     }
 
     /// The joint-satisfiability check at a site `class` declares `attr`
-    /// at, given the declarers of the site and the verdicts of `class`'s
-    /// declaration against each. See [`Checker::check_joint_satisfiability`]
-    /// for the pairwise test; here a pair is settled without it when the
-    /// verdicts already imply that its allowed sets share a value.
-    fn check_declared_site(
-        &mut self,
-        class: ClassId,
-        attr: Sym,
-        (declarers, covered): (&[ClassId], &[bool]),
-    ) {
-        if declarers.len() < 2 {
+    /// at. See [`Checker::check_joint_satisfiability`] for the pairwise
+    /// test; here a pair is settled without it when both its constraints
+    /// cover the declaration, so their allowed sets share its values.
+    fn check_declared_site(&mut self, class: ClassId, attr: Sym) {
+        let covered = self.covers.row(self.ranges.decl_index(class, attr));
+        if covered.len() < 2 {
             return;
         }
         self.work.joint_sat_calls += 1;
-        let schema = self.schema;
-        // Two covers of one enumeration or interval share its values; two
-        // covers of one class need not share an instance (see the module
-        // docs).
-        let joins_by_value = matches!(
-            self.ranges.range(self.ranges.decl(class, attr)).sort(),
-            Sort::Token | Sort::Int
-        );
-        let mut heirs = None;
-        let mut allowed = AllowedSets::default();
-        for i in 0..declarers.len() {
-            for j in i + 1..declarers.len() {
-                let settled = if declarers[i] == class {
-                    covered[j]
-                } else if declarers[j] == class {
-                    covered[i]
-                } else {
-                    joins_by_value && covered[i] && covered[j]
-                };
-                if settled
-                    || heirs
-                        .get_or_insert_with(|| Heirs::new(schema, class, declarers))
-                        .share(i, j)
-                {
-                    continue;
-                }
-                self.check_pair(class, attr, declarers, &mut allowed, (i, j));
-            }
-        }
         // `class` lies below every other declarer, so it is the site's one
         // minimal declarer and its declaration check stands for the k-way
         // test.
+        if covered.iter().all(|&c| c) {
+            return;
+        }
+        let covered = covered.to_vec();
+        let declarers: Vec<ClassId> = self.schema.declarers_on(class, attr).collect();
+        self.check_pairs(class, attr, &declarers, |i, j| covered[i] && covered[j]);
     }
 
     /// At a join `class` inherits `attr` at without declaring it: for every
@@ -486,7 +363,7 @@ impl<'s> Checker<'s> {
     /// once applicable excuses are folded in. The *allowed set* of a
     /// constraint for instances of `class` is its range plus the ranges of
     /// excusers that `class` is a subclass of; two constraints are jointly
-    /// satisfiable (to first order) iff their allowed sets overlap.
+    /// satisfiable iff their allowed sets overlap.
     fn check_joint_satisfiability(&mut self, class: ClassId, attr: Sym) {
         let schema = self.schema;
         let declarers: Vec<ClassId> = schema.declarers_on(class, attr).collect();
@@ -494,17 +371,7 @@ impl<'s> Checker<'s> {
             return;
         }
         self.work.joint_sat_calls += 1;
-        let heirs = Heirs::new(schema, class, &declarers);
-        let mut allowed = AllowedSets::default();
-        for i in 0..declarers.len() {
-            for j in i + 1..declarers.len() {
-                // Same downward-monotonicity argument per pair: if some direct
-                // parent already inherits both constraints, it owns the check.
-                if !heirs.share(i, j) {
-                    self.check_pair(class, attr, &declarers, &mut allowed, (i, j));
-                }
-            }
-        }
+        self.check_pairs(class, attr, &declarers, |_, _| false);
 
         // Exact k-way satisfiability over the allowed sets. Every provably
         // disjoint *pair* was already attributed by name above; this catches
@@ -513,22 +380,15 @@ impl<'s> Checker<'s> {
         // (the schema is known broken here; a second report is noise) or when
         // the whole constraint set is co-inherited through one parent (checked
         // there).
-        if self.site_has(class, attr, SITE_ERROR) || heirs.one_parent_inherits_all() {
+        if self.site_has(class, attr, SITE_ERROR) || a_parent_inherits(schema, class, &declarers) {
             return;
         }
+        // A site with one minimal declarer `M` never gets here: the parent
+        // below `M` inherits every constraint.
         let declaration_errored = declarers
             .iter()
             .any(|&b| self.site_has(b, attr, SITE_ERROR));
         if declaration_errored {
-            return;
-        }
-        // Fast path: if the constraint set has a *unique minimal* declarer M
-        // whose declaration passed the acceptance rule, every value of M's
-        // range already satisfies each ancestor constraint (directly or via
-        // the excuse branch the instance is entitled to) — the site is
-        // satisfiable by construction. Only genuine multi-lineage joins (two
-        // or more incomparable minimal declarers) need the k-way test.
-        if minimal_declarers(schema, &declarers).nth(1).is_none() {
             return;
         }
         // Exact admission over the allowed sets, shared with chc-lint's
@@ -550,28 +410,45 @@ impl<'s> Checker<'s> {
         });
     }
 
-    /// The pairwise test of constraints `i` and `j` of the site `(class,
-    /// attr)`: reports `IncompatibleParents` unless their raw ranges or
-    /// their allowed sets overlap, or the pair contradicts directly and the
-    /// declaration check already reported it.
-    fn check_pair(
+    /// The pairwise test on every pair `(i, j)` of the site's declarers
+    /// that `settled` leaves open. A pair that a direct parent of `class`
+    /// inherits whole is left to that parent (allowed sets only grow
+    /// downwards, so the parent's test decides it).
+    fn check_pairs(
         &mut self,
         class: ClassId,
         attr: Sym,
         declarers: &[ClassId],
-        allowed: &mut AllowedSets,
-        (i, j): (usize, usize),
+        settled: impl Fn(usize, usize) -> bool,
     ) {
-        let (b1, b2) = (declarers[i], declarers[j]);
+        for i in 0..declarers.len() {
+            for j in i + 1..declarers.len() {
+                let pair = [declarers[i], declarers[j]];
+                if settled(i, j) || a_parent_inherits(self.schema, class, &pair) {
+                    continue;
+                }
+                self.check_pair(class, attr, pair);
+            }
+        }
+    }
+
+    /// The pairwise test of the constraints of `b1` and `b2` at the site
+    /// `(class, attr)`: reports `IncompatibleParents` unless their raw
+    /// ranges or their allowed sets overlap, or the pair contradicts
+    /// directly and the declaration check already reported it.
+    fn check_pair(&mut self, class: ClassId, attr: Sym, [b1, b2]: [ClassId; 2]) {
         let raw = |b| self.ranges.decl(b, attr);
         if self.ranges.overlaps(raw(b1), raw(b2)) {
             return;
         }
-        let (rs1, rs2) = allowed.pair(&self.ranges, (class, attr), declarers, (i, j));
-        if rs1
-            .iter()
-            .any(|&x| rs2.iter().any(|&y| self.ranges.overlaps(x, y)))
-        {
+        // Each constraint's range plus the ranges of the excusers
+        // applicable to `class`.
+        let allowed = |b| {
+            let excused = self.ranges.applicable_excusers(class, b, attr);
+            std::iter::once(raw(b)).chain(excused.map(|(_, r)| r))
+        };
+        let theirs: Vec<RangeId> = allowed(b2).collect();
+        if allowed(b1).any(|x| theirs.iter().any(|&y| self.ranges.overlaps(x, y))) {
             return;
         }
         let schema = self.schema;
@@ -593,103 +470,12 @@ impl<'s> Checker<'s> {
     }
 }
 
-/// The allowed sets of one site's constraints — each constraint's range
-/// plus the ranges of the excusers applicable to the checked class —
-/// built on first use; most pairs pass on their raw ranges.
-#[derive(Default)]
-struct AllowedSets(Vec<Option<Vec<RangeId>>>);
-
-impl AllowedSets {
-    /// The allowed sets of constraints `i` and `j` of the site
-    /// `(class, attr)`, whose declarers are `declarers`.
-    fn pair(
-        &mut self,
-        ranges: &RangeTable<'_>,
-        (class, attr): (ClassId, Sym),
-        declarers: &[ClassId],
-        (i, j): (usize, usize),
-    ) -> (&[RangeId], &[RangeId]) {
-        if self.0.is_empty() {
-            self.0.resize(declarers.len(), None);
-        }
-        for k in [i, j] {
-            self.0[k].get_or_insert_with(|| {
-                let b = declarers[k];
-                let excused = ranges.applicable_excusers(class, b, attr);
-                std::iter::once(ranges.decl(b, attr))
-                    .chain(excused.map(|(_, r)| r))
-                    .collect()
-            });
-        }
-        let built = |k: usize| self.0[k].as_deref().expect("built above");
-        (built(i), built(j))
-    }
-}
-
-/// The minimal declarers of a site, given all its declarers: those with
-/// no other declarer strictly below them. Every declarer lies above one
-/// of them, so a site with one minimal declarer `M` has exactly the
-/// constraints of the site `(M, attr)`.
-pub(crate) fn minimal_declarers<'a>(
-    schema: &'a Schema,
-    declarers: &'a [ClassId],
-) -> impl Iterator<Item = ClassId> + 'a {
-    declarers.iter().copied().filter(move |&b| {
-        !declarers
-            .iter()
-            .any(|&other| schema.is_strict_subclass(other, b))
-    })
-}
-
-/// For each constraint at a joint-satisfiability site, the direct parents
-/// of the checked class that inherit it, as a bitmask over parent
-/// positions (`words` `u64`s per constraint).
-struct Heirs {
-    words: usize,
-    masks: Vec<u64>,
-}
-
-impl Heirs {
-    fn new(schema: &Schema, class: ClassId, declarers: &[ClassId]) -> Self {
-        let supers = schema.supers(class);
-        let words = supers.len().div_ceil(64).max(1);
-        let mut masks = vec![0u64; declarers.len() * words];
-        for (i, &b) in declarers.iter().enumerate() {
-            for (p, &parent) in supers.iter().enumerate() {
-                if schema.is_subclass(parent, b) {
-                    masks[i * words + p / 64] |= 1 << (p % 64);
-                }
-            }
-        }
-        Heirs { words, masks }
-    }
-
-    fn mask(&self, i: usize) -> &[u64] {
-        &self.masks[i * self.words..(i + 1) * self.words]
-    }
-
-    /// Whether some direct parent inherits both constraint `i` and `j`.
-    fn share(&self, i: usize, j: usize) -> bool {
-        if self.words == 1 {
-            return self.masks[i] & self.masks[j] != 0;
-        }
-        self.mask(i)
-            .iter()
-            .zip(self.mask(j))
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// Whether some direct parent inherits every constraint.
-    fn one_parent_inherits_all(&self) -> bool {
-        (0..self.words).any(|w| {
-            self.masks
-                .iter()
-                .skip(w)
-                .step_by(self.words)
-                .fold(!0, |acc, m| acc & m)
-                != 0
-        })
-    }
+/// Whether some direct parent of `class` lies below every class in
+/// `declarers`, so it inherits all their constraints on an attribute and
+/// its own check owns them.
+fn a_parent_inherits(schema: &Schema, class: ClassId, declarers: &[ClassId]) -> bool {
+    let inherits = |p| declarers.iter().all(|&b| schema.is_subclass(p, b));
+    schema.supers(class).iter().any(|&p| inherits(p))
 }
 #[cfg(test)]
 mod tests {
@@ -1021,5 +807,41 @@ mod tests {
             ",
         );
         assert!(report.is_ok(), "{:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn class_typed_joins_are_compatible() {
+        // An object may belong to several classes at once, so two class
+        // ranges always may share an instance: the undeclared join `D`,
+        // the declared join `C`, refined class types and `AnyEntity` are
+        // clean, and the coherence sweep agrees.
+        let (schema, report) = check_src(
+            "
+            class X with n: 0..10;
+            class Y with n: 0..10;
+            class Z is-a X, Y;
+            class P1 with a: X; r: X [n: 1..5]; e: AnyEntity;
+            class P2 with a: Y; r: Y [n: 3..9]; e: Y;
+            class D is-a P1, P2;
+            class C is-a P1, P2 with a: Z;
+            ",
+        );
+        assert!(report.diagnostics.is_empty(), "{}", report.render(&schema));
+        assert!(crate::sat::incoherent_sites(&schema).is_empty());
+        // A pure record type holds records, not entities: still an error.
+        let (schema, report) = check_src(
+            "
+            class X with n: 0..10;
+            class P1 with r: [n: 1..5];
+            class P2 with r: X [n: 1..5];
+            class D is-a P1, P2;
+            ",
+        );
+        let errs: Vec<_> = report.errors().collect();
+        assert_eq!(errs.len(), 1, "{}", report.render(&schema));
+        assert!(matches!(errs[0].kind, DiagKind::IncompatibleParents { .. }));
+        let d = schema.class_by_name("D").unwrap();
+        let r = schema.sym("r").unwrap();
+        assert!(crate::sat::incoherent_sites(&schema).contains(&(d, r)));
     }
 }

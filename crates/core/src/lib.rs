@@ -26,6 +26,7 @@
 
 pub mod canon;
 pub mod check;
+mod cover;
 pub mod diagnostics;
 pub mod evolve;
 pub mod sat;

@@ -24,21 +24,22 @@
 //! strings, tokens, entities, records and absence never meet. Ranges of
 //! the entity sort (classes, refined class types, `AnyEntity`) are then
 //! treated as mutually overlapping: whether two entity classes share an
-//! instance is a question about extents, not the schema. This is coarser
-//! than [`Range::overlaps`], which relates two class ranges only when the
-//! classes are related.
+//! instance is a question about extents, not the schema. This is the
+//! overlap relation of [`Range::overlaps`], which the checker's pairwise
+//! test reads, so the two agree pair by pair.
 //!
 //! [`incoherent_sites`] answers the question for every site of a schema
 //! at once. It settles most sites from their minimal declarer's §5.1
-//! verdict and runs the decision procedure only on the rest.
+//! covers, decided by the routine the checker decides them with
+//! (`crate::cover`), and runs the decision procedure only on the rest.
 
 use std::collections::BTreeSet;
 
-use chc_model::{AttrDecl, AttrSpec, ClassId, Excuse, Range, Schema, Sort, Sym};
+use chc_model::{AttrSpec, ClassId, Range, Schema, Sort, Sym};
 use chc_obs::json::JsonValue;
 
 use crate::canon::RangeTable;
-use crate::check::minimal_declarers;
+use crate::cover::{minimal_declarers, Covers};
 
 /// Does some single value satisfy every constraint on `attr` inherited
 /// by (or declared on) `class`, with applicable excuses folded in?
@@ -247,41 +248,15 @@ pub(crate) fn common_value_witness_counted(
 /// passes the §5.1 rule: for each other declarer `B`, `R_B ⊇ S_M` or some
 /// excuser `E` with `M ⊆ E` has `S_E ⊇ S_M`. Then every value of `S_M`
 /// lies in every allowed set of the site, so the site is coherent as soon
-/// as `S_M` holds a value. That verdict is decided once per declaration,
-/// on interned ranges. Every other site (two or more minimal declarers,
-/// a declaration that fails the rule, an empty `S_M`) goes to
-/// [`common_value_witness_of`], which stays the one decision procedure.
+/// as `S_M` holds a value. Those covers are decided once per declaration,
+/// on interned ranges, by the checker's routine. Every other site (two or
+/// more minimal declarers, a declaration that fails the rule, an empty
+/// `S_M`) goes to [`common_value_witness_of`], which stays the one
+/// decision procedure.
 pub fn incoherent_sites(schema: &Schema) -> BTreeSet<(ClassId, Sym)> {
     let ranges = RangeTable::new(schema);
-    // Does `m`'s declaration `decl` settle the sites it is the minimal
-    // declarer of? `m` is itself an applicable excuser of every constraint
-    // its declaration excuses, and `S_M ⊇ S_M`.
-    let settles = |m: ClassId, decl: &AttrDecl| {
-        let (attr, s) = (decl.name, ranges.decl(m, decl.name));
-        let excused_here = |b| decl.spec.excuses.contains(&Excuse { attr, on: b });
-        ranges.inhabited(s)
-            && schema.declarers_on(m, attr).all(|b| {
-                b == m
-                    || ranges.subsumes(ranges.decl(b, attr), s)
-                    || excused_here(b)
-                    || ranges
-                        .applicable_excusers(m, b, attr)
-                        .any(|(_, e)| ranges.subsumes(e, s))
-            })
-    };
-    // Indexed like `schema.class(m).attrs`.
-    let settling: Vec<Vec<bool>> = schema
-        .class_ids()
-        .map(|m| {
-            let attrs = &schema.class(m).attrs;
-            attrs.iter().map(|d| settles(m, d)).collect()
-        })
-        .collect();
-    let settled = |m: ClassId, attr: Sym| {
-        let attrs = &schema.class(m).attrs;
-        let at = attrs.binary_search_by_key(&attr, |d| d.name);
-        settling[m.index()][at.expect("declarer")]
-    };
+    let covers = Covers::new(&ranges);
+    let settled = |m, attr| covers.settled(ranges.decl_index(m, attr));
 
     let mut incoherent = BTreeSet::new();
     for class in schema.class_ids() {

@@ -116,7 +116,7 @@ impl Range {
 
     /// Whether `value` belongs to this range, consulting `view` for class
     /// membership and attribute values of referenced entities.
-    // `schema` is threaded for API symmetry with `subsumes`/`overlaps` and
+    // `schema` is threaded for API symmetry with `subsumes` and
     // future range forms that need it at the leaves.
     #[allow(clippy::only_used_in_recursion)]
     pub fn contains(&self, schema: &Schema, view: &dyn InstanceView, value: &Value) -> bool {
@@ -282,26 +282,18 @@ impl Range {
         })
     }
 
-    /// Whether two ranges can possibly share a value (a cheap,
-    /// over-approximate disjointness test used in diagnostics). Ranges of
-    /// different sorts never do; within a sort, one rule decides.
-    pub fn overlaps(&self, schema: &Schema, other: &Range) -> bool {
-        if self.sort() != other.sort() {
-            return false;
-        }
+    /// Whether two ranges can possibly share a value. Ranges of
+    /// different sorts never do; integer intervals and enumerations are
+    /// compared by value. Two ranges of the entity sort always may: an
+    /// object may belong to several classes at once, so whether two
+    /// classes share an instance is a question about extents, not the
+    /// schema, and refinements never provably empty a class. Two pure
+    /// record types may likewise always share a record.
+    pub fn overlaps(&self, other: &Range) -> bool {
         match (self, other) {
             (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= h2 && l2 <= hi,
             (Range::Enum(a), Range::Enum(b)) => a.intersection(b).next().is_some(),
-            (Range::Str | Range::None | Range::AnyEntity, _) | (_, Range::AnyEntity) => true,
-            // Two classes overlap unless provably disjoint; without
-            // disjointness declarations, related classes certainly overlap,
-            // and unrelated ones are treated as disjoint (first order).
-            // Refined classes overlap like their bases (refinements can only
-            // shrink, never provably to empty), and pure records always.
-            _ => match (self.parts().0, other.parts().0) {
-                (Some(a), Some(b)) => schema.is_subclass(a, b) || schema.is_subclass(b, a),
-                _ => true,
-            },
+            _ => self.sort() == other.sort(),
         }
     }
 
@@ -436,12 +428,24 @@ mod tests {
 
     #[test]
     fn int_overlap() {
-        let (schema, ..) = toy();
         let a = Range::int(1, 10).unwrap();
         let b = Range::int(10, 20).unwrap();
         let c = Range::int(11, 20).unwrap();
-        assert!(a.overlaps(&schema, &b));
-        assert!(!a.overlaps(&schema, &c));
+        assert!(a.overlaps(&b));
+        assert!(!a.overlaps(&c));
+    }
+
+    #[test]
+    fn unrelated_classes_may_share_an_instance() {
+        let mut b = SchemaBuilder::new();
+        let (x, y) = (b.declare("X").unwrap(), b.declare("Y").unwrap());
+        let (x, y) = (Range::Class(x), Range::Class(y));
+        assert!(x.overlaps(&y) && y.overlaps(&Range::AnyEntity));
+        let record = Range::Record {
+            base: None,
+            fields: Vec::new(),
+        };
+        assert!(!x.overlaps(&Range::Str) && !x.overlaps(&record));
     }
 
     #[test]

@@ -785,9 +785,10 @@ impl Watchdog {
             if last_change.elapsed() < timeout || !writer.flight().has_open_spans() {
                 return true;
             }
+            let stalled = last_change.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             let message = format!(
-                "no flight-recorder activity for {:.1}s with spans still open",
-                last_change.elapsed().as_secs_f64()
+                "no flight-recorder activity for {} with spans still open",
+                crate::format_ns(stalled)
             );
             if let Some(Ok(path)) = writer.dump("stall", &message) {
                 eprintln!("chc: watchdog stall report written to {}", path.display());
@@ -976,6 +977,14 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("stall report written");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(parsed.get("reason").and_then(|v| v.as_str()), Some("stall"));
+        // A 40 ms stall is at least 40 ms, not "0.0s".
+        let message = parsed.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(
+            message.starts_with("no flight-recorder activity for "),
+            "{message}"
+        );
+        assert!(message.contains("ms with spans still open"), "{message}");
+        assert!(!message.contains("0.0s"), "{message}");
         let _ = std::fs::remove_file(&path);
     }
 

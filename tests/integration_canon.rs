@@ -34,7 +34,7 @@ fn assert_pairs_agree(schema: &Schema, table: &RangeTable<'_>, sites: &[(ClassId
             );
             assert_eq!(
                 table.overlaps(id1, id2),
-                r1.overlaps(schema, r2),
+                r1.overlaps(r2),
                 "overlaps: {}",
                 what()
             );

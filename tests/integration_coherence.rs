@@ -9,14 +9,18 @@
 //! reach both branches and hold incoherent sites, or the comparison proves
 //! nothing.
 //!
-//! The checker's `JointlyUnsatisfiable` errors come from the same
-//! procedure, so each one must sit on a site the sweep reports.
+//! The checker reads the same overlap relation and the same §5.1 covers,
+//! so the two agree both ways: each `IncompatibleParents` or
+//! `JointlyUnsatisfiable` error sits on a site the sweep reports, and
+//! each site the sweep reports carries a checker error at that class or
+//! at one of its ancestors, for the same attribute.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
 use excuses::core::{admits_common_value, check, incoherent_sites, DiagKind};
+use excuses::lint::{LintCode, LintConfig};
 use excuses::model::{ClassId, Schema, Sym};
 use excuses::obs::{self, names, StatsRecorder};
 use excuses::workloads::{generate, seed_contradictions, HierarchyParams};
@@ -34,8 +38,8 @@ const SHAPES: &[(usize, usize, usize, f64, f64, u64, usize)] = &[
 
 /// Joins whose constraints overlap pair by pair but share no value (the
 /// checker's `JointlyUnsatisfiable`), one restored by an excuse, and a
-/// pure record type over a refined class type: records and entities, so
-/// no value satisfies both.
+/// pure record type against a refined class type, redeclared and joined:
+/// records and entities, so no value satisfies both.
 const VIGNETTES: &str = "
     class P1 with p: {'a, 'b}; q: 1..10;
     class P2 with p: {'b, 'c}; q: 8..20;
@@ -47,6 +51,9 @@ const VIGNETTES: &str = "
     class Physician with x: String;
     class Patient with doctor: [x: String];
     class Special is-a Patient with doctor: Physician [x: String];
+    class Referral is-a Patient;
+    class Visit with doctor: Physician [x: String];
+    class Referred is-a Referral, Visit;
 ";
 
 fn corpus() -> Vec<(String, Schema)> {
@@ -70,6 +77,7 @@ fn corpus() -> Vec<(String, Schema)> {
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for dir in [
+        "tests/fixtures",
         "examples/data",
         "crates/lint/tests/fixtures",
         "crates/workloads/fixtures",
@@ -133,25 +141,93 @@ fn the_sweep_equals_the_decision_procedure_at_every_site() {
     assert!(incoherent > 0, "the corpus holds no incoherent site");
 }
 
+/// The checker's pair and k-way errors, `IncompatibleParents` and
+/// `JointlyUnsatisfiable`, each sit on a site the sweep reports.
 #[test]
 fn every_jointly_unsatisfiable_site_is_incoherent() {
-    let mut reported = 0;
+    let (mut pairs, mut k_way) = (0, 0);
     for (name, schema) in corpus() {
         let swept = incoherent_sites(&schema);
         for d in check(&schema).errors() {
-            if let DiagKind::JointlyUnsatisfiable { .. } = d.kind {
-                reported += 1;
-                assert!(
-                    swept.contains(&(d.class, d.attr)),
-                    "{name}: {}.{} is jointly unsatisfiable but not incoherent",
-                    schema.class_name(d.class),
-                    schema.resolve(d.attr)
-                );
+            match d.kind {
+                DiagKind::IncompatibleParents { .. } => pairs += 1,
+                DiagKind::JointlyUnsatisfiable { .. } => k_way += 1,
+                _ => continue,
             }
+            assert!(
+                swept.contains(&(d.class, d.attr)),
+                "{name}: {}.{} has {:?} but is not incoherent",
+                schema.class_name(d.class),
+                schema.resolve(d.attr),
+                d.kind
+            );
         }
     }
-    assert!(
-        reported > 0,
-        "the corpus holds no JointlyUnsatisfiable error"
-    );
+    assert!(pairs > 0, "the corpus holds no IncompatibleParents error");
+    assert!(k_way > 0, "the corpus holds no JointlyUnsatisfiable error");
+}
+
+/// The converse: every site `(C, p)` the sweep reports carries a checker
+/// error at `(A, p)`, where `A` is `C` or one of its ancestors. The error
+/// need not sit at `C` itself: a class that inherits an incoherent site
+/// through one parent, or joins constraints one parent already holds,
+/// leaves the report to that parent, and a failed declaration is
+/// reported at its declarer.
+#[test]
+fn every_incoherent_site_carries_a_checker_error() {
+    let mut incoherent = 0;
+    for (name, schema) in corpus() {
+        let report = check(&schema);
+        let errors: BTreeSet<(ClassId, Sym)> = report.errors().map(|d| (d.class, d.attr)).collect();
+        for (class, attr) in incoherent_sites(&schema) {
+            incoherent += 1;
+            assert!(
+                schema
+                    .ancestors_with_self(class)
+                    .any(|a| errors.contains(&(a, attr))),
+                "{name}: {}.{} is incoherent but no checker error sits at it or above it",
+                schema.class_name(class),
+                schema.resolve(attr)
+            );
+        }
+    }
+    assert!(incoherent > 0, "the corpus holds no incoherent site");
+}
+
+/// Two class ranges may always share an instance, so joins of unrelated
+/// class ranges, refined class types over them, and `AnyEntity` against a
+/// class are clean under the checker and silent under L001, while a pure
+/// record type against a refined class type stays an error in both.
+#[test]
+fn class_typed_joins_are_clean_in_check_and_l001() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("tests/fixtures/class-joins.sdl")).unwrap();
+    let schema = excuses::sdl::compile(&src).unwrap();
+    let report = check(&schema);
+    assert!(report.diagnostics.is_empty(), "{}", report.render(&schema));
+    let lint = excuses::lint::run(&schema, &LintConfig::default());
+    assert_eq!(lint.count(LintCode::IncoherentClass), 0);
+
+    let schema = excuses::sdl::compile(VIGNETTES).unwrap();
+    let report = check(&schema);
+    let lint = excuses::lint::run(&schema, &LintConfig::default());
+    for (class, kind) in [
+        ("Special", "UnexcusedContradiction"),
+        ("Referred", "IncompatibleParents"),
+    ] {
+        let class = schema.class_by_name(class).unwrap();
+        let at: Vec<String> = report
+            .errors()
+            .filter(|d| d.class == class)
+            .map(|d| format!("{:?}", d.kind))
+            .collect();
+        assert!(
+            at.len() == 1 && at[0].starts_with(kind),
+            "{}: {at:?}",
+            schema.class_name(class)
+        );
+        let l001 =
+            |f: &&excuses::lint::Finding| f.code == LintCode::IncoherentClass && f.class == class;
+        assert_eq!(lint.findings.iter().filter(l001).count(), 1);
+    }
 }
