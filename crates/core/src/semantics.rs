@@ -211,8 +211,8 @@ mod tests {
         fn is_instance(&self, oid: Oid, class: ClassId) -> bool {
             *self.schema_ancestor.get(&(oid, class)).unwrap_or(&false)
         }
-        fn attr_value(&self, oid: Oid, attr: Sym) -> Option<Value> {
-            self.values.get(&(oid, attr)).cloned()
+        fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value> {
+            self.values.get(&(oid, attr))
         }
     }
 

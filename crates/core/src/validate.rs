@@ -132,11 +132,10 @@ pub fn validate_object_counted(
     let mut out = Vec::new();
     for &class in &closed {
         for decl in &schema.class(class).attrs {
-            let stored = view.attr_value(x, decl.name);
-            let value = match (&stored, opts.missing) {
+            let value = match (view.attr_value(x, decl.name), opts.missing) {
                 (None, MissingPolicy::Vacuous) => continue,
-                (None, MissingPolicy::Absent) => Value::Absent,
-                (Some(v), _) => v.clone(),
+                (None, MissingPolicy::Absent) => Value::ABSENT,
+                (Some(v), _) => v,
             };
             let verdict = constraint_verdict(
                 schema,
@@ -146,7 +145,7 @@ pub fn validate_object_counted(
                 class,
                 decl.name,
                 &decl.spec.range,
-                &value,
+                value,
             );
             // One executed check = one unit of `validate.checks` = one
             // ledger record; the E11 acceptance check asserts these
@@ -173,7 +172,7 @@ pub fn validate_object_counted(
                 out.push(Violation {
                     class,
                     attr: decl.name,
-                    value,
+                    value: value.clone(),
                 });
             }
         }
@@ -208,8 +207,8 @@ mod tests {
         fn is_instance(&self, oid: Oid, class: ClassId) -> bool {
             *self.member.get(&(oid, class)).unwrap_or(&false)
         }
-        fn attr_value(&self, oid: Oid, attr: Sym) -> Option<Value> {
-            self.values.get(&(oid, attr)).cloned()
+        fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value> {
+            self.values.get(&(oid, attr))
         }
     }
 

@@ -22,7 +22,7 @@ pub mod validate;
 pub mod virtual_extent;
 
 pub use assertions::{Assertion, AssertionSet, AssertionViolation};
-pub use data::{load_data, DataError, LoadedData};
+pub use data::{load_data, DataError, LoadedData, Names, NamesIter};
 pub use defclass::DefClass;
 pub use metaclass::{avg_over_extent, MetaClass};
 pub use store::ExtentStore;

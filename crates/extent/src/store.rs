@@ -15,8 +15,12 @@ use chc_model::{ClassId, InstanceView, Oid, Schema, Sym, Value};
 /// Surrogates are dense: the n-th object created gets `Oid` n, and every
 /// per-object table is a vector indexed by it. Membership is one flat
 /// array of words, `stride` words per object; extents are ascending
-/// vectors of oids (creation order, so loading only ever appends); an
-/// object's attribute values are a short vector of `(attr, value)` pairs.
+/// vectors of oids (creation order, so loading only ever appends).
+/// Attribute values live in one arena of `(attr, value)` pairs, each
+/// object's in one run of it, holding only the attributes the object
+/// has. A run that must grow and is not last in the arena moves to the
+/// end and leaves holes; once the holes outnumber the stored pairs, one
+/// pass compacts the arena.
 ///
 /// ```
 /// use chc_extent::ExtentStore;
@@ -41,10 +45,63 @@ pub struct ExtentStore {
     membership: Vec<u64>,
     /// Per-class extents, ascending by oid, kept in sync with `membership`.
     extents: Vec<Vec<Oid>>,
-    /// One slot per oid ever minted: `None` once destroyed, else the
-    /// object's attribute values, at most one pair per attribute.
-    objects: Vec<Option<Vec<(Sym, Value)>>>,
+    /// Every object's attribute values, one run per object, at most one
+    /// pair per attribute; a slot no run covers is a hole holding
+    /// [`Value::Absent`].
+    values: Vec<(Sym, Value)>,
+    /// One run per oid ever minted, [`Run::DEAD`] once destroyed.
+    runs: Vec<Run>,
+    /// The holes in `values`.
+    holes: usize,
     live: usize,
+}
+
+/// An object's attribute values: `len` pairs of the value arena from
+/// `start`. A run that is not empty lies inside the arena; an empty one
+/// is [`Run::EMPTY`], so shortening the arena never strands it.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    len: u32,
+}
+
+impl Run {
+    /// A destroyed object's run.
+    const DEAD: Run = Run {
+        start: u32::MAX,
+        len: 0,
+    };
+
+    const EMPTY: Run = Run { start: 0, len: 0 };
+
+    /// The run of `len` slots from `start`.
+    fn at(start: usize, len: usize) -> Run {
+        let slot = |n: usize| {
+            u32::try_from(n)
+                .ok()
+                .filter(|&n| n != u32::MAX)
+                .expect("value arena overflow")
+        };
+        match len {
+            0 => Run::EMPTY,
+            _ => Run {
+                start: slot(start),
+                len: slot(len),
+            },
+        }
+    }
+
+    fn live(self) -> bool {
+        self.start != u32::MAX
+    }
+
+    fn slots(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end()
+    }
+
+    fn end(self) -> usize {
+        self.start as usize + self.len as usize
+    }
 }
 
 impl ExtentStore {
@@ -55,9 +112,19 @@ impl ExtentStore {
             stride: schema.num_classes().div_ceil(64),
             membership: Vec::new(),
             extents: vec![Vec::new(); schema.num_classes()],
-            objects: Vec::new(),
+            values: Vec::new(),
+            runs: Vec::new(),
+            holes: 0,
             live: 0,
         }
+    }
+
+    /// Makes room for `objects` more objects and `values` more attribute
+    /// values, so a bulk load grows no table while it runs.
+    pub(crate) fn reserve(&mut self, objects: usize, values: usize) {
+        self.runs.reserve(objects);
+        self.membership.reserve(objects.saturating_mul(self.stride));
+        self.values.reserve(values);
     }
 
     fn assert_schema(&self, schema: &Schema) {
@@ -72,23 +139,70 @@ impl ExtentStore {
     fn index(&self, oid: Oid) -> Option<usize> {
         usize::try_from(oid.raw())
             .ok()
-            .filter(|&i| i < self.objects.len())
+            .filter(|&i| i < self.runs.len())
     }
 
-    /// The dense index of a live object; panics on an unknown one.
-    fn live_index(&self, oid: Oid) -> usize {
-        self.index(oid)
-            .filter(|&i| self.objects[i].is_some())
-            .expect("unknown object")
+    /// The dense index and value run of a live object.
+    fn run(&self, oid: Oid) -> Option<(usize, Run)> {
+        let i = self.index(oid)?;
+        Some((i, self.runs[i])).filter(|(_, run)| run.live())
     }
 
     /// The attribute values of a live object.
-    fn values(&self, oid: Oid) -> Option<&Vec<(Sym, Value)>> {
-        self.objects.get(usize::try_from(oid.raw()).ok()?)?.as_ref()
+    fn values(&self, oid: Oid) -> Option<&[(Sym, Value)]> {
+        self.run(oid).map(|(_, run)| &self.values[run.slots()])
     }
 
-    fn values_mut(&mut self, oid: Oid) -> Option<&mut Vec<(Sym, Value)>> {
-        self.objects.get_mut(usize::try_from(oid.raw()).ok()?)?.as_mut()
+    /// Moves object `i`'s run to the end of the arena, leaving holes
+    /// where it was.
+    fn relocate(&mut self, i: usize) {
+        let run = self.runs[i];
+        self.runs[i] = Run::at(self.values.len(), run.len as usize);
+        for k in run.slots() {
+            let (attr, value) = &mut self.values[k];
+            let pair = (*attr, std::mem::replace(value, Value::Absent));
+            self.values.push(pair);
+        }
+        self.holes += run.len as usize;
+    }
+
+    /// Drops the values of a run no object holds any more.
+    fn free(&mut self, run: Run) {
+        if run.end() == self.values.len() {
+            self.values.truncate(run.start as usize);
+            return;
+        }
+        for (_, value) in &mut self.values[run.slots()] {
+            *value = Value::Absent;
+        }
+        self.holes += run.len as usize;
+    }
+
+    /// Compacts the arena in one pass, in oid order, once its holes
+    /// outnumber the pairs it stores; each hole was made by moving or
+    /// dropping a pair, so the pass costs O(1) per hole.
+    fn compact_if_sparse(&mut self) {
+        let stored = self.values.len() - self.holes;
+        if self.holes <= stored {
+            return;
+        }
+        let mut values = Vec::with_capacity(stored);
+        for run in self.runs.iter_mut().filter(|run| run.live()) {
+            let start = values.len();
+            values.extend(
+                self.values[run.slots()]
+                    .iter_mut()
+                    .map(|(attr, value)| (*attr, std::mem::replace(value, Value::Absent))),
+            );
+            *run = Run::at(start, run.len as usize);
+        }
+        (self.values, self.holes) = (values, 0);
+    }
+
+    /// Slots in the value arena, holes included: at most twice the
+    /// attribute values stored.
+    pub fn value_slots(&self) -> usize {
+        self.values.len()
     }
 
     /// Sets `class`'s bit for object `i`; if it was clear, files the
@@ -142,8 +256,8 @@ impl ExtentStore {
     /// joined, so a bulk loader can report the sum once.
     pub(crate) fn create_counted(&mut self, schema: &Schema, classes: &[ClassId]) -> (Oid, u64) {
         self.assert_schema(schema);
-        let i = self.objects.len();
-        self.objects.push(Some(Vec::new()));
+        let i = self.runs.len();
+        self.runs.push(Run::EMPTY);
         self.live += 1;
         self.membership
             .resize(self.membership.len() + self.stride, 0);
@@ -160,7 +274,7 @@ impl ExtentStore {
     /// Adds an existing object to a class (and its superclasses).
     pub fn add_to_class(&mut self, schema: &Schema, oid: Oid, class: ClassId) {
         self.assert_schema(schema);
-        let i = self.live_index(oid);
+        let (i, _) = self.run(oid).expect("unknown object");
         let mut fanout = 0u64;
         for a in schema.ancestors_with_self(class) {
             fanout += u64::from(self.join(i, a));
@@ -173,7 +287,7 @@ impl ExtentStore {
     /// must stay upward closed: an ex-Physician may remain a Person).
     pub fn remove_from_class(&mut self, schema: &Schema, oid: Oid, class: ClassId) {
         self.assert_schema(schema);
-        let i = self.live_index(oid);
+        let (i, _) = self.run(oid).expect("unknown object");
         let mut fanout = 0u64;
         for d in schema.descendants_with_self(class) {
             fanout += u64::from(self.leave(i, d.index()));
@@ -182,40 +296,58 @@ impl ExtentStore {
         chc_obs::histogram(chc_obs::names::EXTENT_FANOUT_HIST, fanout);
     }
 
-    /// Destroys an object entirely, in time proportional to its classes.
+    /// Destroys an object entirely, in time proportional to its classes
+    /// and values.
     pub fn destroy(&mut self, oid: Oid) {
-        if !self.exists(oid) {
+        let Some((i, run)) = self.run(oid) else {
             return;
-        }
-        let i = self.live_index(oid);
+        };
         for c in self.classes_of(oid) {
             self.leave(i, c.index());
         }
-        self.objects[i] = None;
+        self.runs[i] = Run::DEAD;
+        self.free(run);
+        self.compact_if_sparse();
         self.live -= 1;
     }
 
     /// Whether the object exists.
     pub fn exists(&self, oid: Oid) -> bool {
-        self.values(oid).is_some()
+        self.run(oid).is_some()
     }
 
-    /// Sets an attribute value.
+    /// Sets an attribute value: in place when the object has the
+    /// attribute, else appended to its run, which first moves to the end
+    /// of the arena unless it is there already.
     ///
     /// # Panics
     /// Panics if `oid` is not a live object of this store.
     pub fn set_attr(&mut self, oid: Oid, attr: Sym, value: Value) {
-        let values = self.values_mut(oid).expect("unknown object");
-        match values.iter_mut().find(|(a, _)| *a == attr) {
-            Some(slot) => slot.1 = value,
-            None => values.push((attr, value)),
+        let (i, run) = self.run(oid).expect("unknown object");
+        if let Some(slot) = self.values[run.slots()]
+            .iter_mut()
+            .find(|(a, _)| *a == attr)
+        {
+            slot.1 = value;
+            return;
         }
+        if run.end() != self.values.len() {
+            self.relocate(i);
+        }
+        let run = self.runs[i];
+        self.runs[i] = Run::at(self.values.len() - run.len as usize, run.len as usize + 1);
+        self.values.push((attr, value));
+        self.compact_if_sparse();
     }
 
-    /// Replaces all of an object's attribute values; `values` names each
-    /// attribute at most once.
-    pub(crate) fn set_attrs(&mut self, oid: Oid, values: Vec<(Sym, Value)>) {
-        *self.values_mut(oid).expect("unknown object") = values;
+    /// Replaces all of an object's attribute values with `values`, which
+    /// it drains; `values` names each attribute at most once.
+    pub(crate) fn set_attrs(&mut self, oid: Oid, values: &mut Vec<(Sym, Value)>) {
+        let (i, run) = self.run(oid).expect("unknown object");
+        self.free(run);
+        self.runs[i] = Run::at(self.values.len(), values.len());
+        self.values.append(values);
+        self.compact_if_sparse();
     }
 
     /// Reads an attribute value.
@@ -224,18 +356,24 @@ impl ExtentStore {
         values.iter().find(|(a, _)| *a == attr).map(|(_, v)| v)
     }
 
-    /// Clears an attribute value; returns whether one was set.
+    /// Clears an attribute value, dropping it; returns whether one was
+    /// set.
     pub fn clear_attr(&mut self, oid: Oid, attr: Sym) -> bool {
-        let Some(values) = self.values_mut(oid) else {
+        let Some((i, run)) = self.run(oid) else {
             return false;
         };
-        match values.iter().position(|(a, _)| *a == attr) {
-            Some(at) => {
-                values.swap_remove(at);
-                true
-            }
-            None => false,
-        }
+        let Some(at) = self.values[run.slots()]
+            .iter()
+            .position(|(a, _)| *a == attr)
+        else {
+            return false;
+        };
+        let last = run.end() - 1;
+        self.values.swap(run.start as usize + at, last);
+        self.runs[i] = Run::at(run.start as usize, run.len as usize - 1);
+        self.free(Run::at(last, 1));
+        self.compact_if_sparse();
+        true
     }
 
     /// Membership test: one word read.
@@ -313,8 +451,8 @@ impl InstanceView for ExtentStore {
     fn is_instance(&self, oid: Oid, class: ClassId) -> bool {
         self.is_member(oid, class)
     }
-    fn attr_value(&self, oid: Oid, attr: Sym) -> Option<Value> {
-        self.get_attr(oid, attr).cloned()
+    fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value> {
+        self.get_attr(oid, attr)
     }
 }
 
@@ -446,7 +584,10 @@ mod tests {
             store.set_attr(o, age, Value::Int(20 + i));
         }
         assert_eq!(store.extent(person).count(), 10);
-        assert!(store.all(person, |o| matches!(store.get_attr(o, age), Some(Value::Int(a)) if *a >= 20)));
+        assert!(store.all(
+            person,
+            |o| matches!(store.get_attr(o, age), Some(Value::Int(a)) if *a >= 20)
+        ));
         assert!(store.any(person, |o| store.get_attr(o, age) == Some(&Value::Int(25))));
         assert!(!store.any(person, |o| store.get_attr(o, age) == Some(&Value::Int(99))));
     }

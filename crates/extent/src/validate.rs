@@ -79,7 +79,7 @@ pub fn validate_loaded<E>(
     let judged = data.names.iter().try_for_each(|(name, oid)| {
         crumb.set(oid.raw());
         chc_obs::event_with(EventLevel::Info, names::EVENT_VALIDATE_OBJECT, |ev| {
-            ev.field("name", name.as_str()).field("object", oid.raw())
+            ev.field("name", name).field("object", oid.raw())
         });
         judge(
             name,

@@ -554,6 +554,7 @@ fn assert_same(schema: &Schema, src: &str, case: &str) {
         },
     };
     let (want, LoadedData { store, names }) = got;
+    let names: Vec<(String, Oid)> = names.iter().map(|(n, o)| (n.to_string(), *o)).collect();
     assert_eq!(names, want.names, "{case}: names");
     assert_eq!(store.num_objects(), want.classes.len(), "{case}");
     for (i, classes) in want.classes.iter().enumerate() {

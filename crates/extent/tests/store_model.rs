@@ -4,7 +4,11 @@
 //! membership spans two words per object), checking after every step the
 //! ascending extents, `count`, `num_objects`, `exists`, `classes_of`,
 //! `get_attr` and `follow_path`, and at the end the `extent.add_fanout` /
-//! `extent.remove_fanout` counter totals.
+//! `extent.remove_fanout` counter totals. Objects carry up to five
+//! attributes, and most steps set one on an object whose values are not
+//! last in the store's value arena, so values move to the end and leave
+//! holes; every step also checks that the arena holds at most twice the
+//! values stored, and each run must see the arena compacted.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -34,7 +38,7 @@ const CLASSES: usize = 70;
 
 /// A random DAG: each class has up to two earlier superclasses.
 fn schema(rng: &mut Rng) -> Schema {
-    let mut sdl = String::from("class C0 with a: C0; b: C0; n: 1..100;\n");
+    let mut sdl = String::from("class C0 with a: C0; b: C0; n: 1..100; s: String; m: 1..9;\n");
     for i in 1..CLASSES {
         let supers: BTreeSet<usize> = (0..1 + rng.below(2)).map(|_| rng.below(i)).collect();
         let supers: Vec<String> = supers.iter().map(|s| format!("C{s}")).collect();
@@ -111,26 +115,32 @@ fn check(schema: &Schema, store: &ExtentStore, model: &Model, syms: &[Sym], step
             );
         }
     }
+    assert!(
+        store.value_slots() <= 2 * model.values.len(),
+        "{step}: {} arena slots for {} values",
+        store.value_slots(),
+        model.values.len()
+    );
 }
 
-fn run(seed: u64, steps: usize) {
+/// Runs `steps` seeded operations; returns how many of them cleared
+/// every hole from the value arena, which only a compaction does.
+fn run(seed: u64, steps: usize) -> usize {
     let mut rng = Rng(seed);
     let schema = schema(&mut rng);
-    let syms = [
-        schema.sym("a").unwrap(),
-        schema.sym("b").unwrap(),
-        schema.sym("n").unwrap(),
-    ];
+    let syms = ["a", "b", "n", "s", "m"].map(|a| schema.sym(a).unwrap());
     let class = |i: usize| ClassId::from_raw(i as u32);
     let rec = Arc::new(StatsRecorder::new());
     let _scope = chc_obs::scoped(rec.clone());
     let mut store = ExtentStore::new(&schema);
     let mut model = Model::default();
+    let mut compactions = 0;
     for step in 0..steps {
+        let holes = store.value_slots() - model.values.len();
         let live: Vec<Oid> = model.objects.keys().copied().collect();
         let any = Oid::from_raw(rng.below(model.minted as usize + 2) as u64);
         let pick = |rng: &mut Rng| live[rng.below(live.len())];
-        let what = match rng.below(10) {
+        let what = match rng.below(16) {
             _ if live.is_empty() => 0,
             n => n,
         };
@@ -174,10 +184,11 @@ fn run(seed: u64, steps: usize) {
                 model.values.retain(|(o, _), _| *o != any);
                 format!("destroy {any}")
             }
-            6..=8 => {
-                let (oid, attr) = (pick(&mut rng), syms[rng.below(3)]);
-                let value = match rng.below(3) {
+            6..=13 => {
+                let (oid, attr) = (pick(&mut rng), syms[rng.below(syms.len())]);
+                let value = match rng.below(4) {
                     0 => Value::Int(rng.below(100) as i64),
+                    1 => Value::str(&format!("s{step}")),
                     _ => Value::Obj(Oid::from_raw(rng.below(model.minted as usize) as u64)),
                 };
                 store.set_attr(oid, attr, value.clone());
@@ -185,7 +196,7 @@ fn run(seed: u64, steps: usize) {
                 format!("set {oid}.{attr:?}")
             }
             _ => {
-                let attr = syms[rng.below(3)];
+                let attr = syms[rng.below(syms.len())];
                 let had = model.values.remove(&(any, attr)).is_some();
                 assert_eq!(store.clear_attr(any, attr), had, "clear {any}.{attr:?}");
                 format!("clear {any}.{attr:?}")
@@ -198,6 +209,10 @@ fn run(seed: u64, steps: usize) {
             &syms,
             &format!("seed {seed} step {step}: {desc}"),
         );
+        // Freeing or moving values only adds holes, and shortening the
+        // arena's end keeps the ones before it: only a compaction clears
+        // them all.
+        compactions += usize::from(holes > 0 && store.value_slots() == model.values.len());
     }
     assert_eq!(
         rec.counter_value(names::EXTENT_ADD_FANOUT),
@@ -209,12 +224,16 @@ fn run(seed: u64, steps: usize) {
         model.remove_fanout,
         "seed {seed}"
     );
+    compactions
 }
 
 #[test]
 fn store_matches_the_model_on_seeded_operation_sequences() {
     for seed in 0..12 {
-        run(seed, 300);
+        assert!(
+            run(seed, 300) > 0,
+            "seed {seed}: the value arena never compacted"
+        );
     }
 }
 

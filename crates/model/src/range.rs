@@ -136,13 +136,13 @@ impl Range {
             ) => {
                 view.is_instance(*o, *c)
                     && fields.iter().all(|f| {
-                        let v = view.attr_value(*o, f.name).unwrap_or(Value::Absent);
-                        f.spec.range.contains(schema, view, &v)
+                        let v = view.attr_value(*o, f.name).unwrap_or(Value::ABSENT);
+                        f.spec.range.contains(schema, view, v)
                     })
             }
             (Range::Record { base: None, fields }, Value::Record(_)) => fields.iter().all(|f| {
-                let v = value.field(f.name).cloned().unwrap_or(Value::Absent);
-                f.spec.range.contains(schema, view, &v)
+                let v = value.field(f.name).unwrap_or(Value::ABSENT);
+                f.spec.range.contains(schema, view, v)
             }),
             _ => false,
         }
@@ -284,14 +284,16 @@ impl Range {
 
     /// Whether two ranges can possibly share a value. Ranges of
     /// different sorts never do; integer intervals and enumerations are
-    /// compared by value. Two ranges of the entity sort always may: an
+    /// compared by value, and a reversed interval holds none. Two ranges of the entity sort always may: an
     /// object may belong to several classes at once, so whether two
     /// classes share an instance is a question about extents, not the
     /// schema, and refinements never provably empty a class. Two pure
     /// record types may likewise always share a record.
     pub fn overlaps(&self, other: &Range) -> bool {
         match (self, other) {
-            (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => lo <= h2 && l2 <= hi,
+            (Range::Int { lo, hi }, Range::Int { lo: l2, hi: h2 }) => {
+                self.inhabited() && other.inhabited() && lo <= h2 && l2 <= hi
+            }
             (Range::Enum(a), Range::Enum(b)) => a.intersection(b).next().is_some(),
             _ => self.sort() == other.sort(),
         }
@@ -433,6 +435,17 @@ mod tests {
         let c = Range::int(11, 20).unwrap();
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
+    }
+
+    #[test]
+    fn a_reversed_interval_overlaps_nothing() {
+        // Built directly, past `Range::int`'s check: it holds no value,
+        // so it shares none, though its bounds straddle `0..10`'s.
+        let reversed = Range::Int { lo: 5, hi: 1 };
+        let a = Range::int(0, 10).unwrap();
+        assert!(!reversed.inhabited());
+        assert!(!reversed.overlaps(&a) && !a.overlaps(&reversed));
+        assert!(!reversed.overlaps(&reversed));
     }
 
     #[test]

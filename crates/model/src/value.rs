@@ -28,6 +28,10 @@ pub enum Value {
 }
 
 impl Value {
+    /// [`Value::Absent`] behind a `'static` reference, for readers that
+    /// return `&Value` and must stand in for a missing one.
+    pub const ABSENT: &'static Value = &Value::Absent;
+
     /// Builds a string value.
     pub fn str(s: &str) -> Self {
         Value::Str(s.into())

@@ -17,7 +17,7 @@ pub trait InstanceView {
 
     /// The stored value of `attr` on `oid`, if any. `None` is treated by
     /// callers as [`Value::Absent`].
-    fn attr_value(&self, oid: Oid, attr: Sym) -> Option<Value>;
+    fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value>;
 }
 
 /// A view of an empty database: no instances, no values. Useful for
@@ -30,7 +30,7 @@ impl InstanceView for NoInstances {
         false
     }
 
-    fn attr_value(&self, _oid: Oid, _attr: Sym) -> Option<Value> {
+    fn attr_value(&self, _oid: Oid, _attr: Sym) -> Option<&Value> {
         None
     }
 }

@@ -71,7 +71,7 @@ impl InstanceView for OracleView<'_> {
     fn is_instance(&self, _oid: Oid, class: ClassId) -> bool {
         self.membership.contains(&class)
     }
-    fn attr_value(&self, _oid: Oid, _attr: Sym) -> Option<Value> {
+    fn attr_value(&self, _oid: Oid, _attr: Sym) -> Option<&Value> {
         None
     }
 }
