@@ -18,15 +18,16 @@
 //! starts a comment outside a string.
 //!
 //! A counting pass over the bytes comes first. An entry ends at a line
-//! break, so there are at most one more entries than `\n` bytes, and
-//! every stored value follows its own `=`. The smallest entry, `a:A{}`,
-//! takes five bytes and its line break a sixth, and the smallest stored
-//! value, `a=1`, takes three and its `,` or closing `}` a fourth, so the
-//! entries are capped at a sixth of the file's bytes and the values at a
-//! quarter: a file whose strings are full of `=` or line breaks reserves
-//! no more than that. These bounds size the object table, the membership words, the
-//! names and the name index, and the value arena before the scan, so
-//! none of them grows while it runs.
+//! break or at the end of the file, so there is at most one entry more
+//! than there are `\n` bytes, and every stored value follows its own
+//! `=`. The smallest entry, `a:A{}`, takes five bytes and its line break
+//! a sixth, and the smallest stored value, `a=1`, takes three and its
+//! `,` or closing `}` a fourth, so the entries are capped at a sixth of
+//! the file's bytes and the values at a quarter: a file whose strings
+//! are full of `=` or line breaks reserves no more than that. These
+//! bounds size the object table, the membership words, the names, the
+//! name index and the value arena before the scan, so none of them grows
+//! while it runs.
 //!
 //! Then one byte cursor walks the file. A table-driven loop passes over
 //! blanks and plain content, noting only where content ends; quotes,
@@ -108,7 +109,7 @@ impl LoadedData {
 
 /// Object names and their surrogates, in definition order: one string
 /// holding every name, and where each name ends in it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Names {
     text: String,
     ends: Vec<(usize, Oid)>,
