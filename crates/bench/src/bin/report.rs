@@ -126,10 +126,19 @@ fn recorded<T>(f: impl FnOnce() -> T) -> (T, Arc<StatsRecorder>) {
     (out, rec)
 }
 
+/// The number of `excuses` clauses in `schema`.
+fn excuse_clauses(schema: &chc_model::Schema) -> usize {
+    schema
+        .class_ids()
+        .flat_map(|c| &schema.class(c).attrs)
+        .map(|d| d.spec.excuses.len())
+        .sum()
+}
+
 fn e1() {
     println!("## E1 — verifiability: checking cost and fault detection\n");
-    println!("| classes | attr decls | check time (µs) | joint-sat calls | subtype queries | seeded faults | precision | recall |");
-    println!("|--------:|-----------:|----------------:|----------------:|----------------:|--------------:|----------:|-------:|");
+    println!("| classes | attr decls | excuse clauses | check time (µs) | µs / clause | joint-sat calls | subtype queries | seeded faults | precision | recall |");
+    println!("|--------:|-----------:|---------------:|----------------:|------------:|----------------:|----------------:|--------------:|----------:|-------:|");
     for &n in &SCHEMA_SIZES {
         let gen = generate(&HierarchyParams { classes: n, seed: 0xE1 + n as u64, ..Default::default() });
         let iters = (2000 / n).max(3);
@@ -144,9 +153,11 @@ fn e1() {
         let faults = gen.excused_sites.len().min(10);
         let (mutated, truth) = seed_contradictions(&gen, faults, 7);
         let (precision, recall) = detection_score(&mutated, &truth);
+        let clauses = excuse_clauses(&gen.schema);
         println!(
-            "| {n} | {} | {us:.1} | {joint_sat} | {subtype_queries} | {} | {precision:.2} | {recall:.2} |",
+            "| {n} | {} | {clauses} | {us:.1} | {:.3} | {joint_sat} | {subtype_queries} | {} | {precision:.2} | {recall:.2} |",
             gen.schema.num_attr_decls(),
+            us / clauses.max(1) as f64,
             truth.len(),
         );
     }
@@ -716,9 +727,9 @@ fn e14() {
          `chc profile check --hier classes=N,seed=S` (`S = 0xE1 + N`).\n"
     );
     println!(
-        "| classes | subtype.queries | distinct | dup ×| sat.calls | distinct | dup ×| top-5 hot classes (time share) |"
+        "| classes | excuse clauses | subtype.queries | distinct | dup ×| sat.calls | distinct | dup ×| top-5 hot classes (time share) |"
     );
-    println!("|---:|---:|---:|---:|---:|---:|---:|:---|");
+    println!("|---:|---:|---:|---:|---:|---:|---:|---:|:---|");
     for &n in &[400usize, 800, 1600, 3200] {
         let schema = sized_schema(n);
         let profile = Arc::new(chc_obs::ProfileRecorder::new());
@@ -746,7 +757,8 @@ fn e14() {
             })
             .collect();
         println!(
-            "| {n} | {subtype} | {subtype_d} | {:.1} | {sat} | {sat_d} | {:.1} | {} |",
+            "| {n} | {} | {subtype} | {subtype_d} | {:.1} | {sat} | {sat_d} | {:.1} | {} |",
+            excuse_clauses(&schema),
             ratio(subtype, subtype_d),
             ratio(sat, sat_d),
             top5.join(", "),
@@ -847,11 +859,7 @@ fn e16() {
     println!("|---:|---:|---:|---:|---:|---:|");
     for &n in &SCHEMA_SIZES {
         let (old, new) = evolved_pair(n);
-        let clauses: usize = new
-            .class_ids()
-            .flat_map(|c| &new.class(c).attrs)
-            .map(|d| d.spec.excuses.len())
-            .sum();
+        let clauses = excuse_clauses(&new);
         let diff = diff_schemas(&old, &new);
         let cone = impact_cone(&old, &new, &diff).classes.len();
         let iters = (2_000 / n).max(5);
@@ -922,11 +930,7 @@ fn e17() {
         );
         let compile = || chc_sdl::compile_with_source(&text, "bench.sdl").unwrap();
         let schema = compile();
-        let clauses: usize = schema
-            .class_ids()
-            .flat_map(|c| &schema.class(c).attrs)
-            .map(|d| d.spec.excuses.len())
-            .sum();
+        let clauses = excuse_clauses(&schema);
         let allocs_before = memalloc::snapshot().allocs;
         let probe = memalloc::probe();
         drop(compile());

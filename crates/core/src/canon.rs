@@ -119,6 +119,12 @@ impl<'s> RangeTable<'s> {
         start + at
     }
 
+    /// The number [`RangeTable::decl_index`] gives `class`'s first
+    /// declaration.
+    pub(crate) fn first_decl(&self, class: ClassId) -> usize {
+        self.starts[class.index()]
+    }
+
     /// The schema whose ranges the table interns.
     pub(crate) fn schema(&self) -> &'s Schema {
         self.schema

@@ -24,8 +24,15 @@
 //!
 //! Each declaration `(class, p: S)` is checked against every constraint
 //! `(B, p: R_B)` it inherits, once, by `cover::Covers::push`, which records
-//! whether the constraint *covers* it (see `crate::cover`). Subsumption
-//! never crosses value sorts ([`Range::sort`](chc_model::Range::sort)): a
+//! whether the constraint *covers* it (see `crate::cover`). It asks one
+//! subtype query per declarer, `R_B ⊇ S`, and the same answers decide the
+//! excuses: an excuser carrying its clause on a declaration of `p` is one
+//! of those declarers, so a contradicted `(B, p)` is excused by another
+//! class exactly when a covering declarer other than `class` carries
+//! `excuses p on B`. The excuse index is scanned only for a constraint a
+//! declaration of another attribute excuses, and to name the first
+//! excuser of an uncovered contradiction. Subsumption never crosses value
+//! sorts ([`Range::sort`](chc_model::Range::sort)): a
 //! pure record type holds records and a refined class type entities, so
 //! neither covers the other.
 //!
@@ -176,7 +183,7 @@ struct Checker<'s> {
     /// Indexed by class: `(attr, SITE_* bits)` of the diagnostics in
     /// `report` at that class, one entry per attribute.
     sites: Vec<Vec<(Sym, u8)>>,
-    /// The covers of every declaration checked so far.
+    /// The covers of the declarations of the class being checked.
     covers: Covers,
     /// The standings of the declaration being checked (kept to reuse the
     /// buffer).
@@ -242,6 +249,7 @@ impl<'s> Checker<'s> {
         let attrs = &schema.class(class).attrs;
         // Part 1: each locally declared attribute vs. each inherited
         // constraint, recording the covers.
+        self.covers.restart(self.ranges.first_decl(class));
         for decl in attrs {
             self.check_declaration(class, decl.name);
         }

@@ -13,7 +13,8 @@
 //! [`Sym`], and the excusers of each constraint by the excused class,
 //! then by attribute. Every reader goes through the methods below — the
 //! checker and the coherence sweep in `chc-core` (through
-//! [`declarers_on`](Schema::declarers_on) and
+//! [`declarers_on`](Schema::declarers_on),
+//! [`excused_elsewhere`](Schema::excused_elsewhere) and
 //! [`applicable_excusers`](Schema::applicable_excusers), the latter also
 //! behind `canon::RangeTable`), the type contexts of `chc-types`, the
 //! lints, and the load driver's insert recipes.
@@ -55,6 +56,9 @@ pub(crate) struct Excused {
     pub(crate) entries: std::ops::Range<u32>,
     /// The excuser classes, for intersecting with an ancestor closure.
     pub(crate) bits: BitSet,
+    /// Whether some entry is carried by a declaration of an attribute
+    /// other than `attr`.
+    pub(crate) elsewhere: bool,
 }
 
 /// An immutable schema.
@@ -269,6 +273,14 @@ impl Schema {
                 &entries[lo..lo + len]
             })
         })
+    }
+
+    /// Whether a declaration of an attribute other than `attr` carries an
+    /// excuse of the constraint `(on, attr)`. When none does, every
+    /// excuser of `(on, attr)` declares `attr` and carries the clause on
+    /// that declaration.
+    pub fn excused_elsewhere(&self, on: ClassId, attr: Sym) -> bool {
+        self.excused(on, attr).is_some_and(|e| e.elsewhere)
     }
 
     /// All excused constraints `(on, attr)`, by class and then attribute.

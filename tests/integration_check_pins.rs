@@ -344,7 +344,7 @@ const EVOLVE_OLD_TOTALS: &[(&str, u64)] = &[
     (names::CHECK_CONTRADICTIONS, 11_375),
     (names::CHECK_EXCUSES_RESOLVED, 11_375),
     (names::CHECK_JOINT_SAT_CALLS, 2_313),
-    (names::SUBTYPE_QUERIES, 34_404),
+    (names::SUBTYPE_QUERIES, 16_034),
     (names::SUBTYPE_QUERIES_DISTINCT, 7_350),
     (names::SAT_CALLS, 113),
 ];

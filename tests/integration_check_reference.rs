@@ -6,22 +6,33 @@
 //!
 //! The two must agree diagnostic for diagnostic, in order, on generated
 //! hierarchies (two to four supers per class) and their seeded-fault
-//! variants, the evolve400 fixture pair, the paper's vignettes, and
+//! variants, the evolve400 fixture pair, the paper's vignettes,
+//! `tests/fixtures/excuse-shapes.sdl`, and
 //! `tests/fixtures/mixed-ranges.sdl`, which mixes class, record, integer
 //! and enumeration ranges. They must also count the same contradictions,
 //! resolved excuses, joint-satisfiability calls and decision-procedure
 //! calls; the checker may ask fewer subtype queries.
+//!
+//! The generator carries every excuse clause on a declaration of the
+//! attribute it excuses, from a class below the excused one. The checker
+//! reads those excusers off each declaration's row of declarers and
+//! scans the excuse index only for the other shapes, so the generated
+//! hierarchies are also rebuilt with clauses moved onto declarations of
+//! other attributes, clauses carried twice, excusers outside the excused
+//! class's descendants and uninhabited ranges, and compared again.
 
 use std::sync::Arc;
 
 use excuses::core::{CheckReport, DiagKind, Diagnostic, Severity};
-use excuses::model::{ClassId, Schema, Sym};
+use excuses::model::{AttrSpec, ClassId, Range, Schema, SchemaBuilder, Sym};
 use excuses::obs::{self, names, StatsRecorder};
+use excuses::workloads::rng::SplitMix64;
 use excuses::workloads::{generate, seed_contradictions, vignettes, HierarchyParams};
 
 const EVOLVE_OLD: &str = include_str!("../crates/workloads/fixtures/evolve400-old.sdl");
 const EVOLVE_NEW: &str = include_str!("../crates/workloads/fixtures/evolve400-new.sdl");
 const MIXED: &str = include_str!("fixtures/mixed-ranges.sdl");
+const SHAPES: &str = include_str!("fixtures/excuse-shapes.sdl");
 
 /// The reference checker, as it was before the joint-satisfiability check
 /// reused the declaration verdicts.
@@ -578,6 +589,116 @@ fn generated_hierarchies_agree() {
     }
 }
 
+/// `schema` rebuilt with the excuse shapes the generator never emits.
+/// Some declarations carrying clauses hand them to a new declaration of
+/// another attribute with the same range (moved, or copied so the class
+/// excuses one constraint from two declarations) or move them onto
+/// another declaration the class already has; some classes excuse a
+/// constraint of a class they are not below, on their declaration of the
+/// excused attribute or of another one; and a few declarations get an
+/// uninhabited range, which `Range::enumeration` refuses and SDL cannot
+/// write.
+fn reshaped(schema: &Schema, seed: u64) -> Schema {
+    let mut rng = SplitMix64::new(seed);
+    let mut b = SchemaBuilder::from_schema(schema);
+    let mut carriers = 0;
+    for class in schema.class_ids() {
+        let attrs = &schema.class(class).attrs;
+        for decl in attrs {
+            let spec = &decl.spec;
+            if rng.gen_bool(0.05) {
+                let empty = AttrSpec {
+                    range: Range::Enum(Default::default()),
+                    ..spec.clone()
+                };
+                b.set_attr_spec(class, decl.name, empty).unwrap();
+                continue;
+            }
+            if spec.excuses.is_empty() {
+                continue;
+            }
+            let bare = AttrSpec::plain(spec.range.clone());
+            match rng.gen_range(0, 4) {
+                // Moved, or copied, onto a new declaration of the same range.
+                shape @ (0 | 1) => {
+                    carriers += 1;
+                    b.add_attr(class, &format!("carrier{carriers}"), spec.clone())
+                        .unwrap();
+                    if shape == 0 {
+                        b.set_attr_spec(class, decl.name, bare).unwrap();
+                    }
+                }
+                // Moved onto another declaration of the class.
+                2 => {
+                    let Some(other) = attrs.iter().find(|d| d.name != decl.name) else {
+                        continue;
+                    };
+                    let mut carrier = b.attr_spec(class, other.name).unwrap().clone();
+                    carrier.excuses.extend(&spec.excuses);
+                    b.set_attr_spec(class, other.name, carrier).unwrap();
+                    b.set_attr_spec(class, decl.name, bare).unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+    // Excuses from classes outside the excused class's descendants.
+    let classes: Vec<ClassId> = schema.class_ids().collect();
+    for _ in 0..classes.len() / 2 {
+        let on = *rng.choose(&classes).unwrap();
+        let excuser = *rng.choose(&classes).unwrap();
+        let attrs: Vec<Sym> = schema.applicable_attrs(on).collect();
+        let Some(&attr) = rng.choose(&attrs) else {
+            continue;
+        };
+        if schema.is_subclass(excuser, on) {
+            continue;
+        }
+        let carrier = match schema.declared_attr(excuser, attr) {
+            Some(_) if rng.gen_bool(0.5) => attr,
+            _ => match rng.choose(&schema.class(excuser).attrs) {
+                Some(d) => d.name,
+                None => continue,
+            },
+        };
+        let spec = b.attr_spec(excuser, carrier).unwrap().clone();
+        b.set_attr_spec(excuser, carrier, spec.excusing(attr, on))
+            .unwrap();
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn reshaped_excuses_agree() {
+    let mut elsewhere = 0;
+    for max_supers in 2..=4 {
+        for seed in 1..=4 {
+            let params = HierarchyParams {
+                classes: 150,
+                max_supers,
+                redefine_rate: 0.6,
+                contradiction_rate: [0.3, 0.6, 0.9, 1.0][seed as usize - 1],
+                seed: 100 * max_supers as u64 + seed,
+                ..Default::default()
+            };
+            let gen = generate(&params);
+            let (broken, _) = seed_contradictions(&gen, 40, params.seed);
+            for (what, schema) in [("clean", &gen.schema), ("faulty", &broken)] {
+                let schema = reshaped(schema, params.seed);
+                elsewhere += schema
+                    .excused_constraints()
+                    .filter(|&(on, attr)| schema.excused_elsewhere(on, attr))
+                    .count();
+                assert_agrees(
+                    &format!("reshaped {what} supers={max_supers} seed={}", params.seed),
+                    &schema,
+                );
+            }
+        }
+    }
+    assert!(elsewhere > 100, "{elsewhere} constraints excused on another attribute");
+}
+
 #[test]
 fn the_evolve400_pair_and_the_vignettes_agree() {
     for (name, src) in [("evolve400-old", EVOLVE_OLD), ("evolve400-new", EVOLVE_NEW)] {
@@ -586,6 +707,7 @@ fn the_evolve400_pair_and_the_vignettes_agree() {
     for (name, src) in vignettes::all() {
         assert_agrees(name, &vignettes::compiled(src));
     }
+    assert_agrees("excuse-shapes", &excuses::sdl::compile(SHAPES).unwrap());
 }
 
 /// The fixture reaches every diagnostic kind. At the class-typed join

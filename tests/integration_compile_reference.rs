@@ -1112,8 +1112,8 @@ fn scan(schema: &Schema) -> BTreeMap<(ClassId, Sym), Vec<ExcuserEntry>> {
 }
 
 /// Asserts the excuse index law on `schema`: `excusers_of`,
-/// `applicable_excusers` and `excused_constraints` answer what a scan of
-/// the clauses does.
+/// `excused_elsewhere`, `applicable_excusers` and `excused_constraints`
+/// answer what a scan of the clauses does.
 fn assert_index_law(what: &str, schema: &Schema) {
     let want = scan(schema);
     for on in schema.class_ids() {
@@ -1121,6 +1121,8 @@ fn assert_index_law(what: &str, schema: &Schema) {
             let attr = Sym::from_raw(i as u32);
             let entries = want.get(&(on, attr)).map_or(&[][..], Vec::as_slice);
             assert_eq!(schema.excusers_of(on, attr), entries, "{what}: {on:?} {attr:?}");
+            let elsewhere = entries.iter().any(|e| e.attr != attr);
+            assert_eq!(schema.excused_elsewhere(on, attr), elsewhere, "{what}: {on:?} {attr:?}");
         }
     }
     for (&(on, attr), entries) in &want {
@@ -1159,6 +1161,8 @@ fn the_excuse_index_answers_a_scan_of_the_clauses() {
     for (name, src) in vignettes::all() {
         assert_index_law(name, &compile(src).unwrap());
     }
+    let shapes = include_str!("fixtures/excuse-shapes.sdl");
+    assert_index_law("excuse-shapes", &compile(shapes).unwrap());
 }
 
 #[test]
