@@ -465,28 +465,6 @@ mod tests {
             s.excuser_spec(&entries[0]).range,
             Range::Class(psychologist)
         );
-        assert!(!s.excused_elsewhere(patient, treated_by));
-    }
-
-    #[test]
-    fn excuses_on_another_attribute_are_flagged() {
-        // `carer: Psychologist excuses treatedBy on Patient` is carried by
-        // a declaration of `carer`, not of `treatedBy`.
-        let mut b = SchemaBuilder::new();
-        let patient = b.declare("Patient").unwrap();
-        let carer = b.declare("Carer").unwrap();
-        b.add_super(carer, patient).unwrap();
-        b.add_attr(patient, "treatedBy", AttrSpec::plain(Range::Str)).unwrap();
-        b.add_attr(patient, "age", AttrSpec::plain(Range::Str)).unwrap();
-        let (treated_by, age) = (b.intern("treatedBy"), b.intern("age"));
-        let spec = AttrSpec::plain(Range::Str).excusing(treated_by, patient);
-        b.add_attr(carer, "carer", spec).unwrap();
-        b.add_attr(carer, "age", AttrSpec::plain(Range::Str).excusing(age, patient))
-            .unwrap();
-        let s = b.build().unwrap();
-        assert!(s.excused_elsewhere(patient, treated_by));
-        assert!(!s.excused_elsewhere(patient, age));
-        assert!(!s.excused_elsewhere(carer, age));
     }
 
     #[test]
