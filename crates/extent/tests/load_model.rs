@@ -771,3 +771,85 @@ fn handpicked_inputs_load_as_the_reference_loads_them() {
         assert_same(&schema, src, &format!("handpicked {i}"));
     }
 }
+
+/// Keys that lead to one attribute, one spelling each, with a value for
+/// it; and keys that differ from one of them by a letter.
+const KEYED: &[(&str, &str)] = &[
+    ("name", "\"Ann\""),
+    ("age", "41"),
+    ("mood", "'Sad"),
+    ("friend", "@o0"),
+    ("home", "[zip = 7]"),
+    ("doctor", "@o1"),
+];
+const MISSPELLED: &[&str] = &["nam", "names", "agee", "Age", "moo", "frien"];
+
+/// Entries whose keys repeat from entry to entry, mostly at the same
+/// positions and sometimes shifted by one or more, with now and then a
+/// misspelled key, a key broken across a line break, or a body spread
+/// over several lines.
+fn gen_keyed(rng: &mut Rng) -> String {
+    let mut out = String::from("o0 : Doctor {}\no1 : Doctor {}\n");
+    let order: Vec<usize> = (0..KEYED.len()).collect();
+    for i in 2..2 + rng.below(30) {
+        let shift = if rng.chance(70) { 0 } else { rng.below(KEYED.len()) };
+        let skip = if rng.chance(20) { rng.below(KEYED.len()) } else { usize::MAX };
+        let mut fields = Vec::new();
+        for &k in order.iter().cycle().skip(shift).take(KEYED.len()) {
+            if k == skip {
+                continue;
+            }
+            let (key, value) = KEYED[k];
+            let key = match rng.below(200) {
+                0 => rng.pick(MISSPELLED).to_string(),
+                1 => format!("{}\n{}", &key[..2], &key[2..]),
+                _ => key.to_string(),
+            };
+            fields.push(format!("{key} = {value}"));
+        }
+        let class = rng.pick(&["Patient", "Doctor", "Person, Patient"]);
+        let sep = if rng.chance(15) { ",\n    " } else { ", " };
+        out.push_str(&format!("o{i} : {class} {{ {} }}\n", fields.join(sep)));
+    }
+    out
+}
+
+/// Keys the previous entry had at another position or with another
+/// spelling: shifted by one, broken across a line break (so the entry
+/// reads `na me`, which no attribute is), an unknown key where the last
+/// entry had a known one, and a known key after an unknown one.
+const KEY_SLOTS: &[&str] = &[
+    "a : Person { name = \"x\", age = 3 }\nb : Person { age = 4, name = \"y\" }\n",
+    "a : Person { name = \"x\", age = 3 }\nb : Person { mood = 'Sad, name = \"y\", age = 5 }\n",
+    "a : Person { name = \"x\" }\nb : Person { na\nme = \"y\" }\n",
+    "a : Person { name = \"x\" }\nb : Person { name\n = \"y\" }\nc : Person { name = \"z\" }\n",
+    "a : Person { name = \"x\", age = 3 }\nb : Person { name = \"y\", agee = 4 }\n",
+    "a : Person { name = \"x\" }\nb : Person { nam = \"y\" }\nc : Person { name = \"z\" }\n",
+    "a : Person { name = \"x\" }\nb : Person { names = \"y\" }\n",
+    "a : Person { home = [zip = 1] }\nb : Person { ho\nme = [zip = 2] }\n",
+    "a : Person { nam = 1 }\nb : Person { name = \"y\" }\n",
+    "a : Person { age = 1,\n name = \"x\" }\nb : Person { age = 2, name = \"y\" }\n",
+    "a : Person { age = 1 }\nb : Person { age = 2, agee = 3 }\nc : Person { zz = 1, age = 2 }\n",
+];
+
+#[test]
+fn repeated_keys_load_as_the_reference_loads_them() {
+    let schema = chc_sdl::compile(SCHEMA).unwrap();
+    for (i, src) in KEY_SLOTS.iter().enumerate() {
+        assert_same(&schema, src, &format!("key slots {i}"));
+    }
+    let (mut loaded, mut failed) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = Rng(seed ^ 0x6b65_79);
+        let src = gen_keyed(&mut rng);
+        match load_data(&schema, &src) {
+            Ok(_) => loaded += 1,
+            Err(_) => failed += 1,
+        }
+        assert_same(&schema, &src, &format!("keyed {seed}"));
+    }
+    assert!(
+        loaded > 100 && failed > 100,
+        "{loaded} loaded, {failed} failed"
+    );
+}
