@@ -47,7 +47,7 @@ pub use sat::{
 };
 pub use semantics::{constraint_holds, constraint_verdict, CheckVerdict, Semantics};
 pub use validate::{
-    object_is_valid, validate_object, validate_object_counted, MissingPolicy, ValidationCounts,
+    object_is_valid, validate_object, MissingPolicy, Plan, ValidationCounts,
     ValidationOptions, Violation,
 };
 pub use virtualize::{virtualize, VirtualClassInfo, Virtualized};

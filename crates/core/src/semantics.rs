@@ -17,7 +17,7 @@
 //! | `ExactPartition`  | `(x ∉ ∪E ∧ x.p ∈ R) ∨ ∃(E,S). x ∈ E ∧ x.p ∈ S` |
 //! | `Correct`         | `x.p ∈ R ∨ ∃(E,S). x ∈ E ∧ x.p ∈ S` |
 
-use chc_model::{ClassId, InstanceView, Oid, Range, Schema, Sym, Value};
+use chc_model::{ClassId, ExcuserEntry, InstanceView, Oid, Range, Schema, Sym, Value};
 
 /// Which §5.2 rule to evaluate constraints under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,71 +127,48 @@ pub fn constraint_verdict(
     range: &Range,
     value: &Value,
 ) -> CheckVerdict {
-    let in_r = range.contains(schema, view, value);
-    if semantics == Semantics::Strict {
-        return if in_r {
-            CheckVerdict::Pass
-        } else {
-            CheckVerdict::Violation
-        };
-    }
-    let excusers = schema.excusers_of(on, attr);
-    let excused = |e: &chc_model::ExcuserEntry| CheckVerdict::Excused {
-        excuser: e.excuser,
-        attr: e.attr,
+    decide(
+        semantics,
+        range.contains(schema, view, value),
+        schema.excusers_of(on, attr),
+        |e| *e,
+        |e| view.is_instance(x, e.excuser),
+        |e| schema.excuser_spec(e).range.contains(schema, view, value),
+    )
+}
+
+/// The rule of `semantics` for one value: `in_r` is whether the value
+/// lies in the declared range, and `excusers` are the constraint's
+/// excusers in ascending order; for each, `entry` names it, `member`
+/// says whether the object belongs to it and `admits` whether its range
+/// holds the value. The first excuser that admits the value under the
+/// rule is the one named.
+pub(crate) fn decide<E>(
+    semantics: Semantics,
+    in_r: bool,
+    excusers: &[E],
+    entry: impl Fn(&E) -> ExcuserEntry,
+    member: impl Fn(&E) -> bool,
+    admits: impl Fn(&E) -> bool,
+) -> CheckVerdict {
+    let first = |pred: &dyn Fn(&E) -> bool| {
+        excusers
+            .iter()
+            .find(|e| pred(e))
+            .map_or(CheckVerdict::Violation, |e| {
+                let ExcuserEntry { excuser, attr } = entry(e);
+                CheckVerdict::Excused { excuser, attr }
+            })
     };
     match semantics {
-        Semantics::Strict => unreachable!(),
-        Semantics::Broadened => {
-            if in_r {
-                return CheckVerdict::Pass;
-            }
-            excusers
-                .iter()
-                .find(|e| schema.excuser_spec(e).range.contains(schema, view, value))
-                .map(excused)
-                .unwrap_or(CheckVerdict::Violation)
+        Semantics::ExactPartition if excusers.iter().any(&member) => {
+            first(&|e| member(e) && admits(e))
         }
-        Semantics::MemberOfExcuser => {
-            if in_r {
-                return CheckVerdict::Pass;
-            }
-            excusers
-                .iter()
-                .find(|e| view.is_instance(x, e.excuser))
-                .map(excused)
-                .unwrap_or(CheckVerdict::Violation)
-        }
-        Semantics::ExactPartition => {
-            let in_some_excuser = excusers.iter().any(|e| view.is_instance(x, e.excuser));
-            if in_some_excuser {
-                excusers
-                    .iter()
-                    .find(|e| {
-                        view.is_instance(x, e.excuser)
-                            && schema.excuser_spec(e).range.contains(schema, view, value)
-                    })
-                    .map(excused)
-                    .unwrap_or(CheckVerdict::Violation)
-            } else if in_r {
-                CheckVerdict::Pass
-            } else {
-                CheckVerdict::Violation
-            }
-        }
-        Semantics::Correct => {
-            if in_r {
-                return CheckVerdict::Pass;
-            }
-            excusers
-                .iter()
-                .find(|e| {
-                    view.is_instance(x, e.excuser)
-                        && schema.excuser_spec(e).range.contains(schema, view, value)
-                })
-                .map(excused)
-                .unwrap_or(CheckVerdict::Violation)
-        }
+        _ if in_r => CheckVerdict::Pass,
+        Semantics::Strict | Semantics::ExactPartition => CheckVerdict::Violation,
+        Semantics::Broadened => first(&admits),
+        Semantics::MemberOfExcuser => first(&member),
+        Semantics::Correct => first(&|e| member(e) && admits(e)),
     }
 }
 

@@ -5,11 +5,19 @@
 //! then for each class C and property p specified on C, the object must
 //! either obey the constraints stated for p on C or it must be an instance
 //! of some other class which excuses this constraint" (§5.1).
+//!
+//! Which constraints apply, their excusers and whether the object belongs
+//! to each depend only on the object's classes, so they are resolved once
+//! per set of classes into a [`Plan`]; per object, only its values are
+//! read and checked. A store loop keeps one plan per membership
+//! signature it meets (`chc_extent::validate_loaded`).
 
-use chc_model::{ClassId, InstanceView, Oid, Schema, Sym, Value};
+use chc_model::{
+    AttrDecl, BitSet, ClassId, ExcuserEntry, InstanceView, Oid, Range, Schema, Sym, Value,
+};
 use chc_obs::{names, EventLevel};
 
-use crate::semantics::{constraint_verdict, CheckVerdict, Semantics};
+use crate::semantics::{decide, CheckVerdict, Semantics};
 
 /// How to treat attributes with no stored value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +100,11 @@ impl ValidationCounts {
 /// Validates object `x` against every constraint of every class in
 /// `memberships` *and their ancestors*. Returns all violations.
 ///
-/// `memberships` need not be closed under is-a; closure is computed here
-/// (extent stores usually maintain closed membership, in which case the
-/// closure is a cheap no-op dedup).
+/// `memberships` need not be closed under is-a: the plan is built for
+/// their closure, a bitset union of each class's ancestors. That closure
+/// is taken to be all of `x`'s classes, so it decides which excusers `x`
+/// belongs to; `view` is asked only for values and for the classes of
+/// the objects they refer to.
 pub fn validate_object(
     schema: &Schema,
     view: &dyn InstanceView,
@@ -102,50 +112,135 @@ pub fn validate_object(
     x: Oid,
     memberships: &[ClassId],
 ) -> Vec<Violation> {
+    let mut closed = BitSet::new(schema.num_classes());
+    for &m in memberships {
+        closed.union_with(schema.ancestor_bits(m));
+    }
     let mut counts = ValidationCounts::default();
-    let out = validate_object_counted(schema, view, opts, x, memberships, &mut counts);
+    let out = Plan::new(schema, opts, closed.words()).run(&view, x, &mut counts);
     counts.report();
     out
 }
 
-/// [`validate_object`], leaving the `validate.checks` and
-/// `validate.admitted` counters to the caller: adds the object's checks
-/// to `counts`, so a loop over many objects can report the sums once.
-pub fn validate_object_counted(
-    schema: &Schema,
-    view: &dyn InstanceView,
+/// The §5.2 checks for every object with one set of classes (its
+/// *membership signature*), with all that depends only on those classes
+/// resolved once: which constraints apply, in which order, their
+/// excusers, the excusers' ranges, and whether the object belongs to
+/// each. [`Plan::run`] checks one object's values against it.
+///
+/// The checks come class by class in ascending id order, and within a
+/// class by its declarations (sorted by attribute symbol): the order of
+/// the violations, the audit records and the counts.
+#[derive(Debug)]
+pub struct Plan<'s> {
+    schema: &'s Schema,
     opts: ValidationOptions,
-    x: Oid,
-    memberships: &[ClassId],
-    counts: &mut ValidationCounts,
-) -> Vec<Violation> {
-    let mut closed: Vec<ClassId> = Vec::new();
-    for &m in memberships {
-        for a in schema.ancestors_with_self(m) {
-            if !closed.contains(&a) {
-                closed.push(a);
+    checks: Vec<Check<'s>>,
+    /// Every check's excusers, one run per check.
+    excusers: Vec<Excuser<'s>>,
+}
+
+/// One constraint `(class, decl)` of a plan.
+#[derive(Debug)]
+struct Check<'s> {
+    class: ClassId,
+    decl: &'s AttrDecl,
+    /// This check's excusers: `Plan::excusers[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+/// One excuser of a check, with its range and whether the plan's
+/// objects belong to it.
+#[derive(Debug)]
+struct Excuser<'s> {
+    entry: ExcuserEntry,
+    member: bool,
+    range: &'s Range,
+}
+
+/// The classes whose bits are set in `words`, ascending.
+fn classes_in(words: &[u64]) -> impl Iterator<Item = ClassId> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            let b = (bits != 0).then(|| bits.trailing_zeros())?;
+            bits &= bits - 1;
+            Some(ClassId::from_raw((w * 64) as u32 + b))
+        })
+    })
+}
+
+impl<'s> Plan<'s> {
+    /// The plan for objects whose classes are the bits set in `words`
+    /// (class `c` is bit `c % 64` of word `c / 64`), a set closed under
+    /// is-a, as an extent store keeps it. The check table is sized
+    /// before it is filled.
+    pub fn new(schema: &'s Schema, opts: ValidationOptions, words: &[u64]) -> Plan<'s> {
+        // The excuse branch is never taken under the strict rule.
+        let excused = opts.semantics != Semantics::Strict;
+        let excusers_of = |class, decl: &AttrDecl| match excused {
+            true => schema.excusers_of(class, decl.name),
+            false => &[],
+        };
+        let checks = classes_in(words)
+            .map(|class| schema.class(class).attrs.len())
+            .sum();
+        let member = |c: ClassId| words[c.index() / 64] & (1 << (c.index() % 64)) != 0;
+        let mut plan = Plan {
+            schema,
+            opts,
+            checks: Vec::with_capacity(checks),
+            excusers: Vec::new(),
+        };
+        for class in classes_in(words) {
+            for decl in &schema.class(class).attrs {
+                let start = plan.excusers.len() as u32;
+                plan.excusers
+                    .extend(excusers_of(class, decl).iter().map(|e| Excuser {
+                        entry: *e,
+                        member: member(e.excuser),
+                        range: &schema.excuser_spec(e).range,
+                    }));
+                let end = plan.excusers.len() as u32;
+                plan.checks.push(Check {
+                    class,
+                    decl,
+                    start,
+                    end,
+                });
             }
         }
+        plan
     }
-    closed.sort();
 
-    let mut out = Vec::new();
-    for &class in &closed {
-        for decl in &schema.class(class).attrs {
-            let value = match (view.attr_value(x, decl.name), opts.missing) {
+    /// Checks object `x`, whose classes are the plan's, reading its
+    /// values by reference through `view` (generic, so a store's reads
+    /// are direct calls); returns its violations in plan order. Each
+    /// executed check sends one `validate.check` audit record and adds
+    /// to `counts`, which the caller reports.
+    pub fn run<V: InstanceView>(
+        &self,
+        view: &V,
+        x: Oid,
+        counts: &mut ValidationCounts,
+    ) -> Vec<Violation> {
+        let (schema, refs): (_, &dyn InstanceView) = (self.schema, view);
+        let mut out = Vec::new();
+        for check in &self.checks {
+            let (class, decl) = (check.class, check.decl);
+            let value = match (view.attr_value(x, decl.name), self.opts.missing) {
                 (None, MissingPolicy::Vacuous) => continue,
                 (None, MissingPolicy::Absent) => Value::ABSENT,
                 (Some(v), _) => v,
             };
-            let verdict = constraint_verdict(
-                schema,
-                view,
-                opts.semantics,
-                x,
-                class,
-                decl.name,
-                &decl.spec.range,
-                value,
+            let verdict = decide(
+                self.opts.semantics,
+                decl.spec.range.contains(schema, refs, value),
+                &self.excusers[check.start as usize..check.end as usize],
+                |e| e.entry,
+                |e| e.member,
+                |e| e.range.contains(schema, refs, value),
             );
             // One executed check = one unit of `validate.checks` = one
             // ledger record; the E11 acceptance check asserts these
@@ -176,8 +271,8 @@ pub fn validate_object_counted(
                 });
             }
         }
+        out
     }
-    out
 }
 
 /// Convenience: whether `x` is fully valid.

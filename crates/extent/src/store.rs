@@ -385,6 +385,15 @@ impl ExtentStore {
                 .is_some_and(|i| self.membership[i * self.stride + c / 64] & (1 << (c % 64)) != 0)
     }
 
+    /// The classes `oid` belongs to as membership words, upward closed:
+    /// class `c` is bit `c % 64` of word `c / 64`. All zero for a
+    /// destroyed object, empty for an oid never minted here.
+    pub fn membership_words(&self, oid: Oid) -> &[u64] {
+        self.index(oid).map_or(&[], |i| {
+            &self.membership[i * self.stride..(i + 1) * self.stride]
+        })
+    }
+
     /// The classes `oid` belongs to, ascending.
     pub fn classes_of(&self, oid: Oid) -> Vec<ClassId> {
         let Some(i) = self.index(oid) else {

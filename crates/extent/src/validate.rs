@@ -1,40 +1,73 @@
 //! Store-integrated instance validation.
 
-use chc_core::{
-    validate_object, validate_object_counted, ValidationCounts, ValidationOptions, Violation,
-};
-use chc_model::{Oid, Schema};
+use std::collections::HashMap;
+
+use chc_core::{Plan, ValidationCounts, ValidationOptions, Violation};
+use chc_model::{FxBuildHasher, Oid, Schema};
 use chc_obs::{names, EventLevel};
 
 use crate::data::LoadedData;
 use crate::store::ExtentStore;
 
 /// Validates one stored object against every constraint applicable to its
-/// current memberships (§5.2 semantics chosen via `opts`).
+/// current memberships (§5.2 semantics chosen via `opts`), through one
+/// plan built from the store's membership words.
 pub fn validate_stored(
     schema: &Schema,
     store: &ExtentStore,
     opts: ValidationOptions,
     oid: Oid,
 ) -> Vec<Violation> {
-    validate_object(schema, store, opts, oid, &store.classes_of(oid))
+    let mut counts = ValidationCounts::default();
+    let plan = Plan::new(schema, opts, store.membership_words(oid));
+    let out = plan.run(store, oid, &mut counts);
+    counts.report();
+    out
 }
 
-/// [`validate_stored`], adding the object's checks to `counts` for the
-/// caller to report.
-fn validate_stored_counted(
-    schema: &Schema,
-    store: &ExtentStore,
+/// The plans of one validation loop over a store: one per distinct
+/// membership-word slice, built the first time an object shows it.
+struct Plans<'s> {
+    schema: &'s Schema,
     opts: ValidationOptions,
-    oid: Oid,
-    counts: &mut ValidationCounts,
-) -> Vec<Violation> {
-    validate_object_counted(schema, store, opts, oid, &store.classes_of(oid), counts)
+    by_words: HashMap<&'s [u64], Plan<'s>, FxBuildHasher>,
+    counts: ValidationCounts,
+}
+
+impl<'s> Plans<'s> {
+    fn new(schema: &'s Schema, opts: ValidationOptions) -> Self {
+        Plans {
+            schema,
+            opts,
+            by_words: HashMap::default(),
+            counts: ValidationCounts::default(),
+        }
+    }
+
+    /// Validates `oid` by its signature's plan.
+    fn validate(&mut self, store: &'s ExtentStore, oid: Oid) -> Vec<Violation> {
+        let (schema, opts) = (self.schema, self.opts);
+        let words = store.membership_words(oid);
+        let plan = self
+            .by_words
+            .entry(words)
+            .or_insert_with(|| Plan::new(schema, opts, words));
+        plan.run(store, oid, &mut self.counts)
+    }
+
+    /// Sends the loop's `validate.checks`, `validate.admitted` and
+    /// `validate.plans` counters, one call each.
+    fn report(&self) {
+        self.counts.report();
+        if !self.by_words.is_empty() {
+            chc_obs::counter(names::VALIDATE_PLANS, self.by_words.len() as u64);
+        }
+    }
 }
 
 /// Validates the whole store; returns `(oid, violations)` for each invalid
-/// object. The `validate.checks` and `validate.admitted` counters arrive
-/// once, summed over the store.
+/// object. The `validate.checks`, `validate.admitted` and
+/// `validate.plans` counters arrive once, summed over the store.
 pub fn validate_all(
     schema: &Schema,
     store: &ExtentStore,
@@ -43,16 +76,16 @@ pub fn validate_all(
 ) -> Vec<(Oid, Vec<Violation>)> {
     let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
     let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
-    let mut counts = ValidationCounts::default();
+    let mut plans = Plans::new(schema, opts);
     let invalid = store
         .extent(root)
         .filter_map(|o| {
             crumb.set(o.raw());
-            let v = validate_stored_counted(schema, store, opts, o, &mut counts);
+            let v = plans.validate(store, o);
             (!v.is_empty()).then_some((o, v))
         })
         .collect();
-    counts.report();
+    plans.report();
     invalid
 }
 
@@ -61,12 +94,13 @@ pub fn validate_all(
 /// first error `judge` returns. This is `chc validate`'s loop.
 ///
 /// The recorders see one `validate.all` phase span, not one span per
-/// object, and the `validate.checks` and `validate.admitted` counters
-/// once, summed over the objects judged (also when `judge` stops the
-/// loop). Per object, the audit ledger gets a `validate.object` record
-/// joining the name to its surrogate (built only while a sink keeps
-/// `Info` events), and the flight recorder's breadcrumb names the
-/// surrogate being judged, so a crash report says which object it was.
+/// object, and the `validate.checks`, `validate.admitted` and
+/// `validate.plans` counters once, summed over the objects judged (also
+/// when `judge` stops the loop). Per object, the audit ledger gets a
+/// `validate.object` record joining the name to its surrogate (built
+/// only while a sink keeps `Info` events), and the flight recorder's
+/// breadcrumb names the surrogate being judged, so a crash report says
+/// which object it was.
 pub fn validate_loaded<E>(
     schema: &Schema,
     data: &LoadedData,
@@ -75,18 +109,15 @@ pub fn validate_loaded<E>(
 ) -> Result<(), E> {
     let _span = chc_obs::span(names::SPAN_VALIDATE_ALL);
     let crumb = chc_obs::breadcrumb(names::EVENT_VALIDATE_OBJECT);
-    let mut counts = ValidationCounts::default();
+    let mut plans = Plans::new(schema, opts);
     let judged = data.names.iter().try_for_each(|(name, oid)| {
         crumb.set(oid.raw());
         chc_obs::event_with(EventLevel::Info, names::EVENT_VALIDATE_OBJECT, |ev| {
             ev.field("name", name).field("object", oid.raw())
         });
-        judge(
-            name,
-            validate_stored_counted(schema, &data.store, opts, *oid, &mut counts),
-        )
+        judge(name, plans.validate(&data.store, *oid))
     });
-    counts.report();
+    plans.report();
     judged
 }
 

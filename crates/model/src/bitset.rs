@@ -17,6 +17,11 @@ impl BitSet {
         }
     }
 
+    /// The set as words: element `i` is bit `i % 64` of word `i / 64`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The capacity this set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity

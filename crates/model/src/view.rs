@@ -20,6 +20,18 @@ pub trait InstanceView {
     fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value>;
 }
 
+/// A borrowed view, so `&dyn InstanceView` can stand where a sized view
+/// is asked for.
+impl<T: InstanceView + ?Sized> InstanceView for &T {
+    fn is_instance(&self, oid: Oid, class: ClassId) -> bool {
+        (**self).is_instance(oid, class)
+    }
+
+    fn attr_value(&self, oid: Oid, attr: Sym) -> Option<&Value> {
+        (**self).attr_value(oid, attr)
+    }
+}
+
 /// A view of an empty database: no instances, no values. Useful for
 /// evaluating purely structural ranges in tests.
 #[derive(Debug, Clone, Copy, Default)]

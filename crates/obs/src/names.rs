@@ -115,6 +115,9 @@ pub const VALIDATE_CHECKS: &str = "validate.checks";
 /// Checks whose value escaped the declared range but was admitted by an
 /// applicable excuse (§5.2 — the "exceptional cases" of §6).
 pub const VALIDATE_ADMITTED: &str = "validate.admitted";
+/// Validation plans built by one validation loop: one per distinct
+/// membership signature among the objects it validated.
+pub const VALIDATE_PLANS: &str = "validate.plans";
 /// Event: one executed run-time check — object surrogate, class,
 /// attribute, value, verdict, and the admitting excuse if any.
 pub const EVENT_VALIDATE_CHECK: &str = "validate.check";

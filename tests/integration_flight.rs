@@ -428,10 +428,11 @@ fn flight_traffic_per_validated_object_is_bounded() {
     let admitted = stats.counter_value(names::VALIDATE_ADMITTED);
     let transitions = flight.seq();
     // The `validate.all` span's enter and exit, and one update each of
-    // `validate.checks` and `validate.admitted`, summed over the run. No
-    // span, counter update or event per object or per check.
+    // `validate.checks`, `validate.admitted` and `validate.plans`, summed
+    // over the run. No span, counter update or event per object or per
+    // check.
     assert_eq!(
-        transitions, 4,
+        transitions, 5,
         "flight transitions for {objects} objects and {admitted} admitted checks"
     );
     assert!(

@@ -492,3 +492,52 @@ fn data_files_validate_as_the_reference_does() {
         "{seen:?} violations and admissions"
     );
 }
+
+/// The distinct class sets among `objects`.
+fn signatures(store: &ExtentStore, objects: impl Iterator<Item = Oid>) -> usize {
+    let sets: std::collections::BTreeSet<Vec<ClassId>> =
+        objects.map(|o| store.classes_of(o)).collect();
+    sets.len()
+}
+
+/// Runs `run` under a stats recorder; returns its `validate.plans`.
+fn plans_counted(run: impl FnOnce()) -> u64 {
+    let stats = Arc::new(StatsRecorder::new());
+    {
+        let _g = obs::scoped(stats.clone());
+        run();
+    }
+    stats.counter_value(names::VALIDATE_PLANS)
+}
+
+#[test]
+fn one_plan_is_built_per_membership_signature() {
+    let opts = ValidationOptions::default();
+    for (sdl, chd, want) in [
+        ("examples/data/hospital.sdl", "examples/data/hospital.chd", Some(9)),
+        ("examples/data/quaker.sdl", "examples/data/quaker.chd", None),
+        ("tests/fixtures/load-edges.sdl", "tests/fixtures/load-edges.chd", None),
+    ] {
+        let (v, data) = load_example(sdl, chd);
+        let distinct = signatures(&data.store, data.names.iter().map(|(_, o)| *o));
+        let plans = plans_counted(|| {
+            validate_loaded(&v.schema, &data, opts, |_, _| Ok::<_, ()>(())).unwrap();
+        });
+        assert_eq!(plans, distinct as u64, "{chd}");
+        if let Some(want) = want {
+            assert_eq!(plans, want, "{chd}");
+        }
+    }
+    let db = build_hospital(&HospitalParams {
+        patients: 200,
+        ..Default::default()
+    });
+    let schema = &db.virtualized.schema;
+    let patient = db.ids.patient;
+    let distinct = signatures(&db.store, db.store.extent(patient));
+    let plans = plans_counted(|| {
+        validate_all(schema, &db.store, opts, patient);
+    });
+    assert!(distinct > 3, "{distinct} signatures");
+    assert_eq!(plans, distinct as u64);
+}
