@@ -215,6 +215,7 @@ pub fn load_data(schema: &Schema, src: &str) -> Result<LoadedData, DataError> {
             ends: Vec::with_capacity(entries),
         },
         by_name: HashMap::with_capacity_and_hasher(entries, FxBuildHasher::default()),
+        key_slots: Vec::new(),
         deferred: Vec::new(),
         class_error: None,
         attr_error: None,
@@ -385,6 +386,8 @@ struct Cursor<'a> {
     fanout: u64,
     /// The entry's attribute values, one per attribute.
     values: Vec<(Sym, Value)>,
+    /// The top-level keys the entry has read.
+    keys_read: usize,
     first_deferred: usize,
     levels: Vec<Level>,
     /// The lowered fields and the keys of the open records.
@@ -403,6 +406,9 @@ struct Loader<'a, 's> {
     store: ExtentStore,
     names: Names,
     by_name: HashMap<&'a str, Oid, FxBuildHasher>,
+    /// Per position in an entry's keys, the last key read there as it
+    /// stands in the source, and its symbol.
+    key_slots: Vec<Option<(&'a str, Sym)>>,
     deferred: Vec<Deferred>,
     /// The first duplicate-object or unknown-class error.
     class_error: Option<DataError>,
@@ -452,6 +458,7 @@ impl<'a> Loader<'a, '_> {
         c.joins.clear();
         c.classes.clear();
         c.values.clear();
+        c.keys_read = 0;
         c.first_deferred = self.deferred.len();
         true
     }
@@ -702,8 +709,10 @@ impl<'a> Loader<'a, '_> {
         let key = self.text(level.field.start.unwrap_or(usize::MAX), self.cur.last);
         let attr = if k == 0 {
             self.forward = false;
+            let at = self.cur.keys_read;
+            self.cur.keys_read += 1;
             match self.cur.oid {
-                Some(_) if self.lowering() => self.symbol(&key),
+                Some(_) if self.lowering() => self.key_symbol(at, key),
                 _ => None,
             }
         } else if self.cur.keys[level.keys..].contains(&key) {
@@ -957,6 +966,25 @@ impl<'a> Loader<'a, '_> {
     /// Whether values are still lowered: no name-resolution error yet.
     fn lowering(&self) -> bool {
         self.class_error.is_none() && self.attr_error.is_none()
+    }
+
+    /// Resolves an entry's `at`th top-level key. A key as it stands in
+    /// the source is first compared with the last one read at that
+    /// position, so entries of one shape probe the interner once per
+    /// key, not once per entry; a key joined across a line break is
+    /// always probed.
+    fn key_symbol(&mut self, at: usize, key: Cow<'a, str>) -> Option<Sym> {
+        let Cow::Borrowed(key) = key else {
+            return self.symbol(&key);
+        };
+        match self.key_slots.get(at) {
+            Some(&Some((seen, sym))) if seen == key => return Some(sym),
+            Some(_) => {}
+            None => self.key_slots.resize(at + 1, None),
+        }
+        let sym = self.symbol(key)?;
+        self.key_slots[at] = Some((key, sym));
+        Some(sym)
     }
 
     fn symbol(&mut self, name: &str) -> Option<Sym> {

@@ -840,7 +840,7 @@ fn repeated_keys_load_as_the_reference_loads_them() {
     }
     let (mut loaded, mut failed) = (0, 0);
     for seed in 0..400u64 {
-        let mut rng = Rng(seed ^ 0x6b65_79);
+        let mut rng = Rng(seed ^ 0x006b_6579);
         let src = gen_keyed(&mut rng);
         match load_data(&schema, &src) {
             Ok(_) => loaded += 1,
