@@ -466,16 +466,45 @@ pub fn set_context(key: &str, value: &str) {
 }
 
 /// Registers an input file as `{key}_file` (its path) and
-/// `{key}_digest` (FNV-1a of its contents), so a post-mortem names the
-/// exact input that was being processed.
+/// `{key}_digest` (16 hex digits of [`digest`] of its contents), so a
+/// post-mortem names the exact input that was being processed.
 pub fn set_file_context(key: &str, path: &str, contents: &[u8]) {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in contents {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
     set_context(&format!("{key}_file"), path);
-    set_context(&format!("{key}_digest"), &format!("{hash:016x}"));
+    set_context(
+        &format!("{key}_digest"),
+        &format!("{:016x}", digest(contents)),
+    );
+}
+
+/// A 64-bit digest that tells inputs apart (not a cryptographic hash).
+/// The bytes are read as 8-byte little-endian words, dealt round-robin
+/// to four independent lanes so the multiplies of neighbouring words
+/// overlap instead of waiting on each other. Each step xors a word into
+/// its lane and replaces the lane by the two halves of its 128-bit
+/// product with an odd constant, xored, so every bit reaches every
+/// other; then the lanes, the zero-padded tail words and the length are
+/// folded in the same way.
+pub fn digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |hash: u64, word: u64| {
+        let product = u128::from(hash ^ word) * u128::from(K);
+        product as u64 ^ (product >> 64) as u64
+    };
+    let word = |chunk: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [1, 2, 3, 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(chunk));
+        }
+    }
+    let hash = lanes.into_iter().fold(0, step);
+    let hash = blocks.remainder().chunks(8).map(word).fold(hash, step);
+    step(hash, bytes.len() as u64)
 }
 
 /// The registered crash context, sorted by key.
@@ -898,6 +927,29 @@ mod tests {
         }
         assert_eq!(item(&flight), None, "cleared on drop");
         assert_eq!(flight.seq(), 2, "only the span's enter and exit");
+    }
+
+    #[test]
+    fn digests_tell_one_byte_edits_apart() {
+        let base: Vec<u8> = (0..100u8).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        for len in 0..=base.len() {
+            assert!(seen.insert(digest(&base[..len])), "prefix of {len} bytes");
+        }
+        for at in 0..base.len() {
+            for bit in 0..8 {
+                let mut edited = base.clone();
+                edited[at] ^= 1 << bit;
+                assert!(seen.insert(digest(&edited)), "bit {bit} of byte {at}");
+            }
+        }
+        assert_eq!(digest(&base), digest(&base.clone()));
+        set_file_context("t_input", "in.txt", &base);
+        let got = context()
+            .into_iter()
+            .find(|(k, _)| k == "t_input_digest")
+            .map(|(_, v)| v);
+        assert_eq!(got, Some(format!("{:016x}", digest(&base))));
     }
 
     #[test]
