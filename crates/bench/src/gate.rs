@@ -25,6 +25,13 @@
 //! [`DEFAULT_THRESHOLD`] and may be overridden per bench by a
 //! `threshold` field in the baseline entry (`bench-diff collect` seeds
 //! one from the observed sample spread).
+//!
+//! ## Ratio rows
+//!
+//! Absolute medians move with the host's speed; the ratio of two benches
+//! from one fresh run does not. Each pair in [`RATIO_BOUNDS`] fails the
+//! gate when the fresh run's numerator median exceeds the bound times
+//! its denominator median, whatever the baseline says.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -44,6 +51,12 @@ pub const MIN_SUGGESTED_THRESHOLD: f64 = 0.15;
 
 /// Ceiling for per-bench thresholds suggested from sample spread.
 pub const MAX_SUGGESTED_THRESHOLD: f64 = 0.60;
+
+/// Within-run ratio bounds: `(numerator, denominator, bound)` bench ids.
+/// `validate_recorded/flight` over `validate_recorded/none` is the tax
+/// the always-on flight recorder puts on validation.
+pub const RATIO_BOUNDS: &[(&str, &str, f64)] =
+    &[("validate_recorded/flight", "validate_recorded/none", 1.15)];
 
 /// One bench entry in a BENCH.json document.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,6 +258,26 @@ impl CounterRow {
     }
 }
 
+/// One within-run ratio of two fresh medians, against its bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatioRow {
+    /// The numerator's bench id.
+    pub numerator: String,
+    /// The denominator's bench id.
+    pub denominator: String,
+    /// numerator/denominator median ratio in the fresh run.
+    pub ratio: f64,
+    /// The largest ratio that passes.
+    pub bound: f64,
+}
+
+impl RatioRow {
+    /// True when the ratio is past its bound.
+    pub fn failed(&self) -> bool {
+        self.ratio > self.bound
+    }
+}
+
 /// The result of comparing a fresh run against a baseline.
 #[derive(Debug, Clone)]
 pub struct Comparison {
@@ -252,14 +285,18 @@ pub struct Comparison {
     pub rows: Vec<Row>,
     /// Counter-snapshot diff over the union of both snapshots' names.
     pub counters: Vec<CounterRow>,
+    /// The [`RATIO_BOUNDS`] pairs the fresh run has both benches of.
+    pub ratios: Vec<RatioRow>,
 }
 
 impl Comparison {
-    /// True if any row fails the gate (regressed or missing).
+    /// True if any row fails the gate (regressed or missing) or any
+    /// ratio is past its bound.
     pub fn failed(&self) -> bool {
         self.rows
             .iter()
             .any(|r| matches!(r.verdict, Verdict::Regressed | Verdict::Missing))
+            || self.ratios.iter().any(RatioRow::failed)
     }
 
     /// A human-readable table, one row per bench.
@@ -302,6 +339,20 @@ impl Comparison {
                 r.threshold * 100.0,
                 verdict
             );
+        }
+        if !self.ratios.is_empty() {
+            let _ = writeln!(out, "ratios (within the fresh run):");
+            for r in &self.ratios {
+                let _ = writeln!(
+                    out,
+                    "{} / {}  {:.3}  bound {:.2}  {}",
+                    r.numerator,
+                    r.denominator,
+                    r.ratio,
+                    r.bound,
+                    if r.failed() { "REGRESSED" } else { "ok" }
+                );
+            }
         }
         if !self.counters.is_empty() {
             let _ = writeln!(out, "counters (fixed reference workload; exact, informational):");
@@ -414,7 +465,23 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, default_threshold: f64) ->
             fresh: fresh.counters.get(name).copied(),
         })
         .collect();
-    Comparison { rows, counters }
+    let ratios = RATIO_BOUNDS
+        .iter()
+        .filter_map(|&(numerator, denominator, bound)| {
+            let (n, d) = (fresh.entry(numerator)?, fresh.entry(denominator)?);
+            Some(RatioRow {
+                numerator: numerator.to_string(),
+                denominator: denominator.to_string(),
+                ratio: n.median_ns / d.median_ns,
+                bound,
+            })
+        })
+        .collect();
+    Comparison {
+        rows,
+        counters,
+        ratios,
+    }
 }
 
 #[cfg(test)]
@@ -562,6 +629,41 @@ mod tests {
         let cmp = compare(&base, &fresh, DEFAULT_THRESHOLD);
         assert!(cmp.counters.is_empty());
         assert!(!cmp.render().contains("counters"));
+    }
+
+    #[test]
+    fn recorder_tax_is_gated_as_a_ratio_within_the_fresh_run() {
+        // Both rows pass against the baseline on their own: the host was
+        // slower for `none` too.
+        let base = doc(vec![
+            entry("validate_recorded/none", 100.0, 95.0, 110.0, Some(0.6)),
+            entry("validate_recorded/flight", 100.0, 95.0, 110.0, Some(0.6)),
+        ]);
+        let taxed = doc(vec![
+            entry("validate_recorded/none", 120.0, 115.0, 125.0, None),
+            entry("validate_recorded/flight", 156.0, 150.0, 160.0, None),
+        ]);
+        let cmp = compare(&base, &taxed, DEFAULT_THRESHOLD);
+        assert!(cmp.rows.iter().all(|r| r.verdict == Verdict::Ok));
+        assert_eq!(cmp.ratios.len(), 1);
+        assert!((cmp.ratios[0].ratio - 1.3).abs() < 1e-9);
+        assert!(cmp.failed());
+        let text = cmp.render();
+        assert!(
+            text.contains("validate_recorded/flight / validate_recorded/none  1.300  bound 1.15  REGRESSED"),
+            "{text}"
+        );
+        // Within the bound, the gate passes.
+        let light = doc(vec![
+            entry("validate_recorded/none", 120.0, 115.0, 125.0, None),
+            entry("validate_recorded/flight", 130.0, 125.0, 135.0, None),
+        ]);
+        assert!(!compare(&base, &light, DEFAULT_THRESHOLD).failed());
+        // With one side missing there is no ratio; the missing row fails.
+        let half = doc(vec![entry("validate_recorded/none", 120.0, 115.0, 125.0, None)]);
+        let cmp = compare(&base, &half, DEFAULT_THRESHOLD);
+        assert!(cmp.ratios.is_empty());
+        assert!(cmp.failed());
     }
 
     #[test]
