@@ -101,7 +101,7 @@ impl ValidationCounts {
 /// `memberships` *and their ancestors*. Returns all violations.
 ///
 /// `memberships` need not be closed under is-a: the plan is built for
-/// their closure, a bitset union of each class's ancestors. That closure
+/// their closure, a bitset of each class's ancestors. That closure
 /// is taken to be all of `x`'s classes, so it decides which excusers `x`
 /// belongs to; `view` is asked only for values and for the classes of
 /// the objects they refer to.
@@ -113,8 +113,8 @@ pub fn validate_object(
     memberships: &[ClassId],
 ) -> Vec<Violation> {
     let mut closed = BitSet::new(schema.num_classes());
-    for &m in memberships {
-        closed.union_with(schema.ancestor_bits(m));
+    for a in memberships.iter().flat_map(|&m| schema.ancestors_with_self(m)) {
+        closed.insert(a.index());
     }
     let mut counts = ValidationCounts::default();
     let out = Plan::new(schema, opts, closed.words()).run(&view, x, &mut counts);

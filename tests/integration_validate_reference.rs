@@ -14,7 +14,8 @@
 //! object's most specific classes, not their closure). Each must return
 //! the reference's violations in its order, report its `validate.checks`
 //! and `validate.admitted` sums, and write its `validate.check` ledger
-//! records.
+//! records. A last test checks that a validation loop builds one plan
+//! per distinct membership signature (`validate.plans`).
 
 use std::sync::Arc;
 
