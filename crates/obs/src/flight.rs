@@ -466,7 +466,7 @@ pub fn set_context(key: &str, value: &str) {
 }
 
 /// Registers an input file as `{key}_file` (its path) and
-/// `{key}_digest` (16 hex digits of [`digest`] of its contents), so a
+/// `{key}_digest` (16 hex digits of `digest` of its contents), so a
 /// post-mortem names the exact input that was being processed.
 pub fn set_file_context(key: &str, path: &str, contents: &[u8]) {
     set_context(&format!("{key}_file"), path);
@@ -484,7 +484,7 @@ pub fn set_file_context(key: &str, path: &str, contents: &[u8]) {
 /// product with an odd constant, xored, so every bit reaches every
 /// other; then the lanes, the zero-padded tail words and the length are
 /// folded in the same way.
-pub fn digest(bytes: &[u8]) -> u64 {
+fn digest(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let step = |hash: u64, word: u64| {
         let product = u128::from(hash ^ word) * u128::from(K);
