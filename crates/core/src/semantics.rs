@@ -131,7 +131,6 @@ pub fn constraint_verdict(
         semantics,
         range.contains(schema, view, value),
         schema.excusers_of(on, attr),
-        |e| *e,
         |e| view.is_instance(x, e.excuser),
         |e| schema.excuser_spec(e).range.contains(schema, view, value),
     )
@@ -139,25 +138,24 @@ pub fn constraint_verdict(
 
 /// The rule of `semantics` for one value: `in_r` is whether the value
 /// lies in the declared range, and `excusers` are the constraint's
-/// excusers in ascending order; for each, `entry` names it, `member`
-/// says whether the object belongs to it and `admits` whether its range
-/// holds the value. The first excuser that admits the value under the
-/// rule is the one named.
-pub(crate) fn decide<E>(
+/// excusers in ascending order; `member` says whether the object
+/// belongs to an excuser and `admits` whether its range holds the
+/// value. The first excuser that admits the value under the rule is
+/// the one named.
+pub(crate) fn decide(
     semantics: Semantics,
     in_r: bool,
-    excusers: &[E],
-    entry: impl Fn(&E) -> ExcuserEntry,
-    member: impl Fn(&E) -> bool,
-    admits: impl Fn(&E) -> bool,
+    excusers: &[ExcuserEntry],
+    member: impl Fn(&ExcuserEntry) -> bool,
+    admits: impl Fn(&ExcuserEntry) -> bool,
 ) -> CheckVerdict {
-    let first = |pred: &dyn Fn(&E) -> bool| {
+    let first = |pred: &dyn Fn(&ExcuserEntry) -> bool| {
         excusers
             .iter()
             .find(|e| pred(e))
-            .map_or(CheckVerdict::Violation, |e| {
-                let ExcuserEntry { excuser, attr } = entry(e);
-                CheckVerdict::Excused { excuser, attr }
+            .map_or(CheckVerdict::Violation, |e| CheckVerdict::Excused {
+                excuser: e.excuser,
+                attr: e.attr,
             })
     };
     match semantics {

@@ -12,9 +12,7 @@
 //! read and checked. A store loop keeps one plan per membership
 //! signature it meets (`chc_extent::validate_loaded`).
 
-use chc_model::{
-    AttrDecl, BitSet, ClassId, ExcuserEntry, InstanceView, Oid, Range, Schema, Sym, Value,
-};
+use chc_model::{AttrDecl, BitSet, ClassId, ExcuserEntry, InstanceView, Oid, Schema, Sym, Value};
 use chc_obs::{names, EventLevel};
 
 use crate::semantics::{decide, CheckVerdict, Semantics};
@@ -113,7 +111,10 @@ pub fn validate_object(
     memberships: &[ClassId],
 ) -> Vec<Violation> {
     let mut closed = BitSet::new(schema.num_classes());
-    for a in memberships.iter().flat_map(|&m| schema.ancestors_with_self(m)) {
+    for a in memberships
+        .iter()
+        .flat_map(|&m| schema.ancestors_with_self(m))
+    {
         closed.insert(a.index());
     }
     let mut counts = ValidationCounts::default();
@@ -123,10 +124,10 @@ pub fn validate_object(
 }
 
 /// The §5.2 checks for every object with one set of classes (its
-/// *membership signature*), with all that depends only on those classes
-/// resolved once: which constraints apply, in which order, their
-/// excusers, the excusers' ranges, and whether the object belongs to
-/// each. [`Plan::run`] checks one object's values against it.
+/// *membership signature*), with what depends only on those classes
+/// resolved once: which constraints apply, in which order, and their
+/// excusers. Whether an object belongs to an excuser is one bit of the
+/// signature. [`Plan::run`] checks one object's values against it.
 ///
 /// The checks come class by class in ascending id order, and within a
 /// class by its declarations (sorted by attribute symbol): the order of
@@ -135,28 +136,17 @@ pub fn validate_object(
 pub struct Plan<'s> {
     schema: &'s Schema,
     opts: ValidationOptions,
+    /// The signature: class `c` is bit `c % 64` of word `c / 64`.
+    words: &'s [u64],
     checks: Vec<Check<'s>>,
-    /// Every check's excusers, one run per check.
-    excusers: Vec<Excuser<'s>>,
 }
 
-/// One constraint `(class, decl)` of a plan.
+/// One constraint `(class, decl)` of a plan, with its excusers.
 #[derive(Debug)]
 struct Check<'s> {
     class: ClassId,
     decl: &'s AttrDecl,
-    /// This check's excusers: `Plan::excusers[start..end]`.
-    start: u32,
-    end: u32,
-}
-
-/// One excuser of a check, with its range and whether the plan's
-/// objects belong to it.
-#[derive(Debug)]
-struct Excuser<'s> {
-    entry: ExcuserEntry,
-    member: bool,
-    range: &'s Range,
+    excusers: &'s [ExcuserEntry],
 }
 
 /// The classes whose bits are set in `words`, ascending.
@@ -174,44 +164,35 @@ fn classes_in(words: &[u64]) -> impl Iterator<Item = ClassId> + '_ {
 impl<'s> Plan<'s> {
     /// The plan for objects whose classes are the bits set in `words`
     /// (class `c` is bit `c % 64` of word `c / 64`), a set closed under
-    /// is-a, as an extent store keeps it. The check table is sized
-    /// before it is filled.
-    pub fn new(schema: &'s Schema, opts: ValidationOptions, words: &[u64]) -> Plan<'s> {
-        // The excuse branch is never taken under the strict rule.
-        let excused = opts.semantics != Semantics::Strict;
-        let excusers_of = |class, decl: &AttrDecl| match excused {
-            true => schema.excusers_of(class, decl.name),
-            false => &[],
-        };
-        let checks = classes_in(words)
-            .map(|class| schema.class(class).attrs.len())
-            .sum();
-        let member = |c: ClassId| words[c.index() / 64] & (1 << (c.index() % 64)) != 0;
-        let mut plan = Plan {
+    /// is-a, as an extent store keeps it. Its one table is sized before
+    /// it is filled.
+    pub fn new(schema: &'s Schema, opts: ValidationOptions, words: &'s [u64]) -> Plan<'s> {
+        let mut checks = Vec::with_capacity(
+            classes_in(words)
+                .map(|class| schema.class(class).attrs.len())
+                .sum(),
+        );
+        for class in classes_in(words) {
+            checks.extend(schema.class(class).attrs.iter().map(|decl| Check {
+                class,
+                decl,
+                excusers: schema.excusers_of(class, decl.name),
+            }));
+        }
+        Plan {
             schema,
             opts,
-            checks: Vec::with_capacity(checks),
-            excusers: Vec::new(),
-        };
-        for class in classes_in(words) {
-            for decl in &schema.class(class).attrs {
-                let start = plan.excusers.len() as u32;
-                plan.excusers
-                    .extend(excusers_of(class, decl).iter().map(|e| Excuser {
-                        entry: *e,
-                        member: member(e.excuser),
-                        range: &schema.excuser_spec(e).range,
-                    }));
-                let end = plan.excusers.len() as u32;
-                plan.checks.push(Check {
-                    class,
-                    decl,
-                    start,
-                    end,
-                });
-            }
+            words,
+            checks,
         }
-        plan
+    }
+
+    /// Whether the plan's objects belong to `class`.
+    fn member(&self, class: ClassId) -> bool {
+        let c = class.index();
+        self.words
+            .get(c / 64)
+            .is_some_and(|word| word & (1 << (c % 64)) != 0)
     }
 
     /// Checks object `x`, whose classes are the plan's, reading its
@@ -237,10 +218,9 @@ impl<'s> Plan<'s> {
             let verdict = decide(
                 self.opts.semantics,
                 decl.spec.range.contains(schema, refs, value),
-                &self.excusers[check.start as usize..check.end as usize],
-                |e| e.entry,
-                |e| e.member,
-                |e| e.range.contains(schema, refs, value),
+                check.excusers,
+                |e| self.member(e.excuser),
+                |e| schema.excuser_spec(e).range.contains(schema, refs, value),
             );
             // One executed check = one unit of `validate.checks` = one
             // ledger record; the E11 acceptance check asserts these
