@@ -446,13 +446,13 @@ impl ExtentStore {
 
     /// Follows an attribute path, returning the final value (which may be
     /// a scalar). `None` if any intermediate step is missing or non-entity.
-    pub fn follow_path(&self, oid: Oid, path: &[Sym]) -> Option<Value> {
+    pub fn follow_path(&self, oid: Oid, path: &[Sym]) -> Option<&Value> {
         let (last, steps) = path.split_last()?;
         let mut cur = oid;
         for &s in steps {
             cur = self.follow(cur, s)?;
         }
-        self.get_attr(cur, *last).cloned()
+        self.get_attr(cur, *last)
     }
 }
 
@@ -623,7 +623,7 @@ mod tests {
         store.set_attr(pat, treated_at, Value::Obj(hosp));
         assert_eq!(
             store.follow_path(pat, &[treated_at, location, city]),
-            Some(Value::str("Bern"))
+            Some(&Value::str("Bern"))
         );
         assert_eq!(store.follow_path(pat, &[location]), None);
     }

@@ -17,6 +17,7 @@ use crate::store::ExtentStore;
 
 /// Computes the current extent of one virtual class: the values reached by
 /// following its attribute path from every instance of its root class.
+/// A reference to a destroyed object reaches nothing.
 pub fn virtual_extent(store: &ExtentStore, info: &VirtualClassInfo) -> BTreeSet<Oid> {
     let mut out = BTreeSet::new();
     for root_obj in store.extent(info.root) {
@@ -24,8 +25,10 @@ pub fn virtual_extent(store: &ExtentStore, info: &VirtualClassInfo) -> BTreeSet<
         for (i, &seg) in info.path.iter().enumerate() {
             let mut next = Vec::new();
             for o in frontier {
-                if let Some(Value::Obj(target)) = store.get_attr(o, seg) {
-                    next.push(*target);
+                if let Some(&Value::Obj(target)) = store.get_attr(o, seg) {
+                    if store.exists(target) {
+                        next.push(target);
+                    }
                 }
             }
             frontier = next;
@@ -127,6 +130,26 @@ mod tests {
         refresh_virtual_extents(&mut store, &v);
         assert!(!store.is_member(hosp, h1.class));
         assert!(store.is_member(ordinary, h1.class));
+    }
+
+    #[test]
+    fn destroyed_targets_leave_the_extent() {
+        let (v, mut store, addr, hosp, _tb) = setup();
+        refresh_virtual_extents(&mut store, &v);
+        // The patient still refers to the hospital, and the hospital to
+        // the address, after both are destroyed.
+        store.destroy(addr);
+        let a1 = v.virtuals.iter().find(|i| i.path.len() == 2).unwrap();
+        assert!(virtual_extent(&store, a1).is_empty());
+        refresh_virtual_extents(&mut store, &v);
+        let h1 = v.virtuals.iter().find(|i| i.path.len() == 1).unwrap();
+        assert!(store.is_member(hosp, h1.class));
+
+        store.destroy(hosp);
+        assert!(virtual_extent(&store, h1).is_empty());
+        refresh_virtual_extents(&mut store, &v);
+        assert_eq!(store.count(h1.class), 0);
+        assert_eq!(store.count(a1.class), 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ struct Model {
 }
 
 impl Model {
-    fn follow_path(&self, oid: Oid, path: &[Sym]) -> Option<Value> {
+    fn follow_path(&self, oid: Oid, path: &[Sym]) -> Option<&Value> {
         let (last, steps) = path.split_last()?;
         let mut cur = oid;
         for s in steps {
@@ -66,7 +66,7 @@ impl Model {
                 _ => return None,
             }
         }
-        self.values.get(&(cur, *last)).cloned()
+        self.values.get(&(cur, *last))
     }
 }
 

@@ -14,6 +14,8 @@
 //! `query.checks_eliminated`, the per-row checks the plan *dropped*
 //! relative to a check-everything plan (§5.4's savings, made visible).
 
+use std::borrow::Cow;
+
 use chc_core::{constraint_holds, Semantics};
 use chc_extent::ExtentStore;
 use chc_model::{Oid, Schema, Value};
@@ -38,11 +40,13 @@ pub struct ExecStats {
     pub rows_skipped_by_check: usize,
 }
 
-/// The emitted values plus statistics.
+/// The emitted values plus statistics. Rows borrow from the store the
+/// plan ran over; only a row for an empty emit path, the scanned object
+/// itself, is owned.
 #[derive(Debug, Clone)]
-pub struct ExecResult {
+pub struct ExecResult<'s> {
     /// Projected values, in scan order.
-    pub values: Vec<Value>,
+    pub values: Vec<Cow<'s, Value>>,
     /// The accounting.
     pub stats: ExecStats,
 }
@@ -54,7 +58,10 @@ pub struct ExecResult {
 /// value, verify it against every constraint applicable to its owner for
 /// that attribute (the §5.2 rule), since nothing was proven statically.
 /// Checks the type-guided compiler eliminates are exactly this work saved.
-pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult {
+///
+/// The walk reads every value in place, so a run allocates its row vector
+/// and nothing per row.
+pub fn execute<'s>(schema: &Schema, store: &'s ExtentStore, plan: &Plan) -> ExecResult<'s> {
     let _span = chc_obs::span(names::SPAN_QUERY_EXECUTE);
     let _mem = chc_obs::memalloc::span_mem(
         names::MEM_QUERY_EXECUTE_BYTES,
@@ -66,7 +73,7 @@ pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult 
     let label = plan.class.index() as u64;
     let _label = chc_obs::keeps(Kind::Labeled).then(|| chc_obs::label_scope(label));
     let mut stats = ExecStats::default();
-    let mut values = Vec::new();
+    let mut values = Vec::with_capacity(store.count(plan.class));
     'row: for oid in store.extent(plan.class) {
         stats.rows_scanned += 1;
         for pred in &plan.filter {
@@ -74,40 +81,37 @@ pub fn execute(schema: &Schema, store: &ExtentStore, plan: &Plan) -> ExecResult 
                 continue 'row;
             }
         }
-        // Project the path, honoring the per-step check placement.
-        let mut cur = Value::Obj(oid);
-        for (i, &attr) in plan.emit.iter().enumerate() {
-            let checked = plan.step_checks[i];
-            let owner = cur.as_obj();
-            let next = match &cur {
-                Value::Obj(o) => store.get_attr(*o, attr).cloned(),
-                Value::Record(_) => cur.field(attr).cloned(),
-                _ => None,
+        // Project the path, honoring the per-step check placement. `cur`
+        // is the value reached so far, `None` while still at `oid`.
+        let mut cur: Option<&'s Value> = None;
+        for (&attr, &checked) in plan.emit.iter().zip(&plan.step_checks) {
+            let owner = cur.map_or(Some(oid), Value::as_obj);
+            let next = match owner {
+                Some(o) => store.get_attr(o, attr),
+                None => cur.and_then(|v| v.field(attr)),
             };
             if checked {
                 stats.checks_executed += 1;
-                let value = next.clone().unwrap_or(Value::Absent);
-                let safe = match owner {
-                    Some(o) => runtime_safety_check(schema, store, o, attr, &value),
+                let safe = match (owner, next) {
+                    (Some(o), Some(v)) => runtime_safety_check(schema, store, o, attr, v),
                     // Record-value field access: presence is the whole check
                     // (record fields carry no class constraints of their own).
-                    None => next.is_some(),
+                    (None, Some(_)) => true,
+                    (_, None) => false,
                 };
-                if !safe || next.is_none() {
+                if !safe {
                     stats.rows_skipped_by_check += 1;
                     continue 'row;
                 }
             }
-            match next {
-                Some(v) => cur = v,
-                None => {
-                    stats.unchecked_failures += 1;
-                    continue 'row;
-                }
-            }
+            let Some(v) = next else {
+                stats.unchecked_failures += 1;
+                continue 'row;
+            };
+            cur = Some(v);
         }
         stats.rows_emitted += 1;
-        values.push(cur);
+        values.push(cur.map_or(Cow::Owned(Value::Obj(oid)), Cow::Borrowed));
     }
     chc_obs::counter(names::QUERY_ROWS_SCANNED, stats.rows_scanned as u64);
     chc_obs::counter(names::QUERY_ROWS_EMITTED, stats.rows_emitted as u64);
@@ -172,12 +176,12 @@ fn eval_pred(store: &ExtentStore, oid: Oid, pred: &Pred) -> bool {
         Pred::InClass(c) => store.is_member(oid, *c),
         Pred::NotInClass(c) => !store.is_member(oid, *c),
         Pred::PathInClass(path, c) => match store.follow_path(oid, path) {
-            Some(Value::Obj(o)) => store.is_member(o, *c),
+            Some(Value::Obj(o)) => store.is_member(*o, *c),
             _ => false,
         },
-        Pred::TokEq(path, tok) => store.follow_path(oid, path) == Some(Value::Tok(*tok)),
+        Pred::TokEq(path, tok) => store.follow_path(oid, path) == Some(&Value::Tok(*tok)),
         Pred::IntLe(path, n) => match store.follow_path(oid, path) {
-            Some(Value::Int(v)) => v <= *n,
+            Some(Value::Int(v)) => v <= n,
             _ => false,
         },
     }
@@ -265,7 +269,7 @@ mod tests {
         let r = execute(&db.virtualized.schema, &db.store, &plan);
         assert_eq!(r.stats.rows_emitted, db.store.count(db.ids.alcoholic));
         for v in &r.values {
-            assert!(matches!(v, Value::Str(name) if name.starts_with("Psy")));
+            assert!(matches!(&**v, Value::Str(name) if name.starts_with("Psy")));
         }
         let _ = s;
     }

@@ -35,7 +35,7 @@ fn emit_through_an_anonymous_record() {
     assert!(plan.warnings.is_empty(), "{:?}", plan.warnings);
     let r = execute(&schema, &store, &plan);
     assert_eq!(r.stats.rows_emitted, 5);
-    assert!(r.values.iter().all(|v| *v == Value::str("Springfield")));
+    assert!(r.values.iter().all(|v| **v == Value::str("Springfield")));
     assert_eq!(r.stats.checks_executed, 0);
 }
 

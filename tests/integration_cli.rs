@@ -857,3 +857,53 @@ fn every_value_option_reads_the_same_as_v_and_eq_v() {
         }
     }
 }
+
+#[test]
+fn one_thread_load_keeps_its_op_table_and_allocates_little() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let (schema, data) = (dir.join("hospital.sdl"), dir.join("hospital.chd"));
+    let out = chc(&[
+        "--stats",
+        "load",
+        schema.to_str().unwrap(),
+        data.to_str().unwrap(),
+        "--threads",
+        "1",
+        "--ops",
+        "20000",
+        "--seed",
+        "42",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // With one thread the op sequence and every outcome are deterministic.
+    let columns: Vec<String> = stderr
+        .lines()
+        .filter_map(|line| {
+            let cols: Vec<&str> = line.split_whitespace().take(4).collect();
+            let kind = *cols.first()?;
+            ["validate", "query", "insert", "evolve", "all"]
+                .contains(&kind)
+                .then(|| cols.join(" "))
+        })
+        .collect();
+    assert_eq!(
+        columns,
+        [
+            "validate 13923 13445 478",
+            "query 4037 4037 0",
+            "insert 1837 1837 0",
+            "evolve 203 175 28",
+            "all 20000 19494 506",
+        ],
+        "{stderr}"
+    );
+    // Queries borrow their rows from the store: about 58,000 allocations
+    // in all, where a row-cloning executor made 386,420.
+    let allocs: u64 = stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("mem.allocs"))
+        .and_then(|rest| rest.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no mem.allocs row: {stderr}"));
+    assert!(allocs <= 100_000, "{allocs} allocations");
+}

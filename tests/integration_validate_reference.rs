@@ -299,15 +299,6 @@ fn value_pool(schema: &Schema) -> Vec<Value> {
     pool
 }
 
-/// Whether some object of `live` holds `o` in one of `attrs`.
-fn referenced(store: &ExtentStore, live: &[Oid], attrs: &[Sym], o: Oid) -> bool {
-    live.iter().any(|&x| {
-        attrs
-            .iter()
-            .any(|&a| store.get_attr(x, a) == Some(&Value::Obj(o)))
-    })
-}
-
 /// One round of random store edits over `objects`: memberships gained
 /// and lost, objects destroyed, attributes set and cleared.
 fn mutate(
@@ -333,10 +324,7 @@ fn mutate(
         match pick(rng, 16) {
             0..=2 => store.add_to_class(schema, o, classes[pick(rng, classes.len())]),
             3..=4 => store.remove_from_class(schema, o, classes[pick(rng, classes.len())]),
-            // `refresh_virtual_extents` follows references, so an object
-            // another one refers to stays while virtual extents are kept.
-            5 if virtuals.is_none() || !referenced(store, &live, attrs, o) => store.destroy(o),
-            5 => {}
+            5 => store.destroy(o),
             6..=12 => {
                 let attr = attrs[pick(rng, attrs.len())];
                 let value = match pick(rng, 4) {
@@ -472,7 +460,9 @@ fn data_files_validate_as_the_reference_does() {
             .collect();
         let pool = value_pool(schema);
         let mut rng = SplitMix64::new(chd.len() as u64);
-        for round in 0..4 {
+        // Destroys shrink these small stores fast: eight rounds pass the
+        // admission floor below.
+        for round in 0..8 {
             let case = format!("{chd} round {round}");
             assert_loaded_agrees(schema, &data, &case);
             let (violations, admitted) = assert_store_agrees(schema, &data.store, &objects, &case);
